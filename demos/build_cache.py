@@ -50,7 +50,6 @@ def main() -> None:
             value = c_const(l, k, cache, budget=args.depth, workers=args.workers)
             print(f"C[{l},{k}] = {value:6d}  {time.monotonic() - start:7.1f}s")
 
-    cache.provenance["a-depth"] = str(args.depth)
     cache.provenance["c-range"] = f"l<={args.c_lmax},k<=2l+{args.c_extra + 1}"
     cache.provenance["format"] = "1"
     cache_store(cache, args.out)

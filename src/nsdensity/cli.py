@@ -127,12 +127,8 @@ def _load_cache(config: RunConfig) -> tuple[ConstantCache, str]:
 
 
 def _store_cache(config: RunConfig, cache: ConstantCache, path: str) -> None:
-    if not config.write_cache:
-        return
-    depth = cache.a_depth()
-    if depth:
-        cache.provenance["a-depth"] = str(depth)
-    cache_store(cache, path)
+    if config.write_cache:
+        cache_store(cache, path)
 
 
 def _emit_csv(header: list[str], rows: list[list[str]]) -> str:

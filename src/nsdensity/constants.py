@@ -18,17 +18,24 @@ cross-checked three ways before anything is cached:
     A_D 4^(t-s) - sum_{k=s+1}^{t} A_{D∪{k}} 4^(t-k), the finite truncation
     identity evaluated with previously computed constants.
 
+A_D is keyed by ``D.mask``, so Max(D) is the bit length of its key.  The
+second check is the level rule (:func:`check_a_level`: all 2^(t-1)
+constants, each in [1, 3^(t-1)], summing to 3^(t-1)); :func:`check_c`
+bounds C_{l,k}.  The sweeps and :func:`cache_load` share both rules.
+
 The cache file is line-delimited ``A|<D-key>|<int>`` / ``C|<l>,<k>|<int>``
 records, UTF-8 with LF endings, sorted for reproducible diffs; ``#`` lines
-carry provenance (``# key: value``).  Conflicting values for one key are a
-correctness bug somewhere and always a hard error, never a silent merge.
+carry provenance (``# key: value``).  It is untrusted input: two values
+for one key, or a level or a C that breaks its rule, are always a hard
+error, never a silent merge.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .core import DSet
 from .enumeration import BudgetError, window_counts
@@ -39,30 +46,59 @@ DEFAULT_CACHE_NAME = "nsdensity.cache"
 
 
 class CacheConflictError(ValueError):
-    """Two sources disagree on an exact constant."""
+    """Two sources disagree on an exact constant, or one breaks a proven rule."""
+
+
+def _mask_key(mask: int) -> str:
+    """The cache-file key of D = {l : bit l-1 of mask}: ascending, comma-joined."""
+    return ",".join(
+        [str(l) for l in range(1, mask.bit_length() + 1) if mask >> (l - 1) & 1]
+    )
+
+
+def check_a_level(t: int, level: Mapping[int, int]) -> None:
+    """The level rule for {D.mask: A_D}, every key of bit length t: all
+    2^(t-1) constants, each in [1, 3^(t-1)], summing to exactly 3^(t-1)."""
+    cap, values = 3 ** (t - 1), level.values()
+    lo, hi, total = min(values), max(values), sum(values)
+    if len(level) != 2 ** (t - 1) or not 1 <= lo <= hi <= cap or total != cap:
+        raise CacheConflictError(
+            f"level {t}: {len(level)} A constants in [{lo}, {hi}] summing to "
+            f"{total}; the rule is 2^{t - 1} in [1, 3^{t - 1}] summing to 3^{t - 1}"
+        )
+
+
+def check_c(l: int, k: int, value: int) -> None:
+    """1 <= C_{l,k} <= 2^l 3^(k-2l-1), and C_{l,k} = 1 for k <= 2l+1."""
+    limit = 2**l * 3 ** (k - 2 * l - 1) if k > 2 * l + 1 else 1
+    if not 1 <= value <= limit:
+        raise CacheConflictError(f"C[{l},{k}] = {value} outside [1, {limit}]")
 
 
 @dataclass
 class ConstantCache:
-    a_entries: dict[str, int] = field(default_factory=dict)
+    a_entries: dict[int, int] = field(default_factory=dict)  # D.mask -> A_D
     c_entries: dict[tuple[int, int], int] = field(default_factory=dict)
     provenance: dict[str, str] = field(default_factory=dict)
 
     def a(self, d: DSet) -> int | None:
         if d.max_element == 0:
             return 1
-        return self.a_entries.get(d.key)
+        return self.a_entries.get(d.mask)
 
     def c(self, l: int, k: int) -> int | None:
         return self.c_entries.get((l, k))
 
     def set_a(self, d: DSet, value: int) -> None:
-        old = self.a_entries.get(d.key)
+        self._set_a_mask(d.mask, value)
+
+    def _set_a_mask(self, mask: int, value: int) -> None:
+        old = self.a_entries.get(mask)
         if old is not None and old != value:
             raise CacheConflictError(
-                f"A[{d.key}] recomputed as {value}, cached {old}"
+                f"A[{_mask_key(mask)}] recomputed as {value}, cached {old}"
             )
-        self.a_entries[d.key] = value
+        self.a_entries[mask] = value
 
     def set_c(self, l: int, k: int, value: int) -> None:
         old = self.c_entries.get((l, k))
@@ -74,21 +110,11 @@ class ConstantCache:
 
     def a_depth(self) -> int:
         """Largest t with every Max(D) = t entry present."""
-        by_max: dict[int, int] = {}
-        for key in self.a_entries:
-            m = DSet.parse(key).max_element
-            by_max[m] = by_max.get(m, 0) + 1
+        per_level = Counter(mask.bit_length() for mask in self.a_entries)
         t = 0
-        while by_max.get(t + 1, 0) == 1 << t:  # 2^t sets have maximum t+1
+        while per_level[t + 1] == 1 << t:  # 2^t sets have maximum t+1
             t += 1
         return t
-
-    def merge(self, other: "ConstantCache") -> None:
-        for key, value in other.a_entries.items():
-            self.set_a(DSet.parse(key), value)
-        for (l, k), value in other.c_entries.items():
-            self.set_c(l, k, value)
-        self.provenance.update(other.provenance)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConstantCache):
@@ -100,6 +126,7 @@ class ConstantCache:
 
 
 def cache_load(path: str | os.PathLike) -> ConstantCache:
+    """Parse a cache file; CacheConflictError if it breaks a rule above."""
     cache = ConstantCache()
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -125,7 +152,7 @@ def cache_load(path: str | os.PathLike) -> ConstantCache:
             if value < 0:
                 raise ValueError(f"{path}:{lineno}: negative count {value}")
             if kind == "A":
-                cache.set_a(DSet.parse(key), value)
+                cache._set_a_mask(DSet.parse(key).mask, value)
             elif kind == "C":
                 try:
                     l, k = (int(p) for p in key.split(","))
@@ -136,14 +163,26 @@ def cache_load(path: str | os.PathLike) -> ConstantCache:
                 cache.set_c(l, k, value)
             else:
                 raise ValueError(f"{path}:{lineno}: unknown record kind {kind!r}")
+
+    levels: dict[int, dict[int, int]] = {}
+    for mask, value in cache.a_entries.items():
+        levels.setdefault(mask.bit_length(), {})[mask] = value
+    for t, level in levels.items():
+        check_a_level(t, level)
+    for (l, k), value in cache.c_entries.items():
+        check_c(l, k, value)
     return cache
 
 
 def cache_store(cache: ConstantCache, path: str | os.PathLike) -> None:
-    """Write sorted records; atomic via rename so readers never see a torn file."""
-    lines = [f"# {k}: {v}" for k, v in sorted(cache.provenance.items())]
+    """Write sorted records and ``a-depth`` from :meth:`ConstantCache.a_depth`;
+    atomic via rename so readers never see a torn file."""
+    provenance = dict(cache.provenance)
+    if depth := cache.a_depth():
+        provenance["a-depth"] = str(depth)
+    lines = [f"# {k}: {v}" for k, v in sorted(provenance.items())]
     records = sorted(
-        [f"A|{key}|{value}" for key, value in cache.a_entries.items()]
+        [f"A|{_mask_key(mask)}|{value}" for mask, value in cache.a_entries.items()]
         + [f"C|{l},{k}|{value}" for (l, k), value in cache.c_entries.items()]
     )
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -173,8 +212,8 @@ def a_consts_batch(
     *,
     budget: int = DEFAULT_DEPTH_BUDGET,
     workers: int = 1,
-) -> dict[DSet, int]:
-    """All A_D with Max(D) = t from one bucketed sweep at f = 2t+1.
+) -> dict[int, int]:
+    """All A_D with Max(D) = t, as {D.mask: A_D}, from one sweep at f = 2t+1.
 
     Stores results into ``cache`` when given, after the consistency checks
     described in the module docstring.  Buckets for smaller window maxima
@@ -192,44 +231,38 @@ def a_consts_batch(
 
     if int(buckets.sum()) != 4**t:
         raise AssertionError(f"window buckets at t={t} sum to {buckets.sum()}")
-    top = {
-        DSet.from_mask(m): int(buckets[m])
-        for m in range(1 << t)
-        if m >> (t - 1)
-    }
-    if sum(top.values()) != 3 ** (t - 1):
-        raise AssertionError(
-            f"sets with {t + 1} in A(T) at f={f} number {sum(top.values())}, "
-            f"expected 3^{t - 1}"
-        )
+    low = 1 << (t - 1)  # level t is the mask range [2^(t-1), 2^t)
+    top = dict(zip(range(low, 2 * low), buckets[low:].tolist()))
+    check_a_level(t, top)
 
     if cache is not None:
-        known = dict(top)
-        for m in range(1 << (t - 1)):  # window maxima below t
-            d = DSet.from_mask(m)
-            value = _truncation_bucket(d, t, cache, known)
+        for m in range(low):  # window maxima below t
+            value = _truncation_bucket(m, t, cache, top)
             if value is not None and value != int(buckets[m]):
                 raise CacheConflictError(
-                    f"bucket[{d.key}] at t={t} is {int(buckets[m])}, cached "
-                    f"constants predict {value}"
+                    f"bucket[{_mask_key(m) or '∅'}] at t={t} is "
+                    f"{int(buckets[m])}, cached constants predict {value}"
                 )
-        for d, value in top.items():
-            cache.set_a(d, value)
+        for m, value in top.items():
+            cache._set_a_mask(m, value)
     return top
 
 
 def _truncation_bucket(
-    d: DSet, t: int, cache: ConstantCache, top: Mapping[DSet, int]
+    m: int, t: int, cache: ConstantCache, top: Mapping[int, int]
 ) -> int | None:
-    """A_D 4^(t-s) - sum_{k=s+1}^t A_{D∪{k}} 4^(t-k), None if inputs missing."""
-    s = d.max_element
-    a_d = cache.a(d)
+    """A_D 4^(t-s) - sum_{k=s+1}^t A_{D∪{k}} 4^(t-k), None if inputs missing.
+
+    D is given by its mask ``m`` and s = Max(D) is the mask's bit length.
+    """
+    s = m.bit_length()
+    a_d = cache.a_entries.get(m) if m else 1
     if a_d is None:
         return None
     value = a_d * 4 ** (t - s)
     for k in range(s + 1, t + 1):
-        e = d.with_added(k)
-        a_e = top.get(e) if k == t else cache.a(e)
+        e = m | 1 << (k - 1)
+        a_e = top.get(e) if k == t else cache.a_entries.get(e)
         if a_e is None:
             return None
         value -= a_e * 4 ** (t - k)
@@ -251,11 +284,7 @@ def a_const(
         hit = cache.a(d)
         if hit is not None:
             return hit
-    batch = a_consts_batch(t, cache, budget=budget, workers=workers)
-    value = batch[d]
-    if value > 3 ** (t - 1):
-        raise AssertionError(f"A[{d.key}] = {value} exceeds 3^{t - 1}")
-    return value
+    return a_consts_batch(t, cache, budget=budget, workers=workers)[d.mask]
 
 
 def build_a_constants(
@@ -275,13 +304,8 @@ def build_a_constants(
     if budget is None:
         budget = max(depth, DEFAULT_DEPTH_BUDGET)
     for t in range(1, depth + 1):
-        if any(
-            cache.a(DSet.from_mask(m | (1 << (t - 1)))) is None
-            for m in range(1 << (t - 1))
-        ):
+        if any(m not in cache.a_entries for m in range(1 << (t - 1), 1 << t)):
             a_consts_batch(t, cache, budget=budget, workers=workers)
-    prov_depth = int(cache.provenance.get("a-depth", "0"))
-    cache.provenance["a-depth"] = str(max(depth, prov_depth))
     return cache
 
 
@@ -319,11 +343,7 @@ def c_const(
     f = 2 * k + 1
     buckets = window_counts(f, k, prefix_zeros=l, budget=f, workers=workers)
     value = int(buckets[1 << (k - 1)])
-    limit = 2**l * 3 ** (k - 2 * l - 1)
-    if value > limit:
-        raise AssertionError(
-            f"C[{l},{k}] = {value} exceeds 2^{l} 3^{k - 2 * l - 1} = {limit}"
-        )
+    check_c(l, k, value)
     if cache is not None:
         cache.set_c(l, k, value)
     return value

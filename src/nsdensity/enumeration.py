@@ -64,22 +64,6 @@ def iter_numerical_sets(
         yield NumericalSet(f, mask)
 
 
-def for_each_numerical_set(
-    f: int,
-    visitor: Callable[[NumericalSet], None],
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> None:
-    """Call ``visitor`` on each of the 2^(f-1) sets; order unspecified.
-
-    This is the python-object path, intended for small f and for oracle
-    tests.  The bulk counters below use vectorized sweeps instead and
-    reduce deterministically regardless of partitioning.
-    """
-    for t in iter_numerical_sets(f, budget=budget):
-        visitor(t)
-
-
 # ---------------------------------------------------------------------------
 # chunked mask production and the two elementary kernels
 

@@ -28,10 +28,10 @@ alpha use this.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from typing import Iterator
 
 from .core import DSet
 from .constants import (
@@ -298,23 +298,21 @@ class GammaTable:
     depth: int
     rows: tuple[GammaEstimate, ...]
 
-    def overlapping_pairs(self) -> Iterator[tuple[GammaEstimate, GammaEstimate]]:
-        """Pairs whose refined intervals intersect.
-
-        Overlap means this depth cannot separate the two limits; disjoint
-        intervals are numerical evidence that distinct D give distinct
-        gamma_D.
-        """
-        for i, row in enumerate(self.rows):
-            for other in self.rows[i + 1 :]:
-                if row.refined_interval.intersects(other.refined_interval):
-                    yield row, other
-
     def distinctness_counts(self) -> tuple[int, int]:
-        """(conclusively distinct pairs, inconclusive pairs)."""
-        n = len(self.rows)
-        inconclusive = sum(1 for _ in self.overlapping_pairs())
-        return n * (n - 1) // 2 - inconclusive, inconclusive
+        """(conclusively distinct pairs, inconclusive pairs).
+
+        A pair is inconclusive when its refined intervals intersect: this
+        depth cannot separate the two limits.  Disjoint intervals are
+        numerical evidence that distinct D give distinct gamma_D.  Two
+        intervals are disjoint exactly when one ends strictly below the
+        other's start, so the disjoint pairs are the ordered pairs (i, j)
+        with hi_i < lo_j, counted by bisecting the sorted upper ends.
+        """
+        intervals = [row.refined_interval for row in self.rows]
+        his = sorted(iv.hi for iv in intervals)
+        distinct = sum(bisect_left(his, iv.lo) for iv in intervals)
+        n = len(intervals)
+        return distinct, n * (n - 1) // 2 - distinct
 
 
 def gamma_table(

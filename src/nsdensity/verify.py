@@ -271,13 +271,13 @@ def check_a_bounds(cache: ConstantCache, t_min: int = 1) -> CheckResult:
     """1 <= A_D <= 3^(t-1) for every constant in the cache."""
     name = "a-bounds(all cached)"
     n = 0
-    for key, value in cache.a_entries.items():
-        d = DSet.parse(key)
-        t = d.max_element
+    for mask, value in cache.a_entries.items():
+        t = mask.bit_length()
         if t < t_min:
             continue
         n += 1
         if not 1 <= value <= 3 ** (t - 1):
+            key = DSet.from_mask(mask).key
             return _bad(name, f"A_{{{key}}} = {value} outside [1, 3^{t - 1}]")
     return _ok(name, f"1 <= A_D <= 3^(Max(D)-1) for {n} cached constants")
 
@@ -289,8 +289,8 @@ def check_a_sum_identity(cache: ConstantCache) -> CheckResult:
     if depth < 1:
         return _ok(name, "no cached constants to sum (vacuous)")
     by_max: dict[int, int] = {}
-    for key, value in cache.a_entries.items():
-        t = DSet.parse(key).max_element
+    for mask, value in cache.a_entries.items():
+        t = mask.bit_length()
         if t >= 1:
             by_max[t] = by_max.get(t, 0) + value
     for t in range(1, depth + 1):
@@ -344,8 +344,8 @@ def suite_constants(max_f: int | None = None, cache: ConstantCache | None = None
     if cache is not None and cache.a_entries:
         name = "cache-consistency"
         bad = [
-            key for key, v in fresh.a_entries.items()
-            if cache.a_entries.get(key, v) != v
+            DSet.from_mask(mask).key for mask, v in fresh.a_entries.items()
+            if cache.a_entries.get(mask, v) != v
         ]
         if bad:
             out.append(_bad(name, f"cached A differs for {bad[:3]}"))
@@ -475,8 +475,8 @@ def suite_oracle(max_f: int | None = None, cache: ConstantCache | None = None,
 
     for label, frozen, t in (("a-fixture-3", ORACLE_A3, 3), ("a-fixture-4", ORACLE_A4, 4)):
         got = {
-            key: v for key, v in fresh.a_entries.items()
-            if DSet.parse(key).max_element == t
+            DSet.from_mask(mask).key: v for mask, v in fresh.a_entries.items()
+            if mask.bit_length() == t
         }
         if got == frozen:
             out.append(_ok(label, f"all {len(frozen)} constants at Max(D) = {t}"))

@@ -223,6 +223,18 @@ class TestDeterminismAndCache:
         assert written.a_depth() == 4
         assert written.provenance["a-depth"] == "4"
 
+    def test_inconsistent_cache_exits_1(self, capsys, tmp_path):
+        text = Path(CACHE_PATH).read_text(encoding="utf-8")
+        assert "\nA|1,3|3\n" in text
+        bad = tmp_path / "bad.cache"
+        bad.write_text(text.replace("\nA|1,3|3\n", "\nA|1,3|4\n"), encoding="utf-8")
+        code, out, err = run(
+            capsys, "gamma", "--d", "1,3", "--depth", "15", "--cache", str(bad)
+        )
+        assert code == 1
+        assert out == ""
+        assert "internal inconsistency" in err
+
     def test_env_var_resolution(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # no ./nsdensity.cache here
         monkeypatch.setenv("NSDENSITY_CACHE", CACHE_PATH)

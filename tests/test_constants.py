@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from nsdensity.constants import (
     resolve_cache_path,
 )
 from nsdensity.enumeration import BudgetError
+
+SHIPPED_CACHE = Path(__file__).resolve().parents[1] / "nsdensity.cache"
 
 # A_D by Max(D), frozen from the pairwise-scan reference route
 A_FIXTURES = {
@@ -42,7 +45,7 @@ class TestBatches:
         cache = ConstantCache()
         for t, frozen in sorted(A_FIXTURES.items()):
             got = a_consts_batch(t, cache)
-            assert {d.key: v for d, v in got.items()} == frozen
+            assert {DSet.from_mask(m).key: v for m, v in got.items()} == frozen
 
     def test_sum_is_power_of_three(self):
         cache = ConstantCache()
@@ -54,7 +57,7 @@ class TestBatches:
         # a wrong cached constant must trip the cross-sweep identity
         cache = ConstantCache()
         a_consts_batch(1, cache)
-        cache.a_entries["2"] = 1  # truth is 2
+        cache.a_entries[0b10] = 1  # A_{2}; truth is 2
         with pytest.raises(CacheConflictError):
             a_consts_batch(3, cache)
 
@@ -81,12 +84,14 @@ class TestAConst:
         # budget 1 would forbid any sweep at this depth
         assert a_const(DSet.of([9]), cache, budget=1) == 1065
 
-    def test_build_depth(self):
+    def test_build_depth(self, tmp_path):
         cache = ConstantCache()
         build_a_constants(4, cache)
         assert cache.a_depth() == 4
         assert len(cache.a_entries) == 2**4 - 1
-        assert cache.provenance["a-depth"] == "4"
+        # the a-depth provenance line is written by cache_store alone
+        cache_store(cache, tmp_path / "c.cache")
+        assert cache_load(tmp_path / "c.cache").provenance["a-depth"] == "4"
 
 
 class TestCConst:
@@ -129,23 +134,10 @@ class TestCacheObject:
         build_a_constants(3, cache)
         assert cache.a_depth() == 3
         # one missing entry at t = 4 keeps the certified depth at 3
-        for d, v in a_consts_batch(4, ConstantCache()).items():
-            if d.key != "2,4":
-                cache.set_a(d, v)
+        for m, v in a_consts_batch(4, ConstantCache()).items():
+            if m != DSet.of([2, 4]).mask:
+                cache.set_a(DSet.from_mask(m), v)
         assert cache.a_depth() == 3
-
-    def test_merge(self):
-        left, right = ConstantCache(), ConstantCache()
-        build_a_constants(2, left)
-        build_a_constants(3, right)
-        right.set_c(1, 4, 3)
-        left.merge(right)
-        assert left.a_depth() == 3
-        assert left.c(1, 4) == 3
-        bad = ConstantCache()
-        bad.set_a(DSet.of([1]), 7)
-        with pytest.raises(CacheConflictError):
-            left.merge(bad)
 
 
 class TestCacheFile:
@@ -188,6 +180,42 @@ class TestCacheFile:
         with pytest.raises(CacheConflictError):
             cache_load(path)
 
+    def test_load_rejects_incomplete_level(self, tmp_path):
+        path = tmp_path / "c.cache"
+        cache_store(build_a_constants(3), path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("A|2,3|2\n", ""), encoding="utf-8")
+        with pytest.raises(CacheConflictError, match="level 3: 3 A constants"):
+            cache_load(path)
+
+    @pytest.mark.parametrize("records, message", [
+        # level 2 sums to 3^1, but A_{1,2} = 0
+        ("A|1|1\nA|2|3\nA|1,2|0\n", r"level 2: 2 A constants in \[0, 3\]"),
+        ("A|1|1\nA|2|4\nA|1,2|1\n", r"level 2: 2 A constants in \[1, 4\]"),
+        ("A|∅|1\n", "level 0"),  # A over the empty set is 1 and never stored
+    ], ids=["zero", "above-cap", "empty-set"])
+    def test_load_rejects_a_out_of_range(self, tmp_path, records, message):
+        path = tmp_path / "bad.cache"
+        path.write_text(records, encoding="utf-8")
+        with pytest.raises(CacheConflictError, match=message):
+            cache_load(path)
+
+    def test_load_rejects_level_sum(self, tmp_path):
+        path = tmp_path / "c.cache"
+        cache_store(build_a_constants(3), path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("A|1,3|3\n", "A|1,3|4\n"), encoding="utf-8")
+        with pytest.raises(CacheConflictError, match="level 3: .* summing to 10"):
+            cache_load(path)
+
+    @pytest.mark.parametrize("record", ["C|1,4|7", "C|1,4|0", "C|1,3|2"])
+    def test_load_rejects_c_out_of_range(self, tmp_path, record):
+        # C_{1,4} <= 2^1 3^(4-3) = 6; C_{1,3} = 1 in closed form
+        path = tmp_path / "bad.cache"
+        path.write_text(f"A|1|1\n{record}\n", encoding="utf-8")
+        with pytest.raises(CacheConflictError):
+            cache_load(path)
+
     def test_resolution_order(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NSDENSITY_CACHE", raising=False)
         assert resolve_cache_path(None) == os.path.join(os.curdir, "nsdensity.cache")
@@ -204,19 +232,23 @@ class TestShippedCache:
     def test_spot_values(self, shipped_cache):
         for t, frozen in A_FIXTURES.items():
             for key, want in frozen.items():
-                assert shipped_cache.a_entries[key] == want
+                assert shipped_cache.a_entries[DSet.parse(key).mask] == want
         for (l, k), want in C_FIXTURES.items():
             assert shipped_cache.c(l, k) == want
 
     def test_sum_identity_per_level(self, shipped_cache):
         by_max = {}
-        for key, v in shipped_cache.a_entries.items():
-            t = DSet.parse(key).max_element
+        for mask, v in shipped_cache.a_entries.items():
+            t = DSet.from_mask(mask).max_element
             by_max[t] = by_max.get(t, 0) + v
         for t in range(1, 16):
             assert by_max[t] == 3 ** (t - 1)
 
+    def test_store_roundtrip_is_byte_identical(self, shipped_cache, tmp_path):
+        cache_store(shipped_cache, tmp_path / "again.cache")
+        assert (tmp_path / "again.cache").read_bytes() == SHIPPED_CACHE.read_bytes()
+
     def test_a_bounds(self, shipped_cache):
-        for key, v in shipped_cache.a_entries.items():
-            t = DSet.parse(key).max_element
+        for mask, v in shipped_cache.a_entries.items():
+            t = DSet.from_mask(mask).max_element
             assert 1 <= v <= 3 ** (t - 1)

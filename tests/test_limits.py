@@ -187,6 +187,22 @@ class TestGammaTable:
         distinct, inconclusive = table.distinctness_counts()
         assert distinct + inconclusive == 8 * 7 // 2
 
+    def test_distinctness_matches_pair_loop(self, shipped_cache):
+        table = gamma_table(6, 15, shipped_cache)
+        n = len(table.rows)
+        inconclusive = sum(
+            1
+            for i in range(n)
+            for j in range(i + 1, n)
+            if table.rows[i].refined_interval.intersects(
+                table.rows[j].refined_interval
+            )
+        )
+        assert 0 < inconclusive < n * (n - 1) // 2
+        assert table.distinctness_counts() == (
+            n * (n - 1) // 2 - inconclusive, inconclusive
+        )
+
     def test_leading_order_at_full_depth(self, shipped_cache):
         table = gamma_table(4, 15, shipped_cache)
         lead = [r.d.elements for r in table.rows[:5]]
