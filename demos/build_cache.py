@@ -1,12 +1,12 @@
 """Regenerate the constant cache shipped at the repository root.
 
-Computes every A_D with Max(D) <= DEPTH (one bucketed sweep per level, with
-the cross-sweep consistency checks in nsdensity.constants) and the swept
+Computes every A_D with Max(D) <= DEPTH (one top-slice sweep of 3^(t-1)
+sets per level t, with the checks in nsdensity.constants) and the swept
 C_{l,k} for l <= 3, k <= 2l+6, then writes the sorted cache file.
 
-Depth 15 sweeps 4^15 ~ 1.07e9 sets at the top level and takes around two
-minutes on one core.  Lower --depth for a quick cache; the library degrades
-gracefully (wider intervals, same certificates).
+Depth 15 takes a few seconds on one core.  Lower --depth for a smaller
+cache; the library degrades gracefully (wider intervals, same
+certificates).
 
     python demos/build_cache.py --depth 15 --out nsdensity.cache
 """

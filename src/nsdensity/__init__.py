@@ -40,6 +40,7 @@ from .enumeration import (
     multiplicity_counts,
     preimage_counts,
     suffix_census,
+    top_slice_counts,
     window_counts,
     window_restrict,
 )

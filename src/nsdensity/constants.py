@@ -5,23 +5,33 @@ Frobenius number where the width-t window factorizes, and C_{l,k} is the
 prefix-constrained analogue |B_l(k, 2k+1)| (or |B_l(k, l+k+1)| for k <= l,
 where it is 1 by a short argument, as it is for all k <= 2l+1).
 
-One sweep at f = 2t+1 buckets all 4^t sets by their width-t window, so the
-batch route yields A_D for every D with Max(D) = t at once.  Each batch is
-cross-checked three ways before anything is cached:
+Both come from one sweep over the top slice at f = 2t+1
+(:func:`~nsdensity.enumeration.top_slice_counts`).  t+1 is in A(T) iff
+t+1 in T, t not in T, and x in T implies x+t+1 in T for x in [1, t-1];
+positions t and t+1 are forced and each residual pair (x, x+t+1) admits
+3 of 4 states, so exactly 3^(t-1) sets have window maximum t, and their
+width-t windows are the D with Max(D) = t.  A_D at level t is bucket
+D.mask of that sweep; C_{l,k} is bucket {k} of the sweep at t = k with
+the 2^l 3^(k-1-l) sets avoiding [1, l].  The checks that run:
 
-  * the buckets sum to 4^t (every set has exactly one window);
-  * the buckets with window maximum t sum to 3^(t-1).  Proof: t+1 is in
-    A(T) iff t+1 in T, t not in T, and x in T implies x+t+1 in T for
-    x in [1, t-1]; positions t and t+1 are forced and each residual pair
-    (x, x+t+1) admits 3 of 4 states, giving exactly 3^(t-1) such sets;
-  * for every D with Max(D) = s < t, the bucket equals
-    A_D 4^(t-s) - sum_{k=s+1}^{t} A_{D∪{k}} 4^(t-k), the finite truncation
-    identity evaluated with previously computed constants.
+  * the kernel computes each slice set's whole width-t window, and a
+    window below 2^(t-1) (t+1 missing from A(T)) is an error.  The slice
+    holds 3^(t-1) sets by construction, so this is what makes the level
+    sum below a check of the kernel and of the proof above;
+  * the level rule, :func:`check_a_level`: all 2^(t-1) constants, each in
+    [1, 3^(t-1)], summing to exactly 3^(t-1);
+  * :func:`check_c`: 1 <= C_{l,k} <= 2^l 3^(k-2l-1), and 1 for k <= 2l+1;
+  * a recomputed constant that differs from a cached one is an error.
+
+The 4^t full-window sweep is the independent oracle
+(:func:`nsdensity.verify.full_window_oracle`), run by ``verify --suite
+constants`` and the tests, not by production: its top buckets must equal
+the slice route, its buckets sum to 4^t, and for every D with
+Max(D) = s < t its bucket equals A_D 4^(t-s) - sum_{k=s+1}^{t}
+A_{D∪{k}} 4^(t-k), the finite truncation identity.
 
 A_D is keyed by ``D.mask``, so Max(D) is the bit length of its key.  The
-second check is the level rule (:func:`check_a_level`: all 2^(t-1)
-constants, each in [1, 3^(t-1)], summing to 3^(t-1)); :func:`check_c`
-bounds C_{l,k}.  The sweeps and :func:`cache_load` share both rules.
+sweeps and :func:`cache_load` share the level rule and the C bound.
 
 The cache file is line-delimited ``A|<D-key>|<int>`` / ``C|<l>,<k>|<int>``
 records, UTF-8 with LF endings, sorted for reproducible diffs; ``#`` lines
@@ -35,10 +45,10 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .core import DSet
-from .enumeration import BudgetError, window_counts
+from .enumeration import BudgetError, top_slice_counts
 
 DEFAULT_DEPTH_BUDGET = 15
 CACHE_ENV = "NSDENSITY_CACHE"
@@ -49,11 +59,46 @@ class CacheConflictError(ValueError):
     """Two sources disagree on an exact constant, or one breaks a proven rule."""
 
 
-def _mask_key(mask: int) -> str:
-    """The cache-file key of D = {l : bit l-1 of mask}: ascending, comma-joined."""
-    return ",".join(
-        [str(l) for l in range(1, mask.bit_length() + 1) if mask >> (l - 1) & 1]
-    )
+# bits of the element strings A keys are written with; others go to int()
+_ELEMENT_BITS = {str(e): 1 << (e - 1) for e in range(1, 64)}
+
+
+def _key_mask(key: str) -> int:
+    """D.mask of a cache-file A key, accepting exactly what
+    :meth:`DSet.parse` accepts: '', '∅' or '{}', or strictly ascending
+    positive integers joined by commas."""
+    text = key.strip()
+    if text in ("", "∅", "{}"):
+        return 0
+    mask = 0
+    for p in text.split(","):
+        bit = _ELEMENT_BITS.get(p)
+        if bit is None:
+            e = int(p)
+            if e < 1:
+                raise ValueError(f"elements must be positive: {key!r}")
+            bit = 1 << (e - 1)
+        if bit <= mask:  # at or below the largest element so far
+            raise ValueError(f"elements must be strictly increasing: {key!r}")
+        mask |= bit
+    return mask
+
+
+def _mask_keys(masks: Iterable[int]) -> dict[int, str]:
+    """The cache-file key of each D = {l : bit l-1 of mask}: ascending,
+    comma-joined.  A key extends the key of its mask without the top bit,
+    so a full level costs one concatenation per key."""
+    keys = {0: ""}
+
+    def key(m: int) -> str:
+        s = keys.get(m)
+        if s is None:
+            top = m.bit_length()
+            rest = key(m ^ 1 << (top - 1))
+            s = keys[m] = f"{rest},{top}" if rest else str(top)
+        return s
+
+    return {m: key(m) for m in masks}
 
 
 def check_a_level(t: int, level: Mapping[int, int]) -> None:
@@ -96,7 +141,7 @@ class ConstantCache:
         old = self.a_entries.get(mask)
         if old is not None and old != value:
             raise CacheConflictError(
-                f"A[{_mask_key(mask)}] recomputed as {value}, cached {old}"
+                f"A[{DSet.from_mask(mask).key}] recomputed as {value}, cached {old}"
             )
         self.a_entries[mask] = value
 
@@ -152,7 +197,13 @@ def cache_load(path: str | os.PathLike) -> ConstantCache:
             if value < 0:
                 raise ValueError(f"{path}:{lineno}: negative count {value}")
             if kind == "A":
-                cache._set_a_mask(DSet.parse(key).mask, value)
+                try:
+                    mask = _key_mask(key)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: bad A key {key!r}"
+                    ) from None
+                cache._set_a_mask(mask, value)
             elif kind == "C":
                 try:
                     l, k = (int(p) for p in key.split(","))
@@ -181,8 +232,9 @@ def cache_store(cache: ConstantCache, path: str | os.PathLike) -> None:
     if depth := cache.a_depth():
         provenance["a-depth"] = str(depth)
     lines = [f"# {k}: {v}" for k, v in sorted(provenance.items())]
+    keys = _mask_keys(cache.a_entries)
     records = sorted(
-        [f"A|{_mask_key(mask)}|{value}" for mask, value in cache.a_entries.items()]
+        [f"A|{keys[mask]}|{value}" for mask, value in cache.a_entries.items()]
         + [f"C|{l},{k}|{value}" for (l, k), value in cache.c_entries.items()]
     )
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -213,60 +265,26 @@ def a_consts_batch(
     budget: int = DEFAULT_DEPTH_BUDGET,
     workers: int = 1,
 ) -> dict[int, int]:
-    """All A_D with Max(D) = t, as {D.mask: A_D}, from one sweep at f = 2t+1.
+    """All A_D with Max(D) = t, as {D.mask: A_D}, from one top-slice sweep.
 
-    Stores results into ``cache`` when given, after the consistency checks
-    described in the module docstring.  Buckets for smaller window maxima
-    are validated against cached constants whenever those are present.
+    Stores results into ``cache`` when given, after the checks described
+    in the module docstring.
     """
     if t < 1:
         raise ValueError("batch needs t >= 1; A over the empty set is 1")
     if t > budget:
         raise BudgetError(
-            f"A_D at Max(D)={t} needs a 4^{t}-set sweep at f={2 * t + 1}; "
-            f"depth budget is {budget}"
+            f"A_D at Max(D)={t} needs a sweep of 3^{t - 1} sets at "
+            f"f={2 * t + 1}; depth budget is {budget}"
         )
-    f = 2 * t + 1
-    buckets = window_counts(f, t, budget=f, workers=workers)
-
-    if int(buckets.sum()) != 4**t:
-        raise AssertionError(f"window buckets at t={t} sum to {buckets.sum()}")
     low = 1 << (t - 1)  # level t is the mask range [2^(t-1), 2^t)
+    buckets = top_slice_counts(t, workers=workers)
     top = dict(zip(range(low, 2 * low), buckets[low:].tolist()))
     check_a_level(t, top)
-
     if cache is not None:
-        for m in range(low):  # window maxima below t
-            value = _truncation_bucket(m, t, cache, top)
-            if value is not None and value != int(buckets[m]):
-                raise CacheConflictError(
-                    f"bucket[{_mask_key(m) or '∅'}] at t={t} is "
-                    f"{int(buckets[m])}, cached constants predict {value}"
-                )
         for m, value in top.items():
             cache._set_a_mask(m, value)
     return top
-
-
-def _truncation_bucket(
-    m: int, t: int, cache: ConstantCache, top: Mapping[int, int]
-) -> int | None:
-    """A_D 4^(t-s) - sum_{k=s+1}^t A_{D∪{k}} 4^(t-k), None if inputs missing.
-
-    D is given by its mask ``m`` and s = Max(D) is the mask's bit length.
-    """
-    s = m.bit_length()
-    a_d = cache.a_entries.get(m) if m else 1
-    if a_d is None:
-        return None
-    value = a_d * 4 ** (t - s)
-    for k in range(s + 1, t + 1):
-        e = m | 1 << (k - 1)
-        a_e = top.get(e) if k == t else cache.a_entries.get(e)
-        if a_e is None:
-            return None
-        value -= a_e * 4 ** (t - k)
-    return value
 
 
 def a_const(
@@ -296,8 +314,9 @@ def build_a_constants(
 ) -> ConstantCache:
     """Fill a cache with every A_D for Max(D) <= depth, in increasing t.
 
-    Increasing order lets each batch validate all its lower-window buckets
-    against the constants already computed.
+    Each level is its own top-slice sweep and reads no other level; the
+    lower-window buckets that tie the levels together are replayed by the
+    oracle in :mod:`nsdensity.verify`, not here.
     """
     if cache is None:
         cache = ConstantCache()
@@ -323,8 +342,9 @@ def c_const(
 ) -> int:
     """C_{l,k}: prefix-avoiding window constant.
 
-    1 in closed form for k <= 2l+1.  For k >= 2l+2 it is |B_l(k, 2k+1)| by
-    enumeration, checked against the bound 2^l 3^(k-2l-1).
+    1 in closed form for k <= 2l+1.  For k >= 2l+2 it is |B_l(k, 2k+1)|,
+    bucket {k} of the top slice at f = 2k+1 with [1, l] kept out of T,
+    checked against the bound 2^l 3^(k-2l-1).
     """
     if l < 1 or k < 1:
         raise ValueError("l and k must be positive")
@@ -338,10 +358,10 @@ def c_const(
             return hit
     if k > budget:
         raise BudgetError(
-            f"C[{l},{k}] needs a sweep at f={2 * k + 1}; depth budget is {budget}"
+            f"C[{l},{k}] needs a sweep of 2^{l} 3^{k - 1 - l} sets at "
+            f"f={2 * k + 1}; depth budget is {budget}"
         )
-    f = 2 * k + 1
-    buckets = window_counts(f, k, prefix_zeros=l, budget=f, workers=workers)
+    buckets = top_slice_counts(k, prefix_zeros=l, workers=workers)
     value = int(buckets[1 << (k - 1)])
     check_c(l, k, value)
     if cache is not None:

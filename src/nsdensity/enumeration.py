@@ -23,6 +23,7 @@ Word size limits these kernels to f <= 63; the pure-python routines in
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,28 +74,62 @@ def _map_chunks(
     func: Callable[[np.ndarray], object],
     *,
     prefix_zeros: int = 0,
+    top_slice: bool = False,
     budget: int = DEFAULT_ENUM_BUDGET,
     workers: int = 1,
     chunk: int = CHUNK,
 ) -> list:
     """Apply ``func`` to full-mask chunks covering the whole sweep.
 
-    Results are returned in ascending mask order, so any reduction that is
+    With ``top_slice`` the sweep covers only the top slice at f = 2t+1 (see
+    :func:`top_slice_counts`), indexed in mixed radix: digit x in [1, t-1]
+    is the state of the pair (x, x+t+1), base 2 for x <= prefix_zeros and
+    base 3 above.  Each chunk fixes the leading digits and ORs them onto a
+    table of every trailing-digit state.
+
+    Results are returned in ascending index order, so any reduction that is
     associative and commutative over exact integers is deterministic for
     every worker count.
     """
     _check_budget(f, budget)
-    if not 0 <= prefix_zeros <= f - 1:
-        raise ValueError(f"prefix [1,{prefix_zeros}] does not fit below f={f}")
-    total = 1 << (f - 1 - prefix_zeros)
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    if top_slice:
+        t = (f - 1) // 2
+        if f != 2 * t + 1 or not 0 <= prefix_zeros <= t - 1:
+            raise ValueError(
+                f"top slice needs odd f = 2t+1 and prefix [1,{prefix_zeros}] "
+                f"below t, got f={f}"
+            )
+        # pair states: neither, x+t+1 only, both (x alone would put x+t+1
+        # outside A(T)); the prefix digits stop at the second state
+        states = [[0, 1 << (x + t + 1), 1 << x | 1 << (x + t + 1)]
+                  [: 2 if x <= prefix_zeros else 3] for x in range(1, t)]
+        trailing = np.array([1 | 1 << (t + 1)], dtype=np.uint64)
+        while states and len(trailing) * len(states[0]) <= chunk:
+            digit = np.array(states.pop(0), dtype=np.uint64)
+            trailing = (trailing[None, :] | digit[:, None]).ravel()
+        step = len(trailing)
+        total = step * math.prod(len(s) for s in states)
+        ranges = [(lo, lo + step) for lo in range(0, total, step)]
 
-    shift = np.uint64(prefix_zeros)
+        def run(bounds: tuple[int, int]):
+            lead, high = bounds[0] // step, 0
+            for digit in states:
+                lead, d = divmod(lead, len(digit))
+                high |= digit[d]
+            return func(trailing | np.uint64(high))
 
-    def run(bounds: tuple[int, int]):
-        lo, hi = bounds
-        gaps = np.arange(lo, hi, dtype=np.uint64) << shift
-        return func((gaps << _U1) | _U1)
+    else:
+        if not 0 <= prefix_zeros <= f - 1:
+            raise ValueError(f"prefix [1,{prefix_zeros}] does not fit below f={f}")
+        total = 1 << (f - 1 - prefix_zeros)
+        ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+
+        shift = np.uint64(prefix_zeros)
+
+        def run(bounds: tuple[int, int]):
+            lo, hi = bounds
+            gaps = np.arange(lo, hi, dtype=np.uint64) << shift
+            return func((gaps << _U1) | _U1)
 
     if workers <= 1 or len(ranges) == 1:
         return [run(r) for r in ranges]
@@ -242,16 +277,51 @@ def window_counts(
     """
     if not 0 <= width <= (f - 1) // 2:
         raise ValueError(f"window width {width} invalid for f={f}")
+    return _window_histogram(
+        f, width, prefix_zeros=prefix_zeros, budget=budget, workers=workers
+    )
+
+
+def top_slice_counts(
+    t: int, *, prefix_zeros: int = 0, workers: int = 1
+) -> np.ndarray:
+    """Width-t window histogram at f = 2t+1 over the top slice alone.
+
+    t+1 is in A(T) iff t+1 in T, t not in T, and x in T implies x+t+1 in T
+    for x in [1, t-1]: each pair (x, x+t+1) keeps 3 of its 4 states, or 2
+    when x <= prefix_zeros must stay out of T.  These 2^l 3^(t-1-l) sets
+    (l = prefix_zeros) are exactly the sets whose window has maximum t, so
+    entry p of the result equals ``window_counts(2t+1, t,
+    prefix_zeros=l)[p]`` for p >= 2^(t-1).  The kernel still computes the
+    whole window, and a set landing below 2^(t-1) is an AssertionError.
+
+    The caller owns the budget: this sweep is far smaller than the 2^(f-1)
+    sets the enumeration budget is stated in.
+    """
+    if t < 1:
+        raise ValueError(f"top slice needs t >= 1, got {t}")
+    f = 2 * t + 1
+    buckets = _window_histogram(
+        f, t, prefix_zeros=prefix_zeros, top_slice=True, budget=f,
+        workers=workers,
+    )
+    stray = int(buckets[: 1 << (t - 1)].sum())
+    if stray:
+        raise AssertionError(
+            f"{stray} top-slice sets at f={f} have a window below 2^{t - 1}"
+        )
+    return buckets
+
+
+def _window_histogram(f: int, width: int, **sweep) -> np.ndarray:
+    """Sum of per-chunk bincounts of the width-``width`` window."""
 
     def tally(full: np.ndarray) -> np.ndarray:
         w = _window_chunk(full, f, width)
         return np.bincount(w.astype(np.int64), minlength=1 << width)
 
-    parts = _map_chunks(
-        f, tally, prefix_zeros=prefix_zeros, budget=budget, workers=workers
-    )
     total = np.zeros(1 << width, dtype=np.int64)
-    for p in parts:
+    for p in _map_chunks(f, tally, **sweep):
         total += p
     return total
 

@@ -267,6 +267,54 @@ def check_c_growth_bound(cache: ConstantCache | None = None, l_max: int = 3,
     return _ok(name, "C_{l,k} <= 2^l 3^(k-2l-1) on the swept range")
 
 
+def full_window_oracle(t: int, cache: ConstantCache, workers: int = 1) -> None:
+    """Replay level t of ``cache`` against the 4^t full-window sweep.
+
+    The independent oracle for the top-slice route: the sweep at f = 2t+1
+    over all 4^t sets must sum to 4^t, its buckets from 2^(t-1) on must
+    equal the cached level t, and every lower bucket whose inputs are
+    cached must equal the truncation identity (see :mod:`.constants`).
+    CacheConflictError names the first mismatch.
+    """
+    buckets = window_counts(2 * t + 1, t, budget=2 * t + 1, workers=workers)
+    if int(buckets.sum()) != 4**t:
+        raise CacheConflictError(
+            f"4^{t} sweep buckets sum to {int(buckets.sum())}, not 4^{t}"
+        )
+    low = 1 << (t - 1)
+    for m in range(low, 2 * low):
+        if cache.a_entries.get(m) != int(buckets[m]):
+            raise CacheConflictError(
+                f"A_{{{DSet.from_mask(m).key}}} is {cache.a_entries.get(m)} on "
+                f"the slice route, {int(buckets[m])} in the 4^{t} sweep"
+            )
+    for m in range(low):  # window maxima below t
+        value = _truncation_bucket(m, t, cache)
+        if value is not None and value != int(buckets[m]):
+            raise CacheConflictError(
+                f"bucket[{DSet.from_mask(m).key}] of the 4^{t} sweep is "
+                f"{int(buckets[m])}, the truncation identity predicts {value}"
+            )
+
+
+def _truncation_bucket(m: int, t: int, cache: ConstantCache) -> int | None:
+    """A_D 4^(t-s) - sum_{k=s+1}^t A_{D∪{k}} 4^(t-k), None if inputs missing.
+
+    D is given by its mask ``m`` and s = Max(D) is the mask's bit length.
+    """
+    s = m.bit_length()
+    a_d = cache.a_entries.get(m) if m else 1
+    if a_d is None:
+        return None
+    value = a_d * 4 ** (t - s)
+    for k in range(s + 1, t + 1):
+        a_e = cache.a_entries.get(m | 1 << (k - 1))
+        if a_e is None:
+            return None
+        value -= a_e * 4 ** (t - k)
+    return value
+
+
 def check_a_bounds(cache: ConstantCache, t_min: int = 1) -> CheckResult:
     """1 <= A_D <= 3^(t-1) for every constant in the cache."""
     name = "a-bounds(all cached)"
@@ -333,12 +381,14 @@ def suite_constants(max_f: int | None = None, cache: ConstantCache | None = None
     try:
         for t in range(1, t_max + 1):
             a_consts_batch(t, fresh, workers=workers)
+            full_window_oracle(t, fresh, workers)
     except (AssertionError, CacheConflictError) as e:
         out.append(_bad("a-batch-validation", str(e)))
         return out
     out.append(_ok(
         "a-batch-validation",
-        f"window sums 4^t, top slice 3^(t-1), truncation identity; t <= {t_max}",
+        f"slice route equals the top buckets of the 4^t sweep, whose buckets "
+        f"sum to 4^t and meet the truncation identity; t <= {t_max}",
     ))
     out.append(check_a_sum_identity(fresh))
     if cache is not None and cache.a_entries:

@@ -7,12 +7,10 @@ published reference values (5 decimal places, stated error band 0.00212).
 Nothing here is tuned: a failure means the mathematics and the code
 disagree, and the right response is to find out which one is wrong.
 
-The full depth-15 constant rebuild is the only slow step (about two
-minutes); it is gated behind NSDENSITY_HEAVY=1 and the shipped cache is
-used everywhere else.
+The full depth-15 constant rebuild (criterion 05c) takes a few seconds;
+every other criterion reads the shipped cache.
 """
 
-import os
 import time
 from fractions import Fraction
 
@@ -140,10 +138,6 @@ def test_criterion_05b_depth15_overlaps_reference(shipped_cache):
         )
 
 
-@pytest.mark.skipif(
-    os.environ.get("NSDENSITY_HEAVY") != "1",
-    reason="full depth-15 rebuild takes ~2 minutes; set NSDENSITY_HEAVY=1",
-)
 def test_criterion_05c_full_depth15_rebuild(shipped_cache):
     """Rebuilding every constant from scratch reproduces the shipped cache."""
     fresh = build_a_constants(15)

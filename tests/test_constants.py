@@ -15,7 +15,8 @@ from nsdensity.constants import (
     cache_store,
     resolve_cache_path,
 )
-from nsdensity.enumeration import BudgetError
+from nsdensity.enumeration import BudgetError, window_counts
+from nsdensity.verify import full_window_oracle, suite_constants
 
 SHIPPED_CACHE = Path(__file__).resolve().parents[1] / "nsdensity.cache"
 
@@ -54,15 +55,43 @@ class TestBatches:
             assert sum(got.values()) == 3 ** (t - 1)
 
     def test_corrupted_cache_is_caught(self):
-        # a wrong cached constant must trip the cross-sweep identity
+        # a wrong cached constant must trip the truncation identity, which
+        # the 4^t oracle replays; the slice route reads no other level
         cache = ConstantCache()
         a_consts_batch(1, cache)
         cache.a_entries[0b10] = 1  # A_{2}; truth is 2
-        with pytest.raises(CacheConflictError):
-            a_consts_batch(3, cache)
+        a_consts_batch(3, cache)
+        with pytest.raises(CacheConflictError, match="truncation identity"):
+            full_window_oracle(3, cache)
+
+    def test_constants_suite_runs_the_oracle(self, shipped_cache):
+        results = suite_constants(cache=shipped_cache)
+        assert all(r.passed for r in results), [r.line() for r in results]
+        assert results[0].name == "a-batch-validation"
+        assert "top buckets of the 4^t sweep" in results[0].detail
+
+    def test_oracle_rejects_a_wrong_top_bucket(self):
+        cache = build_a_constants(3)
+        cache.a_entries[0b101] = 2  # A_{1,3}; truth is 3
+        with pytest.raises(CacheConflictError, match=r"A_\{1,3\} is 2"):
+            full_window_oracle(3, cache)
+
+    @pytest.mark.parametrize("t", range(1, 12))
+    def test_slice_route_equals_full_sweep(self, t):
+        low = 1 << (t - 1)
+        full = window_counts(2 * t + 1, t, budget=2 * t + 1)
+        assert a_consts_batch(t) == dict(zip(range(low, 2 * low), full[low:].tolist()))
+
+    @pytest.mark.parametrize("l, k", [
+        (l, k) for l in range(1, 4) for k in range(2 * l + 2, 12)
+    ])
+    def test_c_slice_route_equals_full_sweep(self, l, k):
+        f = 2 * k + 1
+        full = window_counts(f, k, prefix_zeros=l, budget=f)
+        assert c_const(l, k) == int(full[1 << (k - 1)])
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"3\^5 sets at f=13"):
             a_consts_batch(6, ConstantCache(), budget=5)
         with pytest.raises(ValueError):
             a_consts_batch(0, ConstantCache())
@@ -113,7 +142,7 @@ class TestCConst:
             c_const(0, 3)
         with pytest.raises(ValueError):
             c_const(1, 0)
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"2\^1 3\^7 sets at f=19"):
             c_const(1, 9, budget=8)
 
 
@@ -173,6 +202,24 @@ class TestCacheFile:
         path.write_text("X|1|1\n", encoding="utf-8")
         with pytest.raises(ValueError):
             cache_load(path)
+
+    @pytest.mark.parametrize("key", [
+        "one", "1,x", "1.5", "1,,2", "1,", "0", "-1", "0,1",  # not positive integers
+        "2,1", "1,3,2",  # not ascending
+        "1,1", "2,2",  # duplicates
+        "", " ", "∅", "{}",  # the empty set, which has no level
+    ])
+    def test_load_rejects_malformed_key(self, tmp_path, key):
+        path = tmp_path / "bad.cache"
+        path.write_text(f"A|1|1\nA|{key}|1\n", encoding="utf-8")
+        with pytest.raises(ValueError):  # CacheConflictError included
+            cache_load(path)
+
+    def test_load_accepts_what_dset_parse_accepts(self, tmp_path):
+        # int() forms of the same elements name the same masks
+        path = tmp_path / "c.cache"
+        path.write_text("A|+1|1\nA| 2|2\nA|01, 2 |1\n", encoding="utf-8")
+        assert cache_load(path) == build_a_constants(2)
 
     def test_load_rejects_internal_conflict(self, tmp_path):
         path = tmp_path / "bad.cache"

@@ -27,9 +27,11 @@ from nsdensity.enumeration import (
     multiplicity_counts,
     preimage_counts,
     suffix_census,
+    top_slice_counts,
     window_counts,
     window_restrict,
 )
+from nsdensity import enumeration
 
 # preimage counts at f = 9, keyed by D(S); computed with the pairwise-scan
 # reference route and frozen
@@ -141,6 +143,39 @@ class TestWindowCounts:
     def test_width_validation(self):
         with pytest.raises(ValueError):
             window_counts(9, 5)  # width beyond (f-1)//2
+
+
+class TestTopSlice:
+    @pytest.mark.parametrize("t,prefix", [(1, 0), (2, 1), (4, 0), (5, 2), (7, 3)])
+    def test_is_the_top_of_the_full_sweep(self, t, prefix):
+        got = top_slice_counts(t, prefix_zeros=prefix)
+        full = window_counts(2 * t + 1, t, prefix_zeros=prefix)
+        low = 1 << (t - 1)
+        assert got.sum() == 2**prefix * 3 ** (t - 1 - prefix)
+        assert not got[:low].any()
+        assert np.array_equal(got[low:], full[low:])
+
+    def test_chunks_and_workers(self):
+        # 3^13 sets run as several chunks of the trailing-digit table
+        one = top_slice_counts(14)
+        assert np.array_equal(one, top_slice_counts(14, workers=2))
+        assert one.sum() == 3**13
+
+    def test_stray_window_is_an_error(self, monkeypatch):
+        # a kernel that loses the top window bit must not go unnoticed
+        real = enumeration._window_chunk
+        monkeypatch.setattr(
+            enumeration, "_window_chunk",
+            lambda full, f, width: real(full, f, width) & np.uint64((1 << (width - 1)) - 1),
+        )
+        with pytest.raises(AssertionError, match="below 2\\^2"):
+            top_slice_counts(3)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            top_slice_counts(0)
+        with pytest.raises(ValueError):
+            top_slice_counts(3, prefix_zeros=3)  # prefix must stay below t
 
 
 class TestBCounters:
