@@ -36,7 +36,6 @@ from .enumeration import (
     count_S,
     count_small_multiplicity,
     density_table,
-    iter_numerical_sets,
     multiplicity_counts,
     preimage_counts,
     suffix_census,

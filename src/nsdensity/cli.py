@@ -3,14 +3,15 @@
 Subcommands map one-to-one onto library entry points: ``enumerate`` onto
 :func:`nsdensity.enumeration.density_table`, ``gamma``/``table``/``alpha``/
 ``glimit`` onto :mod:`nsdensity.limits`, and ``verify`` onto the suites in
-:mod:`nsdensity.verify`.  All parameter validation happens before dispatch so
-that exit codes stay meaningful: 0 success, 1 failed verification or internal
-inconsistency, 2 usage or budget errors.
+:mod:`nsdensity.verify`.  Each takes only the flags it reads, all checked by
+:func:`validate` before dispatch so that exit codes stay meaningful: 0
+success, 1 failed verification or internal inconsistency, 2 usage or budget
+errors (an unusable ``--cache`` path included).
 
-Output is deterministic for fixed inputs and cache contents regardless of
-``--workers``; every format is assembled in memory and written in one shot.
-CSV uses LF line endings and a header row; JSON is a single UTF-8 document
-carrying ``schema_version``.
+Each ``cmd_*`` returns a :class:`Report`, which :func:`render` alone writes
+as text, CSV (LF line endings, header row) or JSON (one UTF-8 document with
+``schema_version``), in one shot.  Output is deterministic for fixed inputs
+and cache contents regardless of ``--workers``.
 """
 
 from __future__ import annotations
@@ -51,112 +52,123 @@ from .verify import SUITES, run_suites
 SCHEMA_VERSION = 1
 
 
+class UsageError(Exception):
+    """The command line asks for something that cannot run; exit 2."""
+
+
 @dataclass
-class RunConfig:
-    """Validated command parameters, one instance per invocation."""
+class Report:
+    """One command's result in every format: the JSON ``payload`` (less
+    ``schema_version``), the CSV ``header`` and ``rows``, and the ``text``
+    lines, where a list of rows stands for them aligned under ``header``."""
 
-    subcommand: str
-    format: str = "text"
-    cache_path: str | None = None
-    write_cache: bool = False
-    workers: int = 1
-    enum_budget: int = DEFAULT_ENUM_BUDGET
-    depth_budget: int = DEFAULT_DEPTH_BUDGET
-    f: int | None = None
-    d: DSet | None = None
-    n: int | None = None
-    l: int | None = None
-    max_t: int | None = None
-    depth: int | None = None
-    suites: tuple[str, ...] = ()
-    max_f: int | None = None
-
-    def validate(self) -> None:
-        if self.workers < 1:
-            raise ValueError("--workers must be >= 1")
-        if not 1 <= self.enum_budget <= WORD_LIMIT:
-            raise ValueError(f"--enum-budget must lie in [1, {WORD_LIMIT}]")
-        if self.depth_budget < 1:
-            raise ValueError("--depth-budget must be >= 1")
-        if self.subcommand == "enumerate":
-            if self.f is None or self.f < 1:
-                raise ValueError("--f must be >= 1")
-            if self.f > self.enum_budget:
-                raise BudgetError(
-                    f"--f {self.f} exceeds enumeration budget {self.enum_budget}"
-                )
-        elif self.subcommand in ("gamma", "table", "alpha", "glimit"):
-            if self.depth is None or self.depth < 0:
-                raise ValueError("--depth must be >= 0")
-            if self.depth > self.depth_budget:
-                raise BudgetError(
-                    f"--depth {self.depth} exceeds depth budget {self.depth_budget}"
-                )
-            if self.subcommand == "gamma" and self.depth < self.d.max_element:
-                raise ValueError(
-                    f"--depth {self.depth} below Max(D) = {self.d.max_element}"
-                )
-            if self.subcommand == "table" and not 0 <= self.max_t <= self.depth:
-                raise ValueError("--max-t must lie in [0, depth]")
-            if self.subcommand == "alpha":
-                if self.n == 0 or self.n < -1:
-                    raise ValueError("--n must be -1 or a positive integer")
-                if self.n > self.depth:
-                    raise ValueError(f"--n {self.n} exceeds --depth {self.depth}")
-            if self.subcommand == "glimit":
-                if self.l < 1:
-                    raise ValueError("--l must be >= 1")
-                if self.depth < 2 * self.l + 1:
-                    raise ValueError(f"--depth must be >= 2l+1 = {2 * self.l + 1}")
-        elif self.subcommand == "verify":
-            for s in self.suites:
-                if s != "all" and s not in SUITES:
-                    raise ValueError(
-                        f"unknown suite {s!r}; choose from {sorted(SUITES)} or 'all'"
-                    )
-            if self.max_f is not None and not 1 <= self.max_f <= self.enum_budget:
-                raise ValueError("--max-f must lie within the enumeration budget")
+    payload: dict
+    header: list[str]
+    rows: list[list[str]]
+    text: list[str | list[list[str]]]
+    code: int = 0
 
 
-def _load_cache(config: RunConfig) -> tuple[ConstantCache, str]:
-    path = resolve_cache_path(config.cache_path)
-    try:
-        return cache_load(path), path
-    except FileNotFoundError:
-        return ConstantCache(), path
-
-
-def _store_cache(config: RunConfig, cache: ConstantCache, path: str) -> None:
-    if config.write_cache:
-        cache_store(cache, path)
-
-
-def _emit_csv(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _emit_json(payload: dict) -> str:
-    doc = {"schema_version": SCHEMA_VERSION}
-    doc.update(payload)
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
-
-
-def _emit_text_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+def render(report: Report, fmt: str) -> str:
+    """``report`` as one ``text``, ``csv`` or ``json`` document."""
+    if fmt == "json":
+        doc = {"schema_version": SCHEMA_VERSION, **report.payload}
+        return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(report.header)
+        writer.writerows(report.rows)
+        return buf.getvalue()
+    lines = []
+    for item in report.text:
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        widths = [max(map(len, column)) for column in zip(report.header, *item)]
+        rule = ["-" * w for w in widths]
+        for row in (report.header, rule, *item):
+            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines) + "\n"
+
+
+def validate(args: argparse.Namespace) -> None:
+    """Check every flag before any work; ``--d`` is parsed into a DSet."""
+    if args.subcommand == "gamma":
+        try:
+            args.d = DSet.parse(args.d)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
+    if args.workers < 1:
+        raise UsageError("--workers must be >= 1")
+    if "enum_budget" in args and not 1 <= args.enum_budget <= WORD_LIMIT:
+        raise UsageError(f"--enum-budget must lie in [1, {WORD_LIMIT}]")
+    if "depth_budget" in args and args.depth_budget < 1:
+        raise UsageError("--depth-budget must be >= 1")
+    if args.subcommand == "enumerate":
+        if args.f < 1:
+            raise UsageError("--f must be >= 1")
+        if args.f > args.enum_budget:
+            raise BudgetError(
+                f"--f {args.f} exceeds enumeration budget {args.enum_budget}"
+            )
+    elif args.subcommand == "verify":
+        for s in args.suite or ():
+            if s != "all" and s not in SUITES:
+                raise UsageError(
+                    f"unknown suite {s!r}; choose from {sorted(SUITES)} or 'all'"
+                )
+        if args.max_f is not None and not 1 <= args.max_f <= args.enum_budget:
+            raise UsageError("--max-f must lie within the enumeration budget")
+    else:
+        if args.depth < 0:
+            raise UsageError("--depth must be >= 0")
+        if args.depth > args.depth_budget:
+            raise BudgetError(
+                f"--depth {args.depth} exceeds depth budget {args.depth_budget}"
+            )
+        if args.subcommand == "gamma" and args.depth < args.d.max_element:
+            raise UsageError(
+                f"--depth {args.depth} below Max(D) = {args.d.max_element}"
+            )
+        if args.subcommand == "table" and not 0 <= args.max_t <= args.depth:
+            raise UsageError("--max-t must lie in [0, depth]")
+        if args.subcommand == "alpha":
+            if args.n == 0 or args.n < -1:
+                raise UsageError("--n must be -1 or a positive integer")
+            if args.n > args.depth:
+                raise UsageError(f"--n {args.n} exceeds --depth {args.depth}")
+        if args.subcommand == "glimit":
+            if args.l < 1:
+                raise UsageError("--l must be >= 1")
+            if args.depth < 2 * args.l + 1:
+                raise UsageError(f"--depth must be >= 2l+1 = {2 * args.l + 1}")
+
+
+def _load_cache(path: str) -> ConstantCache:
+    """The cache at ``path``, or an empty one when no file is there."""
+    try:
+        return cache_load(path)
+    except FileNotFoundError:
+        return ConstantCache()
+    except OSError as e:
+        raise UsageError(f"cannot read cache {path}: {e.strerror}") from None
+
+
+def _series(args: argparse.Namespace, func, *lead):
+    """``func(*lead, depth, cache)`` on the loaded cache, which ``--write-cache``
+    then stores; returns the result and the cache."""
+    path = resolve_cache_path(args.cache)
+    cache = _load_cache(path)
+    result = func(
+        *lead, args.depth, cache, budget=args.depth_budget, workers=args.workers
+    )
+    if args.write_cache:
+        try:
+            cache_store(cache, path)
+        except OSError as e:
+            raise UsageError(f"cannot write cache {path}: {e.strerror}") from None
+    return result, cache
 
 
 def _frac(x: Fraction) -> str:
@@ -167,11 +179,9 @@ def _frac(x: Fraction) -> str:
 # subcommands
 
 
-def cmd_enumerate(config: RunConfig) -> tuple[str, int]:
-    table = density_table(
-        config.f, budget=config.enum_budget, workers=config.workers
-    )
-    f = config.f
+def cmd_enumerate(args: argparse.Namespace) -> Report:
+    f = args.f
+    table = density_table(f, budget=args.enum_budget, workers=args.workers)
     total = sum(table.entries.values())
     rows = []
     for s, p in table.sorted_entries():
@@ -186,161 +196,113 @@ def cmd_enumerate(config: RunConfig) -> tuple[str, int]:
         ])
     header = ["d", "m", "r", "p", "mu", "mu_decimal"]
     identity_ok = total == 1 << (f - 1)
-
-    if config.format == "json":
-        payload = {
-            "command": "enumerate",
-            "f": f,
-            "semigroups": len(table),
-            "rows": [dict(zip(header, r)) for r in rows],
-            "sum_p": total,
-            "sum_p_expected": 1 << (f - 1),
-            "sum_identity_ok": identity_ok,
-        }
-        out = _emit_json(payload)
-    elif config.format == "csv":
-        out = _emit_csv(header, rows + [["TOTAL", "", "", str(total), "1", "1.00000"]])
-    else:
-        body = _emit_text_table(header, rows)
-        out = (
-            f"f = {f}: {len(table)} semigroups, {1 << (f - 1)} numerical sets\n"
-            + body
-            + f"sum P(S) = {total} = 2^{f - 1}: {'ok' if identity_ok else 'VIOLATED'}\n"
-        )
-    return out, 0 if identity_ok else 1
+    payload = {
+        "command": "enumerate",
+        "f": f,
+        "semigroups": len(table),
+        "rows": [dict(zip(header, r)) for r in rows],
+        "sum_p": total,
+        "sum_p_expected": 1 << (f - 1),
+        "sum_identity_ok": identity_ok,
+    }
+    text = [
+        f"f = {f}: {len(table)} semigroups, {1 << (f - 1)} numerical sets",
+        rows,
+        f"sum P(S) = {total} = 2^{f - 1}: {'ok' if identity_ok else 'VIOLATED'}",
+    ]
+    csv_rows = rows + [["TOTAL", "", "", str(total), "1", "1.00000"]]
+    return Report(payload, header, csv_rows, text, 0 if identity_ok else 1)
 
 
-def _gamma_payload(est) -> dict:
-    t = est.d.max_element
-    bound = gamma_lower_bound(est.d) if t >= 1 else None
-    return {
+def cmd_gamma(args: argparse.Namespace) -> Report:
+    est, _ = _series(args, gamma, args.d)
+    bound = gamma_lower_bound(est.d) if est.d.max_element >= 1 else None
+    value, value_dec = _frac(est.value), decimal_str(est.value)
+    lo, hi = _frac(est.interval.lo), _frac(est.interval.hi)
+    lo_dec, hi_dec = decimal_str(est.interval.lo), decimal_str(est.interval.hi)
+    refined_lo, tail = _frac(est.refined_interval.lo), _frac(est.tail)
+    positivity = _frac(bound) if bound is not None else None
+    payload = {
+        "command": "gamma",
         "d": est.d.key,
         "depth": est.depth,
-        "value": _frac(est.value),
-        "value_decimal": decimal_str(est.value),
-        "interval": {"lo": _frac(est.interval.lo), "hi": _frac(est.interval.hi)},
-        "interval_decimal": {
-            "lo": decimal_str(est.interval.lo),
-            "hi": decimal_str(est.interval.hi),
-        },
-        "refined_lo": _frac(est.refined_interval.lo),
-        "tail_bound": _frac(est.tail),
+        "value": value,
+        "value_decimal": value_dec,
+        "interval": {"lo": lo, "hi": hi},
+        "interval_decimal": {"lo": lo_dec, "hi": hi_dec},
+        "refined_lo": refined_lo,
+        "tail_bound": tail,
         "a_d": est.a_d,
         "terms": [{"k": k, "a": a} for k, a in est.terms],
-        "positivity_bound": _frac(bound) if bound is not None else None,
+        "positivity_bound": positivity,
     }
-
-
-def cmd_gamma(config: RunConfig) -> tuple[str, int]:
-    cache, path = _load_cache(config)
-    est = gamma(
-        config.d,
-        config.depth,
-        cache,
-        budget=config.depth_budget,
-        workers=config.workers,
-    )
-    _store_cache(config, cache, path)
-    payload = _gamma_payload(est)
-
-    if config.format == "json":
-        out = _emit_json({"command": "gamma", **payload})
-    elif config.format == "csv":
-        header = [
-            "d", "depth", "value", "value_decimal", "lo", "hi",
-            "refined_lo", "tail_bound", "a_d", "positivity_bound", "terms",
-        ]
-        row = [
-            payload["d"], str(est.depth), payload["value"],
-            payload["value_decimal"], payload["interval"]["lo"],
-            payload["interval"]["hi"], payload["refined_lo"],
-            payload["tail_bound"], str(est.a_d),
-            payload["positivity_bound"] or "",
-            ";".join(f"{k}:{a}" for k, a in est.terms),
-        ]
-        out = _emit_csv(header, [row])
+    header = [
+        "d", "depth", "value", "value_decimal", "lo", "hi",
+        "refined_lo", "tail_bound", "a_d", "positivity_bound", "terms",
+    ]
+    row = [
+        est.d.key, str(est.depth), value, value_dec, lo, hi, refined_lo, tail,
+        str(est.a_d), positivity or "",
+        ";".join(f"{k}:{a}" for k, a in est.terms),
+    ]
+    text = [
+        f"gamma_D for D = {est.d.key}, truncated at depth {est.depth}",
+        f"  value     = {value} = {value_dec}",
+        f"  interval  = [{lo_dec}, {hi_dec}]  (tail bound (3/4)^{est.depth})",
+        f"  refined   = [{decimal_str(est.refined_interval.lo)}, "
+        f"{value_dec}]  (nonnegativity and a_t/2^(t+1) folded in)",
+        f"  A_D       = {est.a_d}",
+    ]
+    if est.terms:
+        terms = ", ".join(f"A_(D u {{{k}}}) = {a}" for k, a in est.terms)
+        text.append(f"  constants = {terms}")
+    if bound is not None:
+        text.append(
+            f"  positivity: gamma_D >= a_t/2^(t+1) = {positivity}"
+            f" = {decimal_str(bound)}"
+        )
     else:
-        lines = [
-            f"gamma_D for D = {est.d.key}, truncated at depth {est.depth}",
-            f"  value     = {payload['value']} = {payload['value_decimal']}",
-            f"  interval  = [{payload['interval_decimal']['lo']}, "
-            f"{payload['interval_decimal']['hi']}]  (tail bound (3/4)^{est.depth})",
-            f"  refined   = [{decimal_str(est.refined_interval.lo)}, "
-            f"{payload['value_decimal']}]  (nonnegativity and a_t/2^(t+1) folded in)",
-            f"  A_D       = {est.a_d}",
-        ]
-        if est.terms:
-            terms = ", ".join(f"A_(D u {{{k}}}) = {a}" for k, a in est.terms)
-            lines.append(f"  constants = {terms}")
-        if payload["positivity_bound"] is not None:
-            lines.append(
-                f"  positivity: gamma_D >= a_t/2^(t+1) = {payload['positivity_bound']}"
-                f" = {decimal_str(gamma_lower_bound(est.d))}"
-            )
-        else:
-            lines.append("  positivity: no structural bound for D = ∅")
-        out = "\n".join(lines) + "\n"
-    return out, 0
+        text.append("  positivity: no structural bound for D = ∅")
+    return Report(payload, header, [row], text)
 
 
-def cmd_table(config: RunConfig) -> tuple[str, int]:
-    cache, path = _load_cache(config)
-    tbl = gamma_table(
-        config.max_t,
-        config.depth,
-        cache,
-        budget=config.depth_budget,
-        workers=config.workers,
-    )
-    _store_cache(config, cache, path)
+def cmd_table(args: argparse.Namespace) -> Report:
+    tbl, _ = _series(args, gamma_table, args.max_t)
     distinct, inconclusive = tbl.distinctness_counts()
-
     header = ["d", "value_decimal", "lo", "hi", "refined_lo", "positivity_bound"]
-    rows = []
-    for r in tbl.rows:
-        t = r.d.max_element
-        rows.append([
+    rows = [
+        [
             r.d.key,
             decimal_str(r.value),
             decimal_str(r.interval.lo),
             decimal_str(r.interval.hi),
             decimal_str(r.refined_interval.lo),
-            decimal_str(gamma_lower_bound(r.d)) if t >= 1 else "",
-        ])
-
-    if config.format == "json":
-        out = _emit_json({
-            "command": "table",
-            "max_t": tbl.max_t,
-            "depth": tbl.depth,
-            "rows": [dict(zip(header, r)) for r in rows],
-            "distinct_pairs": distinct,
-            "inconclusive_pairs": inconclusive,
-        })
-    elif config.format == "csv":
-        out = _emit_csv(header, rows)
-    else:
-        body = _emit_text_table(header, rows)
-        out = (
-            f"gamma_D for all D with Max(D) <= {tbl.max_t}, depth {tbl.depth}\n"
-            + body
-            + f"distinctness: {distinct} pairs separated, {inconclusive} "
-            f"inconclusive (overlapping intervals) of {len(tbl.rows)} rows\n"
-        )
-    return out, 0
+            decimal_str(gamma_lower_bound(r.d)) if r.d.max_element >= 1 else "",
+        ]
+        for r in tbl.rows
+    ]
+    payload = {
+        "command": "table",
+        "max_t": tbl.max_t,
+        "depth": tbl.depth,
+        "rows": [dict(zip(header, r)) for r in rows],
+        "distinct_pairs": distinct,
+        "inconclusive_pairs": inconclusive,
+    }
+    text = [
+        f"gamma_D for all D with Max(D) <= {tbl.max_t}, depth {tbl.depth}",
+        rows,
+        f"distinctness: {distinct} pairs separated, {inconclusive} "
+        f"inconclusive (overlapping intervals) of {len(tbl.rows)} rows",
+    ]
+    return Report(payload, header, rows, text)
 
 
-def cmd_alpha(config: RunConfig) -> tuple[str, int]:
-    cache, path = _load_cache(config)
-    est = alpha_limit(
-        config.n,
-        config.depth,
-        cache,
-        budget=config.depth_budget,
-        workers=config.workers,
-    )
-    _store_cache(config, cache, path)
-
+def cmd_alpha(args: argparse.Namespace) -> Report:
+    est, _ = _series(args, alpha_limit, args.n)
+    value, value_dec = _frac(est.value), decimal_str(est.value)
+    lo, hi = _frac(est.interval.lo), _frac(est.interval.hi)
+    lo_dec, hi_dec = decimal_str(est.interval.lo), decimal_str(est.interval.hi)
     components = [
         {"d": g.d.key, "value": _frac(g.value), "value_decimal": decimal_str(g.value)}
         for g in est.terms
@@ -349,124 +311,105 @@ def cmd_alpha(config: RunConfig) -> tuple[str, int]:
         "command": "alpha",
         "n": est.n,
         "depth": est.depth,
-        "value": _frac(est.value),
-        "value_decimal": decimal_str(est.value),
-        "interval": {"lo": _frac(est.interval.lo), "hi": _frac(est.interval.hi)},
-        "interval_decimal": {
-            "lo": decimal_str(est.interval.lo),
-            "hi": decimal_str(est.interval.hi),
-        },
+        "value": value,
+        "value_decimal": value_dec,
+        "interval": {"lo": lo, "hi": hi},
+        "interval_decimal": {"lo": lo_dec, "hi": hi_dec},
         "tail_bound": _frac(est.tail),
         "components": components,
     }
-    if config.format == "json":
-        out = _emit_json(payload)
-    elif config.format == "csv":
-        header = ["n", "depth", "value", "value_decimal", "lo", "hi", "components"]
-        row = [
-            str(est.n), str(est.depth), payload["value"], payload["value_decimal"],
-            payload["interval"]["lo"], payload["interval"]["hi"],
-            ";".join(c["d"] for c in components),
-        ]
-        out = _emit_csv(header, [row])
-    else:
-        lines = [
-            f"alpha_{est.n} truncated at depth {est.depth}",
-            f"  value    = {payload['value']} = {payload['value_decimal']}",
-            f"  interval = [{payload['interval_decimal']['lo']}, "
-            f"{payload['interval_decimal']['hi']}]  (shared tail (3/4)^{est.depth})",
-            f"  components ({len(components)}):",
-        ]
-        for c in components:
-            lines.append(f"    gamma_({c['d']}) = {c['value_decimal']}")
-        out = "\n".join(lines) + "\n"
-    return out, 0
+    header = ["n", "depth", "value", "value_decimal", "lo", "hi", "components"]
+    row = [
+        str(est.n), str(est.depth), value, value_dec, lo, hi,
+        ";".join(c["d"] for c in components),
+    ]
+    text = [
+        f"alpha_{est.n} truncated at depth {est.depth}",
+        f"  value    = {value} = {value_dec}",
+        f"  interval = [{lo_dec}, {hi_dec}]  (shared tail (3/4)^{est.depth})",
+        f"  components ({len(components)}):",
+    ]
+    text += [f"    gamma_({c['d']}) = {c['value_decimal']}" for c in components]
+    return Report(payload, header, [row], text)
 
 
-def cmd_glimit(config: RunConfig) -> tuple[str, int]:
-    cache, path = _load_cache(config)
-    iv = g_l_limit(
-        config.l,
-        config.depth,
-        cache,
-        budget=config.depth_budget,
-        workers=config.workers,
-    )
-    _store_cache(config, cache, path)
-    l = config.l
+def cmd_glimit(args: argparse.Namespace) -> Report:
+    iv, cache = _series(args, g_l_limit, args.l)
+    l, depth = args.l, args.depth
     # g_l_limit just populated the cache for every swept k; the only absent
     # entries are the closed-form ones with k <= 2l+1, which are all 1
     consts = [
         {"k": k, "c": cache.c(l, k) if cache.c(l, k) is not None else 1}
-        for k in range(1, config.depth + 1)
+        for k in range(1, depth + 1)
     ]
+    lo, hi = _frac(iv.lo), _frac(iv.hi)
+    lo_dec, hi_dec = decimal_str(iv.lo), decimal_str(iv.hi)
     payload = {
         "command": "glimit",
         "l": l,
-        "depth": config.depth,
-        "lo": _frac(iv.lo),
-        "hi": _frac(iv.hi),
-        "lo_decimal": decimal_str(iv.lo),
-        "hi_decimal": decimal_str(iv.hi),
+        "depth": depth,
+        "lo": lo,
+        "hi": hi,
+        "lo_decimal": lo_dec,
+        "hi_decimal": hi_dec,
         "c_constants": consts,
     }
-    if config.format == "json":
-        out = _emit_json(payload)
-    elif config.format == "csv":
-        header = ["l", "depth", "lo", "hi", "lo_decimal", "hi_decimal"]
-        out = _emit_csv(header, [[
-            str(l), str(config.depth), payload["lo"], payload["hi"],
-            payload["lo_decimal"], payload["hi_decimal"],
-        ]])
-    else:
-        out = (
-            f"limit of |G_{l}(f)|/2^(f-1), truncated at depth {config.depth}\n"
-            f"  interval = [{payload['lo_decimal']}, {payload['hi_decimal']}]\n"
-            f"  C_({l},k) for k <= {config.depth}: "
-            + ", ".join(str(c["c"]) for c in consts)
-            + "\n"
-        )
-    return out, 0
+    header = ["l", "depth", "lo", "hi", "lo_decimal", "hi_decimal"]
+    row = [str(l), str(depth), lo, hi, lo_dec, hi_dec]
+    text = [
+        f"limit of |G_{l}(f)|/2^(f-1), truncated at depth {depth}",
+        f"  interval = [{lo_dec}, {hi_dec}]",
+        f"  C_({l},k) for k <= {depth}: " + ", ".join(str(c["c"]) for c in consts),
+    ]
+    return Report(payload, header, [row], text)
 
 
-def cmd_verify(config: RunConfig) -> tuple[str, int]:
-    cache, _ = _load_cache(config)
+def cmd_verify(args: argparse.Namespace) -> Report:
+    cache = _load_cache(resolve_cache_path(args.cache))
+    suites = args.suite or ["all"]
     results = run_suites(
-        list(config.suites) or ["all"],
-        max_f=config.max_f,
+        suites,
+        max_f=args.max_f,
         cache=cache if cache.a_entries else None,
-        workers=config.workers,
+        workers=args.workers,
     )
     all_passed = all(r.passed for r in results)
-
-    if config.format == "json":
-        out = _emit_json({
-            "command": "verify",
-            "suites": list(config.suites) or ["all"],
-            "max_f": config.max_f,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-            "all_passed": all_passed,
-        })
-    elif config.format == "csv":
-        out = _emit_csv(
-            ["name", "passed", "detail"],
-            [[r.name, str(r.passed).lower(), r.detail] for r in results],
-        )
-    else:
-        lines = [r.line() for r in results]
-        n_fail = sum(1 for r in results if not r.passed)
-        lines.append(
-            f"{len(results)} checks, {len(results) - n_fail} passed, {n_fail} failed"
-        )
-        out = "\n".join(lines) + "\n"
-    return out, 0 if all_passed else 1
+    payload = {
+        "command": "verify",
+        "suites": suites,
+        "max_f": args.max_f,
+        "checks": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail}
+            for r in results
+        ],
+        "all_passed": all_passed,
+    }
+    rows = [[r.name, str(r.passed).lower(), r.detail] for r in results]
+    n_fail = sum(1 for r in results if not r.passed)
+    text = [r.line() for r in results] + [
+        f"{len(results)} checks, {len(results) - n_fail} passed, {n_fail} failed"
+    ]
+    return Report(payload, ["name", "passed", "detail"], rows, text,
+                  0 if all_passed else 1)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+OPTIONS = {
+    "--enum-budget": dict(
+        type=int, default=DEFAULT_ENUM_BUDGET,
+        help=f"largest Frobenius number swept (default {DEFAULT_ENUM_BUDGET})"),
+    "--depth-budget": dict(
+        type=int, default=DEFAULT_DEPTH_BUDGET,
+        help=f"largest constant depth computed (default {DEFAULT_DEPTH_BUDGET})"),
+    "--cache": dict(
+        default=None,
+        help="constant cache path (default: $NSDENSITY_CACHE or ./nsdensity.cache)"),
+    "--write-cache": dict(
+        action="store_true",
+        help="persist newly computed constants back to the cache file"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,75 +422,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, *, cache: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET,
-                       help=f"largest Frobenius number swept (default {DEFAULT_ENUM_BUDGET})")
-        p.add_argument("--depth-budget", type=int, default=DEFAULT_DEPTH_BUDGET,
-                       help=f"largest constant depth computed (default {DEFAULT_DEPTH_BUDGET})")
-        if cache:
-            p.add_argument("--cache", default=None,
-                           help="constant cache path (default: $NSDENSITY_CACHE "
-                                "or ./nsdensity.cache)")
-            p.add_argument("--write-cache", action="store_true",
-                           help="persist newly computed constants back to the cache file")
+        for flag in flags:
+            p.add_argument(flag, **OPTIONS[flag])
 
     p = sub.add_parser("enumerate", help="exact density table at fixed Frobenius number")
     p.add_argument("--f", type=int, required=True)
-    common(p, cache=False)
+    common(p, "--enum-budget")
 
-    p = sub.add_parser("gamma", help="limit density gamma_D with certified interval")
-    p.add_argument("--d", type=str, required=True,
-                   help="comma-separated ascending integers; '' means the empty set")
-    p.add_argument("--depth", type=int, default=15)
-    common(p)
-
-    p = sub.add_parser("table", help="all gamma_D with Max(D) <= max-t, sorted")
-    p.add_argument("--max-t", type=int, required=True)
-    p.add_argument("--depth", type=int, default=15)
-    common(p)
-
-    p = sub.add_parser("alpha", help="limit density alpha_n of {R(S) = n}")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, default=15)
-    common(p)
-
-    p = sub.add_parser("glimit", help="limit of |G_l(f)|/2^(f-1) with interval")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--depth", type=int, default=15)
-    common(p)
+    for name, help_text, lead, kwargs in (
+        ("gamma", "limit density gamma_D with certified interval", "--d",
+         dict(type=str, help="comma-separated ascending integers; '' means the empty set")),
+        ("table", "all gamma_D with Max(D) <= max-t, sorted", "--max-t", dict(type=int)),
+        ("alpha", "limit density alpha_n of {R(S) = n}", "--n", dict(type=int)),
+        ("glimit", "limit of |G_l(f)|/2^(f-1) with interval", "--l", dict(type=int)),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(lead, required=True, **kwargs)
+        p.add_argument("--depth", type=int, default=15)
+        common(p, "--depth-budget", "--cache", "--write-cache")
 
     p = sub.add_parser("verify", help="run invariant suites and report pass/fail")
     p.add_argument("--suite", action="append", default=None,
                    help="suite name or 'all' (repeatable); default all")
     p.add_argument("--max-f", type=int, default=None,
                    help="scale knob for sweep-based checks")
-    common(p)
+    common(p, "--enum-budget", "--cache")
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(
-        subcommand=args.subcommand,
-        format=args.format,
-        workers=args.workers,
-        enum_budget=args.enum_budget,
-        depth_budget=args.depth_budget,
-        cache_path=getattr(args, "cache", None),
-        write_cache=getattr(args, "write_cache", False),
-        f=getattr(args, "f", None),
-        n=getattr(args, "n", None),
-        l=getattr(args, "l", None),
-        max_t=getattr(args, "max_t", None),
-        depth=getattr(args, "depth", None),
-        max_f=getattr(args, "max_f", None),
-        suites=tuple(getattr(args, "suite", None) or ()),
-    )
-    if args.subcommand == "gamma":
-        config.d = DSet.parse(args.d)
-    return config
 
 
 COMMANDS = {
@@ -561,27 +465,21 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        config.validate()
+        validate(args)
+        report = COMMANDS[args.subcommand](args)
     except BudgetError as e:
         print(f"budget error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
-        return 2
-    try:
-        out, code = COMMANDS[config.subcommand](config)
-    except BudgetError as e:
-        print(f"budget error: {e}", file=sys.stderr)
         return 2
     except (AssertionError, CacheConflictError, ValueError) as e:
         print(f"internal inconsistency: {e}", file=sys.stderr)
         return 1
-    sys.stdout.write(out)
-    return code
+    sys.stdout.write(render(report, args.format))
+    return report.code
 
 
 if __name__ == "__main__":

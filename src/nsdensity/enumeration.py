@@ -27,11 +27,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import DSet, NumericalSet, Semigroup, n_of
+from .core import DSet, Semigroup, n_of
 
 CHUNK = 1 << 20
 DEFAULT_ENUM_BUDGET = 30
@@ -54,15 +54,6 @@ def _check_budget(f: int, budget: int) -> None:
         )
     if f > WORD_LIMIT:
         raise BudgetError(f"vectorized kernels require f <= {WORD_LIMIT}, got {f}")
-
-
-def iter_numerical_sets(
-    f: int, *, budget: int = DEFAULT_ENUM_BUDGET
-) -> Iterator[NumericalSet]:
-    """Yield every numerical set with Frobenius number f exactly once."""
-    _check_budget(f, budget)
-    for mask in range(1 << (f - 1)):
-        yield NumericalSet(f, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +333,9 @@ def count_B(
 ) -> int:
     """|B(D,f)|: sets whose A(T) suffix window of width Max(D) matches D.
 
-    Requires f > 2 Max(D).  This is the direct counter; the constant-time
-    route A_D * 2^(f-2t-1) is what it validates.
+    Requires f > 2 Max(D).  This is the direct-sweep oracle for the window
+    factorization: the constant-time route A_D * 2^(f-2t-1) is what it
+    validates.
     """
     t = d.max_element
     if f <= 2 * t:
@@ -413,6 +405,9 @@ def count_S(
     2m <= f inside B(D,f) alone would overcount, since a set can carry both
     a middle extra element and a high one and such sets already sit in some
     B(D∪{k},f) with 2k < f.
+
+    This is the direct-sweep oracle for :func:`suffix_census`, which gathers
+    every |S(D,f)| with Max(D) <= width in one pass.
     """
     t = d.max_element
     if f <= 2 * t:
@@ -449,11 +444,6 @@ class SuffixCensus:
     buckets: np.ndarray  # width-`width` window histogram
     p_counts: Mapping[DSet, int]  # D -> P(N(D,f))
     s_counts: Mapping[DSet, int]  # D -> |S(D,f)|
-
-    def b_count(self, d: DSet) -> int:
-        """|B(D,f)| for Max(D) <= width, from the shared histogram."""
-        t = d.max_element
-        return int(window_restrict(self.buckets, self.width, t)[d.mask])
 
 
 def suffix_census(

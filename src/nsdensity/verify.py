@@ -358,7 +358,7 @@ def suite_core(max_f: int | None = None, cache: ConstantCache | None = None,
         check_amap_exhaustive(min(11, f_cap)),
         check_amap_random(3000, min(60, f_cap)),
         check_encoding_roundtrip(min(12, f_cap)),
-        check_fold_window(2000, min(24, f_cap)),
+        check_fold_window(2000, max(4, min(24, f_cap))),  # folds need f >= 4
     ]
 
 
@@ -579,7 +579,7 @@ def suite_oracle(max_f: int | None = None, cache: ConstantCache | None = None,
 def suite_convergence(max_f: int | None = None, cache: ConstantCache | None = None,
                       workers: int = 1) -> list[CheckResult]:
     out = []
-    f_cap = max_f or 20
+    f_cap = max(7, max_f or 20)  # N(D,f) for D up to {1,3} needs f >= 7
     cache = cache if cache is not None else ConstantCache()
     depth = cache.a_depth()
     depth = min(12, depth) if depth >= 1 else 12

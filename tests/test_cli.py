@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -158,6 +159,20 @@ class TestVerify:
         assert doc["all_passed"] is True
         assert all(c["passed"] for c in doc["checks"])
 
+    @pytest.mark.parametrize("max_f", range(1, 8))
+    @pytest.mark.parametrize("suite", ["core", "convergence"])
+    def test_small_max_f_completes(self, capsys, suite, max_f):
+        # below a suite's floor the floor is used; mu-drift may honestly
+        # FAIL at f = 7, which is a check result, not a crash
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--max-f", str(max_f),
+            "--cache", CACHE_PATH,
+        )
+        assert "internal inconsistency" not in err
+        last = out.rstrip("\n").split("\n")[-1]
+        assert re.fullmatch(r"\d+ checks, \d+ passed, \d+ failed", last)
+        assert code == (0 if last.endswith(" 0 failed") else 1)
+
 
 class TestExitCodes:
     def test_unknown_suite(self, capsys):
@@ -183,6 +198,35 @@ class TestExitCodes:
     def test_alpha_n_above_depth(self, capsys):
         code, _, err = run(capsys, "alpha", "--n", "5", "--depth", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gamma", "--d", "1", "--depth", "3", "--enum-budget", "5"],
+        ["enumerate", "--f", "9", "--depth-budget", "5"],
+        ["verify", "--suite", "oracle", "--write-cache"],
+    ])
+    def test_flag_the_subcommand_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unreadable_cache_path(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "gamma", "--d", "1", "--depth", "3", "--cache", str(tmp_path)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"usage error: cannot read cache {tmp_path}: Is a directory\n"
+
+    def test_unwritable_cache_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.cache"
+        code, out, err = run(
+            capsys, "gamma", "--d", "1", "--depth", "3", "--cache", str(path),
+            "--write-cache",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"usage error: cannot write cache {path}: No such file or directory\n"
+        )
 
     def test_corrupt_cache_is_inconsistency(self, capsys, tmp_path):
         bad = tmp_path / "bad.cache"
@@ -243,3 +287,33 @@ class TestDeterminismAndCache:
         )
         assert code == 0
         assert json.loads(out)["value_decimal"] == "0.48990"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# name -> argv; tests/golden/<name>.<format> holds the whole stdout of
+# ``nsdensity <argv> --format <format>``, and each run exits 0 with nothing
+# on stderr.  "gamma-write" also pins the cache it writes from empty.
+GOLDEN_CASES = {
+    "enumerate": ["enumerate", "--f", "9"],
+    "gamma": ["gamma", "--d", "1,3", "--depth", "15", "--cache", CACHE_PATH],
+    "table": ["table", "--max-t", "3", "--depth", "15", "--cache", CACHE_PATH],
+    "alpha": ["alpha", "--n", "2", "--depth", "15", "--cache", CACHE_PATH],
+    "glimit": ["glimit", "--l", "1", "--depth", "13", "--cache", CACHE_PATH],
+    "verify": ["verify", "--suite", "oracle", "--cache", CACHE_PATH],
+    "gamma-write": ["gamma", "--d", "2,5", "--depth", "9", "--write-cache"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("name", list(GOLDEN_CASES))
+def test_golden_output(capsys, tmp_path, name, fmt):
+    argv = GOLDEN_CASES[name] + ["--format", fmt]
+    written = tmp_path / "written.cache"
+    if "--write-cache" in argv:
+        argv += ["--cache", str(written)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode("utf-8")
+    if "--write-cache" in argv:
+        assert written.read_bytes() == (GOLDEN / f"{name}.cache").read_bytes()
