@@ -5,17 +5,35 @@ There are 2^(f-1) numerical sets with Frobenius number f, one per subset of
 restricted to sets avoiding a prefix [1, l]) and reduces with exact integer
 arithmetic, so results are independent of chunking and worker count.
 
-The kernels operate on numpy uint64 arrays of "full masks": bit x is set
-exactly when x is a member, bit 0 is always set, and bits >= f are zero.
-Membership of s in A(T) for s in [1, f] is a single masked comparison,
+s in [1, f-1] lies in A(T) iff no pair (x, x+s) with x <= f-s has x in T
+and x+s not in T; 0 is in T and f is not.  The violation mask V(T), bit s-1
+set when some pair violates at s, is therefore an OR over pairs, and
+A(T) = ~V(T) & low_bits(f-1).  An OR over pairs splits by where each
+pair's two ends lie, which is how the flat sweep builds its A-masks.  A
+chunk fixes everything but the low block L = [l+1, l+b] (l = prefix_zeros,
+2^b sets per chunk): the rest H = {0} ∪ [1, l] ∪ (l+b, f] is constant
+within it.  With L split into L1 = [l+1, l+b1] and L2 = (l+b1, l+b],
+
+    V = V_LL(T ∩ L) | V_L1H(T ∩ L1; H) | V_L2H(T ∩ L2; H) | V_HH(H)
+
+exactly, since every pair has both ends in L, one end in L1 or L2 and the
+other in H, or both in H.  V_LL is one table of 2^b masks per sweep; it
+also takes the pairs (0, y) with y in L, as 0 is in every T.  V_L1H and
+V_L2H are per-chunk vectors of 2^b1 and 2^(b-b1) entries, and V_HH is a
+per-chunk scalar.  A chunk's 2^b A-masks then cost two full-width ANDs of
+the complements: the outer AND of the two vectors, then the table.  The
+tables are built by doubling, one position at a time (see
+``_low_block_table`` and ``_amask_block``).
+
+The top slice still uses "full masks": bit x is set exactly when x is a
+member, bit 0 is always set, and bits >= f are zero.  Membership of s in
+A(T) is then the masked comparison
 
     full & ~(full >> s) & low_bits(f - s + 1) == 0
 
-which scans all x in [0, f-s] for the violation "x in T but x+s not in T".
-The zero bits above position f-1 make x + s > f count as a member for free,
-and force s in [1, f-1] to fail whenever f - s is missing (x = f - s would
-land on f, which is never a member).  A full A(T) image therefore costs f-1
-vector passes, and a width-w suffix window costs w.
+which scans all x in [0, f-s] for a violation; the zero bit at f makes
+x + s = f a non-member.  A width-w suffix window costs w such vector
+passes.
 
 Word size limits these kernels to f <= 63; the pure-python routines in
 ``core`` remain valid for arbitrary f.
@@ -33,7 +51,8 @@ import numpy as np
 
 from .core import DSet, Semigroup, n_of
 
-CHUNK = 1 << 20
+CHUNK = 1 << 20  # top slice: entries of the trailing-digit table
+BLOCK = 1 << 16  # flat sweep: sets per chunk, 2^b for the low block
 DEFAULT_ENUM_BUDGET = 30
 WORD_LIMIT = 63
 
@@ -44,13 +63,14 @@ class BudgetError(Exception):
     """A sweep would visit more sets than the configured budget allows."""
 
 
-def _check_budget(f: int, budget: int) -> None:
+def _check_budget(f: int, budget: int, sets: str) -> None:
+    """Refuse f beyond the budget; ``sets`` states what the sweep visits."""
     if f < 1:
         raise ValueError(f"Frobenius number must be >= 1, got {f}")
     if f > budget:
         raise BudgetError(
             f"enumeration over f={f} exceeds budget f<={budget} "
-            f"(2^{f - 1} sets); raise the budget explicitly to proceed"
+            f"({sets} sets); raise the budget explicitly to proceed"
         )
     if f > WORD_LIMIT:
         raise BudgetError(f"vectorized kernels require f <= {WORD_LIMIT}, got {f}")
@@ -68,23 +88,30 @@ def _map_chunks(
     top_slice: bool = False,
     budget: int = DEFAULT_ENUM_BUDGET,
     workers: int = 1,
-    chunk: int = CHUNK,
+    chunk: int | None = None,
 ) -> list:
-    """Apply ``func`` to full-mask chunks covering the whole sweep.
+    """Apply ``func`` to the chunks that cover the whole sweep.
+
+    The flat sweep visits the 2^(f-1-l) sets avoiding [1, l], l =
+    ``prefix_zeros``, and hands ``func`` their A-masks: a chunk fixes T
+    above the low block L = [l+1, l+b] and runs over all 2^b patterns of
+    L, with 2^b = ``chunk`` (default BLOCK) rounded down to a power of two
+    and capped at the sweep (see the module docstring).
 
     With ``top_slice`` the sweep covers only the top slice at f = 2t+1 (see
     :func:`top_slice_counts`), indexed in mixed radix: digit x in [1, t-1]
     is the state of the pair (x, x+t+1), base 2 for x <= prefix_zeros and
     base 3 above.  Each chunk fixes the leading digits and ORs them onto a
-    table of every trailing-digit state.
+    table of every trailing-digit state of at most ``chunk`` (default CHUNK)
+    entries, and ``func`` gets full masks.
 
     Results are returned in ascending index order, so any reduction that is
     associative and commutative over exact integers is deterministic for
     every worker count.
     """
-    _check_budget(f, budget)
     if top_slice:
         t = (f - 1) // 2
+        _check_budget(f, budget, f"2^{prefix_zeros} 3^{t - 1 - prefix_zeros}")
         if f != 2 * t + 1 or not 0 <= prefix_zeros <= t - 1:
             raise ValueError(
                 f"top slice needs odd f = 2t+1 and prefix [1,{prefix_zeros}] "
@@ -94,6 +121,7 @@ def _map_chunks(
         # outside A(T)); the prefix digits stop at the second state
         states = [[0, 1 << (x + t + 1), 1 << x | 1 << (x + t + 1)]
                   [: 2 if x <= prefix_zeros else 3] for x in range(1, t)]
+        chunk = chunk or CHUNK
         trailing = np.array([1 | 1 << (t + 1)], dtype=np.uint64)
         while states and len(trailing) * len(states[0]) <= chunk:
             digit = np.array(states.pop(0), dtype=np.uint64)
@@ -110,17 +138,16 @@ def _map_chunks(
             return func(trailing | np.uint64(high))
 
     else:
+        free = f - 1 - prefix_zeros
+        _check_budget(f, budget, f"2^{free}")
         if not 0 <= prefix_zeros <= f - 1:
             raise ValueError(f"prefix [1,{prefix_zeros}] does not fit below f={f}")
-        total = 1 << (f - 1 - prefix_zeros)
-        ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+        b = min(free, (chunk or BLOCK).bit_length() - 1)
+        allowed_ll = _low_block_table(f, prefix_zeros, b)
+        ranges = range(1 << (free - b))
 
-        shift = np.uint64(prefix_zeros)
-
-        def run(bounds: tuple[int, int]):
-            lo, hi = bounds
-            gaps = np.arange(lo, hi, dtype=np.uint64) << shift
-            return func((gaps << _U1) | _U1)
+        def run(high: int):
+            return func(_amask_block(f, prefix_zeros, b, high, allowed_ll))
 
     if workers <= 1 or len(ranges) == 1:
         return [run(r) for r in ranges]
@@ -128,14 +155,59 @@ def _map_chunks(
         return list(pool.map(run, ranges))
 
 
-def _amask_chunk(full: np.ndarray, f: int) -> np.ndarray:
-    """Gap mask of A(T) for every full mask: bit s-1 set iff s in A(T)."""
-    out = np.zeros(full.shape, dtype=np.uint64)
-    for s in range(1, f):
-        lim = np.uint64((1 << (f - s + 1)) - 1)
-        viol = full & ~(full >> np.uint64(s)) & lim
-        out |= (viol == 0).astype(np.uint64) << np.uint64(s - 1)
-    return out
+def _low_block_table(f: int, l: int, b: int) -> np.ndarray:
+    """~V_LL within low_bits(f-1), for every pattern of L = [l+1, l+b].
+
+    Pattern bit i stands for position l+1+i.  Position y = l+1+k is added
+    on top of the k below it: out of T, it makes every pair (x, y) with x
+    in T ∩ L a violation at s = y - x, read off the bit reversal of the
+    lower pattern, and (0, y) one at s = y; in T, it completes no violation.
+    """
+    allowed = np.array([(1 << (f - 1)) - 1], dtype=np.uint64)
+    rev = np.zeros(1, dtype=np.uint64)  # bit k-1-i for each pattern bit i
+    for k in range(b):
+        hit = rev | np.uint64(1 << (l + k))
+        allowed = np.concatenate([allowed & ~hit, allowed])
+        rev <<= _U1
+        rev = np.concatenate([rev, rev | _U1])
+    return allowed
+
+
+def _amask_block(
+    f: int, l: int, b: int, high: int, allowed_ll: np.ndarray
+) -> np.ndarray:
+    """A-masks of the 2^b sets of one chunk, in pattern order of L.
+
+    The chunk fixes T ∩ (l+b, f-1]: bit j of ``high`` is position l+b+1+j.
+    ``allowed_ll`` (from :func:`_low_block_table`) covers the pairs inside
+    L = [l+1, l+b] and those of 0 with L.  The other positions of H below L
+    are [1, l], never in T, so a pair of L with H violates only as (y, h)
+    with y in T and h > l+b out of T: each y in T ∩ L1 (or L2) adds the
+    shifted out-of-T part of H.  The pairs inside H give one scalar, folded
+    into the L1 vector.
+    """
+    low = (1 << (f - 1)) - 1
+    members = high << (l + b + 1)
+    # H positions above L that are out of T; f is never in T
+    out = ((1 << f) - (1 << (l + b + 1))) & ~members | 1 << f
+    v_hh = ((1 << (l + 1)) - 2 | out) >> 1
+    for h in range(l + b + 1, f):
+        if members >> h & 1:
+            v_hh |= out >> (h + 1)
+    b1 = b // 2
+
+    def half(start: int, stop: int, allowed: int) -> np.ndarray:
+        # pattern bit i of the half is position y = l+1+start+i
+        vec = np.array([allowed], dtype=np.uint64)
+        for i in range(start, stop):
+            vec = np.concatenate([vec, vec & np.uint64(low & ~(out >> (l + 2 + i)))])
+        return vec
+
+    l1 = half(0, b1, low & ~v_hh)
+    l2 = half(b1, b, low)
+    amask = np.empty(1 << b, dtype=np.uint64)
+    np.bitwise_and(l2[:, None], l1[None, :], out=amask.reshape(len(l2), len(l1)))
+    return np.bitwise_and(amask, allowed_ll, out=amask)
 
 
 def _window_chunk(full: np.ndarray, f: int, width: int) -> np.ndarray:
@@ -209,17 +281,28 @@ def density_table(
     workers: int = 1,
 ) -> DensityTable:
     """Map every T with f(T) = f through A and tally preimages per semigroup."""
-    counts: dict[int, int] = {}
-    for masks, tallies in _map_chunks(
-        f,
-        lambda full: np.unique(_amask_chunk(full, f), return_counts=True),
-        budget=budget,
-        workers=workers,
-    ):
-        for a, c in zip(masks.tolist(), tallies.tolist()):
-            counts[a] = counts.get(a, 0) + c
-    entries = {Semigroup(f, a): c for a, c in sorted(counts.items())}
+    masks, counts = _preimage_tally(f, budget=budget, workers=workers)
+    entries = {
+        Semigroup(f, a): c for a, c in zip(masks.tolist(), counts.tolist())
+    }
     return DensityTable(f, entries)
+
+
+def _preimage_tally(f: int, **sweep) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct A-masks of the sweep, ascending, and their preimage counts.
+
+    Each chunk tallies its own A-masks; the per-chunk tallies merge in one
+    concatenated ``np.unique`` and an integer ``np.add.at``.
+    """
+    parts = _map_chunks(
+        f, lambda amask: np.unique(amask, return_counts=True), **sweep
+    )
+    masks, where = np.unique(
+        np.concatenate([m for m, _ in parts]), return_inverse=True
+    )
+    counts = np.zeros(len(masks), dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([c for _, c in parts]))
+    return masks, counts
 
 
 def preimage_counts(
@@ -234,17 +317,22 @@ def preimage_counts(
     for s in targets:
         if s.f != f:
             raise ValueError(f"target {s!s} has f={s.f}, sweep has f={f}")
-    goals = [np.uint64(s.gaps_mask) for s in targets]
+    goals = np.unique(np.array([s.gaps_mask for s in targets], dtype=np.uint64))
+    total = sum(
+        _map_chunks(
+            f, lambda amask: _key_counts(amask, goals), budget=budget, workers=workers
+        )
+    )
+    return {s: int(total[np.searchsorted(goals, s.gaps_mask)]) for s in targets}
 
-    def tally(full: np.ndarray) -> list[int]:
-        amask = _amask_chunk(full, f)
-        return [int(np.count_nonzero(amask == g)) for g in goals]
 
-    out = dict.fromkeys(targets, 0)
-    for partial in _map_chunks(f, tally, budget=budget, workers=workers):
-        for s, c in zip(targets, partial):
-            out[s] += c
-    return out
+def _key_counts(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Occurrences in ``values`` of each of the sorted, distinct ``keys``."""
+    if not len(keys):
+        return np.zeros(0, dtype=np.int64)
+    at = np.searchsorted(keys, values)
+    np.minimum(at, len(keys) - 1, out=at)
+    return np.bincount(at[keys[at] == values], minlength=len(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +392,24 @@ def top_slice_counts(
     return buckets
 
 
-def _window_histogram(f: int, width: int, **sweep) -> np.ndarray:
-    """Sum of per-chunk bincounts of the width-``width`` window."""
+def _window_histogram(
+    f: int, width: int, *, top_slice: bool = False, **sweep
+) -> np.ndarray:
+    """Sum of per-chunk bincounts of the width-``width`` window.
 
-    def tally(full: np.ndarray) -> np.ndarray:
-        w = _window_chunk(full, f, width)
+    The flat sweep reads the window out of its A-masks; the top slice,
+    which hands over full masks, computes just the window.
+    """
+
+    def tally(masks: np.ndarray) -> np.ndarray:
+        if top_slice:
+            w = _window_chunk(masks, f, width)
+        else:
+            w = _extract_window(masks, f, width)
         return np.bincount(w.astype(np.int64), minlength=1 << width)
 
     total = np.zeros(1 << width, dtype=np.int64)
-    for p in _map_chunks(f, tally, **sweep):
+    for p in _map_chunks(f, tally, top_slice=top_slice, **sweep):
         total += p
     return total
 
@@ -341,7 +438,7 @@ def count_B(
     if f <= 2 * t:
         raise ValueError(f"B({d!s},{f}) needs f > 2*Max(D) = {2 * t}")
     if t == 0:
-        _check_budget(f, budget)
+        _check_budget(f, budget, f"2^{f - 1}")
         return 1 << (f - 1)
     return int(window_counts(f, t, budget=budget, workers=workers)[d.mask])
 
@@ -381,8 +478,8 @@ def count_G_l(
     if f <= 2 * l:
         raise ValueError(f"G_{l}({f}) needs f > 2l = {2 * l}")
 
-    def tally(full: np.ndarray) -> int:
-        return int(np.count_nonzero(_amask_chunk(full, f) == 0))
+    def tally(amask: np.ndarray) -> int:
+        return int(np.count_nonzero(amask == 0))
 
     parts = _map_chunks(f, tally, prefix_zeros=l, budget=budget, workers=workers)
     return sum(parts)
@@ -416,8 +513,7 @@ def count_S(
     goal = np.uint64(d.mask)
     half = np.uint64(f // 2)
 
-    def tally(full: np.ndarray) -> int:
-        amask = _amask_chunk(full, f)
+    def tally(amask: np.ndarray) -> int:
         ew = _extract_window(amask, f, wide)
         hit = (ew == goal) & (_mult_chunk(amask, f) <= half)
         return int(np.count_nonzero(hit))
@@ -458,35 +554,38 @@ def suffix_census(
     wide = (f - 1) // 2
     half = np.uint64(f // 2)
     dsets = [DSet.from_mask(m) for m in range(1 << max_t)]
-    targets = [np.uint64(n_of(d, f, warn_uncertified=False).gaps_mask) for d in dsets]
+    goals, where = np.unique(
+        np.array(
+            [n_of(d, f, warn_uncertified=False).gaps_mask for d in dsets],
+            dtype=np.uint64,
+        ),
+        return_inverse=True,
+    )
     low_t = np.uint64((1 << max_t) - 1)
 
-    def tally(full: np.ndarray):
-        amask = _amask_chunk(full, f)
+    def tally(amask: np.ndarray):
         ew = _extract_window(amask, f, wide)
         small = _mult_chunk(amask, f) <= half
-        buckets = np.bincount(
-            (ew & low_t).astype(np.int64), minlength=1 << max_t
+        buckets = np.bincount((ew & low_t).astype(np.int64), minlength=1 << max_t)
+        # |S(D,f)| is indexed by D.mask: the whole window must fit in max_t
+        s = np.bincount(
+            ew[small & (ew <= low_t)].astype(np.int64), minlength=1 << max_t
         )
-        p = [int(np.count_nonzero(amask == g)) for g in targets]
-        s = [
-            int(np.count_nonzero((ew == np.uint64(d.mask)) & small)) for d in dsets
-        ]
-        return buckets, p, s
+        return buckets, _key_counts(amask, goals), s
 
     buckets = np.zeros(1 << max_t, dtype=np.int64)
-    p_tot = [0] * len(dsets)
-    s_tot = [0] * len(dsets)
+    p_tot = np.zeros(len(goals), dtype=np.int64)
+    s_tot = np.zeros(1 << max_t, dtype=np.int64)
     for b, p, s in _map_chunks(f, tally, budget=budget, workers=workers):
         buckets += b
-        p_tot = [a + x for a, x in zip(p_tot, p)]
-        s_tot = [a + x for a, x in zip(s_tot, s)]
+        p_tot += p
+        s_tot += s
     return SuffixCensus(
         f,
         max_t,
         buckets,
-        dict(zip(dsets, p_tot)),
-        dict(zip(dsets, s_tot)),
+        dict(zip(dsets, p_tot[where].tolist())),
+        dict(zip(dsets, s_tot.tolist())),
     )
 
 
@@ -506,8 +605,8 @@ def multiplicity_counts(
     f itself in the semigroup and m = 1 would force 1, 2, ... all in.
     """
 
-    def tally(full: np.ndarray) -> np.ndarray:
-        m = _mult_chunk(_amask_chunk(full, f), f)
+    def tally(amask: np.ndarray) -> np.ndarray:
+        m = _mult_chunk(amask, f)
         return np.bincount(m.astype(np.int64), minlength=f + 2)
 
     total = np.zeros(f + 2, dtype=np.int64)

@@ -12,12 +12,14 @@ frozen fixtures, or the deliberately naive reference implementations in
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
     DSet,
     NumericalSet,
+    a_mask,
     associated_semigroup,
     associated_semigroup_definitional,
     as_semigroup,
@@ -30,6 +32,7 @@ from .core import (
     suffix_pattern,
 )
 from .enumeration import (
+    _preimage_tally,
     count_B_l,
     count_G_l,
     count_small_multiplicity,
@@ -106,6 +109,26 @@ def check_amap_random(samples: int, f_max: int, seed: int = DEFAULT_SEED) -> Che
         if associated_semigroup(s) != s:
             return _bad(name, f"A not idempotent at f={f} mask={t.gaps_mask:#x}")
     return _ok(name, "routes agree; A(T) is a semigroup, same f, A(A(T))=A(T)")
+
+
+def check_amap_sweep(f: int, chunk: int) -> CheckResult:
+    """Flat-sweep A-masks, tallied, against ``core.a_mask`` on every T.
+
+    ``chunk`` below 2^(f-1) leaves positions above the low block to vary
+    from chunk to chunk, so every term of the block decomposition is used;
+    ``density_table`` at its default chunk must give the same tally.
+    """
+    name = f"amap-sweep(f={f},chunk={chunk})"
+    want = Counter(a_mask(f, mask) for mask in range(1 << (f - 1)))
+    masks, counts = _preimage_tally(f, chunk=chunk)
+    if dict(zip(masks.tolist(), counts.tolist())) != want:
+        return _bad(name, "chunked sweep tally != core.a_mask tally")
+    table = density_table(f)
+    if {s.gaps_mask: p for s, p in table.entries.items()} != want:
+        return _bad(name, "density_table != core.a_mask tally")
+    return _ok(
+        name, f"2^{f - 1} sets: chunked sweep == density_table == core.a_mask"
+    )
 
 
 def check_encoding_roundtrip(f_max: int = 12) -> CheckResult:
@@ -357,6 +380,7 @@ def suite_core(max_f: int | None = None, cache: ConstantCache | None = None,
     return [
         check_amap_exhaustive(min(11, f_cap)),
         check_amap_random(3000, min(60, f_cap)),
+        check_amap_sweep(min(13, f_cap), 1 << 5),
         check_encoding_roundtrip(min(12, f_cap)),
         check_fold_window(2000, max(4, min(24, f_cap))),  # folds need f >= 4
     ]

@@ -1,3 +1,7 @@
+import contextlib
+import functools
+import hashlib
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +10,8 @@ import pytest
 from nsdensity.core import (
     DSet,
     NumericalSet,
+    Semigroup,
+    a_mask,
     as_semigroup,
     associated_semigroup_definitional,
     n_f,
@@ -30,7 +36,8 @@ from nsdensity.enumeration import (
     window_counts,
     window_restrict,
 )
-from nsdensity import enumeration
+from nsdensity import cli, enumeration
+from nsdensity.verify import check_amap_sweep
 
 # preimage counts at f = 9, keyed by D(S); computed with the pairwise-scan
 # reference route and frozen
@@ -96,8 +103,15 @@ class TestDensityTable:
         assert density_table(13).entries == density_table(13, workers=3).entries
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"\(2\^24 sets\)"):
             density_table(25, budget=24)
+
+    def test_budget_states_the_prefix_sweep(self):
+        # avoiding [1, 5] leaves 2^34 of the 2^39 sets at f = 40
+        with pytest.raises(BudgetError, match=r"f=40 exceeds budget f<=30 \(2\^34 sets\)"):
+            count_G_l(5, 40, budget=30)
+        with pytest.raises(BudgetError, match=r"\(2\^28 sets\)"):
+            window_counts(31, 4, prefix_zeros=2)
 
     def test_preimage_counts_match_table(self):
         f = 12
@@ -109,6 +123,92 @@ class TestDensityTable:
             assert got[s] == table.entries[s]
         with pytest.raises(ValueError):
             preimage_counts(f, [n_f(f + 1)])
+        assert preimage_counts(f, []) == {}
+
+
+@functools.lru_cache(maxsize=None)
+def core_amasks(f, prefix_zeros):
+    """A-masks from the pure-python route, in flat-sweep order."""
+    return [a_mask(f, i << prefix_zeros) for i in range(1 << (f - 1 - prefix_zeros))]
+
+
+def sweep_amasks(f, **sweep):
+    parts = enumeration._map_chunks(f, lambda amask: amask.copy(), **sweep)
+    return np.concatenate(parts).tolist()
+
+
+# density_table(f) for f = 1..24 and `enumerate --f 24` stdout, recorded
+# before the A-map kernel was block-decomposed
+TABLE_SIZES = [1, 1, 2, 2, 5, 4, 11, 10, 21, 22, 51, 40, 106, 103, 200, 205,
+               465, 405, 961, 900, 1828, 1913, 4096, 3578]
+TABLES_SHA256 = "bacca686eddd6c7da994247f7444a6ec79e27e90dc9bf70bba736fe35b3b645b"
+ENUMERATE_24_SHA256 = {
+    "text": "de985aaaa82734f54534ece76f68372e95524cc569f1f0b1921d5a2b4ec82d32",
+    "csv": "b4182e1a7dbafb0d767af9f4d2cfecb82eace03e51fc7bbbc18ee5a094db76fa",
+    "json": "38ed9abf24753585f03d507d570482fedafd944d188e70e2d86422472129028c",
+}
+
+
+class TestAMapSweep:
+    # chunk 2 leaves L1 empty, 8 splits L as 1 + 2 positions, 32 as 2 + 3;
+    # None is the default block, which covers every sweep at f <= 14
+    @pytest.mark.parametrize("chunk", [2, 8, 32, None])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_core_a_mask(self, chunk, workers):
+        for f in range(1, 15):
+            for l in range(f):
+                got = sweep_amasks(f, prefix_zeros=l, chunk=chunk, workers=workers)
+                assert got == core_amasks(f, l), (f, l)
+
+    def test_edge_sizes(self):
+        # f = 1: one set, no free position; f = 2: one free position, and
+        # 1 never lies in A(T), since (0, 1) or (1, 2) violates
+        assert sweep_amasks(1) == [0]
+        assert sweep_amasks(2) == core_amasks(2, 0) == [0, 0]
+        assert dict(density_table(1).entries) == {n_f(1): 1}
+        assert dict(density_table(2).entries) == {n_f(2): 2}
+        # a sweep smaller than the block is one chunk of 2^(f-1-l) sets
+        calls = []
+        enumeration._map_chunks(9, calls.append, chunk=1 << 10)
+        assert [len(c) for c in calls] == [1 << 8]
+        calls.clear()
+        enumeration._map_chunks(12, calls.append, prefix_zeros=6, chunk=1 << 8)
+        assert [len(c) for c in calls] == [1 << 5]
+        # a block of 2^3 sets leaves the positions above it to the chunks
+        calls.clear()
+        enumeration._map_chunks(9, calls.append, prefix_zeros=2, chunk=12)
+        assert [len(c) for c in calls] == [1 << 3] * (1 << 3)
+
+    def test_merge_across_chunks(self):
+        # many chunks, each with its own np.unique tally, merge to the table
+        f = 13
+        masks, counts = enumeration._preimage_tally(f, chunk=4, workers=2)
+        table = density_table(f)
+        assert masks.tolist() == sorted(s.gaps_mask for s in table.entries)
+        assert counts.tolist() == [table.entries[Semigroup(f, m)] for m in masks.tolist()]
+
+    def test_verify_check(self):
+        res = check_amap_sweep(12, 16)
+        assert res.passed, res.detail
+
+    def test_tables_unchanged_through_f24(self):
+        h = hashlib.sha256()
+        sizes = []
+        for f in range(1, 25):
+            table = density_table(f)
+            sizes.append(len(table))
+            h.update(f"{f}:".encode())
+            h.update(",".join(f"{s.gaps_mask}:{p}" for s, p in table.entries.items()).encode())
+            h.update(b";")
+        assert sizes == TABLE_SIZES
+        assert h.hexdigest() == TABLES_SHA256
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_enumerate_24_output_unchanged(self, fmt):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(["enumerate", "--f", "24", "--format", fmt]) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == ENUMERATE_24_SHA256[fmt]
 
 
 class TestIteration:
