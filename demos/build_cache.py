@@ -1,10 +1,11 @@
 """Regenerate the constant cache shipped at the repository root.
 
-Computes every A_D with Max(D) <= DEPTH (one top-slice sweep of 3^(t-1)
-sets per level t, with the checks in nsdensity.constants) and the swept
+Computes every A_D with Max(D) <= DEPTH with
+nsdensity.constants.build_a_constants (one top-slice sweep of 3^(t-1) sets
+per level t, with the checks in nsdensity.constants) and the swept
 C_{l,k} for l <= 3, k <= 2l+6, then writes the sorted cache file.
 
-Depth 15 takes a few seconds on one core.  Lower --depth for a smaller
+Depth 15 takes well under a second on one core.  Lower --depth for a smaller
 cache; the library degrades gracefully (wider intervals, same
 certificates).
 
@@ -14,12 +15,7 @@ certificates).
 import argparse
 import time
 
-from nsdensity.constants import (
-    ConstantCache,
-    a_consts_batch,
-    c_const,
-    cache_store,
-)
+from nsdensity.constants import build_a_constants, c_const, cache_store
 
 
 def main() -> None:
@@ -31,15 +27,12 @@ def main() -> None:
     ap.add_argument("--c-extra", type=int, default=5)
     args = ap.parse_args()
 
-    cache = ConstantCache()
     total = time.monotonic()
-    for t in range(1, args.depth + 1):
-        start = time.monotonic()
-        batch = a_consts_batch(t, cache, budget=args.depth, workers=args.workers)
-        print(
-            f"A: Max(D) = {t:2d}  {len(batch):5d} constants  "
-            f"sum 3^{t - 1}  {time.monotonic() - start:7.1f}s"
-        )
+    cache = build_a_constants(args.depth, budget=args.depth, workers=args.workers)
+    print(
+        f"A: Max(D) <= {args.depth}  {len(cache.a_entries)} constants  "
+        f"{time.monotonic() - total:7.2f}s"
+    )
 
     for l in range(1, args.c_lmax + 1):
         for k in range(2 * l + 2, 2 * l + 2 + args.c_extra):
@@ -48,14 +41,14 @@ def main() -> None:
                 continue
             start = time.monotonic()
             value = c_const(l, k, cache, budget=args.depth, workers=args.workers)
-            print(f"C[{l},{k}] = {value:6d}  {time.monotonic() - start:7.1f}s")
+            print(f"C[{l},{k}] = {value:6d}  {time.monotonic() - start:7.2f}s")
 
     cache.provenance["c-range"] = f"l<={args.c_lmax},k<=2l+{args.c_extra + 1}"
     cache.provenance["format"] = "1"
     cache_store(cache, args.out)
     print(
         f"wrote {args.out}: {len(cache.a_entries)} A constants, "
-        f"{len(cache.c_entries)} C constants in {time.monotonic() - total:.1f}s"
+        f"{len(cache.c_entries)} C constants in {time.monotonic() - total:.2f}s"
     )
 
 

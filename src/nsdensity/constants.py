@@ -14,10 +14,12 @@ width-t windows are the D with Max(D) = t.  A_D at level t is bucket
 D.mask of that sweep; C_{l,k} is bucket {k} of the sweep at t = k with
 the 2^l 3^(k-1-l) sets avoiding [1, l].  The checks that run:
 
-  * the kernel computes each slice set's whole width-t window, and a
-    window below 2^(t-1) (t+1 missing from A(T)) is an error.  The slice
-    holds 3^(t-1) sets by construction, so this is what makes the level
-    sum below a check of the kernel and of the proof above;
+  * the kernel computes each slice set's whole width-t window, every
+    pair of the set included (a pair in T at x but not at x+t+1 would
+    clear the top bit), and a window below 2^(t-1) (t+1 missing from
+    A(T)) is an error.  The slice holds 3^(t-1) sets by construction, so
+    this is what makes the level sum below a check of the kernel and of
+    the proof above;
   * the level rule, :func:`check_a_level`: all 2^(t-1) constants, each in
     [1, 3^(t-1)], summing to exactly 3^(t-1);
   * :func:`check_c`: 1 <= C_{l,k} <= 2^l 3^(k-2l-1), and 1 for k <= 2l+1;

@@ -25,15 +25,27 @@ the complements: the outer AND of the two vectors, then the table.  The
 tables are built by doubling, one position at a time (see
 ``_low_block_table`` and ``_amask_block``).
 
-The top slice still uses "full masks": bit x is set exactly when x is a
-member, bit 0 is always set, and bits >= f are zero.  Membership of s in
-A(T) is then the masked comparison
+The top slice at f = 2t+1 (see :func:`top_slice_counts`) takes the same
+step over digit pairs.  Digit j in [1, t-1] is the pair (x_j, h_j) =
+(j, j+t+1); x_0 = 0 and h_0 = t+1 are in T, x_t = t and h_t = f are not.
+Window bit y-1 (f-y not in A(T)) is violated exactly when some pair (k, j)
+with 0 <= k <= j <= t has x_k in T and h_j not in T, at y = t-j+k.  So the
+window's violation mask is an OR over digit pairs, and as the digits are
+independent it splits by block.  A chunk fixes the leading digits and runs
+over every state of the trailing digits 1..a (3^a at most the chunk):
 
-    full & ~(full >> s) & low_bits(f - s + 1) == 0
+    V = V_TT(trailing) | V_TH(trailing members; leading out-mask) | V_HH(leading)
 
-which scans all x in [0, f-s] for a violation; the zero bit at f makes
-x + s = f a non-member.  A width-w suffix window costs w such vector
-passes.
+V_TT, the pairs inside the trailing block and those of the block with x_0
+and with f, is one table per sweep.  V_TH, a trailing x_k in T against a
+leading h_j out of T, splits over the two halves of the trailing block
+into two per-chunk vectors, and V_HH, the pairs among x_0, the leading
+digits and f, is a per-chunk scalar folded into one of them.  A chunk's
+windows are the table ANDed with the outer AND of the two vectors (see
+``_slice_trailing_table`` and ``_slice_block``).  Both are built from each
+digit's membership by the one pair rule, k = j included, so a pair state
+with x_j in T and h_j out would leave a window below 2^(t-1), which
+:func:`top_slice_counts` refuses.
 
 Word size limits these kernels to f <= 63; the pure-python routines in
 ``core`` remain valid for arbitrary f.
@@ -42,6 +54,7 @@ Word size limits these kernels to f <= 63; the pure-python routines in
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,12 +64,15 @@ import numpy as np
 
 from .core import DSet, Semigroup, n_of
 
-CHUNK = 1 << 20  # top slice: entries of the trailing-digit table
-BLOCK = 1 << 16  # flat sweep: sets per chunk, 2^b for the low block
+BLOCK = 1 << 16  # flat sweep: sets per chunk (2^b, the low block)
+CHUNK = 1 << 22  # top slice: cap on the sets per chunk
 DEFAULT_ENUM_BUDGET = 30
 WORD_LIMIT = 63
 
 _U1 = np.uint64(1)
+# (x in T, x+t+1 in T) for each state the top slice gives the pair
+# (x, x+t+1): x alone in T would put x+t+1 out of A(T)
+_PAIR_STATES = ((False, False), (False, True), (True, True))
 
 
 class BudgetError(Exception):
@@ -99,11 +115,12 @@ def _map_chunks(
     and capped at the sweep (see the module docstring).
 
     With ``top_slice`` the sweep covers only the top slice at f = 2t+1 (see
-    :func:`top_slice_counts`), indexed in mixed radix: digit x in [1, t-1]
-    is the state of the pair (x, x+t+1), base 2 for x <= prefix_zeros and
-    base 3 above.  Each chunk fixes the leading digits and ORs them onto a
-    table of every trailing-digit state of at most ``chunk`` (default CHUNK)
-    entries, and ``func`` gets full masks.
+    :func:`top_slice_counts`), indexed in mixed radix: digit j in [1, t-1]
+    is the state of the pair (j, j+t+1), base 2 for j <= prefix_zeros and
+    base 3 above.  Each chunk fixes the leading digits and runs over every
+    state of the trailing digits, at most ``chunk`` of them (default
+    16 * 2^t, so that a chunk outweighs its 2^t-bin histogram, within
+    [BLOCK, CHUNK]), and ``func`` gets their width-t windows.
 
     Results are returned in ascending index order, so any reduction that is
     associative and commutative over exact integers is deterministic for
@@ -117,25 +134,26 @@ def _map_chunks(
                 f"top slice needs odd f = 2t+1 and prefix [1,{prefix_zeros}] "
                 f"below t, got f={f}"
             )
-        # pair states: neither, x+t+1 only, both (x alone would put x+t+1
-        # outside A(T)); the prefix digits stop at the second state
-        states = [[0, 1 << (x + t + 1), 1 << x | 1 << (x + t + 1)]
-                  [: 2 if x <= prefix_zeros else 3] for x in range(1, t)]
-        chunk = chunk or CHUNK
-        trailing = np.array([1 | 1 << (t + 1)], dtype=np.uint64)
-        while states and len(trailing) * len(states[0]) <= chunk:
-            digit = np.array(states.pop(0), dtype=np.uint64)
-            trailing = (trailing[None, :] | digit[:, None]).ravel()
-        step = len(trailing)
-        total = step * math.prod(len(s) for s in states)
-        ranges = [(lo, lo + step) for lo in range(0, total, step)]
+        # a prefix digit keeps the states with j out of T
+        digits = [
+            [s for s in _PAIR_STATES if j > prefix_zeros or not s[0]]
+            for j in range(1, t)
+        ]
+        chunk = chunk or min(max(BLOCK, 16 << t), CHUNK)
+        a, step = 0, 1
+        while a < len(digits) and step * len(digits[a]) <= chunk:
+            step *= len(digits[a])
+            a += 1
+        trailing, leading = digits[:a], digits[a:]
+        allowed_tt = _slice_trailing_table(t, trailing)
+        ranges = range(math.prod(len(s) for s in leading))
 
-        def run(bounds: tuple[int, int]):
-            lead, high = bounds[0] // step, 0
-            for digit in states:
-                lead, d = divmod(lead, len(digit))
-                high |= digit[d]
-            return func(trailing | np.uint64(high))
+        def run(index: int):
+            states = []
+            for digit in leading:
+                index, d = divmod(index, len(digit))
+                states.append(digit[d])
+            return func(_slice_block(t, trailing, states, allowed_tt))
 
     else:
         free = f - 1 - prefix_zeros
@@ -210,14 +228,76 @@ def _amask_block(
     return np.bitwise_and(amask, allowed_ll, out=amask)
 
 
-def _window_chunk(full: np.ndarray, f: int, width: int) -> np.ndarray:
-    """Suffix pattern of A(T) as a mask: bit y-1 set iff f-y in A(T)."""
-    out = np.zeros(full.shape, dtype=np.uint64)
-    for y in range(1, width + 1):
-        lim = np.uint64((1 << (y + 1)) - 1)
-        viol = full & ~(full >> np.uint64(f - y)) & lim
-        out |= (viol == 0).astype(np.uint64) << np.uint64(y - 1)
-    return out
+def _slice_trailing_table(t: int, trailing: list) -> np.ndarray:
+    """~V_TT within low_bits(t), for every state of the trailing digits.
+
+    Digit j of ``trailing`` (j = 1, 2, ...) lists the (j in T, j+t+1 in T)
+    states it runs over; table entries are in mixed radix, digit 1 least
+    significant.  Digit j is added on top of the digits below it: j+t+1 out
+    of T makes a violation with every member k <= j of T (0 and j itself
+    included) at window bit t-1-j+k, and j in T makes one with f at bit
+    j-1.
+    """
+    members = np.empty(math.prod(len(s) for s in trailing), dtype=np.int64)
+    viol = np.empty_like(members)
+    members[0], viol[0], n = 1, 0, 1  # bit k of members: k in T; 0 always is
+    for j, states in enumerate(trailing, 1):
+        # block 0 holds the digits below j, so it is overwritten last
+        for i in reversed(range(len(states))):
+            x_in, h_in = states[i]
+            block = slice(i * n, (i + 1) * n)
+            m = np.bitwise_or(members[:n], np.int64(x_in << j), out=members[block])
+            v = np.bitwise_or(viol[:n], np.int64(x_in << (j - 1)), out=viol[block])
+            if not h_in:
+                v |= m << np.int64(t - 1 - j)
+        n *= len(states)
+    np.invert(viol, out=viol)
+    viol &= np.int64((1 << t) - 1)
+    return viol
+
+
+def _slice_block(
+    t: int, trailing: list, lead: list, allowed_tt: np.ndarray
+) -> np.ndarray:
+    """Width-t windows of one chunk of the top slice, in table order.
+
+    ``lead`` holds the (x in T, x+t+1 in T) state of each leading digit
+    a+1, ..., t-1, where a = len(``trailing``).  With P holding bit t-j for
+    each pair end j+t+1 out of T (j = t is f), the pairs of a member k are
+    (P << k) >> 1: the pair with j < k lands at bit t or above, and (0, f)
+    below bit 0, both outside the window.  The pairs among 0, the leading
+    digits and f give the scalar V_HH; a trailing member k meets the
+    leading out-mask O = P_lead >> 1 as O << k, one per-chunk vector for
+    each half of the trailing digits, with V_HH folded into the lower one.
+    """
+    low = (1 << t) - 1
+    a = len(trailing)
+    members = 1  # 0 is in T
+    p_lead = 0
+    for j, (x_in, h_in) in enumerate(lead, a + 1):
+        members |= x_in << j
+        p_lead |= (not h_in) << (t - j)
+    p_hh = p_lead | 1  # f is out of T
+    v_hh = 0
+    for k in range(t):
+        if members >> k & 1:
+            v_hh |= p_hh << k
+    out = p_lead >> 1
+
+    def half(start: int, stop: int, allowed: int) -> np.ndarray:
+        vec = np.array([allowed], dtype=np.int64)
+        for j, states in enumerate(trailing[start:stop], start + 1):
+            hit = low & ~(out << j)
+            col = np.array([hit if x_in else low for x_in, _ in states], dtype=np.int64)
+            vec = (col[:, None] & vec[None, :]).ravel()
+        return vec
+
+    a1 = a // 2
+    v1 = half(0, a1, low & ~(v_hh >> 1))
+    v2 = half(a1, a, low)
+    windows = np.empty(len(allowed_tt), dtype=np.int64)
+    np.bitwise_and(v2[:, None], v1[None, :], out=windows.reshape(len(v2), len(v1)))
+    return np.bitwise_and(windows, allowed_tt, out=windows)
 
 
 def _mult_chunk(amask: np.ndarray, f: int) -> np.ndarray:
@@ -371,8 +451,9 @@ def top_slice_counts(
     when x <= prefix_zeros must stay out of T.  These 2^l 3^(t-1-l) sets
     (l = prefix_zeros) are exactly the sets whose window has maximum t, so
     entry p of the result equals ``window_counts(2t+1, t,
-    prefix_zeros=l)[p]`` for p >= 2^(t-1).  The kernel still computes the
-    whole window, and a set landing below 2^(t-1) is an AssertionError.
+    prefix_zeros=l)[p]`` for p >= 2^(t-1).  The kernel computes the whole
+    window from every digit pair, and a set landing below 2^(t-1) is an
+    AssertionError.
 
     The caller owns the budget: this sweep is far smaller than the 2^(f-1)
     sets the enumeration budget is stated in.
@@ -397,20 +478,22 @@ def _window_histogram(
 ) -> np.ndarray:
     """Sum of per-chunk bincounts of the width-``width`` window.
 
-    The flat sweep reads the window out of its A-masks; the top slice,
-    which hands over full masks, computes just the window.
+    The flat sweep reads the window out of its A-masks; the top slice hands
+    over the windows themselves.  Each chunk adds its bincount to one
+    running total, so memory stays at one histogram per worker however
+    many chunks the sweep has.
     """
-
-    def tally(masks: np.ndarray) -> np.ndarray:
-        if top_slice:
-            w = _window_chunk(masks, f, width)
-        else:
-            w = _extract_window(masks, f, width)
-        return np.bincount(w.astype(np.int64), minlength=1 << width)
-
     total = np.zeros(1 << width, dtype=np.int64)
-    for p in _map_chunks(f, tally, top_slice=top_slice, **sweep):
-        total += p
+    lock = threading.Lock()
+
+    def tally(part: np.ndarray) -> None:
+        if not top_slice:
+            part = _extract_window(part, f, width).astype(np.int64)
+        counts = np.bincount(part, minlength=1 << width)
+        with lock:
+            np.add(total, counts, out=total)
+
+    _map_chunks(f, tally, top_slice=top_slice, **sweep)
     return total
 
 

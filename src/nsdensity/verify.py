@@ -33,6 +33,7 @@ from .core import (
 )
 from .enumeration import (
     _preimage_tally,
+    _window_histogram,
     count_B_l,
     count_G_l,
     count_small_multiplicity,
@@ -128,6 +129,42 @@ def check_amap_sweep(f: int, chunk: int) -> CheckResult:
         return _bad(name, "density_table != core.a_mask tally")
     return _ok(
         name, f"2^{f - 1} sets: chunked sweep == density_table == core.a_mask"
+    )
+
+
+def check_topslice_sweep(t: int, chunk: int) -> CheckResult:
+    """Chunked top-slice histograms against ``core.a_mask`` on all 4^t sets.
+
+    The width-t window of A(T) at f = 2t+1 (t >= 3) is tallied over every
+    T, and over the T avoiding [1, 2]; the slice sweep over the same sets
+    must put nothing below bucket 2^(t-1) and match the tally from there
+    on.  With
+    ``chunk`` below the slice size the leading digits vary from chunk to
+    chunk, so the cross term and V_HH of the digit-pair decomposition are
+    both used.
+    """
+    name = f"topslice-sweep(t={t},chunk={chunk})"
+    f, low = 2 * t + 1, 1 << (t - 1)
+    windows = []
+    for mask in range(1 << (f - 1)):
+        amask = a_mask(f, mask)
+        windows.append(sum(
+            1 << (y - 1) for y in range(1, t + 1) if amask >> (f - y - 1) & 1
+        ))
+    for l in (0, 2):
+        want = [0] * (1 << t)
+        for mask, w in enumerate(windows):
+            if not mask & ((1 << l) - 1):
+                want[w] += 1
+        got = _window_histogram(
+            f, t, prefix_zeros=l, top_slice=True, budget=f, chunk=chunk
+        ).tolist()
+        if any(got[:low]) or got[low:] != want[low:]:
+            return _bad(name, f"slice histogram != core.a_mask tally at l={l}")
+    return _ok(
+        name,
+        f"4^{t} sets, l = 0 and 2: chunked slice == top buckets of the "
+        f"core.a_mask window tally",
     )
 
 
@@ -415,6 +452,7 @@ def suite_constants(max_f: int | None = None, cache: ConstantCache | None = None
         f"sum to 4^t and meet the truncation identity; t <= {t_max}",
     ))
     out.append(check_a_sum_identity(fresh))
+    out.append(check_topslice_sweep(7, 9))
     if cache is not None and cache.a_entries:
         name = "cache-consistency"
         bad = [

@@ -37,7 +37,7 @@ from nsdensity.enumeration import (
     window_restrict,
 )
 from nsdensity import cli, enumeration
-from nsdensity.verify import check_amap_sweep
+from nsdensity.verify import check_amap_sweep, check_topslice_sweep
 
 # preimage counts at f = 9, keyed by D(S); computed with the pairwise-scan
 # reference route and frozen
@@ -244,6 +244,13 @@ class TestWindowCounts:
             window_counts(9, 5)  # width beyond (f-1)//2
 
 
+@functools.lru_cache(maxsize=None)
+def flat_top_buckets(t, prefix_zeros):
+    """Buckets 2^(t-1) on of the flat width-t window sweep at f = 2t+1."""
+    f = 2 * t + 1
+    return window_counts(f, t, prefix_zeros=prefix_zeros, budget=f)[1 << (t - 1):]
+
+
 class TestTopSlice:
     @pytest.mark.parametrize("t,prefix", [(1, 0), (2, 1), (4, 0), (5, 2), (7, 3)])
     def test_is_the_top_of_the_full_sweep(self, t, prefix):
@@ -262,13 +269,74 @@ class TestTopSlice:
 
     def test_stray_window_is_an_error(self, monkeypatch):
         # a kernel that loses the top window bit must not go unnoticed
-        real = enumeration._window_chunk
+        real = enumeration._slice_trailing_table
         monkeypatch.setattr(
-            enumeration, "_window_chunk",
-            lambda full, f, width: real(full, f, width) & np.uint64((1 << (width - 1)) - 1),
+            enumeration, "_slice_trailing_table",
+            lambda t, trailing: real(t, trailing) & np.int64((1 << (t - 1)) - 1),
         )
         with pytest.raises(AssertionError, match="below 2\\^2"):
             top_slice_counts(3)
+
+    def test_fourth_pair_state_is_an_error(self, monkeypatch):
+        # x in T with x+t+1 out of T puts t+1 outside A(T); the pair rule,
+        # not the state list, must see that, in the trailing table and in
+        # the per-chunk vectors alike
+        monkeypatch.setattr(
+            enumeration, "_PAIR_STATES",
+            enumeration._PAIR_STATES + ((True, False),),
+        )
+        with pytest.raises(AssertionError, match="below 2\\^4"):
+            top_slice_counts(5)
+        t, f = 6, 13
+        for chunk in (1, 3, 9, None):
+            got = enumeration._window_histogram(
+                f, t, top_slice=True, budget=f, chunk=chunk
+            )
+            # every set with a pair in the fourth state lands below 2^(t-1),
+            # and the sets without one keep their windows
+            assert got[: 1 << (t - 1)].sum() == 4 ** (t - 1) - 3 ** (t - 1)
+            assert np.array_equal(got[1 << (t - 1):], flat_top_buckets(t, 0))
+
+    # chunk 3 leaves one trailing digit and the rest leading, 9 and 27 split
+    # the trailing digits into two halves; the default covers t <= 10 in one
+    @pytest.mark.parametrize("chunk", [3, 9, 27, None])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunked_slice_is_the_top_of_the_flat_sweep(self, chunk, workers):
+        for t in range(1, 11):
+            f = 2 * t + 1
+            for l in range(min(3, t - 1) + 1):
+                got = enumeration._window_histogram(
+                    f, t, prefix_zeros=l, top_slice=True, budget=f,
+                    workers=workers, chunk=chunk,
+                )
+                low = 1 << (t - 1)
+                assert not got[:low].any(), (t, l)
+                assert np.array_equal(got[low:], flat_top_buckets(t, l)), (t, l)
+
+    def test_chunk_sizes(self):
+        # the trailing table takes the most digits that fit the chunk, and
+        # a chunk below one digit's states leaves every digit leading
+        sizes = []
+        enumeration._map_chunks(
+            13, lambda w: sizes.append(len(w)), top_slice=True, chunk=27
+        )
+        assert sizes == [27] * 9
+        sizes.clear()
+        enumeration._map_chunks(
+            13, lambda w: sizes.append(len(w)), top_slice=True,
+            prefix_zeros=2, chunk=20,
+        )
+        assert sizes == [12] * 9
+        sizes.clear()
+        enumeration._map_chunks(
+            9, lambda w: sizes.append(len(w)), top_slice=True, chunk=1
+        )
+        assert sizes == [1] * 27
+
+    def test_verify_check(self):
+        res = check_topslice_sweep(6, 9)
+        assert res.passed, res.detail
+        assert res.name == "topslice-sweep(t=6,chunk=9)"
 
     def test_validation(self):
         with pytest.raises(ValueError):
