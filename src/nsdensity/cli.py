@@ -101,11 +101,11 @@ def validate(args: argparse.Namespace) -> None:
             raise UsageError(str(e)) from None
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    if "enum_budget" in args and not 1 <= args.enum_budget <= WORD_LIMIT:
-        raise UsageError(f"--enum-budget must lie in [1, {WORD_LIMIT}]")
     if "depth_budget" in args and args.depth_budget < 1:
         raise UsageError("--depth-budget must be >= 1")
     if args.subcommand == "enumerate":
+        if not 1 <= args.enum_budget <= WORD_LIMIT:
+            raise UsageError(f"--enum-budget must lie in [1, {WORD_LIMIT}]")
         if args.f < 1:
             raise UsageError("--f must be >= 1")
         if args.f > args.enum_budget:
@@ -118,8 +118,11 @@ def validate(args: argparse.Namespace) -> None:
                 raise UsageError(
                     f"unknown suite {s!r}; choose from {sorted(SUITES)} or 'all'"
                 )
-        if args.max_f is not None and not 1 <= args.max_f <= args.enum_budget:
-            raise UsageError("--max-f must lie within the enumeration budget")
+        # the suites sweep at the library's enumeration budget
+        if args.max_f is not None and not 1 <= args.max_f <= DEFAULT_ENUM_BUDGET:
+            raise UsageError(
+                f"--max-f must lie in [1, {DEFAULT_ENUM_BUDGET}], the enumeration budget"
+            )
     else:
         if args.depth < 0:
             raise UsageError("--depth must be >= 0")
@@ -448,8 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", default=None,
                    help="suite name or 'all' (repeatable); default all")
     p.add_argument("--max-f", type=int, default=None,
-                   help="scale knob for sweep-based checks")
-    common(p, "--enum-budget", "--cache")
+                   help="scale knob for sweep-based checks "
+                        f"(at most {DEFAULT_ENUM_BUDGET})")
+    common(p, "--cache")
 
     return parser
 

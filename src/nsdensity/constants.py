@@ -33,7 +33,8 @@ Max(D) = s < t its bucket equals A_D 4^(t-s) - sum_{k=s+1}^{t}
 A_{D∪{k}} 4^(t-k), the finite truncation identity.
 
 A_D is keyed by ``D.mask``, so Max(D) is the bit length of its key.  The
-sweeps and :func:`cache_load` share the level rule and the C bound.
+sweeps, :func:`cache_load` and :func:`cache_store` share the level rule and
+the C bound.
 
 The cache file is line-delimited ``A|<D-key>|<int>`` / ``C|<l>,<k>|<int>``
 records, UTF-8 with LF endings, sorted for reproducible diffs; ``#`` lines
@@ -47,7 +48,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .core import DSet
 from .enumeration import BudgetError, top_slice_counts
@@ -86,21 +87,14 @@ def _key_mask(key: str) -> int:
     return mask
 
 
-def _mask_keys(masks: Iterable[int]) -> dict[int, str]:
-    """The cache-file key of each D = {l : bit l-1 of mask}: ascending,
-    comma-joined.  A key extends the key of its mask without the top bit,
-    so a full level costs one concatenation per key."""
-    keys = {0: ""}
-
-    def key(m: int) -> str:
-        s = keys.get(m)
-        if s is None:
-            top = m.bit_length()
-            rest = key(m ^ 1 << (top - 1))
-            s = keys[m] = f"{rest},{top}" if rest else str(top)
-        return s
-
-    return {m: key(m) for m in masks}
+def _mask_keys(depth: int) -> list[str]:
+    """The cache-file key of every D with Max(D) <= depth, indexed by
+    D.mask: ascending, comma-joined.  Level t appends ",t" to every key
+    below it, one concatenation per key."""
+    keys = [""]
+    for t in range(1, depth + 1):
+        keys += [f"{k},{t}" if k else str(t) for k in keys]
+    return keys
 
 
 def check_a_level(t: int, level: Mapping[int, int]) -> None:
@@ -217,6 +211,13 @@ def cache_load(path: str | os.PathLike) -> ConstantCache:
             else:
                 raise ValueError(f"{path}:{lineno}: unknown record kind {kind!r}")
 
+    _check_rules(cache)
+    return cache
+
+
+def _check_rules(cache: ConstantCache) -> None:
+    """The level rule for every A level held and the bound for every C, so
+    that :func:`cache_store` writes only what :func:`cache_load` accepts."""
     levels: dict[int, dict[int, int]] = {}
     for mask, value in cache.a_entries.items():
         levels.setdefault(mask.bit_length(), {})[mask] = value
@@ -224,17 +225,21 @@ def cache_load(path: str | os.PathLike) -> ConstantCache:
         check_a_level(t, level)
     for (l, k), value in cache.c_entries.items():
         check_c(l, k, value)
-    return cache
 
 
 def cache_store(cache: ConstantCache, path: str | os.PathLike) -> None:
     """Write sorted records and ``a-depth`` from :meth:`ConstantCache.a_depth`;
-    atomic via rename so readers never see a torn file."""
+    atomic via rename so readers never see a torn file.  A cache that
+    :func:`cache_load` would refuse is a CacheConflictError before any file
+    is opened."""
+    _check_rules(cache)
     provenance = dict(cache.provenance)
     if depth := cache.a_depth():
         provenance["a-depth"] = str(depth)
     lines = [f"# {k}: {v}" for k, v in sorted(provenance.items())]
-    keys = _mask_keys(cache.a_entries)
+    # every level held is complete, so its 2^depth keys are at most twice
+    # the entries of the top level
+    keys = _mask_keys(max(cache.a_entries, default=0).bit_length())
     records = sorted(
         [f"A|{keys[mask]}|{value}" for mask, value in cache.a_entries.items()]
         + [f"C|{l},{k}|{value}" for (l, k), value in cache.c_entries.items()]

@@ -1,9 +1,13 @@
 """Exhaustive sweeps over all numerical sets with a fixed Frobenius number.
 
 There are 2^(f-1) numerical sets with Frobenius number f, one per subset of
-[1, f-1].  Every counter in this module visits all of them (optionally
-restricted to sets avoiding a prefix [1, l]) and reduces with exact integer
-arithmetic, so results are independent of chunking and worker count.
+[1, f-1].  One flat sweep visits all of them (optionally restricted to sets
+avoiding a prefix [1, l]) and tallies the preimage count P(S) of every
+semigroup S = A(T) it meets (:func:`_preimage_tally`).  Each counter here
+asks about A(T) alone, so each is a reduction of that tally: it reads its
+window, multiplicity or key off the few distinct A-masks and sums their
+counts with exact integer arithmetic, so results are independent of
+chunking and worker count.
 
 s in [1, f-1] lies in A(T) iff no pair (x, x+s) with x <= f-s has x in T
 and x+s not in T; 0 is in T and f is not.  The violation mask V(T), bit s-1
@@ -372,7 +376,8 @@ def _preimage_tally(f: int, **sweep) -> tuple[np.ndarray, np.ndarray]:
     """The distinct A-masks of the sweep, ascending, and their preimage counts.
 
     Each chunk tallies its own A-masks; the per-chunk tallies merge in one
-    concatenated ``np.unique`` and an integer ``np.add.at``.
+    concatenated ``np.unique`` and an integer ``np.add.at``.  Every flat
+    counter below is a reduction of this tally.
     """
     parts = _map_chunks(
         f, lambda amask: np.unique(amask, return_counts=True), **sweep
@@ -385,6 +390,20 @@ def _preimage_tally(f: int, **sweep) -> tuple[np.ndarray, np.ndarray]:
     return masks, counts
 
 
+def _sum_by(keys: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
+    """Exact sum of ``counts`` per key in [0, size), as an int64 histogram."""
+    total = np.zeros(size, dtype=np.int64)
+    np.add.at(total, keys, counts)
+    return total
+
+
+def _counts_at(masks: np.ndarray, counts: np.ndarray, keys) -> np.ndarray:
+    """The tally's count at each of ``keys`` (an A-mask or an array of them),
+    0 where the sweep never produced that A-mask."""
+    at = np.minimum(np.searchsorted(masks, keys), len(masks) - 1)
+    return np.where(masks[at] == keys, counts[at], 0)
+
+
 def preimage_counts(
     f: int,
     targets: Sequence[Semigroup],
@@ -392,27 +411,17 @@ def preimage_counts(
     budget: int = DEFAULT_ENUM_BUDGET,
     workers: int = 1,
 ) -> dict[Semigroup, int]:
-    """P(S) for selected semigroups only, without building the full table."""
-    targets = list(dict.fromkeys(targets))  # tolerate duplicates
+    """P(S) for selected semigroups only.
+
+    This skips building a Semigroup for every entry of the table; it still
+    runs the full sweep.
+    """
     for s in targets:
         if s.f != f:
             raise ValueError(f"target {s!s} has f={s.f}, sweep has f={f}")
-    goals = np.unique(np.array([s.gaps_mask for s in targets], dtype=np.uint64))
-    total = sum(
-        _map_chunks(
-            f, lambda amask: _key_counts(amask, goals), budget=budget, workers=workers
-        )
-    )
-    return {s: int(total[np.searchsorted(goals, s.gaps_mask)]) for s in targets}
-
-
-def _key_counts(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Occurrences in ``values`` of each of the sorted, distinct ``keys``."""
-    if not len(keys):
-        return np.zeros(0, dtype=np.int64)
-    at = np.searchsorted(keys, values)
-    np.minimum(at, len(keys) - 1, out=at)
-    return np.bincount(at[keys[at] == values], minlength=len(keys))
+    masks, counts = _preimage_tally(f, budget=budget, workers=workers)
+    keys = np.array([s.gaps_mask for s in targets], dtype=np.uint64)
+    return dict(zip(targets, _counts_at(masks, counts, keys).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +445,10 @@ def window_counts(
     """
     if not 0 <= width <= (f - 1) // 2:
         raise ValueError(f"window width {width} invalid for f={f}")
-    return _window_histogram(
-        f, width, prefix_zeros=prefix_zeros, budget=budget, workers=workers
+    masks, counts = _preimage_tally(
+        f, prefix_zeros=prefix_zeros, budget=budget, workers=workers
     )
+    return _sum_by(_extract_window(masks, f, width), counts, 1 << width)
 
 
 def top_slice_counts(
@@ -462,8 +472,7 @@ def top_slice_counts(
         raise ValueError(f"top slice needs t >= 1, got {t}")
     f = 2 * t + 1
     buckets = _window_histogram(
-        f, t, prefix_zeros=prefix_zeros, top_slice=True, budget=f,
-        workers=workers,
+        f, t, prefix_zeros=prefix_zeros, budget=f, workers=workers
     )
     stray = int(buckets[: 1 << (t - 1)].sum())
     if stray:
@@ -473,27 +482,21 @@ def top_slice_counts(
     return buckets
 
 
-def _window_histogram(
-    f: int, width: int, *, top_slice: bool = False, **sweep
-) -> np.ndarray:
-    """Sum of per-chunk bincounts of the width-``width`` window.
+def _window_histogram(f: int, width: int, **sweep) -> np.ndarray:
+    """Sum of per-chunk bincounts of the top slice's width-``width`` windows.
 
-    The flat sweep reads the window out of its A-masks; the top slice hands
-    over the windows themselves.  Each chunk adds its bincount to one
-    running total, so memory stays at one histogram per worker however
-    many chunks the sweep has.
+    Each chunk adds its bincount to one running total, so memory stays at
+    one histogram per worker however many chunks the sweep has.
     """
     total = np.zeros(1 << width, dtype=np.int64)
     lock = threading.Lock()
 
-    def tally(part: np.ndarray) -> None:
-        if not top_slice:
-            part = _extract_window(part, f, width).astype(np.int64)
-        counts = np.bincount(part, minlength=1 << width)
+    def tally(windows: np.ndarray) -> None:
+        counts = np.bincount(windows, minlength=1 << width)
         with lock:
             np.add(total, counts, out=total)
 
-    _map_chunks(f, tally, top_slice=top_slice, **sweep)
+    _map_chunks(f, tally, top_slice=True, **sweep)
     return total
 
 
@@ -560,12 +563,10 @@ def count_G_l(
         raise ValueError("l must be >= 0")
     if f <= 2 * l:
         raise ValueError(f"G_{l}({f}) needs f > 2l = {2 * l}")
-
-    def tally(amask: np.ndarray) -> int:
-        return int(np.count_nonzero(amask == 0))
-
-    parts = _map_chunks(f, tally, prefix_zeros=l, budget=budget, workers=workers)
-    return sum(parts)
+    masks, counts = _preimage_tally(
+        f, prefix_zeros=l, budget=budget, workers=workers
+    )
+    return int(_counts_at(masks, counts, np.uint64(0)))  # A-mask of N_f
 
 
 def count_S(
@@ -586,22 +587,17 @@ def count_S(
     a middle extra element and a high one and such sets already sit in some
     B(D∪{k},f) with 2k < f.
 
-    This is the direct-sweep oracle for :func:`suffix_census`, which gathers
-    every |S(D,f)| with Max(D) <= width in one pass.
+    This is the one-D counter; :func:`suffix_census` gathers every |S(D,f)|
+    with Max(D) <= width from the same tally.
     """
     t = d.max_element
     if f <= 2 * t:
         raise ValueError(f"S({d!s},{f}) needs f > 2*Max(D) = {2 * t}")
-    wide = (f - 1) // 2
-    goal = np.uint64(d.mask)
-    half = np.uint64(f // 2)
-
-    def tally(amask: np.ndarray) -> int:
-        ew = _extract_window(amask, f, wide)
-        hit = (ew == goal) & (_mult_chunk(amask, f) <= half)
-        return int(np.count_nonzero(hit))
-
-    return sum(_map_chunks(f, tally, budget=budget, workers=workers))
+    masks, counts = _preimage_tally(f, budget=budget, workers=workers)
+    hit = (_extract_window(masks, f, (f - 1) // 2) == np.uint64(d.mask)) & (
+        _mult_chunk(masks, f) <= np.uint64(f // 2)
+    )
+    return int(counts[hit].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -634,40 +630,23 @@ def suffix_census(
 ) -> SuffixCensus:
     if not 0 <= max_t <= (f - 1) // 2:
         raise ValueError(f"max_t={max_t} invalid for f={f}")
-    wide = (f - 1) // 2
-    half = np.uint64(f // 2)
-    dsets = [DSet.from_mask(m) for m in range(1 << max_t)]
-    goals, where = np.unique(
-        np.array(
-            [n_of(d, f, warn_uncertified=False).gaps_mask for d in dsets],
-            dtype=np.uint64,
-        ),
-        return_inverse=True,
-    )
+    masks, counts = _preimage_tally(f, budget=budget, workers=workers)
+    window = _extract_window(masks, f, (f - 1) // 2)
     low_t = np.uint64((1 << max_t) - 1)
-
-    def tally(amask: np.ndarray):
-        ew = _extract_window(amask, f, wide)
-        small = _mult_chunk(amask, f) <= half
-        buckets = np.bincount((ew & low_t).astype(np.int64), minlength=1 << max_t)
-        # |S(D,f)| is indexed by D.mask: the whole window must fit in max_t
-        s = np.bincount(
-            ew[small & (ew <= low_t)].astype(np.int64), minlength=1 << max_t
-        )
-        return buckets, _key_counts(amask, goals), s
-
-    buckets = np.zeros(1 << max_t, dtype=np.int64)
-    p_tot = np.zeros(len(goals), dtype=np.int64)
-    s_tot = np.zeros(1 << max_t, dtype=np.int64)
-    for b, p, s in _map_chunks(f, tally, budget=budget, workers=workers):
-        buckets += b
-        p_tot += p
-        s_tot += s
+    # |S(D,f)| is indexed by D.mask: the whole window must fit in max_t
+    residue = (_mult_chunk(masks, f) <= np.uint64(f // 2)) & (window <= low_t)
+    s_tot = _sum_by(window[residue], counts[residue], 1 << max_t)
+    dsets = [DSet.from_mask(m) for m in range(1 << max_t)]
+    goals = np.array(
+        [n_of(d, f, warn_uncertified=False).gaps_mask for d in dsets],
+        dtype=np.uint64,
+    )
+    p_tot = _counts_at(masks, counts, goals)
     return SuffixCensus(
         f,
         max_t,
-        buckets,
-        dict(zip(dsets, p_tot[where].tolist())),
+        _sum_by(window & low_t, counts, 1 << max_t),
+        dict(zip(dsets, p_tot.tolist())),
         dict(zip(dsets, s_tot.tolist())),
     )
 
@@ -687,14 +666,8 @@ def multiplicity_counts(
     Attainable m lie in [2, f-1] plus f+1 (for A(T) = N_f); m = f would put
     f itself in the semigroup and m = 1 would force 1, 2, ... all in.
     """
-
-    def tally(amask: np.ndarray) -> np.ndarray:
-        m = _mult_chunk(amask, f)
-        return np.bincount(m.astype(np.int64), minlength=f + 2)
-
-    total = np.zeros(f + 2, dtype=np.int64)
-    for part in _map_chunks(f, tally, budget=budget, workers=workers):
-        total += part
+    masks, counts = _preimage_tally(f, budget=budget, workers=workers)
+    total = _sum_by(_mult_chunk(masks, f), counts, f + 2)
     return {m: int(c) for m, c in enumerate(total) if c}
 
 

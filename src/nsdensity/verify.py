@@ -157,7 +157,7 @@ def check_topslice_sweep(t: int, chunk: int) -> CheckResult:
             if not mask & ((1 << l) - 1):
                 want[w] += 1
         got = _window_histogram(
-            f, t, prefix_zeros=l, top_slice=True, budget=f, chunk=chunk
+            f, t, prefix_zeros=l, budget=f, chunk=chunk
         ).tolist()
         if any(got[:low]) or got[low:] != want[low:]:
             return _bad(name, f"slice histogram != core.a_mask tally at l={l}")

@@ -159,6 +159,12 @@ class TestVerify:
         assert doc["all_passed"] is True
         assert all(c["passed"] for c in doc["checks"])
 
+    def test_all_suites_pass_at_default_scale(self, capsys):
+        code, out, err = run(capsys, "verify", "--cache", CACHE_PATH)
+        assert (code, err) == (0, "")
+        assert "[FAIL]" not in out
+        assert out.rstrip("\n").split("\n")[-1].endswith(" 0 failed")
+
     @pytest.mark.parametrize("max_f", range(1, 8))
     @pytest.mark.parametrize("suite", ["core", "convergence"])
     def test_small_max_f_completes(self, capsys, suite, max_f):
@@ -183,6 +189,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "enumerate", "--f", "40")
         assert code == 2 and "budget error" in err
 
+    def test_verify_max_f_beyond_the_budget(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-f", "31")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --max-f must lie in [1, 30], the enumeration budget\n"
+
     def test_depth_budget(self, capsys):
         code, _, err = run(capsys, "gamma", "--d", "1", "--depth", "20")
         assert code == 2 and "budget error" in err
@@ -203,6 +214,7 @@ class TestExitCodes:
         ["gamma", "--d", "1", "--depth", "3", "--enum-budget", "5"],
         ["enumerate", "--f", "9", "--depth-budget", "5"],
         ["verify", "--suite", "oracle", "--write-cache"],
+        ["verify", "--suite", "oracle", "--enum-budget", "40"],
     ])
     def test_flag_the_subcommand_does_not_read(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -263,6 +263,23 @@ class TestCacheFile:
         with pytest.raises(CacheConflictError):
             cache_load(path)
 
+    def test_store_refuses_a_partial_level(self, tmp_path):
+        # what the loader would refuse is never written, not even in part
+        cache = build_a_constants(3)
+        for m, v in a_consts_batch(4).items():
+            if m != DSet.of([2, 4]).mask:
+                cache.set_a(DSet.from_mask(m), v)
+        with pytest.raises(CacheConflictError, match="level 4: 7 A constants"):
+            cache_store(cache, tmp_path / "c.cache")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_store_refuses_c_out_of_range(self, tmp_path):
+        cache = build_a_constants(2)
+        cache.set_c(1, 6, 10**6)
+        with pytest.raises(CacheConflictError, match=r"C\[1,6\] = 1000000 outside \[1, 54\]"):
+            cache_store(cache, tmp_path / "c.cache")
+        assert list(tmp_path.iterdir()) == []
+
     def test_resolution_order(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NSDENSITY_CACHE", raising=False)
         assert resolve_cache_path(None) == os.path.join(os.curdir, "nsdensity.cache")

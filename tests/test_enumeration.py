@@ -290,7 +290,7 @@ class TestTopSlice:
         t, f = 6, 13
         for chunk in (1, 3, 9, None):
             got = enumeration._window_histogram(
-                f, t, top_slice=True, budget=f, chunk=chunk
+                f, t, budget=f, chunk=chunk
             )
             # every set with a pair in the fourth state lands below 2^(t-1),
             # and the sets without one keep their windows
@@ -306,7 +306,7 @@ class TestTopSlice:
             f = 2 * t + 1
             for l in range(min(3, t - 1) + 1):
                 got = enumeration._window_histogram(
-                    f, t, prefix_zeros=l, top_slice=True, budget=f,
+                    f, t, prefix_zeros=l, budget=f,
                     workers=workers, chunk=chunk,
                 )
                 low = 1 << (t - 1)
@@ -373,6 +373,16 @@ class TestBCounters:
         for f in (8, 9, 10):
             assert count_G_l(0, f) == preimage_counts(f, [n_f(f)])[n_f(f)]
 
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_count_G_l_against_definitional(self, l):
+        # every set avoiding [1, l], mapped by the pairwise-scan route
+        for f in range(7, 12):
+            want = sum(
+                1 for mask in range(0, 1 << (f - 1), 1 << l)
+                if associated_semigroup_definitional(NumericalSet(f, mask)).gaps_mask == 0
+            )
+            assert count_G_l(l, f) == want, (l, f)
+
     def test_count_S_residual_not_plain_mult(self):
         # plain "2 m(A(T)) <= f inside B(D,f)" would give 10 here; the
         # partition residual is empty because each such set already lies
@@ -411,6 +421,29 @@ class TestSuffixCensus:
     def test_census_validation(self):
         with pytest.raises(ValueError):
             suffix_census(7, 4)  # max_t beyond (f-1)//2
+
+
+class TestWorkers:
+    # beyond 2^16 free positions (one BLOCK) a flat sweep has several chunks
+    # for the workers to share
+
+    def test_window_counts_with_prefix(self):
+        one = window_counts(21, 7, prefix_zeros=2)
+        assert np.array_equal(one, window_counts(21, 7, prefix_zeros=2, workers=2))
+
+    def test_suffix_census(self):
+        one, two = suffix_census(19, 4), suffix_census(19, 4, workers=2)
+        assert np.array_equal(one.buckets, two.buckets)
+        assert one.p_counts == two.p_counts and one.s_counts == two.s_counts
+
+    def test_multiplicity_counts(self):
+        assert multiplicity_counts(19) == multiplicity_counts(19, workers=2)
+
+    def test_preimage_counts(self):
+        f = 19
+        targets = [as_semigroup(n_of(DSet.from_mask(m), f, warn_uncertified=False))
+                   for m in range(16)]
+        assert preimage_counts(f, targets) == preimage_counts(f, targets, workers=2)
 
 
 class TestMultiplicityStats:
