@@ -21,8 +21,10 @@ the 2^l 3^(k-1-l) sets avoiding [1, l].  The checks that run:
     this is what makes the level sum below a check of the kernel and of
     the proof above;
   * the level rule, :func:`check_a_level`: all 2^(t-1) constants, each in
-    [1, 3^(t-1)], summing to exactly 3^(t-1);
-  * :func:`check_c`: 1 <= C_{l,k} <= 2^l 3^(k-2l-1), and 1 for k <= 2l+1;
+    [1, 3^(t-1)], summing to exactly 3^(t-1), at a level t <= 31;
+  * :func:`check_c`: 1 <= C_{l,k} <= 2^l 3^(k-2l-1) for l >= 1 and
+    2l+2 <= k <= 31.  31 = (WORD_LIMIT-1)/2 is the deepest top slice, and
+    the C_{l,k} with k <= 2l+1 are the closed-form 1, never stored;
   * a recomputed constant that differs from a cached one is an error.
 
 The 4^t full-window sweep is the independent oracle
@@ -38,9 +40,11 @@ the C bound.
 
 The cache file is line-delimited ``A|<D-key>|<int>`` / ``C|<l>,<k>|<int>``
 records, UTF-8 with LF endings, sorted for reproducible diffs; ``#`` lines
-carry provenance (``# key: value``).  It is untrusted input: two values
-for one key, or a level or a C that breaks its rule, are always a hard
-error, never a silent merge.
+carry provenance (``# key: value``).  The D-key format is defined in
+:mod:`nsdensity.core`, which parses it (:func:`~nsdensity.core.parse_d_mask`)
+and renders it (:attr:`DSet.key`, :func:`~nsdensity.core.d_mask_keys`).  The
+file is untrusted input: two values for one key, or a level, a C key or a C
+value that breaks its rule, are always a hard error, never a silent merge.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .core import DSet
-from .enumeration import BudgetError, top_slice_counts
+from .core import DSet, d_mask_keys, parse_d_mask
+from .enumeration import WORD_LIMIT, BudgetError, top_slice_counts
 
 DEFAULT_DEPTH_BUDGET = 15
 CACHE_ENV = "NSDENSITY_CACHE"
@@ -62,44 +66,18 @@ class CacheConflictError(ValueError):
     """Two sources disagree on an exact constant, or one breaks a proven rule."""
 
 
-# bits of the element strings A keys are written with; others go to int()
-_ELEMENT_BITS = {str(e): 1 << (e - 1) for e in range(1, 64)}
-
-
-def _key_mask(key: str) -> int:
-    """D.mask of a cache-file A key, accepting exactly what
-    :meth:`DSet.parse` accepts: '', '∅' or '{}', or strictly ascending
-    positive integers joined by commas."""
-    text = key.strip()
-    if text in ("", "∅", "{}"):
-        return 0
-    mask = 0
-    for p in text.split(","):
-        bit = _ELEMENT_BITS.get(p)
-        if bit is None:
-            e = int(p)
-            if e < 1:
-                raise ValueError(f"elements must be positive: {key!r}")
-            bit = 1 << (e - 1)
-        if bit <= mask:  # at or below the largest element so far
-            raise ValueError(f"elements must be strictly increasing: {key!r}")
-        mask |= bit
-    return mask
-
-
-def _mask_keys(depth: int) -> list[str]:
-    """The cache-file key of every D with Max(D) <= depth, indexed by
-    D.mask: ascending, comma-joined.  Level t appends ",t" to every key
-    below it, one concatenation per key."""
-    keys = [""]
-    for t in range(1, depth + 1):
-        keys += [f"{k},{t}" if k else str(t) for k in keys]
-    return keys
+# the deepest top slice a 64-bit word holds: f = 2t+1 <= WORD_LIMIT
+TOP_SLICE_LIMIT = (WORD_LIMIT - 1) // 2
 
 
 def check_a_level(t: int, level: Mapping[int, int]) -> None:
     """The level rule for {D.mask: A_D}, every key of bit length t: all
-    2^(t-1) constants, each in [1, 3^(t-1)], summing to exactly 3^(t-1)."""
+    2^(t-1) constants, each in [1, 3^(t-1)], summing to exactly 3^(t-1).
+    Levels above TOP_SLICE_LIMIT are refused before any power is taken."""
+    if t > TOP_SLICE_LIMIT:
+        raise CacheConflictError(
+            f"level {t}: A levels lie in [1, {TOP_SLICE_LIMIT}], the deepest top slice"
+        )
     cap, values = 3 ** (t - 1), level.values()
     lo, hi, total = min(values), max(values), sum(values)
     if len(level) != 2 ** (t - 1) or not 1 <= lo <= hi <= cap or total != cap:
@@ -110,8 +88,15 @@ def check_a_level(t: int, level: Mapping[int, int]) -> None:
 
 
 def check_c(l: int, k: int, value: int) -> None:
-    """1 <= C_{l,k} <= 2^l 3^(k-2l-1), and C_{l,k} = 1 for k <= 2l+1."""
-    limit = 2**l * 3 ** (k - 2 * l - 1) if k > 2 * l + 1 else 1
+    """1 <= C_{l,k} <= 2^l 3^(k-2l-1), for the keys a sweep produces: l >= 1
+    and 2l+2 <= k <= TOP_SLICE_LIMIT.  C_{l,k} = 1 for k <= 2l+1 in closed
+    form and is never stored; the key is checked before any power is taken."""
+    if l < 1 or not 2 * l + 2 <= k <= TOP_SLICE_LIMIT:
+        raise CacheConflictError(
+            f"C[{l},{k}] outside the swept keys l >= 1, "
+            f"2l+2 <= k <= {TOP_SLICE_LIMIT}"
+        )
+    limit = 2**l * 3 ** (k - 2 * l - 1)
     if not 1 <= value <= limit:
         raise CacheConflictError(f"C[{l},{k}] = {value} outside [1, {limit}]")
 
@@ -194,7 +179,7 @@ def cache_load(path: str | os.PathLike) -> ConstantCache:
                 raise ValueError(f"{path}:{lineno}: negative count {value}")
             if kind == "A":
                 try:
-                    mask = _key_mask(key)
+                    mask = parse_d_mask(key)
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: bad A key {key!r}"
@@ -239,7 +224,7 @@ def cache_store(cache: ConstantCache, path: str | os.PathLike) -> None:
     lines = [f"# {k}: {v}" for k, v in sorted(provenance.items())]
     # every level held is complete, so its 2^depth keys are at most twice
     # the entries of the top level
-    keys = _mask_keys(max(cache.a_entries, default=0).bit_length())
+    keys = d_mask_keys(max(cache.a_entries, default=0).bit_length())
     records = sorted(
         [f"A|{keys[mask]}|{value}" for mask, value in cache.a_entries.items()]
         + [f"C|{l},{k}|{value}" for (l, k), value in cache.c_entries.items()]

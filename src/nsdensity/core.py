@@ -93,81 +93,114 @@ class Semigroup(NumericalSet):
             raise ValueError(f"{self!s} is not closed under addition")
 
 
+# bits of the element strings D keys are written with, one per position of
+# a 64-bit word; other spellings go through int() and must land here too
+_ELEMENT_BITS = {str(e): 1 << (e - 1) for e in range(1, 64)}
+
+
+def parse_d_mask(text: str) -> int:
+    """D.mask of a D key: '', '∅' or '{}', or strictly ascending integers
+    in [1, 63] joined by commas.  The one parser of D text, for ``DSet.parse``,
+    ``--d`` and cache files."""
+    text = text.strip()
+    if text in ("", "∅", "{}"):
+        return 0
+    mask = 0
+    for p in text.split(","):
+        bit = _ELEMENT_BITS.get(p)
+        if bit is None:
+            try:
+                e = int(p)
+            except ValueError:
+                raise ValueError(f"cannot parse D-set from {text!r}") from None
+            bit = _ELEMENT_BITS.get(str(e))
+            if bit is None:
+                raise ValueError(
+                    f"elements must lie in [1, {len(_ELEMENT_BITS)}]: {text!r}"
+                )
+        if bit <= mask:  # at or below the largest element so far
+            raise ValueError(f"elements must be strictly increasing: {text!r}")
+        mask |= bit
+    return mask
+
+
+def d_mask_keys(depth: int) -> list[str]:
+    """The key of every D with Max(D) <= depth, indexed by D.mask, as
+    :attr:`DSet.key` writes it except '' for the empty set.  Level t
+    appends ",t" to every key below it, one concatenation per key."""
+    keys = [""]
+    for t in range(1, depth + 1):
+        keys += [f"{k},{t}" if k else str(t) for k in keys]
+    return keys
+
+
 @dataclass(frozen=True)
 class DSet:
-    """A finite set of positive integers, stored strictly ascending.
+    """A finite set of positive integers, stored as its bitmask: bit l-1
+    is set exactly when l is in the set.
 
     Encodes the small-member pattern of a semigroup relative to its
     Frobenius number: S = {0} u {f - l : l in D} u {f+1, ...}.  The empty
     set is valid and its maximum is taken to be 0.
     """
 
-    elements: tuple[int, ...] = ()
+    mask: int = 0
 
     def __post_init__(self):
-        elems = tuple(self.elements)
-        object.__setattr__(self, "elements", elems)
-        if any(e < 1 for e in elems):
-            raise ValueError(f"elements must be positive: {elems}")
-        if any(a >= b for a, b in zip(elems, elems[1:])):
-            raise ValueError(f"elements must be strictly increasing: {elems}")
+        if self.mask < 0:
+            raise ValueError(f"a D-set mask is nonnegative, got {self.mask}")
 
     @classmethod
     def of(cls, elements: Iterable[int]) -> "DSet":
-        """Canonicalize an arbitrary iterable (sort, drop duplicates)."""
-        return cls(tuple(sorted(set(elements))))
+        """Canonicalize an arbitrary iterable (any order, duplicates allowed)."""
+        mask = 0
+        for e in elements:
+            if e < 1:
+                raise ValueError(f"elements must be positive, got {e}")
+            mask |= 1 << (e - 1)
+        return cls(mask)
 
     @classmethod
     def from_mask(cls, mask: int) -> "DSet":
-        """Decode a bitmask where bit l-1 means l is present."""
-        out, l = [], 1
-        while mask:
-            if mask & 1:
-                out.append(l)
-            mask >>= 1
-            l += 1
-        return cls(tuple(out))
+        """The set whose bitmask is ``mask``, the same as ``DSet(mask)``."""
+        return cls(mask)
 
     @classmethod
     def parse(cls, text: str) -> "DSet":
-        """Parse a comma-separated ascending list; '' and '∅' mean empty."""
-        text = text.strip()
-        if text in ("", "∅", "{}"):
-            return cls()
-        try:
-            elems = tuple(int(p) for p in text.split(","))
-        except ValueError:
-            raise ValueError(f"cannot parse D-set from {text!r}") from None
-        return cls(elems)
+        """Parse a D key (see :func:`parse_d_mask`)."""
+        return cls(parse_d_mask(text))
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        """The elements, ascending."""
+        m, out = self.mask, []
+        while m:
+            low = m & -m
+            out.append(low.bit_length())
+            m ^= low
+        return tuple(out)
 
     @property
     def max_element(self) -> int:
-        return self.elements[-1] if self.elements else 0
-
-    @property
-    def mask(self) -> int:
-        """Bitmask encoding (bit l-1 <=> l present)."""
-        m = 0
-        for e in self.elements:
-            m |= 1 << (e - 1)
-        return m
+        return self.mask.bit_length()
 
     @property
     def key(self) -> str:
         """Canonical text form used in cache files and CLI output."""
-        return ",".join(str(e) for e in self.elements) if self.elements else "∅"
+        return ",".join(map(str, self.elements)) if self.mask else "∅"
 
     def with_added(self, k: int) -> "DSet":
         """The set together with one more element k (k must be new)."""
-        if k in self.elements:
+        bit = 1 << (k - 1)
+        if self.mask & bit:
             raise ValueError(f"{k} already present in {self.key}")
-        return DSet.of(self.elements + (k,))
+        return DSet(self.mask | bit)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.mask.bit_count()
 
     def __str__(self) -> str:
         return self.key

@@ -58,6 +58,7 @@ Word size limits these kernels to f <= 63; the pure-python routines in
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -171,7 +172,10 @@ def _map_chunks(
         def run(high: int):
             return func(_amask_block(f, prefix_zeros, b, high, allowed_ll))
 
-    if workers <= 1 or len(ranges) == 1:
+    # Executor.map submits every chunk at once: more threads than chunks
+    # or cores would only start and idle
+    workers = min(workers, len(ranges), os.cpu_count() or 1)
+    if workers <= 1:
         return [run(r) for r in ranges]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, ranges))

@@ -321,7 +321,11 @@ def check_c_growth_bound(cache: ConstantCache | None = None, l_max: int = 3,
     cache = cache if cache is not None else ConstantCache()
     for l in range(1, l_max + 1):
         for k in range(2 * l + 2, 2 * l + 2 + extra):
-            c = c_const(l, k, cache, workers=workers)
+            try:
+                # c_const itself refuses a swept value above the bound
+                c = c_const(l, k, cache, workers=workers)
+            except (AssertionError, CacheConflictError) as e:
+                return _bad(name, str(e))
             if c > 2**l * 3 ** (k - 2 * l - 1):
                 return _bad(name, f"C_{{{l},{k}}} = {c} > 2^l 3^(k-2l-1)")
     return _ok(name, "C_{l,k} <= 2^l 3^(k-2l-1) on the swept range")

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from nsdensity import constants
 from nsdensity.core import DSet
 from nsdensity.constants import (
     CacheConflictError,
@@ -16,7 +17,7 @@ from nsdensity.constants import (
     resolve_cache_path,
 )
 from nsdensity.enumeration import BudgetError, window_counts
-from nsdensity.verify import full_window_oracle, suite_constants
+from nsdensity.verify import check_c_growth_bound, full_window_oracle, suite_constants
 
 SHIPPED_CACHE = Path(__file__).resolve().parents[1] / "nsdensity.cache"
 
@@ -137,6 +138,23 @@ class TestCConst:
             assert c_const(l, k, cache) == want
             assert cache.c(l, k) == want
 
+    def test_growth_bound_check_reports_fail(self, monkeypatch):
+        # a sweep that inflates bucket {k}: c_const refuses the value, and
+        # the verify check turns that refusal into its FAIL line
+        real = constants.top_slice_counts
+
+        def inflated(t, *, prefix_zeros=0, workers=1):
+            buckets = real(t, prefix_zeros=prefix_zeros, workers=workers).copy()
+            buckets[1 << (t - 1)] += 10**6
+            return buckets
+
+        monkeypatch.setattr(constants, "top_slice_counts", inflated)
+        result = check_c_growth_bound(ConstantCache(), 1, 1)
+        assert not result.passed
+        assert result.line() == (
+            "[FAIL] c-growth-bound(l<=1,k<=2l+2): C[1,4] = 1000003 outside [1, 6]"
+        )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             c_const(0, 3)
@@ -205,6 +223,7 @@ class TestCacheFile:
 
     @pytest.mark.parametrize("key", [
         "one", "1,x", "1.5", "1,,2", "1,", "0", "-1", "0,1",  # not positive integers
+        "64", "1,64", "1,8000000",  # above the 63 positions of a 64-bit word
         "2,1", "1,3,2",  # not ascending
         "1,1", "2,2",  # duplicates
         "", " ", "∅", "{}",  # the empty set, which has no level
@@ -240,7 +259,9 @@ class TestCacheFile:
         ("A|1|1\nA|2|3\nA|1,2|0\n", r"level 2: 2 A constants in \[0, 3\]"),
         ("A|1|1\nA|2|4\nA|1,2|1\n", r"level 2: 2 A constants in \[1, 4\]"),
         ("A|∅|1\n", "level 0"),  # A over the empty set is 1 and never stored
-    ], ids=["zero", "above-cap", "empty-set"])
+        # no top slice deeper than t = 31 fits a 64-bit word
+        ("A|1|1\nA|32|1\n", r"level 32: A levels lie in \[1, 31\]"),
+    ], ids=["zero", "above-cap", "empty-set", "level-32"])
     def test_load_rejects_a_out_of_range(self, tmp_path, records, message):
         path = tmp_path / "bad.cache"
         path.write_text(records, encoding="utf-8")
@@ -255,12 +276,26 @@ class TestCacheFile:
         with pytest.raises(CacheConflictError, match="level 3: .* summing to 10"):
             cache_load(path)
 
-    @pytest.mark.parametrize("record", ["C|1,4|7", "C|1,4|0", "C|1,3|2"])
+    @pytest.mark.parametrize("record", [
+        "C|1,4|7", "C|1,4|0", "C|1,3|2",
+        # keys no sweep produces: l < 1, k <= 2l+1 or k > 31
+        "C|0,5|7", "C|-1,5|3", "C|2,3|1", "C|1,40|1", "C|1,-3|1",
+    ])
     def test_load_rejects_c_out_of_range(self, tmp_path, record):
         # C_{1,4} <= 2^1 3^(4-3) = 6; C_{1,3} = 1 in closed form
         path = tmp_path / "bad.cache"
         path.write_text(f"A|1|1\n{record}\n", encoding="utf-8")
         with pytest.raises(CacheConflictError):
+            cache_load(path)
+
+    @pytest.mark.parametrize("record", [
+        "C|0,5|7", "C|-1,5|3", "C|2,3|1", "C|1,3|1", "C|1,40|1", "C|1,-3|1",
+        "C|1,8000000|1",  # refused before 3^(k-2l-1) is computed
+    ])
+    def test_load_names_the_c_key_bound(self, tmp_path, record):
+        path = tmp_path / "bad.cache"
+        path.write_text(f"A|1|1\n{record}\n", encoding="utf-8")
+        with pytest.raises(CacheConflictError, match=r"l >= 1, 2l\+2 <= k <= 31"):
             cache_load(path)
 
     def test_store_refuses_a_partial_level(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -88,6 +89,20 @@ class TestDSet:
         assert DSet.of([1]).with_added(3) == DSet.of([1, 3])
         with pytest.raises(ValueError):
             DSet.of([1]).with_added(1)
+
+    def test_stored_as_its_mask(self):
+        assert [f.name for f in dataclasses.fields(DSet)] == ["mask"]
+        d = DSet.of([5, 1, 3, 1])
+        assert d == DSet(0b10101) == DSet.from_mask(0b10101)
+        assert d.elements == (1, 3, 5) and list(d) == [1, 3, 5] and len(d) == 3
+        assert d.key == "1,3,5" and d.max_element == 5
+        assert hash(d) == hash(DSet.parse("1,3,5"))
+        assert DSet.parse("1,63").mask == 1 | 1 << 62
+
+    @pytest.mark.parametrize("text", ["64", "1,64", "1,2,100"])
+    def test_parse_refuses_elements_above_63(self, text):
+        with pytest.raises(ValueError, match=r"\[1, 63\]"):
+            DSet.parse(text)
 
 
 class TestAssociatedSemigroup:

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +102,33 @@ class TestDensityTable:
 
     def test_workers_equivalence(self):
         assert density_table(13).entries == density_table(13, workers=3).entries
+
+    def test_workers_capped_at_chunks_and_cpus(self, monkeypatch):
+        # a stand-in pool that records its size and runs tasks inline, so
+        # no thread starts whatever size is asked for
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(enumeration, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        # 8 chunks of 2^16 sets at f = 20, 2 at f = 18
+        for f, pool in ((20, 4), (18, 2)):
+            want = density_table(f).entries
+            assert density_table(f, workers=10**6).entries == want
+            assert sizes.pop() == pool
+        assert sizes == []
 
     def test_budget(self):
         with pytest.raises(BudgetError, match=r"\(2\^24 sets\)"):
