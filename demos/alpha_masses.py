@@ -10,13 +10,14 @@ The first handful of limits already capture over 90% of the total mass.
 """
 
 import argparse
+from fractions import Fraction
 
 from nsdensity import (
-    alpha_empirical,
     alpha_limit,
     alpha_partial_sum,
     cache_load,
     decimal_str,
+    density_table,
 )
 
 
@@ -28,12 +29,13 @@ def main() -> None:
     ap.add_argument("--n-max", type=int, default=9)
     args = ap.parse_args()
     cache = cache_load(args.cache)
+    masses = density_table(args.f).alpha()
 
     print(f"{'n':>3}  {'alpha_n(' + str(args.f) + ')':>12}  "
           f"{'limit interval':>21}  summands")
     for n in [-1] + list(range(1, args.n_max + 1)):
         est = alpha_limit(n, args.depth, cache)
-        emp = alpha_empirical(args.f, n)
+        emp = masses.get(n, Fraction(0))
         print(
             f"{n:>3}  {decimal_str(emp):>12}  {str(est.interval):>21}  "
             f"{len(est.terms):>8}"

@@ -11,15 +11,7 @@ densities sit within 0.02 of the depth-15 truncation value.
 import argparse
 from fractions import Fraction
 
-from nsdensity import (
-    DSet,
-    as_semigroup,
-    cache_load,
-    decimal_str,
-    gamma,
-    n_of,
-    preimage_counts,
-)
+from nsdensity import DSet, cache_load, decimal_str, density_table, gamma, n_of
 
 
 def main() -> None:
@@ -38,10 +30,10 @@ def main() -> None:
     print(header)
     rows: dict[str, dict[int, Fraction]] = {d.key: {} for d in dsets}
     for f in range(args.f_min, args.f_max + 1):
-        targets = [as_semigroup(n_of(d, f, warn_uncertified=False)) for d in dsets]
-        counts = preimage_counts(f, targets)
-        for d, s in zip(dsets, targets):
-            rows[d.key][f] = Fraction(counts[s], 1 << (f - 1))
+        goals = [n_of(d, f, warn_uncertified=False).gaps_mask for d in dsets]
+        counts = density_table(f).preimages(goals)
+        for d, count in zip(dsets, counts.tolist()):
+            rows[d.key][f] = Fraction(count, 1 << (f - 1))
         print(f"{f:>4}" + "".join(
             f"  {decimal_str(rows[d.key][f]):>10}" for d in dsets
         ))

@@ -13,7 +13,6 @@ import argparse
 from fractions import Fraction
 
 from nsdensity import (
-    alpha_empirical_all,
     d_of,
     decimal_str,
     density_table,
@@ -48,7 +47,7 @@ def main() -> None:
     )
 
     print("\nmass by R(S) = f - m(S):")
-    for n, mass in sorted(alpha_empirical_all(f).items()):
+    for n, mass in table.alpha().items():
         print(f"  alpha_{n}({f}) = {decimal_str(mass)}")
 
 

@@ -28,17 +28,7 @@ from .enumeration import (
     DEFAULT_ENUM_BUDGET,
     DensityTable,
     SuffixCensus,
-    alpha_empirical,
-    alpha_empirical_all,
-    count_B,
-    count_B_l,
-    count_G_l,
-    count_S,
-    count_small_multiplicity,
     density_table,
-    multiplicity_counts,
-    preimage_counts,
-    suffix_census,
     top_slice_counts,
     window_counts,
     window_restrict,

@@ -202,7 +202,12 @@ def cache_load(path: str | os.PathLike) -> ConstantCache:
 
 def _check_rules(cache: ConstantCache) -> None:
     """The level rule for every A level held and the bound for every C, so
-    that :func:`cache_store` writes only what :func:`cache_load` accepts."""
+    that :func:`cache_store` writes only what :func:`cache_load` accepts.
+    A_∅ has no level to check: it is 1 by definition and never stored."""
+    if 0 in cache.a_entries:
+        raise CacheConflictError(
+            "level 0: A_∅ = 1 by definition and is never stored"
+        )
     levels: dict[int, dict[int, int]] = {}
     for mask, value in cache.a_entries.items():
         levels.setdefault(mask.bit_length(), {})[mask] = value

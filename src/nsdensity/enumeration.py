@@ -1,13 +1,14 @@
 """Exhaustive sweeps over all numerical sets with a fixed Frobenius number.
 
 There are 2^(f-1) numerical sets with Frobenius number f, one per subset of
-[1, f-1].  One flat sweep visits all of them (optionally restricted to sets
-avoiding a prefix [1, l]) and tallies the preimage count P(S) of every
-semigroup S = A(T) it meets (:func:`_preimage_tally`).  Each counter here
-asks about A(T) alone, so each is a reduction of that tally: it reads its
-window, multiplicity or key off the few distinct A-masks and sums their
-counts with exact integer arithmetic, so results are independent of
-chunking and worker count.
+[1, f-1].  One flat sweep, :func:`density_table`, visits all of them
+(optionally restricted to sets avoiding a prefix [1, l]) and tallies the
+preimage count P(S) of every semigroup S = A(T) it meets; the
+:class:`DensityTable` it returns is that tally.  Each finite-f counter asks
+about A(T) alone, so each is a method of the table that reduces it: it
+reads its window, multiplicity or key off the few distinct A-masks and sums
+their counts with exact integer arithmetic, so results are independent of
+chunking and worker count, and no counter sweeps again.
 
 s in [1, f-1] lies in A(T) iff no pair (x, x+s) with x <= f-s has x in T
 and x+s not in T; 0 is in T and f is not.  The violation mask V(T), bit s-1
@@ -63,7 +64,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -324,74 +326,177 @@ def _extract_window(amask: np.ndarray, f: int, width: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# density tables
+# the density table: one flat sweep and its reductions
 
 
 @dataclass(frozen=True)
-class DensityTable:
-    """Exact preimage counts P(S) for every semigroup S with f(S) = f."""
+class SuffixCensus:
+    """Per-D counters needed by the exact identity
+
+    P(N(D,f)) = A_D 2^(f-2t-1) - sum_{k=t+1}^{floor((f-1)/2)} A_{D∪{k}} 2^(f-2k-1)
+                - |S(D,f)|
+
+    gathered from one table for every D with Max(D) <= width.
+    """
 
     f: int
-    entries: Mapping[Semigroup, int]
+    width: int
+    buckets: np.ndarray  # width-`width` window histogram
+    p_counts: Mapping[DSet, int]  # D -> P(N(D,f))
+    s_counts: Mapping[DSet, int]  # D -> |S(D,f)|
+
+
+@dataclass(frozen=True, eq=False)
+class DensityTable:
+    """The preimage tally of one flat sweep at Frobenius number ``f``.
+
+    The sweep visits the 2^(f-1-l) sets T avoiding [1, l], l =
+    ``prefix_zeros``; ``masks`` holds every distinct A-mask it met,
+    ascending, and ``counts`` how many of the sets T have that A(T).  Every
+    counter below is a reduction of these two arrays, and none sweeps again.
+    """
+
+    f: int
+    prefix_zeros: int
+    masks: np.ndarray  # uint64, ascending and distinct
+    counts: np.ndarray  # int64
 
     def __post_init__(self):
-        total = 0
-        for s, p in self.entries.items():
-            if s.f != self.f:
-                raise ValueError(f"entry {s!s} has f={s.f}, table has f={self.f}")
-            if p < 1:
-                # every semigroup is its own preimage
-                raise ValueError(f"P({s!s}) = {p} < 1")
-            total += p
-        if total != 1 << (self.f - 1):
+        total = int(self.counts.sum())
+        if total != self.sets:
             raise ValueError(
-                f"sum of P(S) is {total}, expected 2^{self.f - 1}"
+                f"sum of P(S) is {total}, expected 2^{self.f - 1 - self.prefix_zeros}"
             )
+        if self.counts.min() < 1:  # every tallied A-mask has a preimage
+            raise ValueError(f"preimage count {self.counts.min()} < 1")
 
-    def preimages(self, s: Semigroup) -> int:
-        return self.entries[s]
+    @property
+    def sets(self) -> int:
+        """2^(f-1-l), the number of sets the sweep visited."""
+        return 1 << (self.f - 1 - self.prefix_zeros)
+
+    @cached_property
+    def entries(self) -> dict[Semigroup, int]:
+        """P(S) for every semigroup S met, ascending by gap mask; each S is
+        validated by :class:`Semigroup`."""
+        return {
+            Semigroup(self.f, a): c
+            for a, c in zip(self.masks.tolist(), self.counts.tolist())
+        }
 
     def mu(self, s: Semigroup) -> Fraction:
-        return Fraction(self.entries[s], 1 << (self.f - 1))
+        """P(S) as a share of the swept sets."""
+        return Fraction(self.entries[s], self.sets)
 
     def sorted_entries(self) -> list[tuple[Semigroup, int]]:
         """Entries by descending P, ties by ascending gap mask."""
         return sorted(self.entries.items(), key=lambda kv: (-kv[1], kv[0].gaps_mask))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.masks)
+
+    def preimages(self, a_masks) -> np.ndarray:
+        """The count at each of ``a_masks`` (an A-mask, the gap mask of a
+        semigroup, or an array of them), 0 where the sweep never met it.
+        With l = ``prefix_zeros``, ``preimages(0)`` is |G_l(f)|, the sets
+        whose semigroup is N_f."""
+        keys = np.asarray(a_masks, dtype=np.uint64)
+        at = np.minimum(np.searchsorted(self.masks, keys), len(self.masks) - 1)
+        return np.where(self.masks[at] == keys, self.counts[at], 0)
+
+    def window(self, width: int) -> np.ndarray:
+        """Histogram of width-``width`` suffix patterns of A(T) over the sweep.
+
+        Entry p counts the swept sets T whose pattern {y in [1, width] :
+        f-y in A(T)} encodes to p.  Pattern p is the width-``width`` window
+        of D(A(T)), so for Max(D) = width exactly, ``window(width)[D.mask]``
+        = |B(D, f)| restricted to the prefix constraint; with l =
+        ``prefix_zeros``, ``window(k)[2^(k-1)]`` = |B_l(k, f)|.
+        """
+        if not 0 <= width <= (self.f - 1) // 2:
+            raise ValueError(f"window width {width} invalid for f={self.f}")
+        return _sum_by(
+            _extract_window(self.masks, self.f, width), self.counts, 1 << width
+        )
+
+    def multiplicities(self) -> dict[int, int]:
+        """#{T : m(A(T)) = m} for every attained m.
+
+        Attainable m lie in [2, f-1] plus f+1 (for A(T) = N_f); m = f would
+        put f itself in the semigroup and m = 1 would force 1, 2, ... all in.
+        """
+        total = _sum_by(_mult_chunk(self.masks, self.f), self.counts, self.f + 2)
+        return {m: int(c) for m, c in enumerate(total) if c}
+
+    def alpha(self) -> dict[int, Fraction]:
+        """alpha_n(f) = #{T : R(A(T)) = n} / 2^(f-1-l) for every attained n,
+        ascending; R(S) = f - m(S), and R(N_f) = -1."""
+        return {
+            self.f - m if m <= self.f else -1: Fraction(c, self.sets)
+            for m, c in sorted(self.multiplicities().items(), reverse=True)
+        }
+
+    def census(self, max_t: int) -> SuffixCensus:
+        """Window buckets, P(N(D,f)) and |S(D,f)| for every D with Max(D) <= max_t.
+
+        B(D,f) splits disjointly into {T : A(T) = N(D,f)} and the sets whose
+        smallest window element beyond Max(D) is some k; pieces with 2k < f
+        are B(D∪{k},f) and obey the window factorization, and S(D,f)
+        collects the rest: window agreement with D through width
+        floor((f-1)/2) plus at least one element at k with 2k >= f, i.e.
+        2 m(A(T)) <= f.  Testing 2m <= f inside B(D,f) alone would
+        overcount, since a set can carry both a middle extra element and a
+        high one and such sets already sit in some B(D∪{k},f) with 2k < f.
+        The identity is stated for the full sweep, ``prefix_zeros`` = 0.
+        """
+        f = self.f
+        if not 0 <= max_t <= (f - 1) // 2:
+            raise ValueError(f"max_t={max_t} invalid for f={f}")
+        window = _extract_window(self.masks, f, (f - 1) // 2)
+        low_t = np.uint64((1 << max_t) - 1)
+        # |S(D,f)| is indexed by D.mask: the whole window must fit in max_t
+        residue = (_mult_chunk(self.masks, f) <= np.uint64(f // 2)) & (window <= low_t)
+        s_tot = _sum_by(window[residue], self.counts[residue], 1 << max_t)
+        dsets = [DSet.from_mask(m) for m in range(1 << max_t)]
+        goals = [n_of(d, f, warn_uncertified=False).gaps_mask for d in dsets]
+        return SuffixCensus(
+            f,
+            max_t,
+            _sum_by(window & low_t, self.counts, 1 << max_t),
+            dict(zip(dsets, self.preimages(goals).tolist())),
+            dict(zip(dsets, s_tot.tolist())),
+        )
 
 
 def density_table(
     f: int,
     *,
+    prefix_zeros: int = 0,
     budget: int = DEFAULT_ENUM_BUDGET,
     workers: int = 1,
+    chunk: int | None = None,
 ) -> DensityTable:
-    """Map every T with f(T) = f through A and tally preimages per semigroup."""
-    masks, counts = _preimage_tally(f, budget=budget, workers=workers)
-    entries = {
-        Semigroup(f, a): c for a, c in zip(masks.tolist(), counts.tolist())
-    }
-    return DensityTable(f, entries)
+    """Map every T with f(T) = f avoiding [1, prefix_zeros] through A and
+    tally preimages per A-mask.
 
-
-def _preimage_tally(f: int, **sweep) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct A-masks of the sweep, ascending, and their preimage counts.
-
-    Each chunk tallies its own A-masks; the per-chunk tallies merge in one
-    concatenated ``np.unique`` and an integer ``np.add.at``.  Every flat
-    counter below is a reduction of this tally.
+    Each chunk (``chunk`` sets, see :func:`_map_chunks`) tallies its own
+    A-masks; the per-chunk tallies merge in one concatenated ``np.unique``
+    and an exact integer sum, so the table is the same for every chunk
+    size and worker count.
     """
     parts = _map_chunks(
-        f, lambda amask: np.unique(amask, return_counts=True), **sweep
+        f,
+        lambda amask: np.unique(amask, return_counts=True),
+        prefix_zeros=prefix_zeros,
+        budget=budget,
+        workers=workers,
+        chunk=chunk,
     )
     masks, where = np.unique(
         np.concatenate([m for m, _ in parts]), return_inverse=True
     )
-    counts = np.zeros(len(masks), dtype=np.int64)
-    np.add.at(counts, where, np.concatenate([c for _, c in parts]))
-    return masks, counts
+    counts = _sum_by(where, np.concatenate([c for _, c in parts]), len(masks))
+    return DensityTable(f, prefix_zeros, masks, counts)
 
 
 def _sum_by(keys: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
@@ -401,35 +506,8 @@ def _sum_by(keys: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
     return total
 
 
-def _counts_at(masks: np.ndarray, counts: np.ndarray, keys) -> np.ndarray:
-    """The tally's count at each of ``keys`` (an A-mask or an array of them),
-    0 where the sweep never produced that A-mask."""
-    at = np.minimum(np.searchsorted(masks, keys), len(masks) - 1)
-    return np.where(masks[at] == keys, counts[at], 0)
-
-
-def preimage_counts(
-    f: int,
-    targets: Sequence[Semigroup],
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int = 1,
-) -> dict[Semigroup, int]:
-    """P(S) for selected semigroups only.
-
-    This skips building a Semigroup for every entry of the table; it still
-    runs the full sweep.
-    """
-    for s in targets:
-        if s.f != f:
-            raise ValueError(f"target {s!s} has f={s.f}, sweep has f={f}")
-    masks, counts = _preimage_tally(f, budget=budget, workers=workers)
-    keys = np.array([s.gaps_mask for s in targets], dtype=np.uint64)
-    return dict(zip(targets, _counts_at(masks, counts, keys).tolist()))
-
-
 # ---------------------------------------------------------------------------
-# window counters: B(D,f), B_l(k,f), G_l(f), S(D,f)
+# window histograms
 
 
 def window_counts(
@@ -440,19 +518,12 @@ def window_counts(
     budget: int = DEFAULT_ENUM_BUDGET,
     workers: int = 1,
 ) -> np.ndarray:
-    """Histogram of width-``width`` suffix patterns of A(T) over the sweep.
-
-    Entry p counts the sets T (with T ∩ [1, prefix_zeros] empty) whose
-    pattern {y in [1, width] : f-y in A(T)} encodes to p.  Pattern p is the
-    width-``width`` window of D(A(T)), so for Max(D) = width exactly,
-    counts[D.mask] = |B(D, f)| restricted to the prefix constraint.
-    """
-    if not 0 <= width <= (f - 1) // 2:
-        raise ValueError(f"window width {width} invalid for f={f}")
-    masks, counts = _preimage_tally(
+    """``density_table(f, prefix_zeros=...).window(width)``: the flat window
+    histogram that :func:`nsdensity.verify.full_window_oracle` replays the
+    top slice against."""
+    return density_table(
         f, prefix_zeros=prefix_zeros, budget=budget, workers=workers
-    )
-    return _sum_by(_extract_window(masks, f, width), counts, 1 << width)
+    ).window(width)
 
 
 def top_slice_counts(
@@ -509,213 +580,3 @@ def window_restrict(buckets: np.ndarray, width: int, t: int) -> np.ndarray:
     if not 0 <= t <= width:
         raise ValueError(f"cannot restrict width {width} to {t}")
     return buckets.reshape(1 << (width - t), 1 << t).sum(axis=0)
-
-
-def count_B(
-    d: DSet,
-    f: int,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int = 1,
-) -> int:
-    """|B(D,f)|: sets whose A(T) suffix window of width Max(D) matches D.
-
-    Requires f > 2 Max(D).  This is the direct-sweep oracle for the window
-    factorization: the constant-time route A_D * 2^(f-2t-1) is what it
-    validates.
-    """
-    t = d.max_element
-    if f <= 2 * t:
-        raise ValueError(f"B({d!s},{f}) needs f > 2*Max(D) = {2 * t}")
-    if t == 0:
-        _check_budget(f, budget, f"2^{f - 1}")
-        return 1 << (f - 1)
-    return int(window_counts(f, t, budget=budget, workers=workers)[d.mask])
-
-
-def count_B_l(
-    l: int,
-    k: int,
-    f: int,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int = 1,
-) -> int:
-    """|B_l(k,f)|: members of B({k},f) avoiding [1,l] entirely."""
-    if l < 1 or k < 1:
-        raise ValueError("l and k must be positive")
-    if k >= l and f < 2 * k + 1:
-        raise ValueError(f"B_{l}({k},{f}) with k >= l needs f >= {2 * k + 1}")
-    if k < l and f < l + k + 1:
-        raise ValueError(f"B_{l}({k},{f}) with k < l needs f >= {l + k + 1}")
-    # both branches leave f > 2k, so the width-k window is well defined
-    buckets = window_counts(
-        f, k, prefix_zeros=l, budget=budget, workers=workers
-    )
-    return int(buckets[1 << (k - 1)])
-
-
-def count_G_l(
-    l: int,
-    f: int,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int = 1,
-) -> int:
-    """|G_l(f)|: sets avoiding [1,l] whose associated semigroup is N_f."""
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    if f <= 2 * l:
-        raise ValueError(f"G_{l}({f}) needs f > 2l = {2 * l}")
-    masks, counts = _preimage_tally(
-        f, prefix_zeros=l, budget=budget, workers=workers
-    )
-    return int(_counts_at(masks, counts, np.uint64(0)))  # A-mask of N_f
-
-
-def count_S(
-    d: DSet,
-    f: int,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int = 1,
-) -> int:
-    """|S(D,f)|: the high-k residue of B(D,f) in the preimage partition.
-
-    B(D,f) splits disjointly into {T : A(T) = N(D,f)} and the sets whose
-    smallest window element beyond Max(D) is some k; pieces with 2k < f are
-    B(D∪{k},f) and obey the window factorization, and S(D,f) collects the
-    rest: window agreement with D through width floor((f-1)/2) plus at
-    least one element at k with 2k >= f, i.e. 2 m(A(T)) <= f.  Testing
-    2m <= f inside B(D,f) alone would overcount, since a set can carry both
-    a middle extra element and a high one and such sets already sit in some
-    B(D∪{k},f) with 2k < f.
-
-    This is the one-D counter; :func:`suffix_census` gathers every |S(D,f)|
-    with Max(D) <= width from the same tally.
-    """
-    t = d.max_element
-    if f <= 2 * t:
-        raise ValueError(f"S({d!s},{f}) needs f > 2*Max(D) = {2 * t}")
-    masks, counts = _preimage_tally(f, budget=budget, workers=workers)
-    hit = (_extract_window(masks, f, (f - 1) // 2) == np.uint64(d.mask)) & (
-        _mult_chunk(masks, f) <= np.uint64(f // 2)
-    )
-    return int(counts[hit].sum())
-
-
-# ---------------------------------------------------------------------------
-# one-pass census for the exact finite-f preimage identity
-
-
-@dataclass(frozen=True)
-class SuffixCensus:
-    """Per-D counters needed by the exact identity
-
-    P(N(D,f)) = A_D 2^(f-2t-1) - sum_{k=t+1}^{floor((f-1)/2)} A_{D∪{k}} 2^(f-2k-1)
-                - |S(D,f)|
-
-    gathered in a single sweep for every D with Max(D) <= width.
-    """
-
-    f: int
-    width: int
-    buckets: np.ndarray  # width-`width` window histogram
-    p_counts: Mapping[DSet, int]  # D -> P(N(D,f))
-    s_counts: Mapping[DSet, int]  # D -> |S(D,f)|
-
-
-def suffix_census(
-    f: int,
-    max_t: int,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int = 1,
-) -> SuffixCensus:
-    if not 0 <= max_t <= (f - 1) // 2:
-        raise ValueError(f"max_t={max_t} invalid for f={f}")
-    masks, counts = _preimage_tally(f, budget=budget, workers=workers)
-    window = _extract_window(masks, f, (f - 1) // 2)
-    low_t = np.uint64((1 << max_t) - 1)
-    # |S(D,f)| is indexed by D.mask: the whole window must fit in max_t
-    residue = (_mult_chunk(masks, f) <= np.uint64(f // 2)) & (window <= low_t)
-    s_tot = _sum_by(window[residue], counts[residue], 1 << max_t)
-    dsets = [DSet.from_mask(m) for m in range(1 << max_t)]
-    goals = np.array(
-        [n_of(d, f, warn_uncertified=False).gaps_mask for d in dsets],
-        dtype=np.uint64,
-    )
-    p_tot = _counts_at(masks, counts, goals)
-    return SuffixCensus(
-        f,
-        max_t,
-        _sum_by(window & low_t, counts, 1 << max_t),
-        dict(zip(dsets, p_tot.tolist())),
-        dict(zip(dsets, s_tot.tolist())),
-    )
-
-
-# ---------------------------------------------------------------------------
-# multiplicity statistics of A(T)
-
-
-def multiplicity_counts(
-    f: int,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int = 1,
-) -> dict[int, int]:
-    """#{T : f(T)=f, m(A(T)) = m} for every attained m.
-
-    Attainable m lie in [2, f-1] plus f+1 (for A(T) = N_f); m = f would put
-    f itself in the semigroup and m = 1 would force 1, 2, ... all in.
-    """
-    masks, counts = _preimage_tally(f, budget=budget, workers=workers)
-    total = _sum_by(_mult_chunk(masks, f), counts, f + 2)
-    return {m: int(c) for m, c in enumerate(total) if c}
-
-
-def count_small_multiplicity(
-    f: int,
-    bound: int,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int = 1,
-) -> int:
-    """#{T : f(T)=f, m(A(T)) <= bound}."""
-    if not 1 <= bound <= f:
-        raise ValueError(f"bound must lie in [1, f], got {bound}")
-    return sum(c for m, c in multiplicity_counts(
-        f, budget=budget, workers=workers
-    ).items() if m <= bound)
-
-
-def alpha_empirical_all(
-    f: int,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int = 1,
-) -> dict[int, Fraction]:
-    """alpha_n(f) = #{T : R(A(T)) = n} / 2^(f-1) for every attained n."""
-    denom = 1 << (f - 1)
-    return {
-        f - m if m <= f else -1: Fraction(c, denom)
-        for m, c in sorted(
-            multiplicity_counts(f, budget=budget, workers=workers).items(),
-            reverse=True,
-        )
-    }
-
-
-def alpha_empirical(
-    f: int,
-    n: int,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    workers: int = 1,
-) -> Fraction:
-    if n < -1:
-        raise ValueError(f"R(S) is never below -1, got n={n}")
-    return alpha_empirical_all(f, budget=budget, workers=workers).get(
-        n, Fraction(0)
-    )

@@ -32,15 +32,8 @@ from .core import (
     suffix_pattern,
 )
 from .enumeration import (
-    _preimage_tally,
     _window_histogram,
-    count_B_l,
-    count_G_l,
-    count_small_multiplicity,
     density_table,
-    multiplicity_counts,
-    preimage_counts,
-    suffix_census,
     window_counts,
     window_restrict,
 )
@@ -121,8 +114,8 @@ def check_amap_sweep(f: int, chunk: int) -> CheckResult:
     """
     name = f"amap-sweep(f={f},chunk={chunk})"
     want = Counter(a_mask(f, mask) for mask in range(1 << (f - 1)))
-    masks, counts = _preimage_tally(f, chunk=chunk)
-    if dict(zip(masks.tolist(), counts.tolist())) != want:
+    chunked = density_table(f, chunk=chunk)
+    if dict(zip(chunked.masks.tolist(), chunked.counts.tolist())) != want:
         return _bad(name, "chunked sweep tally != core.a_mask tally")
     table = density_table(f)
     if {s.gaps_mask: p for s, p in table.entries.items()} != want:
@@ -208,7 +201,7 @@ def check_sum_preimages(f_max: int, workers: int = 1) -> CheckResult:
     name = f"sum-preimages(f<={f_max})"
     for f in range(1, f_max + 1):
         table = density_table(f, workers=workers)  # validates the sum itself
-        total = sum(table.entries.values())
+        total = int(table.counts.sum())
         if total != 1 << (f - 1):
             return _bad(name, f"f={f}: sum P(S) = {total} != 2^{f - 1}")
     return _ok(name, "sum_S P(S) = 2^(f-1), every f")
@@ -218,15 +211,14 @@ def check_window_factorization(f_max: int, t_max: int = 4,
                                workers: int = 1) -> CheckResult:
     """|B(D,f)| = A_D 2^(f-2t-1) for every D with Max(D) = t <= t_max."""
     name = f"window-factorization(t<={t_max},f<={f_max})"
-    a_arrays = {
-        t: window_counts(2 * t + 1, t, workers=workers)
-        for t in range(1, t_max + 1)
-    }
+    a_arrays = {}  # level t, read off the sweep at f = 2t+1
     for f in range(3, f_max + 1):
         cap = min(t_max, (f - 1) // 2)
         if cap < 1:
             continue
-        wide = window_counts(f, cap, workers=workers)
+        wide = density_table(f, workers=workers).window(cap)
+        if f == 2 * cap + 1:
+            a_arrays[cap] = wide
         for t in range(1, cap + 1):
             got = window_restrict(wide, cap, t)
             want = a_arrays[t] * (1 << (f - 2 * t - 1))
@@ -250,8 +242,9 @@ def check_preimage_identity(f: int, t_max: int = 3, workers: int = 1) -> CheckRe
     cap = min(t_max, (f - 1) // 2)
     name = f"preimage-identity(f={f},t<={cap})"
     wide_w = (f - 1) // 2
-    census = suffix_census(f, cap, workers=workers)
-    wide = window_counts(f, wide_w, workers=workers)
+    table = density_table(f, workers=workers)
+    census = table.census(cap)
+    wide = table.window(wide_w)
 
     def b_of(d: DSet) -> int:
         t = d.max_element
@@ -278,7 +271,8 @@ def check_small_multiplicity_bound(f_max: int, workers: int = 1) -> CheckResult:
     """#{T : m(A(T)) <= f/2} <= f 3^(f/2), compared in squares (exactly)."""
     name = f"small-multiplicity-bound(f<={f_max})"
     for f in range(2, f_max + 1):
-        c = count_small_multiplicity(f, f // 2, workers=workers)
+        counts = density_table(f, workers=workers).multiplicities()
+        c = sum(n for m, n in counts.items() if m <= f // 2)
         if c * c > f * f * 3**f:
             return _bad(name, f"f={f}: count {c} exceeds f*3^(f/2)")
     return _ok(name, "count(m(A(T)) <= f/2) <= f * 3^(f/2)")
@@ -288,7 +282,7 @@ def check_per_m_bounds(f_max: int, workers: int = 1) -> CheckResult:
     """#{T : m(A(T)) = m} <= (q+2)^(r-1) (q+1)^(m-r) when f = qm + r, 0<r<m."""
     name = f"per-m-bounds(f<={f_max})"
     for f in range(3, f_max + 1):
-        for m, c in multiplicity_counts(f, workers=workers).items():
+        for m, c in density_table(f, workers=workers).multiplicities().items():
             q, r = divmod(f, m)
             if r == 0:
                 continue  # bound stated only for m not dividing f
@@ -308,7 +302,8 @@ def check_c_unit_range(l_max: int = 5, workers: int = 1) -> CheckResult:
             # at the minimal f the free middle block is empty and the sweep
             # count is C_{l,k} itself, no 2^(f-1-k-max(k,l)) factor
             f = max(2 * k + 1, l + k + 1)
-            got = count_B_l(l, k, f, workers=workers)
+            table = density_table(f, prefix_zeros=l, workers=workers)
+            got = int(table.window(k)[1 << (k - 1)])
             if got != 1:
                 return _bad(name, f"C_{{{l},{k}}} = {got} != 1")
     return _ok(name, "C_{l,k} = 1 for k <= 2l+1 (swept, not assumed)")
@@ -634,7 +629,7 @@ def suite_oracle(max_f: int | None = None, cache: ConstantCache | None = None,
         out.append(_bad(name, f"got {g2}, {g12}, {g13.value}"))
 
     name = "g1-fixture"
-    g19 = count_G_l(1, 9, workers=workers)
+    g19 = int(density_table(9, prefix_zeros=1, workers=workers).preimages(0))
     out.append(
         _ok(name, "|G_1(9)| = 41") if g19 == 41
         else _bad(name, f"|G_1(9)| = {g19} != 41")
@@ -652,12 +647,12 @@ def suite_convergence(max_f: int | None = None, cache: ConstantCache | None = No
 
     name = f"mu-drift(f={f_cap},depth={depth})"
     dsets = [DSet(), DSet.of([1]), DSet.of([2]), DSet.of([1, 3])]
-    targets = [as_semigroup(n_of(d, f_cap, warn_uncertified=False)) for d in dsets]
-    counts = preimage_counts(f_cap, targets, workers=workers)
+    goals = [n_of(d, f_cap, warn_uncertified=False).gaps_mask for d in dsets]
+    counts = density_table(f_cap, workers=workers).preimages(goals)
     allowance = Fraction(2, 100) + tail_bound(depth)
     ok = True
-    for d, s in zip(dsets, targets):
-        mu = Fraction(counts[s], 1 << (f_cap - 1))
+    for d, count in zip(dsets, counts.tolist()):
+        mu = Fraction(count, 1 << (f_cap - 1))
         v = gamma(d, depth, cache, workers=workers).value
         if abs(mu - v) > allowance:
             out.append(_bad(name, f"D={d.key}: |mu - gamma| = {float(abs(mu - v)):.4f}"))
@@ -681,7 +676,8 @@ def suite_convergence(max_f: int | None = None, cache: ConstantCache | None = No
 
     f_g = min(f_cap, 20)
     iv = g_l_limit(1, depth, cache, workers=workers)
-    emp = Fraction(count_G_l(1, f_g, workers=workers), 1 << (f_g - 1))
+    g1 = density_table(f_g, prefix_zeros=1, workers=workers).preimages(0)
+    emp = Fraction(int(g1), 1 << (f_g - 1))
     inside = iv.lo - Fraction(2, 100) <= emp <= iv.hi + Fraction(2, 100)
     out.append(_ok(  # report-only: finite-f drift, no certified rate
         "g1-empirical-report",

@@ -16,13 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from nsdensity.core import DSet, as_semigroup, d_of, n_of
-from nsdensity.enumeration import (
-    alpha_empirical_all,
-    count_B,
-    density_table,
-    preimage_counts,
-)
+from nsdensity.core import DSet, d_of, n_of
+from nsdensity.enumeration import density_table
 from nsdensity.constants import build_a_constants
 from nsdensity.limits import (
     Interval,
@@ -106,7 +101,7 @@ def test_criterion_03_window_factorization():
     res = check_window_factorization(24, 4)
     assert res.passed, res.detail
     for f in range(1, 13):  # t = 0 degenerates to the full count
-        assert count_B(DSet(), f) == 1 << (f - 1)
+        assert density_table(f).window(0).tolist() == [1 << (f - 1)]
 
 
 def test_criterion_04_preimage_partition_identity():
@@ -189,7 +184,7 @@ def test_criterion_09_alpha_masses(shipped_cache):
     """alpha masses: exactly 1 at every finite f <= 20; the limit masses for
     n <= 9 certifiably capture at least 0.90 and never exceed 1."""
     for f in range(1, 21):
-        assert sum(alpha_empirical_all(f).values()) == 1, f"f = {f}"
+        assert sum(density_table(f).alpha().values()) == 1, f"f = {f}"
     iv = alpha_partial_sum(9, 15, shipped_cache)
     assert iv.lo >= Fraction(90, 100), str(iv)
     assert iv.hi <= 1, str(iv)
@@ -210,10 +205,10 @@ def test_criterion_11_finite_f_drift(shipped_cache):
     dsets = [DSet(), DSet.of([1]), DSet.of([2]), DSet.of([1, 3])]
     mus = {d.key: {} for d in dsets}
     for f in range(16, 25):
-        targets = [as_semigroup(n_of(d, f, warn_uncertified=False)) for d in dsets]
-        counts = preimage_counts(f, targets)
-        for d, s in zip(dsets, targets):
-            mus[d.key][f] = Fraction(counts[s], 1 << (f - 1))
+        goals = [n_of(d, f, warn_uncertified=False).gaps_mask for d in dsets]
+        counts = density_table(f).preimages(goals)
+        for d, count in zip(dsets, counts.tolist()):
+            mus[d.key][f] = Fraction(count, 1 << (f - 1))
     for d in dsets:
         v = gamma(d, 15, shipped_cache).value
         drift = abs(mus[d.key][24] - v)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from nsdensity import constants
+from nsdensity import cli, constants
 from nsdensity.core import DSet
 from nsdensity.constants import (
     CacheConflictError,
@@ -307,6 +307,22 @@ class TestCacheFile:
         with pytest.raises(CacheConflictError, match="level 4: 7 A constants"):
             cache_store(cache, tmp_path / "c.cache")
         assert list(tmp_path.iterdir()) == []
+
+    def test_empty_set_record_has_its_own_refusal(self, tmp_path, capsys):
+        # A_∅ has no level: the level rule's powers 2^(t-1), 3^(t-1) at
+        # t = 0 would only print negative exponents
+        path = tmp_path / "bad.cache"
+        path.write_text("A|∅|1\n", encoding="utf-8")
+        code = cli.main(["gamma", "--d", "1", "--depth", "3", "--cache", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "A_∅ = 1 by definition and is never stored" in err
+        assert "^-" not in err
+        cache = build_a_constants(2)
+        cache.a_entries[0] = 1
+        with pytest.raises(CacheConflictError, match="never stored"):
+            cache_store(cache, tmp_path / "c.cache")
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_store_refuses_c_out_of_range(self, tmp_path):
         cache = build_a_constants(2)

@@ -15,6 +15,7 @@ from nsdensity.core import (
     a_mask,
     as_semigroup,
     associated_semigroup_definitional,
+    multiplicity,
     n_f,
     n_of,
     suffix_pattern,
@@ -22,23 +23,17 @@ from nsdensity.core import (
 from nsdensity.enumeration import (
     BudgetError,
     DensityTable,
-    alpha_empirical,
-    alpha_empirical_all,
-    count_B,
-    count_B_l,
-    count_G_l,
-    count_S,
-    count_small_multiplicity,
     density_table,
-    multiplicity_counts,
-    preimage_counts,
-    suffix_census,
     top_slice_counts,
     window_counts,
     window_restrict,
 )
 from nsdensity import cli, enumeration
-from nsdensity.verify import check_amap_sweep, check_topslice_sweep
+from nsdensity.verify import (
+    check_amap_sweep,
+    check_preimage_identity,
+    check_topslice_sweep,
+)
 
 # preimage counts at f = 9, keyed by D(S); computed with the pairwise-scan
 # reference route and frozen
@@ -95,10 +90,24 @@ class TestDensityTable:
         )
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DensityTable(3, {n_f(3): 3})  # sum is 3, not 4
-        with pytest.raises(ValueError):
-            DensityTable(3, {n_f(4): 8})  # wrong f on entry
+        def table(f, masks, counts, prefix_zeros=0):
+            return DensityTable(
+                f, prefix_zeros, np.array(masks, dtype=np.uint64),
+                np.array(counts, dtype=np.int64),
+            )
+
+        with pytest.raises(ValueError, match="expected 2\\^2"):
+            table(3, [0], [3])  # sum is 3, not 4
+        with pytest.raises(ValueError, match="expected 2\\^1"):
+            table(3, [0], [4], prefix_zeros=1)  # avoiding [1, 1] leaves 2 sets
+        with pytest.raises(ValueError, match="< 1"):
+            table(3, [0, 1], [5, -1])
+        # entries are validated by Semigroup when they are built
+        with pytest.raises(ValueError, match="out of range for f=3"):
+            table(3, [4], [4]).entries  # no gap mask of f = 3 has bit 2
+        with pytest.raises(ValueError, match="not closed"):
+            table(5, [1], [16]).entries  # {0, 1, 6, ...} lacks 1 + 1
+        assert table(3, [0, 2], [3, 1]).entries == density_table(3).entries
 
     def test_workers_equivalence(self):
         assert density_table(13).entries == density_table(13, workers=3).entries
@@ -137,7 +146,7 @@ class TestDensityTable:
     def test_budget_states_the_prefix_sweep(self):
         # avoiding [1, 5] leaves 2^34 of the 2^39 sets at f = 40
         with pytest.raises(BudgetError, match=r"f=40 exceeds budget f<=30 \(2\^34 sets\)"):
-            count_G_l(5, 40, budget=30)
+            density_table(40, prefix_zeros=5, budget=30)
         with pytest.raises(BudgetError, match=r"\(2\^28 sets\)"):
             window_counts(31, 4, prefix_zeros=2)
 
@@ -145,13 +154,15 @@ class TestDensityTable:
         f = 12
         table = density_table(f)
         # n_f may repeat a table entry: duplicates must not double-count
-        targets = list(table.entries)[:5] + [n_f(f)]
-        got = preimage_counts(f, targets)
-        for s in targets:
-            assert got[s] == table.entries[s]
-        with pytest.raises(ValueError):
-            preimage_counts(f, [n_f(f + 1)])
-        assert preimage_counts(f, []) == {}
+        targets = list(table.entries)[:5] + [n_f(f), n_f(f)]
+        got = table.preimages([s.gaps_mask for s in targets])
+        assert got.tolist() == [table.entries[s] for s in targets]
+        assert table.preimages(0) == table.entries[n_f(f)]
+        # masks of no semigroup at f = 12, among and above the swept ones:
+        # {0, 1, 13, ...} and {0, 2, ..., 11, 13, ...}, where 2 + 10 = f
+        absent = [1, (1 << (f - 1)) - 2, (1 << 63) + 5]
+        assert table.preimages(absent).tolist() == [0, 0, 0]
+        assert table.preimages([]).tolist() == []
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,10 +221,13 @@ class TestAMapSweep:
     def test_merge_across_chunks(self):
         # many chunks, each with its own np.unique tally, merge to the table
         f = 13
-        masks, counts = enumeration._preimage_tally(f, chunk=4, workers=2)
+        chunked = density_table(f, chunk=4, workers=2)
         table = density_table(f)
-        assert masks.tolist() == sorted(s.gaps_mask for s in table.entries)
-        assert counts.tolist() == [table.entries[Semigroup(f, m)] for m in masks.tolist()]
+        assert chunked.masks.tolist() == sorted(s.gaps_mask for s in table.entries)
+        assert chunked.counts.tolist() == [
+            table.entries[Semigroup(f, m)] for m in chunked.masks.tolist()
+        ]
+        assert chunked.entries == table.entries
 
     def test_verify_check(self):
         res = check_amap_sweep(12, 16)
@@ -369,37 +383,46 @@ class TestTopSlice:
     def test_validation(self):
         with pytest.raises(ValueError):
             top_slice_counts(0)
-        with pytest.raises(ValueError):
-            top_slice_counts(3, prefix_zeros=3)  # prefix must stay below t
+        # the prefix [1, l] is a run of digits: 0 <= l <= t-1
+        for t, prefix in ((3, -1), (3, 3), (5, -2), (5, 5), (5, 9)):
+            with pytest.raises(ValueError, match="below t"):
+                top_slice_counts(t, prefix_zeros=prefix)
 
 
 class TestBCounters:
     def test_count_B_factorization_spot(self):
         # A_{1} = 1, A_{2} = 2, A_{1,2} = 1 (frozen)
         for f in range(4, 17):
-            assert count_B(DSet.of([1]), f) == 1 << (f - 3)
-        for f in range(6, 17):
-            assert count_B(DSet.of([2]), f) == 2 * (1 << (f - 5))
-            assert count_B(DSet.of([1, 2]), f) == 1 << (f - 5)
+            table = density_table(f)
+            assert table.window(1)[DSet.of([1]).mask] == 1 << (f - 3)
+            if f >= 6:
+                two = table.window(2)
+                assert two[DSet.of([2]).mask] == 2 * (1 << (f - 5))
+                assert two[DSet.of([1, 2]).mask] == 1 << (f - 5)
 
     def test_count_B_empty(self):
-        assert count_B(DSet(), 9) == 256
+        # the width-0 window has one pattern, D = ∅, met by every set
+        assert density_table(9).window(0).tolist() == [256]
+        assert density_table(9, prefix_zeros=3).window(0).tolist() == [32]
 
     def test_count_B_validation(self):
         with pytest.raises(ValueError):
-            count_B(DSet.of([3]), 6)  # needs f > 2t
+            density_table(6).window(3)  # needs f > 2t
+        with pytest.raises(ValueError):
+            density_table(6).window(-1)
 
     def test_count_B_l_fixture(self):
         # C_{l,k} at minimal f; frozen from the pairwise-scan route
-        assert count_B_l(1, 4, 9) == 3
-        assert count_B_l(1, 5, 11) == 6
-        assert count_B_l(2, 6, 13) == 5
+        assert density_table(9, prefix_zeros=1).window(4)[1 << 3] == 3
+        assert density_table(11, prefix_zeros=1).window(5)[1 << 4] == 6
+        assert density_table(13, prefix_zeros=2).window(6)[1 << 5] == 5
 
     def test_count_G_l(self):
-        assert count_G_l(1, 9) == 41
+        assert density_table(9, prefix_zeros=1).preimages(0) == 41
         # prefix partition at l = 0: G_0(f) = P(N_f)
         for f in (8, 9, 10):
-            assert count_G_l(0, f) == preimage_counts(f, [n_f(f)])[n_f(f)]
+            table = density_table(f)
+            assert table.preimages(0) == table.entries[n_f(f)]
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_count_G_l_against_definitional(self, l):
@@ -409,17 +432,18 @@ class TestBCounters:
                 1 for mask in range(0, 1 << (f - 1), 1 << l)
                 if associated_semigroup_definitional(NumericalSet(f, mask)).gaps_mask == 0
             )
-            assert count_G_l(l, f) == want, (l, f)
+            assert density_table(f, prefix_zeros=l).preimages(0) == want, (l, f)
 
     def test_count_S_residual_not_plain_mult(self):
         # plain "2 m(A(T)) <= f inside B(D,f)" would give 10 here; the
         # partition residual is empty because each such set already lies
         # in some B(D u {k}, f) with 2k < f
-        assert count_S(DSet.of([1]), 10) == 0
+        assert density_table(10).census(1).s_counts[DSet.of([1])] == 0
 
     def test_count_S_against_definitional(self):
         for f in (10, 11):
             wide = (f - 1) // 2
+            census = density_table(f).census(3)
             for mask in range(8):
                 d = DSet.from_mask(mask)
                 want = 0
@@ -429,26 +453,50 @@ class TestBCounters:
                     mult = (am & -am).bit_length() if am else f + 1
                     if (suffix_pattern(a, wide) == d) and 2 * mult <= f:
                         want += 1
-                assert count_S(d, f) == want
+                assert census.s_counts[d] == want
 
 
 class TestSuffixCensus:
     @pytest.mark.parametrize("f", [10, 13])
     def test_census_matches_pointwise_counters(self, f):
-        census = suffix_census(f, 3)
+        # each census column against the semigroup-by-semigroup route over
+        # the table's entries, which reads D and m(S) with core's functions
         table = density_table(f)
+        census = table.census(3)
+        wide = (f - 1) // 2
         for mask in range(8):
             d = DSet.from_mask(mask)
             s = as_semigroup(n_of(d, f, warn_uncertified=False))
             assert census.p_counts[d] == table.entries.get(s, 0)
-            assert census.s_counts[d] == count_S(d, f)
+            assert census.s_counts[d] == sum(
+                p for a, p in table.entries.items()
+                if suffix_pattern(a, wide) == d and 2 * multiplicity(a) <= f
+            )
             if d.max_element >= 1:
-                b = window_restrict(census.buckets, census.width, d.max_element)
-                assert b[d.mask] == count_B(d, f)
+                t = d.max_element
+                b = window_restrict(census.buckets, census.width, t)
+                assert b[d.mask] == table.window(t)[d.mask] == sum(
+                    p for a, p in table.entries.items()
+                    if suffix_pattern(a, t) == d
+                )
 
     def test_census_validation(self):
         with pytest.raises(ValueError):
-            suffix_census(7, 4)  # max_t beyond (f-1)//2
+            density_table(7).census(4)  # max_t beyond (f-1)//2
+
+    def test_preimage_identity_is_one_sweep(self, monkeypatch):
+        # the census and the wide window are two reductions of one table
+        calls = []
+        real = enumeration._map_chunks
+
+        def counted(f, func, **sweep):
+            calls.append((f, sweep.get("prefix_zeros", 0)))
+            return real(f, func, **sweep)
+
+        monkeypatch.setattr(enumeration, "_map_chunks", counted)
+        res = check_preimage_identity(12)
+        assert res.passed, res.detail
+        assert calls == [(12, 0)]
 
 
 class TestWorkers:
@@ -460,18 +508,21 @@ class TestWorkers:
         assert np.array_equal(one, window_counts(21, 7, prefix_zeros=2, workers=2))
 
     def test_suffix_census(self):
-        one, two = suffix_census(19, 4), suffix_census(19, 4, workers=2)
+        one = density_table(19).census(4)
+        two = density_table(19, workers=2).census(4)
         assert np.array_equal(one.buckets, two.buckets)
         assert one.p_counts == two.p_counts and one.s_counts == two.s_counts
 
     def test_multiplicity_counts(self):
-        assert multiplicity_counts(19) == multiplicity_counts(19, workers=2)
+        one, two = density_table(19), density_table(19, workers=2)
+        assert one.multiplicities() == two.multiplicities()
 
     def test_preimage_counts(self):
         f = 19
-        targets = [as_semigroup(n_of(DSet.from_mask(m), f, warn_uncertified=False))
-                   for m in range(16)]
-        assert preimage_counts(f, targets) == preimage_counts(f, targets, workers=2)
+        goals = [n_of(DSet.from_mask(m), f, warn_uncertified=False).gaps_mask
+                 for m in range(16)]
+        one, two = density_table(f), density_table(f, workers=2)
+        assert np.array_equal(one.preimages(goals), two.preimages(goals))
 
 
 class TestMultiplicityStats:
@@ -482,32 +533,37 @@ class TestMultiplicityStats:
             am = associated_semigroup_definitional(NumericalSet(f, gm)).gaps_mask
             m = (am & -am).bit_length() if am else f + 1
             want[m] = want.get(m, 0) + 1
-        assert multiplicity_counts(f) == want
+        assert density_table(f).multiplicities() == want
 
     def test_small_multiplicity_consistency(self):
+        # #{T : m(A(T)) <= bound} from the table against core.a_mask
         f = 14
-        counts = multiplicity_counts(f)
-        for bound in (2, 5, 7, f):
-            assert count_small_multiplicity(f, bound) == sum(
-                c for m, c in counts.items() if m <= bound
+        counts = density_table(f).multiplicities()
+        mults = []
+        for gm in range(1 << (f - 1)):
+            am = a_mask(f, gm)
+            mults.append((am & -am).bit_length() if am else f + 1)
+        for bound in (1, 2, 5, 7, f):
+            assert sum(c for m, c in counts.items() if m <= bound) == sum(
+                1 for m in mults if m <= bound
             )
-        with pytest.raises(ValueError):
-            count_small_multiplicity(f, 0)
 
     def test_alpha_empirical_sums_to_one(self):
         for f in range(1, 13):
-            assert sum(alpha_empirical_all(f).values()) == 1
+            assert sum(density_table(f).alpha().values()) == 1
 
     def test_alpha_empirical_values(self):
         # R(S) = -1 exactly for the minimal semigroup, so alpha_{-1}(f) is
         # its density
         f = 9
-        assert alpha_empirical(f, -1) == Fraction(TABLE_9["∅"], 256)
+        alpha = density_table(f).alpha()
+        assert alpha[-1] == Fraction(TABLE_9["∅"], 256)
         # R(S) = n > 0 collects all D with Max(D) = n
-        assert alpha_empirical(f, 3) == Fraction(
+        assert alpha[3] == Fraction(
             TABLE_9["3"] + TABLE_9["1,3"] + TABLE_9["2,3"] + TABLE_9["1,2,3"],
             256,
         )
-        assert alpha_empirical(f, 2) == Fraction(TABLE_9["2"] + TABLE_9["1,2"], 256)
-        with pytest.raises(ValueError):
-            alpha_empirical(f, -2)
+        assert alpha[2] == Fraction(TABLE_9["2"] + TABLE_9["1,2"], 256)
+        # R(S) is -1 or in [1, f-2]: never 0, never below -1
+        assert list(alpha) == sorted(alpha)
+        assert set(alpha) <= {-1} | set(range(1, f - 1))
