@@ -32,6 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 
 from .core import DSet
 from .constants import (
@@ -108,12 +109,12 @@ class GammaEstimate:
     a_d: int
     terms: tuple[tuple[int, int], ...]  # (k, A_{D∪{k}}) for k = t+1 .. depth
 
-    @property
+    @cached_property
     def interval(self) -> Interval:
         """Raw series enclosure [value - (3/4)^N, value]."""
         return Interval(self.value - self.tail, self.value)
 
-    @property
+    @cached_property
     def refined_interval(self) -> Interval:
         """Series enclosure intersected with the structural facts.
 
@@ -143,12 +144,13 @@ def gamma(
     if cache is None:
         cache = ConstantCache()  # local reuse across the k-loop's batches
     a_d = a_const(d, cache, budget=budget, workers=workers)
-    value = Fraction(a_d, 4**t)
+    scaled = a_d * 4 ** (depth - t)  # the truncation times 4^depth
     terms = []
     for k in range(t + 1, depth + 1):
         a_k = a_const(d.with_added(k), cache, budget=budget, workers=workers)
         terms.append((k, a_k))
-        value -= Fraction(a_k, 4**k)
+        scaled -= a_k * 4 ** (depth - k)
+    value = Fraction(scaled, 4**depth)
     return GammaEstimate(d, depth, value, tail_bound(depth), a_d, tuple(terms))
 
 

@@ -1,10 +1,11 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nsdensity import cli, constants
-from nsdensity.core import DSet
+from nsdensity.core import DSet, parse_d_mask
 from nsdensity.constants import (
     CacheConflictError,
     ConstantCache,
@@ -40,6 +41,22 @@ A_FIXTURES = {
 
 # C_{l,k} beyond the closed-form range, frozen from the same route
 C_FIXTURES = {(1, 4): 3, (1, 5): 6, (1, 6): 17, (2, 6): 5, (2, 7): 11, (2, 8): 36}
+
+
+def a_records(depth: int) -> str:
+    """The A_FIXTURES records of every level up to ``depth``."""
+    return "".join(
+        f"A|{key}|{value}\n"
+        for t in range(1, depth + 1)
+        for key, value in A_FIXTURES[t].items()
+    )
+
+
+# the largest value the numpy route reads, 18 digits, at each of the 16
+# keys of level 5: an int64 sum of them would wrap
+LEVEL_5_AT_18_DIGITS = a_records(4) + "".join(
+    f"A|{key}|{10**18 - 1}\n" for key in A_FIXTURES[5]
+)
 
 
 class TestBatches:
@@ -227,6 +244,7 @@ class TestCacheFile:
         "2,1", "1,3,2",  # not ascending
         "1,1", "2,2",  # duplicates
         "", " ", "∅", "{}",  # the empty set, which has no level
+        "1\x00", "\x002",  # NUL bytes
     ])
     def test_load_rejects_malformed_key(self, tmp_path, key):
         path = tmp_path / "bad.cache"
@@ -261,7 +279,22 @@ class TestCacheFile:
         ("A|∅|1\n", "level 0"),  # A over the empty set is 1 and never stored
         # no top slice deeper than t = 31 fits a 64-bit word
         ("A|1|1\nA|32|1\n", r"level 32: A levels lie in \[1, 31\]"),
-    ], ids=["zero", "above-cap", "empty-set", "level-32"])
+        ("A|63|1\n", r"level 63: A levels lie in \[1, 31\]"),
+        # of two broken levels, the one the file holds first is named
+        ("A|3|1\nA|1|2\n", r"level 3: 1 A constants in \[1, 1\]"),
+        # totals stay exact past int64: the level rule sums Python ints
+        (LEVEL_5_AT_18_DIGITS, r"level 5: 16 A constants in "
+         r"\[999999999999999999, 999999999999999999\] "
+         r"summing to 15999999999999999984;"),
+        # values past 18 digits take the per-line route, read exactly
+        ("A|1|18446744073709551617\n", r"level 1: 1 A constants in "
+         r"\[18446744073709551617, 18446744073709551617\] "
+         r"summing to 18446744073709551617;"),
+        ("A|1|1\nA|2|1234567890123456789\nA|1,2|1\n", r"level 2: 2 A constants "
+         r"in \[1, 1234567890123456789\] summing to 1234567890123456790;"),
+    ], ids=["zero", "above-cap", "empty-set", "level-32", "level-63",
+            "level-3-before-1", "level-5-at-18-digits", "past-uint64",
+            "19-digits"])
     def test_load_rejects_a_out_of_range(self, tmp_path, records, message):
         path = tmp_path / "bad.cache"
         path.write_text(records, encoding="utf-8")
@@ -331,12 +364,151 @@ class TestCacheFile:
             cache_store(cache, tmp_path / "c.cache")
         assert list(tmp_path.iterdir()) == []
 
+    def test_store_refuses_a_mask_past_64_bits(self, tmp_path):
+        cache = build_a_constants(2)
+        cache.set_a(DSet.of([70]), 1)
+        with pytest.raises(CacheConflictError, match=r"level 70: A levels lie in \[1, 31\]"):
+            cache_store(cache, tmp_path / "c.cache")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_store_failure_leaves_no_temp_file(self, tmp_path):
+        # the rename onto a directory fails after the temp file is written
+        target = tmp_path / "d"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            cache_store(build_a_constants(2), target)
+        assert list(tmp_path.glob("*.tmp.*")) == []
+        assert list(tmp_path.iterdir()) == [target]
+
     def test_resolution_order(self, tmp_path, monkeypatch):
         monkeypatch.delenv("NSDENSITY_CACHE", raising=False)
         assert resolve_cache_path(None) == os.path.join(os.curdir, "nsdensity.cache")
         monkeypatch.setenv("NSDENSITY_CACHE", str(tmp_path / "env.cache"))
         assert resolve_cache_path(None) == str(tmp_path / "env.cache")
         assert resolve_cache_path("flag.cache") == "flag.cache"
+
+
+def per_line_load(path) -> ConstantCache:
+    """The oracle for cache_load: its per-line parser on every line, split
+    as a text file opened with newline="" splits them, then the same rules."""
+    cache = ConstantCache()
+    with open(path, encoding="utf-8", newline="") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            constants._parse_record(cache, path, lineno, raw)
+    constants._check_rules(cache)
+    return cache
+
+
+def load_outcome(load, path):
+    """Every stored pair in insertion order, C constants and provenance; or
+    the exception's class and message."""
+    try:
+        cache = load(path)
+    except Exception as e:
+        return type(e), str(e)
+    return list(cache.a_entries.items()), cache.c_entries, cache.provenance
+
+
+SMALL = "# a-depth: 3\n# format: 1\n" + a_records(3) + "C|1,4|3\n"
+SHIPPED_TEXT = SHIPPED_CACHE.read_text(encoding="utf-8")
+# 8000 blank lines put a repeat of the first A record about 40k lines, and
+# several numpy blocks, after it
+FAR = SHIPPED_TEXT + "\n" * 8000
+FIRST_A = next(ln for ln in SHIPPED_TEXT.split("\n") if ln.startswith("A|"))
+RAISED = FIRST_A.rsplit("|", 1)[0] + f"|{int(FIRST_A.rsplit('|', 1)[1]) + 1}"
+CORRUPT_13 = next(ln for ln in SHIPPED_TEXT.split("\n") if ln.startswith("A|1,3|"))
+
+LOADER_CASES = {
+    "shipped": SHIPPED_TEXT,
+    "shipped-1,3-raised": SHIPPED_TEXT.replace(
+        CORRUPT_13 + "\n", f"A|1,3|{int(CORRUPT_13[6:]) + 1}\n"
+    ),
+    "small": SMALL,
+    "crlf": SMALL.replace("\n", "\r\n"),
+    "lone-cr": SMALL.replace("A|1|1\n", "A|1|1\r"),
+    "bom": "\ufeff" + SMALL,
+    "no-final-lf": SMALL[:-1],
+    "no-final-lf-conflict": SMALL + "A|2|3",
+    "blank-and-comment-lines": SMALL.replace("\nA|", "\n\n# note: x\n\nA|"),
+    "int-spellings": "A|+1|1\nA| 2|2\nA|01, 2 |1\n",
+    "value-007": "A|1|007\n",
+    "value-003": SMALL.replace("A|3|3\n", "A|3|003\n"),
+    "equal-duplicate": SMALL + "A|2|2\n",
+    "conflicting-duplicate": SMALL + "A|2|3\n",
+    "equal-duplicate-40k-lines-apart": FAR + FIRST_A + "\n",
+    "conflicting-duplicate-40k-lines-apart": FAR + RAISED + "\n",
+    "conflict-across-routes": "A|+1|1\nA|1|2\n",
+    "conflict-across-routes-reversed": "A|1|1\nA|+1|2\n",
+    "conflict-before-malformed": "A|1|1\nA|1|2\nA|1|x\n",
+    "malformed-before-conflict": "A|1|x\nA|1|1\nA|1|2\n",
+    "element-63": "A|63|1\n",
+    "element-64": "A|64|1\n",
+    "element-163": "A|163|1\n",
+    "nul": SMALL.replace("A|2|2\n", "A|2|2\x00\n"),
+    "invalid-utf-8": SMALL.encode() + b"A|1|\xff\n",
+    "extra-field": SMALL + "A|1|1|2\n",
+    "extra-field-ascending": SMALL + "A|1|2|5\n",
+    "no-key": SMALL + "A|5\n",
+    "head-closed-by-comma": SMALL + "A,1|5\n",
+    "empty": "",
+    "level-5-at-18-digits": LEVEL_5_AT_18_DIGITS,
+    "19-digits": "A|1|1000000000000000000\n",
+    "past-uint64": "A|1|18446744073709551617\n",
+}
+
+
+class TestLoaderRoutes:
+    @pytest.mark.parametrize("name", LOADER_CASES)
+    def test_matches_the_per_line_parser(self, tmp_path, name):
+        content = LOADER_CASES[name]
+        path = tmp_path / "c.cache"
+        if isinstance(content, str):
+            content = content.encode("utf-8")
+        path.write_bytes(content)
+        assert load_outcome(cache_load, path) == load_outcome(per_line_load, path)
+
+    def test_shipped_cache_parses_its_a_records_in_numpy(self, monkeypatch):
+        # only the 3 provenance lines and 15 C records take the per-line route
+        seen = []
+        parse = constants._parse_record
+
+        def spy(cache, path, lineno, raw):
+            seen.append(raw)
+            parse(cache, path, lineno, raw)
+
+        monkeypatch.setattr(constants, "_parse_record", spy)
+        cache = cache_load(SHIPPED_CACHE)
+        assert len(cache.a_entries) == 2**15 - 1
+        assert len(seen) == 18
+        assert not any(raw.startswith("A|") for raw in seen)
+
+    @pytest.mark.parametrize("line, canonical", [
+        ("A|1|1", True), ("A|63|5", True), ("A|1,2,10,63|0", True),
+        ("A|3|007", True), (f"A|4|{10**18 - 1}", True),
+        ("A|64|1", False), ("A|100|1", False), ("A|163|1", False),
+        ("A|1,263|1", False), ("A|0|1", False),
+        ("A|01|1", False), ("A|+1|1", False), ("A| 2|1", False),
+        ("A|2,1|1", False), ("A|1,1|1", False), ("A|1,,2|1", False),
+        ("A|1,|1", False), ("A|,1|1", False), ("A||1", False), ("A|1|", False),
+        ("A|1|1|2", False), ("A|1|2|5", False), ("A|1,2", False),
+        ("A|5", False), ("A,1|5", False), ("A|1|-1", False),
+        (f"A|1|{10**18}", False), ("A|1|1\x00", False), ("AA|1|1", False),
+        ("B|1|1", False), ("C|1,4|3", False), ("# a: b", False), ("", False),
+    ])
+    def test_canonical_grammar(self, line, canonical):
+        # the line between two canonical ones, so a field may not leak
+        block = f"A|1|1\n{line}\nA|2,3|2\n".encode()
+        ends, flags, masks, values = constants._canonical_a_records(
+            np.frombuffer(block, np.uint8)
+        )
+        assert ends.tolist() == [i for i, b in enumerate(block) if b == 10]
+        assert flags.tolist() == [True, canonical, True]
+        assert masks[[0, 2]].tolist() == [0b1, 0b110]
+        assert values[[0, 2]].tolist() == [1, 2]
+        if canonical:
+            _, key, value = line.split("|")
+            assert masks[1] == parse_d_mask(key)
+            assert values[1] == int(value)
 
 
 class TestShippedCache:

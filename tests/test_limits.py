@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nsdensity.core import DSet
-from nsdensity.constants import ConstantCache
+from nsdensity.constants import ConstantCache, build_a_constants
 from nsdensity.enumeration import BudgetError
 from nsdensity.limits import (
     AlphaEstimate,
@@ -99,6 +99,20 @@ class TestGamma:
         assert g.interval.lo < 0
         assert g.refined_interval.lo == Fraction(7, 384)
         assert g.refined_interval.hi == g.value
+
+    def test_intervals_are_computed_once(self):
+        g = gamma(DSet.of([1]), 6)
+        assert g.interval is g.interval
+        assert g.refined_interval is g.refined_interval
+
+    def test_value_is_the_exact_series(self):
+        cache = build_a_constants(8)
+        d = DSet.of([2, 3])
+        g = gamma(d, 8, cache)
+        want = Fraction(cache.a(d), 4**3) - sum(
+            Fraction(cache.a(d.with_added(k)), 4**k) for k in range(4, 9)
+        )
+        assert g.value == want
 
     def test_refined_interval_empty_is_an_error(self):
         # a value below the structural bound would refute the constants
