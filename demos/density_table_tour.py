@@ -12,13 +12,7 @@ m(S) = min(S \\ {0}), R(S) = f - m(S).
 import argparse
 from fractions import Fraction
 
-from nsdensity import (
-    d_of,
-    decimal_str,
-    density_table,
-    multiplicity,
-    r_value,
-)
+from nsdensity import DSet, decimal_str, density_table
 
 
 def main() -> None:
@@ -30,20 +24,17 @@ def main() -> None:
     table = density_table(f)
     print(f"f = {f}: {1 << (f - 1)} numerical sets map onto {len(table)} semigroups\n")
     print(f"{'D(S)':>12}  {'m':>3}  {'R':>3}  {'P(S)':>6}  mu(S)")
-    for s, p in table.sorted_entries():
-        print(
-            f"{d_of(s).key:>12}  {multiplicity(s):>3}  {r_value(s):>3}  "
-            f"{p:>6}  {decimal_str(table.mu(s))}"
-        )
-    total = sum(table.entries.values())
+    _, d_masks, mults, counts = table.ranked()
+    for d, m, p in zip(d_masks.tolist(), mults.tolist(), counts.tolist()):
+        mu = decimal_str(Fraction(p, table.sets))
+        print(f"{DSet(d).key:>12}  {m:>3}  {f - m:>3}  {p:>6}  {mu}")
+    total = int(counts.sum())
     print(f"\nsum of P(S) = {total} = 2^{f - 1}  (every set lands somewhere)")
 
-    half = Fraction(1, 2)
-    top = table.sorted_entries()[0]
+    top = Fraction(int(counts[0]), table.sets)
     print(
-        f"top semigroup is N_f = {{0}} ∪ (f, ∞) with mu = "
-        f"{decimal_str(table.mu(top[0]))}"
-        + ("  (already past 1/2's neighborhood)" if table.mu(top[0]) > half else "")
+        f"top semigroup is N_f = {{0}} ∪ (f, ∞) with mu = {decimal_str(top)}"
+        + ("  (already past 1/2's neighborhood)" if top > Fraction(1, 2) else "")
     )
 
     print("\nmass by R(S) = f - m(S):")

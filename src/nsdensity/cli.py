@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DSet, d_of, multiplicity, r_value
+from .core import DSet, d_keys
 from .enumeration import (
     BudgetError,
     DEFAULT_ENUM_BUDGET,
@@ -46,6 +46,7 @@ from .limits import (
     gamma,
     gamma_lower_bound,
     gamma_table,
+    ratio_str,
 )
 from .verify import SUITES, run_suites
 
@@ -178,6 +179,12 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+def _dyadic(p: int, e: int) -> str:
+    """p/2^e (p >= 1) in lowest terms, as :func:`_frac` writes it."""
+    z = min((p & -p).bit_length() - 1, e)
+    return f"{p >> z}/{1 << (e - z)}" if z < e else str(p >> z)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -185,18 +192,14 @@ def _frac(x: Fraction) -> str:
 def cmd_enumerate(args: argparse.Namespace) -> Report:
     f = args.f
     table = density_table(f, budget=args.enum_budget, workers=args.workers)
-    total = sum(table.entries.values())
-    rows = []
-    for s, p in table.sorted_entries():
-        mu = table.mu(s)
-        rows.append([
-            d_of(s).key,
-            str(multiplicity(s)),
-            str(r_value(s)),
-            str(p),
-            _frac(mu),
-            decimal_str(mu),
-        ])
+    _, d_masks, mults, counts = table.ranked()
+    total = table.sets  # DensityTable refuses a tally of any other sum
+    rows = [
+        [key, str(m), str(f - m), str(p), _dyadic(p, f - 1), ratio_str(p, total)]
+        for key, m, p in zip(
+            d_keys(d_masks.tolist(), f - 1), mults.tolist(), counts.tolist()
+        )
+    ]
     header = ["d", "m", "r", "p", "mu", "mu_decimal"]
     identity_ok = total == 1 << (f - 1)
     payload = {
@@ -273,6 +276,10 @@ def cmd_table(args: argparse.Namespace) -> Report:
     tbl, _ = _series(args, gamma_table, args.max_t)
     distinct, inconclusive = tbl.distinctness_counts()
     header = ["d", "value_decimal", "lo", "hi", "refined_lo", "positivity_bound"]
+    # the bound depends on t = Max(D) alone; none is stated for D = ∅
+    bounds = [""] + [
+        decimal_str(gamma_lower_bound(DSet.of([t]))) for t in range(1, tbl.max_t + 1)
+    ]
     rows = [
         [
             r.d.key,
@@ -280,7 +287,7 @@ def cmd_table(args: argparse.Namespace) -> Report:
             decimal_str(r.interval.lo),
             decimal_str(r.interval.hi),
             decimal_str(r.refined_interval.lo),
-            decimal_str(gamma_lower_bound(r.d)) if r.d.max_element >= 1 else "",
+            bounds[r.d.max_element],
         ]
         for r in tbl.rows
     ]

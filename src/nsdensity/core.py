@@ -124,13 +124,28 @@ def parse_d_mask(text: str) -> int:
     return mask
 
 
-def d_mask_keys(depth: int) -> list[str]:
-    """The key of every D with Max(D) <= depth, indexed by D.mask, as
-    :attr:`DSet.key` writes it except '' for the empty set.  Level t
-    appends ",t" to every key below it, one concatenation per key."""
+def d_mask_keys(depth: int, first: int = 1) -> list[str]:
+    """The key of every D ⊆ [first, first+depth-1], indexed by
+    D.mask >> (first-1), as :attr:`DSet.key` writes it except '' for the
+    empty set.  Element e appends ",e" to every key below it, one
+    concatenation per key."""
     keys = [""]
-    for t in range(1, depth + 1):
-        keys += [f"{k},{t}" if k else str(t) for k in keys]
+    for e in range(first, first + depth):
+        keys += [f"{k},{e}" if k else str(e) for k in keys]
+    return keys
+
+
+def d_keys(masks: Iterable[int], width: int) -> list[str]:
+    """:attr:`DSet.key` of each D.mask in ``masks``, all below 2^width.
+    Each key is its low and high halves' keys, looked up in two tables of
+    about 2^(width/2) keys and joined by ','."""
+    half = width // 2
+    low_bits = _low_bits(half)
+    low, high = d_mask_keys(half), d_mask_keys(width - half, half + 1)
+    keys = []
+    for m in masks:
+        a, b = low[m & low_bits], high[m >> half]
+        keys.append(f"{a},{b}" if a and b else a or b or "∅")
     return keys
 
 

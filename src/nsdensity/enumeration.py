@@ -8,7 +8,12 @@ preimage count P(S) of every semigroup S = A(T) it meets; the
 about A(T) alone, so each is a method of the table that reduces it: it
 reads its window, multiplicity or key off the few distinct A-masks and sums
 their counts with exact integer arithmetic, so results are independent of
-chunking and worker count, and no counter sweeps again.
+chunking and worker count, and no counter sweeps again.  Two more
+reductions serve the report: the table checks on construction, one array
+pass per element, that every A-mask it holds is closed under addition,
+and ``DensityTable.ranked`` gives the masks in report order with their D
+masks, multiplicities and counts.  The per-semigroup objects of
+``DensityTable.entries`` remain as the slow route they are checked against.
 
 s in [1, f-1] lies in A(T) iff no pair (x, x+s) with x <= f-s has x in T
 and x+s not in T; 0 is in T and f is not.  The violation mask V(T), bit s-1
@@ -317,6 +322,19 @@ def _mult_chunk(amask: np.ndarray, f: int) -> np.ndarray:
     return np.where(amask == 0, np.uint64(f + 1), m)
 
 
+def _closed(gaps: np.ndarray, f: int) -> np.ndarray:
+    """Whether each gap mask is closed under addition: the rule of
+    :func:`nsdensity.core.is_semigroup`, one array pass per x in [1, f-1].
+    No y <= f-x in the set may have x+y out of it when x is a member."""
+    full = gaps << _U1 | _U1
+    closed = np.ones(gaps.shape, dtype=bool)
+    for x in range(1, f):
+        member = gaps >> np.uint64(x - 1) & _U1
+        bad = full & ~(full >> np.uint64(x)) & np.uint64((1 << (f - x + 1)) - 1)
+        closed &= (member == 0) | (bad == 0)
+    return closed
+
+
 def _extract_window(amask: np.ndarray, f: int, width: int) -> np.ndarray:
     """Suffix pattern of width ``width`` read out of precomputed A-masks."""
     out = np.zeros(amask.shape, dtype=np.uint64)
@@ -369,6 +387,13 @@ class DensityTable:
             )
         if self.counts.min() < 1:  # every tallied A-mask has a preimage
             raise ValueError(f"preimage count {self.counts.min()} < 1")
+        ok = (self.masks >> np.uint64(self.f - 1) == 0) & _closed(self.masks, self.f)
+        if not ok.all():
+            bad = int(self.masks[np.argmin(ok)])
+            Semigroup(self.f, bad)  # refuses the first bad mask as entries would
+            raise AssertionError(
+                f"closure check and is_semigroup disagree on {bad:#x} at f={self.f}"
+            )
 
     @property
     def sets(self) -> int:
@@ -384,13 +409,22 @@ class DensityTable:
             for a, c in zip(self.masks.tolist(), self.counts.tolist())
         }
 
-    def mu(self, s: Semigroup) -> Fraction:
-        """P(S) as a share of the swept sets."""
-        return Fraction(self.entries[s], self.sets)
+    def ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(gap masks, D masks, multiplicities, counts) in report order:
+        descending P, ties by ascending gap mask.
 
-    def sorted_entries(self) -> list[tuple[Semigroup, int]]:
-        """Entries by descending P, ties by ascending gap mask."""
-        return sorted(self.entries.items(), key=lambda kv: (-kv[1], kv[0].gaps_mask))
+        D = {f - s : s in S} is the width-(f-1) window of S, the bit
+        reversal of its gap mask.  m is f+1 for N_f, so R(S) = f - m
+        throughout.
+        """
+        order = np.lexsort((self.masks, -self.counts))
+        gaps = self.masks[order]
+        return (
+            gaps,
+            _extract_window(gaps, self.f, self.f - 1),
+            _mult_chunk(gaps, self.f).astype(np.int64),
+            self.counts[order],
+        )
 
     def __len__(self) -> int:
         return len(self.masks)

@@ -28,9 +28,9 @@ alpha use this.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
 
@@ -43,14 +43,24 @@ from .constants import (
 )
 
 
+def ratio_str(n: int, d: int, places: int = 5) -> str:
+    """n/d (d > 0) in fixed point with ``places`` decimals, rounded half to
+    even with exact integers; a negative n keeps its '-' even when the
+    rounded digits are all 0."""
+    q, r = divmod(abs(n) * 10**places, d)
+    if 2 * r > d or 2 * r == d and q & 1:
+        q += 1
+    sign = "-" if n < 0 else ""
+    if not places:
+        return f"{sign}{q}"
+    digits = str(q).rjust(places + 1, "0")
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
 def decimal_str(x: Fraction | int, places: int = 5) -> str:
     """Fixed-point rendering, round-half-even; presentation only."""
     x = Fraction(x)
-    quantum = Decimal(1).scaleb(-places)
-    with localcontext() as ctx:
-        ctx.prec = places + 30
-        d = Decimal(x.numerator) / Decimal(x.denominator)
-        return str(d.quantize(quantum, rounding=ROUND_HALF_EVEN))
+    return ratio_str(x.numerator, x.denominator, places)
 
 
 def tail_bound(depth: int) -> Fraction:
@@ -309,10 +319,20 @@ class GammaTable:
         intervals are disjoint exactly when one ends strictly below the
         other's start, so the disjoint pairs are the ordered pairs (i, j)
         with hi_i < lo_j, counted by bisecting the sorted upper ends.
+
+        Every hi is a multiple of 1/q, q the lcm of their denominators (q
+        divides 4^depth for the gamma series), so the upper ends are sorted as the
+        integers H_i = hi_i q.  For an integer H, H < lo q exactly when
+        H < ceil(lo q), so each lo is bisected as that integer, whatever
+        its denominator.
         """
         intervals = [row.refined_interval for row in self.rows]
-        his = sorted(iv.hi for iv in intervals)
-        distinct = sum(bisect_left(his, iv.lo) for iv in intervals)
+        q = math.lcm(*(iv.hi.denominator for iv in intervals))
+        his = sorted(iv.hi.numerator * (q // iv.hi.denominator) for iv in intervals)
+        distinct = sum(
+            bisect_left(his, -(-iv.lo.numerator * q // iv.lo.denominator))
+            for iv in intervals
+        )
         n = len(intervals)
         return distinct, n * (n - 1) // 2 - distinct
 

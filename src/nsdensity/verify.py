@@ -162,11 +162,18 @@ def check_topslice_sweep(t: int, chunk: int) -> CheckResult:
 
 
 def check_encoding_roundtrip(f_max: int = 12) -> CheckResult:
-    """S -> D(S) -> N(D,f) is the identity on every semigroup, f <= f_max."""
+    """S -> D(S) -> N(D,f) is the identity on every semigroup, f <= f_max,
+    and ``DensityTable.ranked`` gives each S the D(S) and m(S) that
+    ``d_of`` and ``multiplicity`` give."""
     name = f"encode-roundtrip(f<={f_max})"
     for f in range(1, f_max + 1):
-        for s in density_table(f).entries:
+        table = density_table(f)
+        gaps, d_masks, mults, _ = table.ranked()
+        ranked = dict(zip(gaps.tolist(), zip(d_masks.tolist(), mults.tolist())))
+        for s in table.entries:
             d = d_of(s)
+            if ranked[s.gaps_mask] != (d.mask, multiplicity(s)):
+                return _bad(name, f"ranked() D, m of {s!s} != d_of, multiplicity")
             back = as_semigroup(n_of(d, f, warn_uncertified=False))
             if back != s:
                 return _bad(name, f"N(D({s!s}),{f}) != S")

@@ -11,6 +11,8 @@ from nsdensity.core import (
     associated_semigroup,
     associated_semigroup_definitional,
     as_semigroup,
+    d_keys,
+    d_mask_keys,
     d_of,
     fold,
     is_semigroup,
@@ -98,6 +100,16 @@ class TestDSet:
         assert d.key == "1,3,5" and d.max_element == 5
         assert hash(d) == hash(DSet.parse("1,3,5"))
         assert DSet.parse("1,63").mask == 1 | 1 << 62
+
+    def test_key_tables(self):
+        assert d_mask_keys(2) == ["", "1", "2", "1,2"]
+        # a table that starts at element 5 is indexed by D.mask >> 4
+        assert d_mask_keys(2, 5) == ["", "5", "6", "5,6"]
+        for width in range(13):
+            masks = range(1 << width)
+            assert d_keys(masks, width) == [DSet(m).key for m in masks]
+        wide = [0, 1, 1 << 28, (1 << 29) - 1, 0b10110 << 12 | 0b1001]
+        assert d_keys(wide, 29) == [DSet(m).key for m in wide]
 
     @pytest.mark.parametrize("text", ["64", "1,64", "1,2,100"])
     def test_parse_refuses_elements_above_63(self, text):

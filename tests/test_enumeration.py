@@ -3,6 +3,7 @@ import functools
 import hashlib
 import io
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +16,12 @@ from nsdensity.core import (
     a_mask,
     as_semigroup,
     associated_semigroup_definitional,
+    d_of,
+    is_semigroup,
     multiplicity,
     n_f,
     n_of,
+    r_value,
     suffix_pattern,
 )
 from nsdensity.enumeration import (
@@ -29,6 +33,7 @@ from nsdensity.enumeration import (
     window_restrict,
 )
 from nsdensity import cli, enumeration
+from nsdensity.limits import decimal_str
 from nsdensity.verify import (
     check_amap_sweep,
     check_preimage_identity,
@@ -64,7 +69,6 @@ class TestDensityTable:
         table = density_table(9)
         assert len(table) == 21
         got = {}
-        from nsdensity.core import d_of
         for s, p in table.entries.items():
             got[d_of(s).key] = p
         assert got == TABLE_9
@@ -83,11 +87,40 @@ class TestDensityTable:
 
     def test_mu_and_sorting(self):
         table = density_table(9)
-        assert table.mu(n_f(9)) == Fraction(140, 256)
-        entries = table.sorted_entries()
-        assert [p for _, p in entries] == sorted(
-            (p for _, p in entries), reverse=True
-        )
+        gaps, _, _, counts = table.ranked()
+        assert gaps[0] == n_f(9).gaps_mask
+        assert Fraction(int(counts[0]), table.sets) == Fraction(140, 256)
+        assert counts.tolist() == sorted(counts.tolist(), reverse=True)
+
+    def test_ranked_rows_equal_the_object_route(self):
+        # Semigroup objects, d_of, multiplicity, r_value and Fraction are
+        # the reference for ranked() and the rows enumerate prints
+        for f in range(1, 21):
+            table = density_table(f)
+            entries = sorted(
+                table.entries.items(), key=lambda kv: (-kv[1], kv[0].gaps_mask)
+            )
+            gaps, d_masks, mults, counts = table.ranked()
+            assert gaps.tolist() == [s.gaps_mask for s, _ in entries]
+            assert d_masks.tolist() == [d_of(s).mask for s, _ in entries]
+            assert mults.tolist() == [multiplicity(s) for s, _ in entries]
+            assert counts.tolist() == [p for _, p in entries]
+            want = [
+                [
+                    d_of(s).key, str(multiplicity(s)), str(r_value(s)), str(p),
+                    cli._frac(Fraction(p, table.sets)),
+                    decimal_str(Fraction(p, table.sets)),
+                ]
+                for s, p in entries
+            ]
+            args = cli.build_parser().parse_args(["enumerate", "--f", str(f)])
+            assert cli.cmd_enumerate(args).rows[:-1] == want, f
+
+    def test_closure_check_equals_is_semigroup(self):
+        for f in range(1, 15):
+            gaps = range(1 << (f - 1))
+            want = [is_semigroup(NumericalSet(f, m)) for m in gaps]
+            assert enumeration._closed(np.array(gaps, dtype=np.uint64), f).tolist() == want
 
     def test_validation(self):
         def table(f, masks, counts, prefix_zeros=0):
@@ -102,12 +135,26 @@ class TestDensityTable:
             table(3, [0], [4], prefix_zeros=1)  # avoiding [1, 1] leaves 2 sets
         with pytest.raises(ValueError, match="< 1"):
             table(3, [0, 1], [5, -1])
-        # entries are validated by Semigroup when they are built
+        # a mask that is no semigroup is refused with Semigroup's message
         with pytest.raises(ValueError, match="out of range for f=3"):
-            table(3, [4], [4]).entries  # no gap mask of f = 3 has bit 2
-        with pytest.raises(ValueError, match="not closed"):
-            table(5, [1], [16]).entries  # {0, 1, 6, ...} lacks 1 + 1
+            table(3, [4], [4])  # no gap mask of f = 3 has bit 2
+        with pytest.raises(ValueError, match=re.escape(
+            "{0, 1, 6->} is not closed under addition"
+        )):
+            table(5, [1], [16])  # lacks 1 + 1
+        # the first bad mask is named: {0, 2, 6, ...} lacks 2 + 2 as well
+        with pytest.raises(ValueError, match=re.escape("{0, 1, 6->}")):
+            table(5, [0, 1, 2], [14, 1, 1])
         assert table(3, [0, 2], [3, 1]).entries == density_table(3).entries
+
+    def test_closure_disagreement_is_an_error(self, monkeypatch):
+        # a closure check that refuses a true semigroup contradicts
+        # is_semigroup, which then accepts the mask
+        monkeypatch.setattr(
+            enumeration, "_closed", lambda gaps, f: np.zeros(gaps.shape, dtype=bool)
+        )
+        with pytest.raises(AssertionError, match="disagree on 0x0 at f=3"):
+            density_table(3)
 
     def test_workers_equivalence(self):
         assert density_table(13).entries == density_table(13, workers=3).entries

@@ -1,3 +1,5 @@
+import random
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from nsdensity.enumeration import BudgetError
 from nsdensity.limits import (
     AlphaEstimate,
     GammaEstimate,
+    GammaTable,
     Interval,
     a_constant,
     alpha_limit,
@@ -17,8 +20,20 @@ from nsdensity.limits import (
     gamma,
     gamma_lower_bound,
     gamma_table,
+    ratio_str,
     tail_bound,
 )
+
+
+def decimal_oracle(x, places=5):
+    """The Decimal route decimal_str took before its integer rounding: a
+    quotient at places + 30 digits, quantized half to even."""
+    x = Fraction(x)
+    quantum = Decimal(1).scaleb(-places)
+    with localcontext() as ctx:
+        ctx.prec = places + 30
+        d = Decimal(x.numerator) / Decimal(x.denominator)
+        return str(d.quantize(quantum, rounding=ROUND_HALF_EVEN))
 
 
 class TestScalars:
@@ -31,6 +46,37 @@ class TestScalars:
         assert decimal_str(Fraction(3, 2), places=0) == "2"
         assert decimal_str(Fraction(25, 1000), places=2) == "0.02"
         assert decimal_str(Fraction(35, 1000), places=2) == "0.04"
+
+    def test_decimal_str_equals_the_decimal_route(self, shipped_cache):
+        table = gamma_table(8, 15, shipped_cache)
+        assert sum(r.interval.lo < 0 for r in table.rows) == 247
+        values = [
+            x
+            for r in table.rows
+            for x in (r.value, r.interval.lo, r.refined_interval.lo)
+        ]
+        values += [
+            Fraction(-1, 10**7), Fraction(1, 200000), Fraction(3, 200000),
+            Fraction(-1, 200000), Fraction(-3, 200000),
+            Fraction(0), Fraction(1), Fraction(-1), Fraction(123456789, 7),
+        ]
+        for x in values:
+            assert decimal_str(x) == decimal_oracle(x), x
+        assert decimal_str(Fraction(-1, 10**7)) == "-0.00000"
+        assert decimal_str(Fraction(1, 200000)) == "0.00000"
+        assert decimal_str(Fraction(-3, 200000)) == "-0.00002"
+        rng = random.Random(7)
+        for _ in range(3000):
+            x = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+            for places in (0, 2, 5, 6):
+                assert decimal_str(x, places) == decimal_oracle(x, places), (x, places)
+
+    def test_dyadic_ratios_equal_the_decimal_route(self):
+        # enumerate's mu_decimal: p / 2^(f-1), not reduced first
+        for f in range(1, 17):
+            sets = 1 << (f - 1)
+            for p in range(sets + 1):
+                assert ratio_str(p, sets) == decimal_oracle(Fraction(p, sets)), (p, f)
 
     def test_tail_bound(self):
         assert tail_bound(0) == 1
@@ -191,6 +237,16 @@ class TestGLimit:
             g_l_limit(1, 2)
 
 
+def pair_loop_inconclusive(rows):
+    """Pairs of rows whose refined intervals intersect, one pair at a time."""
+    return sum(
+        1
+        for i in range(len(rows))
+        for j in range(i + 1, len(rows))
+        if rows[i].refined_interval.intersects(rows[j].refined_interval)
+    )
+
+
 class TestGammaTable:
     def test_small_table(self):
         table = gamma_table(3, 6)
@@ -204,18 +260,43 @@ class TestGammaTable:
     def test_distinctness_matches_pair_loop(self, shipped_cache):
         table = gamma_table(6, 15, shipped_cache)
         n = len(table.rows)
-        inconclusive = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if table.rows[i].refined_interval.intersects(
-                table.rows[j].refined_interval
-            )
-        )
+        inconclusive = pair_loop_inconclusive(table.rows)
         assert 0 < inconclusive < n * (n - 1) // 2
         assert table.distinctness_counts() == (
             n * (n - 1) // 2 - inconclusive, inconclusive
         )
+
+    def test_distinctness_matches_pair_loop_small_tables(self, shipped_cache):
+        for max_t in range(6):
+            table = gamma_table(max_t, 15, shipped_cache)
+            n = len(table.rows)
+            inconclusive = pair_loop_inconclusive(table.rows)
+            assert table.distinctness_counts() == (
+                n * (n - 1) // 2 - inconclusive, inconclusive
+            ), max_t
+
+    def test_distinctness_with_planted_ties(self):
+        # refined intervals [value - tail, value], clamped at 0 and, for
+        # D = {1}, at 7/384.  Every hi is a multiple of 1/64; ties
+        # hi_i == lo_j touch, so they intersect, and a lo just above some
+        # hi (13/48 over 1/4, 7/384 over 1/64) must still separate them
+        def row(value, tail, d=DSet()):
+            return GammaEstimate(d, 3, value, tail, 1, ())
+
+        rows = (
+            row(Fraction(1, 4), Fraction(1, 4)),  # [0, 1/4]
+            row(Fraction(1, 2), Fraction(1, 4)),  # [1/4, 1/2]: ties the first
+            row(Fraction(1, 2), Fraction(11, 48)),  # [13/48, 1/2]
+            row(Fraction(3, 4), Fraction(1, 4)),  # [1/2, 3/4]: ties the two above
+            row(Fraction(1), Fraction(1, 3)),  # [2/3, 1]
+            row(Fraction(1, 16), Fraction(1, 16), DSet.of([1])),  # [7/384, 1/16]
+            row(Fraction(1, 64), Fraction(1, 64)),  # [0, 1/64]
+        )
+        assert rows[5].refined_interval.lo == Fraction(7, 384)
+        table = GammaTable(1, 3, rows)
+        inconclusive = pair_loop_inconclusive(rows)
+        assert table.distinctness_counts() == (21 - inconclusive, inconclusive)
+        assert inconclusive == 7
 
     def test_leading_order_at_full_depth(self, shipped_cache):
         table = gamma_table(4, 15, shipped_cache)
