@@ -30,7 +30,7 @@ def main() -> None:
     print(header)
     rows: dict[str, dict[int, Fraction]] = {d.key: {} for d in dsets}
     for f in range(args.f_min, args.f_max + 1):
-        goals = [n_of(d, f, warn_uncertified=False).gaps_mask for d in dsets]
+        goals = [n_of(d, f).gaps_mask for d in dsets]
         counts = density_table(f).preimages(goals)
         for d, count in zip(dsets, counts.tolist()):
             rows[d.key][f] = Fraction(count, 1 << (f - 1))

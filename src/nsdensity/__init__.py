@@ -9,7 +9,6 @@ from .core import (
     DSet,
     NumericalSet,
     Semigroup,
-    UncertifiedSemigroupWarning,
     associated_semigroup,
     associated_semigroup_definitional,
     as_semigroup,

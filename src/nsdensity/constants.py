@@ -20,7 +20,7 @@ the 2^l 3^(k-1-l) sets avoiding [1, l].  The checks that run:
     A(T)) is an error.  The slice holds 3^(t-1) sets by construction, so
     this is what makes the level sum below a check of the kernel and of
     the proof above;
-  * the level rule, :func:`check_a_levels`: all 2^(t-1) constants, each in
+  * the level rule, :func:`check_a_level`: all 2^(t-1) constants, each in
     [1, 3^(t-1)], summing to exactly 3^(t-1), at a level t <= 31;
   * :func:`check_c`: 1 <= C_{l,k} <= 2^l 3^(k-2l-1) for l >= 1 and
     2l+2 <= k <= 31.  31 = (WORD_LIMIT-1)/2 is the deepest top slice, and
@@ -34,9 +34,10 @@ the slice route, its buckets sum to 4^t, and for every D with
 Max(D) = s < t its bucket equals A_D 4^(t-s) - sum_{k=s+1}^{t}
 A_{D∪{k}} 4^(t-k), the finite truncation identity.
 
-A_D is keyed by ``D.mask``, so Max(D) is the bit length of its key.  The
-sweeps, :func:`cache_load` and :func:`cache_store` share the level rule,
-which reads parallel arrays of masks and values, and the C bound.
+:class:`ConstantCache` holds level t of A as one read-only array, A_D at
+index D.mask - 2^(t-1) (Max(D) is the bit length of D.mask).  Only its
+checking setters fill it, so it never holds a partial or rule-breaking
+level and :func:`cache_store` writes only what :func:`cache_load` accepts.
 
 The cache file is line-delimited ``A|<D-key>|<int>`` / ``C|<l>,<k>|<int>``
 records, UTF-8 with LF endings, sorted for reproducible diffs; ``#`` lines
@@ -52,10 +53,11 @@ of at most 18 digits) are found and parsed by numpy, a block of about 64 KB
 at a time.  Every other line (provenance, C records, blank lines, any other
 spelling ``int`` accepts, longer values, anything malformed, and every line
 of a file holding a CR) goes through the per-line parser
-:func:`_parse_record`, which is also the tests' oracle for the numpy route.
-Both routes store in file order through the same duplicate check, and the
-same level rule and C bound check the result, so a file is refused the same
-way, with the same message, whichever route read its lines.
+:meth:`_Reader.line`, which is also the tests' oracle for the numpy route.
+Both routes only read records, and :meth:`_Reader.cache` applies the rules,
+so a file is refused in one order, with the same message whichever route
+read its lines: a malformed line, then a key with two values, then the
+level rule by order of first appearance, then the C bound.
 """
 
 from __future__ import annotations
@@ -63,9 +65,8 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Iterable, Mapping
+from types import MappingProxyType
 
 import numpy as np
 
@@ -81,52 +82,35 @@ class CacheConflictError(ValueError):
     """Two sources disagree on an exact constant, or one breaks a proven rule."""
 
 
+def _conflict(key: str, value: int, old: int) -> CacheConflictError:
+    return CacheConflictError(f"{key} recomputed as {value}, cached {old}")
+
+
 # the deepest top slice a 64-bit word holds: f = 2t+1 <= WORD_LIMIT
 TOP_SLICE_LIMIT = (WORD_LIMIT - 1) // 2
-# 2^0 .. 2^63: the number of them at or below a mask is its bit length
-_POWERS_OF_TWO = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
-def check_a_levels(masks: np.ndarray, values: np.ndarray) -> None:
-    """The level rule over parallel arrays of distinct D.mask (uint64) and
-    A_D (int64, or object for ints beyond it): for every level t held, all
-    2^(t-1) constants with Max(D) = t, each in [1, 3^(t-1)], summing to
-    exactly 3^(t-1).  A mask 0 is refused first: A_∅ = 1 by definition and
-    has no level.  Levels are then checked in order of first appearance, and
-    one above TOP_SLICE_LIMIT is refused before any power is taken.  Each
-    level's count, minimum and maximum are array reductions; its sum is a
-    Python int, exact where an int64 sum would wrap."""
-    # bit lengths, at most 64, so a stable sort of them is a radix sort
-    levels = np.searchsorted(_POWERS_OF_TWO, masks, side="right").astype(np.uint8)
-    order = np.argsort(levels, kind="stable")
-    levels = levels[order]
-    new_level = np.ones(len(levels), bool)
-    new_level[1:] = levels[1:] != levels[:-1]
-    starts = np.flatnonzero(new_level)
-    if len(levels) and levels[0] == 0:
+def check_a_level(t: int, values: np.ndarray) -> None:
+    """The level rule for level t, whose A_D are the array ``values`` (int64,
+    or object for ints beyond it): all 2^(t-1) constants with Max(D) = t,
+    each in [1, 3^(t-1)], summing to exactly 3^(t-1).  Level 0 (A_∅ = 1 by
+    definition, never stored) and a level above TOP_SLICE_LIMIT are refused
+    before any power is taken.  The sum is a Python int, exact past int64."""
+    if t == 0:
         raise CacheConflictError(
             "level 0: A_∅ = 1 by definition and is never stored"
         )
-    bounds = np.append(starts, len(levels)).tolist()
-    # order[start] is where a level first appears
-    for i in np.argsort(order[starts]).tolist():
-        t = int(levels[bounds[i]])
-        if t > TOP_SLICE_LIMIT:
-            raise _too_deep(t)
-        level = values[order[bounds[i] : bounds[i + 1]]]
-        cap, n = 3 ** (t - 1), len(level)
-        lo, hi, total = int(level.min()), int(level.max()), sum(level.tolist())
-        if n != 2 ** (t - 1) or not 1 <= lo <= hi <= cap or total != cap:
-            raise CacheConflictError(
-                f"level {t}: {n} A constants in [{lo}, {hi}] summing to "
-                f"{total}; the rule is 2^{t - 1} in [1, 3^{t - 1}] summing to 3^{t - 1}"
-            )
-
-
-def _too_deep(t: int) -> CacheConflictError:
-    return CacheConflictError(
-        f"level {t}: A levels lie in [1, {TOP_SLICE_LIMIT}], the deepest top slice"
-    )
+    if not 1 <= t <= TOP_SLICE_LIMIT:
+        raise CacheConflictError(
+            f"level {t}: A levels lie in [1, {TOP_SLICE_LIMIT}], the deepest top slice"
+        )
+    cap, n = 3 ** (t - 1), len(values)
+    lo, hi, total = int(values.min()), int(values.max()), sum(values.tolist())
+    if n != 2 ** (t - 1) or not 1 <= lo <= hi <= cap or total != cap:
+        raise CacheConflictError(
+            f"level {t}: {n} A constants in [{lo}, {hi}] summing to "
+            f"{total}; the rule is 2^{t - 1} in [1, 3^{t - 1}] summing to 3^{t - 1}"
+        )
 
 
 def check_c(l: int, k: int, value: int) -> None:
@@ -143,11 +127,36 @@ def check_c(l: int, k: int, value: int) -> None:
         raise CacheConflictError(f"C[{l},{k}] = {value} outside [1, {limit}]")
 
 
-@dataclass
+class _AEntries(Mapping):
+    """Read-only view of the levels as {D.mask: A_D}, with Python int values."""
+
+    def __init__(self, levels: dict[int, np.ndarray]):
+        self._levels = levels
+
+    def __getitem__(self, mask: int) -> int:
+        t = mask.bit_length()
+        if mask > 0 and t in self._levels:
+            return int(self._levels[t][mask - (1 << (t - 1))])
+        raise KeyError(mask)
+
+    def __iter__(self):
+        return (m for t in self._levels for m in range(1 << (t - 1), 1 << t))
+
+    def __len__(self) -> int:
+        return sum(len(level) for level in self._levels.values())
+
+
 class ConstantCache:
-    a_entries: dict[int, int] = field(default_factory=dict)  # D.mask -> A_D
-    c_entries: dict[tuple[int, int], int] = field(default_factory=dict)
-    provenance: dict[str, str] = field(default_factory=dict)
+    """A_D level by level and C_{l,k}, each checked on entry, with the
+    provenance lines of the file they came from."""
+
+    def __init__(self) -> None:
+        self._levels: dict[int, np.ndarray] = {}
+        self._c: dict[tuple[int, int], int] = {}
+        self.provenance: dict[str, str] = {}
+        self.levels = MappingProxyType(self._levels)  # t -> A_D by D.mask - 2^(t-1)
+        self.a_entries = _AEntries(self._levels)  # D.mask -> A_D
+        self.c_entries = MappingProxyType(self._c)
 
     def a(self, d: DSet) -> int | None:
         if d.max_element == 0:
@@ -155,52 +164,33 @@ class ConstantCache:
         return self.a_entries.get(d.mask)
 
     def c(self, l: int, k: int) -> int | None:
-        return self.c_entries.get((l, k))
+        return self._c.get((l, k))
 
-    def set_a(self, d: DSet, value: int) -> None:
-        self._set_a_mask(d.mask, value)
-
-    def _set_a_mask(self, mask: int, value: int) -> None:
-        old = self.a_entries.get(mask)
-        if old is not None and old != value:
-            raise CacheConflictError(
-                f"A[{DSet.from_mask(mask).key}] recomputed as {value}, cached {old}"
-            )
-        self.a_entries[mask] = value
-
-    def _set_a_masks(self, masks: Sequence[int], values: Sequence[int]) -> None:
-        """:meth:`_set_a_mask` for each pair in order, as one dict update when
-        no mask repeats and none is held yet."""
-        new = dict(zip(masks, values))
-        if len(new) == len(masks) and self.a_entries.keys().isdisjoint(new):
-            self.a_entries.update(new)
-        else:
-            for mask, value in zip(masks, values):
-                self._set_a_mask(mask, value)
+    def set_level(self, t: int, values) -> None:
+        """Hold ``values`` as level t, A_D at index D.mask - 2^(t-1), after
+        the level rule (:func:`check_a_level`).  A level already held must
+        be equal; the first D where they differ is a CacheConflictError."""
+        level = np.array(values)
+        check_a_level(t, level)
+        level.flags.writeable = False
+        old = self._levels.setdefault(t, level)
+        differ = np.flatnonzero(old != level)
+        if len(differ):
+            i = int(differ[0])
+            key = DSet.from_mask((1 << (t - 1)) + i).key
+            raise _conflict(f"A[{key}]", level[i], old[i])
 
     def set_c(self, l: int, k: int, value: int) -> None:
-        old = self.c_entries.get((l, k))
-        if old is not None and old != value:
-            raise CacheConflictError(
-                f"C[{l},{k}] recomputed as {value}, cached {old}"
-            )
-        self.c_entries[(l, k)] = value
+        check_c(l, k, value)
+        if (old := self._c.setdefault((l, k), value)) != value:
+            raise _conflict(f"C[{l},{k}]", value, old)
 
     def a_depth(self) -> int:
-        """Largest t with every Max(D) = t entry present."""
-        per_level = Counter(mask.bit_length() for mask in self.a_entries)
+        """Largest t with every level 1..t held."""
         t = 0
-        while per_level[t + 1] == 1 << t:  # 2^t sets have maximum t+1
+        while t + 1 in self._levels:
             t += 1
         return t
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConstantCache):
-            return NotImplemented
-        return (
-            self.a_entries == other.a_entries
-            and self.c_entries == other.c_entries
-        )
 
 
 # cache_load parses canonical A records in numpy blocks of about this many bytes
@@ -229,106 +219,135 @@ def cache_load(path: str | os.PathLike) -> ConstantCache:
     """Parse a cache file; CacheConflictError if it breaks a rule above.
 
     The file is decoded once, so a non-UTF-8 file is refused before any
-    record is read.  Its LF-terminated lines are then read in blocks of
-    about _BLOCK bytes, in which numpy parses the canonical A records
-    (:func:`_canonical_a_records`); every other line, and every line of a
-    file holding a CR, which ends a line too, goes through
-    :func:`_parse_record`.  Both routes store in file order through the
-    same duplicate check, and :func:`_check_rules` then checks the whole.
+    record is read.  A file holding a CR, which ends a line too, is read
+    line by line; any other file in blocks of about _BLOCK bytes, its last
+    line as if it ended in LF.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     text = data.decode("utf-8")
-    cache = ConstantCache()
+    reader = _Reader(path)
     if "\r" in text:
-        for lineno, raw in enumerate(io.StringIO(text, newline=""), 1):
-            _parse_record(cache, path, lineno, raw)
-    else:
-        del text  # decoded only to refuse a non-UTF-8 file
-        whole, start, lineno = data.rfind(b"\n") + 1, 0, 1
-        while start < whole:
-            stop = whole
-            if start + _BLOCK < whole:
-                stop = data.index(b"\n", start + _BLOCK - 1) + 1
-            lineno = _load_block(cache, path, data, start, stop, lineno)
-            start = stop
-        if whole < len(data):  # a last line without LF
-            _parse_record(cache, path, lineno, data[whole:].decode("utf-8"))
-    _check_rules(cache)
-    return cache
+        reader.lines(io.StringIO(text, newline=""))
+        return reader.cache()
+    del text  # decoded only to refuse a non-UTF-8 file
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    start, lineno = 0, 1
+    while start < len(data):
+        stop = len(data)
+        if start + _BLOCK < stop:
+            stop = data.index(b"\n", start + _BLOCK - 1) + 1
+        block = np.frombuffer(data, np.uint8, stop - start, start)
+        start, lineno = stop, lineno + reader.block(block, lineno)
+    return reader.cache()
 
 
-def _parse_record(
-    cache: ConstantCache, path: str | os.PathLike, lineno: int, raw: str
-) -> None:
-    """Store one line of a cache file, read with its ending, into ``cache``:
-    the per-line route of :func:`cache_load`, for any line at all."""
-    line = raw.rstrip("\n")
-    if not line:
-        return
-    if line.startswith("#"):
-        body = line[1:].strip()
-        if ":" in body:
-            key, _, val = body.partition(":")
-            cache.provenance[key.strip()] = val.strip()
-        return
-    parts = line.split("|")
-    if len(parts) != 3:
-        raise ValueError(f"{path}:{lineno}: malformed record {line!r}")
-    kind, key, val = parts
-    try:
-        value = int(val)
-    except ValueError:
-        raise ValueError(
-            f"{path}:{lineno}: non-integer value {val!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"{path}:{lineno}: negative count {value}")
-    if kind == "A":
+class _Reader:
+    """The records of one cache file, read in file order: :meth:`line` and
+    :meth:`block` read them and apply no rule, :meth:`cache` applies all."""
+
+    def __init__(self, path: str | os.PathLike):
+        self.path = path
+        self.out = ConstantCache()  # provenance at once, constants in cache()
+        self.masks: list[np.ndarray] = []  # A records, D.masks and values
+        self.values: list[np.ndarray] = []
+        self.c_records: list[tuple[int, int, int]] = []  # (l, k, C)
+
+    def line(self, lineno: int, raw: str) -> tuple[int, int] | None:
+        """Read one line, with its ending: the per-line route, for any line
+        at all.  An A record is returned as (D.mask, A_D), not kept."""
+        path = self.path
+        line = raw.rstrip("\n")
+        if not line:
+            return None
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if ":" in body:
+                key, _, val = body.partition(":")
+                self.out.provenance[key.strip()] = val.strip()
+            return None
+        parts = line.split("|")
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: malformed record {line!r}")
+        kind, key, val = parts
         try:
-            mask = parse_d_mask(key)
+            value = int(val)
         except ValueError:
             raise ValueError(
-                f"{path}:{lineno}: bad A key {key!r}"
+                f"{path}:{lineno}: non-integer value {val!r}"
             ) from None
-        cache._set_a_mask(mask, value)
-    elif kind == "C":
-        try:
-            l, k = (int(p) for p in key.split(","))
-        except ValueError:
-            raise ValueError(
-                f"{path}:{lineno}: bad C key {key!r}"
-            ) from None
-        cache.set_c(l, k, value)
-    else:
+        if value < 0:
+            raise ValueError(f"{path}:{lineno}: negative count {value}")
+        if kind == "A":
+            try:
+                return parse_d_mask(key), value
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: bad A key {key!r}"
+                ) from None
+        if kind == "C":
+            try:
+                l, k = (int(p) for p in key.split(","))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: bad C key {key!r}"
+                ) from None
+            self.c_records.append((l, k, value))
+            return None
         raise ValueError(f"{path}:{lineno}: unknown record kind {kind!r}")
 
+    def lines(self, lines: Iterable[str]) -> None:
+        """Keep the records of ``lines``, read each by :meth:`line`."""
+        a = [r for lineno, raw in enumerate(lines, 1) if (r := self.line(lineno, raw))]
+        self.masks.append(np.array([mask for mask, _ in a], np.int64))
+        self.values.append(np.array([value for _, value in a], object))
 
-def _load_block(
-    cache: ConstantCache,
-    path: str | os.PathLike,
-    data: bytes,
-    start: int,
-    stop: int,
-    lineno: int,
-) -> int:
-    """Store the LF-terminated lines data[start:stop], the first of them
-    line ``lineno``, in file order: each run of canonical A records in one
-    :meth:`ConstantCache._set_a_masks`, each other line through
-    :func:`_parse_record`.  Returns the number of the next line."""
-    ends, canonical, masks, values = _canonical_a_records(
-        np.frombuffer(data, np.uint8, stop - start, start)
-    )
-    ends, masks, values = ends.tolist(), masks.tolist(), values.tolist()
-    run = 0  # the first line of the current run of canonical records
-    for i in np.flatnonzero(~canonical).tolist() + [len(ends)]:
-        cache._set_a_masks(masks[run:i], values[run:i])
-        if i < len(ends):
-            begin = start + ends[i - 1] + 1 if i else start
-            line = data[begin : start + ends[i] + 1].decode("utf-8")
-            _parse_record(cache, path, lineno + i, line)
-        run = i + 1
-    return lineno + len(ends)
+    def block(self, buf: np.ndarray, lineno: int) -> int:
+        """Keep the records of the LF-terminated lines of ``buf`` (uint8),
+        the first of them line ``lineno``: the canonical A records read by
+        numpy, each other line by :meth:`line`.  Returns the number of lines."""
+        ends, is_a, masks, values = _canonical_a_records(buf)
+        for i in np.flatnonzero(~is_a).tolist():
+            begin = ends[i - 1] + 1 if i else 0
+            raw = buf[begin : ends[i] + 1].tobytes().decode()
+            record = self.line(lineno + i, raw)
+            if record is not None:
+                if record[1] >> 63:  # beyond int64: exact Python ints
+                    values = values.astype(object)
+                masks[i], values[i] = record
+                is_a[i] = True
+        self.masks.append(masks[is_a])
+        self.values.append(values[is_a])
+        return len(ends)
+
+    def cache(self) -> ConstantCache:
+        """The records kept, in file order, as a ConstantCache: a key read
+        with two values is refused and equal duplicates are dropped, then
+        each A level, in order of first appearance, goes to
+        :meth:`ConstantCache.set_level`, and each C to ``set_c``."""
+        masks, values = np.concatenate(self.masks), np.concatenate(self.values)
+        uniq, first, inverse = np.unique(masks, return_index=True, return_inverse=True)
+        held = values[first][inverse]  # the first value read for each record's key
+        clash = np.flatnonzero(values != held)
+        if len(clash):
+            i = clash[0]
+            key = DSet.from_mask(int(masks[i])).key
+            raise _conflict(f"A[{key}]", values[i], held[i])
+        c: dict[tuple[int, int], int] = {}
+        for l, k, value in self.c_records:
+            if (old := c.setdefault((l, k), value)) != value:
+                raise _conflict(f"C[{l},{k}]", value, old)
+        # level t is the run of the sorted keys in [2^(t-1), 2^t), t in [0, 63]
+        below = np.searchsorted(uniq, [1 << t for t in range(63)]).tolist()
+        bounds = [0, *below, len(uniq)]
+        runs = [(first[lo:hi].min(), t, lo, hi)
+                for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < hi]
+        for _, t, lo, hi in sorted(runs):
+            self.out.set_level(t, values[first[lo:hi]])
+        for (l, k), value in c.items():
+            self.out.set_c(l, k, value)
+        return self.out
 
 
 def _canonical_a_records(
@@ -354,7 +373,9 @@ def _canonical_a_records(
     head[1:] = last[:-1] + 1
     element = np.ones(len(term), bool)  # the fields in between
     element[head] = element[last] = False
-    number = _PAIR_ELEMENT[buf[term - 2].astype(np.uint16) << 8 | buf[term - 1]]
+    # the two bytes before each terminator; "wrap" also serves a 1-byte block
+    before = np.take(buf, term - 2, mode="wrap").astype(np.uint16) << 8
+    number = _PAIR_ELEMENT[before | buf[term - 1]]
     bad = element & ((number == 0) | (length > 2))
     # an element followed by another is closed by ',' and is the smaller
     bad[:-1] |= (element[:-1] & element[1:]) & (
@@ -389,38 +410,18 @@ def _digit_values(
     return digits @ _PLACE[width - 1 :: -1], numeric
 
 
-def _check_rules(cache: ConstantCache) -> None:
-    """The level rule for every A level held and the bound for every C, so
-    that :func:`cache_store` writes only what :func:`cache_load` accepts."""
-    n = len(cache.a_entries)
-    try:
-        masks = np.fromiter(cache.a_entries, np.uint64, n)
-    except OverflowError:  # a mask past 64 bits, so past the deepest level
-        raise _too_deep(max(cache.a_entries).bit_length()) from None
-    try:
-        values = np.fromiter(cache.a_entries.values(), np.int64, n)
-    except OverflowError:
-        values = np.array(list(cache.a_entries.values()), dtype=object)
-    check_a_levels(masks, values)
-    for (l, k), value in cache.c_entries.items():
-        check_c(l, k, value)
-
-
 def cache_store(cache: ConstantCache, path: str | os.PathLike) -> None:
     """Write sorted records and ``a-depth`` from :meth:`ConstantCache.a_depth`;
-    atomic via rename so readers never see a torn file.  A cache that
-    :func:`cache_load` would refuse is a CacheConflictError before any file
-    is opened."""
-    _check_rules(cache)
+    atomic via rename so readers never see a torn file.  A cache holds only
+    what passed the rules on entry, so :func:`cache_load` accepts the file."""
     provenance = dict(cache.provenance)
     if depth := cache.a_depth():
         provenance["a-depth"] = str(depth)
     lines = [f"# {k}: {v}" for k, v in sorted(provenance.items())]
-    # every level held is complete, so its 2^depth keys are at most twice
-    # the entries of the top level
-    keys = d_mask_keys(max(cache.a_entries, default=0).bit_length())
+    keys = d_mask_keys(max(cache.levels, default=0))
     records = sorted(
-        [f"A|{keys[mask]}|{value}" for mask, value in cache.a_entries.items()]
+        [f"A|{keys[mask]}|{value}" for t, level in cache.levels.items()
+         for mask, value in enumerate(level.tolist(), 1 << (t - 1))]
         + [f"C|{l},{k}|{value}" for (l, k), value in cache.c_entries.items()]
     )
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -458,8 +459,8 @@ def a_consts_batch(
 ) -> dict[int, int]:
     """All A_D with Max(D) = t, as {D.mask: A_D}, from one top-slice sweep.
 
-    Stores results into ``cache`` when given, after the checks described
-    in the module docstring.
+    Held by ``cache`` as level t when given: the sweep's slice as is,
+    after the checks described in the module docstring.
     """
     if t < 1:
         raise ValueError("batch needs t >= 1; A over the empty set is 1")
@@ -470,11 +471,11 @@ def a_consts_batch(
         )
     low = 1 << (t - 1)  # level t is the mask range [2^(t-1), 2^t)
     level = top_slice_counts(t, workers=workers)[low:]
-    check_a_levels(np.arange(low, 2 * low, dtype=np.uint64), level)
-    masks, values = range(low, 2 * low), level.tolist()
-    if cache is not None:
-        cache._set_a_masks(masks, values)
-    return dict(zip(masks, values))
+    if cache is None:
+        check_a_level(t, level)
+    else:
+        cache.set_level(t, level)
+    return dict(zip(range(low, 2 * low), level.tolist()))
 
 
 def a_const(
@@ -488,10 +489,8 @@ def a_const(
     t = d.max_element
     if t == 0:
         return 1
-    if cache is not None:
-        hit = cache.a(d)
-        if hit is not None:
-            return hit
+    if cache is not None and t in cache.levels:
+        return cache.a(d)
     return a_consts_batch(t, cache, budget=budget, workers=workers)[d.mask]
 
 
@@ -513,7 +512,7 @@ def build_a_constants(
     if budget is None:
         budget = max(depth, DEFAULT_DEPTH_BUDGET)
     for t in range(1, depth + 1):
-        if any(m not in cache.a_entries for m in range(1 << (t - 1), 1 << t)):
+        if t not in cache.levels:
             a_consts_batch(t, cache, budget=budget, workers=workers)
     return cache
 

@@ -14,13 +14,8 @@ Everything here is an immutable value; all functions are pure.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-
-class UncertifiedSemigroupWarning(UserWarning):
-    """Construction produced a numerical set that may fail additive closure."""
 
 
 def _low_bits(n: int) -> int:
@@ -297,24 +292,16 @@ def n_f(f: int) -> Semigroup:
     return Semigroup(f, 0)
 
 
-def n_of(D: DSet, f: int, *, warn_uncertified: bool = True) -> NumericalSet:
+def n_of(D: DSet, f: int) -> NumericalSet:
     """The numerical set {0} u {f - l : l in D} u {f+1, ...}.
 
     Requires f > Max(D).  The result is guaranteed closed under addition
     when f > 2 Max(D); in the band Max(D) < f <= 2 Max(D) it is still a
-    valid numerical set but closure is not certified, which is flagged
-    with a warning rather than rejected.
+    valid numerical set, but closure is not certified.
     """
     t = D.max_element
     if f <= t:
         raise ValueError(f"need f > Max(D) = {t}, got f = {f}")
-    if f <= 2 * t and warn_uncertified:
-        warnings.warn(
-            f"N({D.key}, {f}): numerical set but possibly not a semigroup "
-            f"(f <= 2 Max(D))",
-            UncertifiedSemigroupWarning,
-            stacklevel=2,
-        )
     return make_numerical_set(f, (f - l for l in D))
 
 

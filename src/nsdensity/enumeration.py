@@ -492,7 +492,7 @@ class DensityTable:
         residue = (_mult_chunk(self.masks, f) <= np.uint64(f // 2)) & (window <= low_t)
         s_tot = _sum_by(window[residue], self.counts[residue], 1 << max_t)
         dsets = [DSet.from_mask(m) for m in range(1 << max_t)]
-        goals = [n_of(d, f, warn_uncertified=False).gaps_mask for d in dsets]
+        goals = [n_of(d, f).gaps_mask for d in dsets]
         return SuffixCensus(
             f,
             max_t,

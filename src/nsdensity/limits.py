@@ -28,6 +28,7 @@ alpha use this.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -73,15 +74,15 @@ def a_constant(l: int) -> Fraction:
     return Fraction(2, 3) / 4**l - Fraction(3 * 2**l, 4 ** (2 * l + 1))
 
 
-def gamma_lower_bound(d: DSet) -> Fraction:
-    """a_t / 2^(t+1), a certified lower bound for gamma_D when t >= 1.
+@functools.cache
+def gamma_lower_bound(t: int) -> Fraction:
+    """a_t / 2^(t+1), a certified lower bound for gamma_D when t = Max(D) >= 1.
 
     For D = ∅ the formula extends to a_0 / 2 = -1/24, which is vacuous
     (gamma_∅ needs no such bound; its truncation interval is already
     positive at practical depths).  Callers rendering reports should treat
     the nonpositive value as "no structural bound".
     """
-    t = d.max_element
     return a_constant(t) / 2 ** (t + 1)
 
 
@@ -135,7 +136,7 @@ class GammaEstimate:
         lo = max(self.value - self.tail, Fraction(0))
         t = self.d.max_element
         if t >= 1:
-            lo = max(lo, gamma_lower_bound(self.d))
+            lo = max(lo, gamma_lower_bound(t))
         return Interval(lo, self.value)
 
 

@@ -174,7 +174,7 @@ def check_encoding_roundtrip(f_max: int = 12) -> CheckResult:
             d = d_of(s)
             if ranked[s.gaps_mask] != (d.mask, multiplicity(s)):
                 return _bad(name, f"ranked() D, m of {s!s} != d_of, multiplicity")
-            back = as_semigroup(n_of(d, f, warn_uncertified=False))
+            back = as_semigroup(n_of(d, f))
             if back != s:
                 return _bad(name, f"N(D({s!s}),{f}) != S")
             if r_value(s) != (d.max_element if len(d) else -1):
@@ -348,10 +348,12 @@ def full_window_oracle(t: int, cache: ConstantCache, workers: int = 1) -> None:
             f"4^{t} sweep buckets sum to {int(buckets.sum())}, not 4^{t}"
         )
     low = 1 << (t - 1)
-    for m in range(low, 2 * low):
-        if cache.a_entries.get(m) != int(buckets[m]):
+    level = cache.levels.get(t)
+    held = [None] * low if level is None else level.tolist()
+    for m, value in enumerate(held, low):
+        if value != int(buckets[m]):
             raise CacheConflictError(
-                f"A_{{{DSet.from_mask(m).key}}} is {cache.a_entries.get(m)} on "
+                f"A_{{{DSet.from_mask(m).key}}} is {value} on "
                 f"the slice route, {int(buckets[m])} in the 4^{t} sweep"
             )
     for m in range(low):  # window maxima below t
@@ -385,14 +387,14 @@ def check_a_bounds(cache: ConstantCache, t_min: int = 1) -> CheckResult:
     """1 <= A_D <= 3^(t-1) for every constant in the cache."""
     name = "a-bounds(all cached)"
     n = 0
-    for mask, value in cache.a_entries.items():
-        t = mask.bit_length()
+    for t, level in cache.levels.items():
         if t < t_min:
             continue
-        n += 1
-        if not 1 <= value <= 3 ** (t - 1):
-            key = DSet.from_mask(mask).key
-            return _bad(name, f"A_{{{key}}} = {value} outside [1, 3^{t - 1}]")
+        n += len(level)
+        for mask, value in enumerate(level.tolist(), 1 << (t - 1)):
+            if not 1 <= value <= 3 ** (t - 1):
+                key = DSet.from_mask(mask).key
+                return _bad(name, f"A_{{{key}}} = {value} outside [1, 3^{t - 1}]")
     return _ok(name, f"1 <= A_D <= 3^(Max(D)-1) for {n} cached constants")
 
 
@@ -402,14 +404,10 @@ def check_a_sum_identity(cache: ConstantCache) -> CheckResult:
     depth = cache.a_depth()
     if depth < 1:
         return _ok(name, "no cached constants to sum (vacuous)")
-    by_max: dict[int, int] = {}
-    for mask, value in cache.a_entries.items():
-        t = mask.bit_length()
-        if t >= 1:
-            by_max[t] = by_max.get(t, 0) + value
     for t in range(1, depth + 1):
-        if by_max.get(t, 0) != 3 ** (t - 1):
-            return _bad(name, f"sum over Max = {t} is {by_max.get(t, 0)} != 3^{t - 1}")
+        total = sum(cache.levels[t].tolist())
+        if total != 3 ** (t - 1):
+            return _bad(name, f"sum over Max = {t} is {total} != 3^{t - 1}")
     return _ok(name, f"sum_{{Max(E)=t}} A_E = 3^(t-1) for t <= {depth}")
 
 
@@ -459,7 +457,7 @@ def suite_constants(max_f: int | None = None, cache: ConstantCache | None = None
     ))
     out.append(check_a_sum_identity(fresh))
     out.append(check_topslice_sweep(7, 9))
-    if cache is not None and cache.a_entries:
+    if cache is not None and cache.levels:
         name = "cache-consistency"
         bad = [
             DSet.from_mask(mask).key for mask, v in fresh.a_entries.items()
@@ -478,7 +476,7 @@ def suite_constants(max_f: int | None = None, cache: ConstantCache | None = None
 def suite_bounds(max_f: int | None = None, cache: ConstantCache | None = None,
                  workers: int = 1) -> list[CheckResult]:
     f_cap = max_f or 16
-    if cache is None or not cache.a_entries:
+    if cache is None or not cache.levels:
         cache = ConstantCache()
         for t in range(1, 7):
             a_consts_batch(t, cache, workers=workers)
@@ -564,7 +562,7 @@ def suite_limits(max_f: int | None = None, cache: ConstantCache | None = None,
     bad = None
     for row in tbl.rows:
         t = row.d.max_element
-        if t >= 1 and row.value < gamma_lower_bound(row.d):
+        if t >= 1 and row.value < gamma_lower_bound(t):
             bad = row.d
             break
         row.refined_interval  # raises if structurally empty
@@ -618,8 +616,8 @@ def suite_oracle(max_f: int | None = None, cache: ConstantCache | None = None,
 
     name = "table-3"
     t3 = density_table(3, workers=workers)
-    want = {as_semigroup(n_of(DSet(), 3, warn_uncertified=False)): 3,
-            as_semigroup(n_of(DSet.of([1]), 3, warn_uncertified=False)): 1}
+    want = {as_semigroup(n_of(DSet(), 3)): 3,
+            as_semigroup(n_of(DSet.of([1]), 3)): 1}
     out.append(
         _ok(name, "f=3: P = 3 for the minimal semigroup, 1 for {0,2,4,...}")
         if dict(t3.entries) == want
@@ -654,7 +652,7 @@ def suite_convergence(max_f: int | None = None, cache: ConstantCache | None = No
 
     name = f"mu-drift(f={f_cap},depth={depth})"
     dsets = [DSet(), DSet.of([1]), DSet.of([2]), DSet.of([1, 3])]
-    goals = [n_of(d, f_cap, warn_uncertified=False).gaps_mask for d in dsets]
+    goals = [n_of(d, f_cap).gaps_mask for d in dsets]
     counts = density_table(f_cap, workers=workers).preimages(goals)
     allowance = Fraction(2, 100) + tail_bound(depth)
     ok = True

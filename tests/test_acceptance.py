@@ -174,7 +174,7 @@ def test_criterion_08_positivity(shipped_cache):
     for m in range(1, 1 << 15):
         d = DSet.from_mask(m)
         g = gamma(d, 15, shipped_cache)
-        assert g.value >= gamma_lower_bound(d), f"D = {d.key}"
+        assert g.value >= gamma_lower_bound(d.max_element), f"D = {d.key}"
     for key in REFERENCE_DENSITIES:
         g = gamma(DSet.parse(key), 15, shipped_cache)
         assert g.refined_interval.lo > 0, f"D = {key}"
@@ -205,7 +205,7 @@ def test_criterion_11_finite_f_drift(shipped_cache):
     dsets = [DSet(), DSet.of([1]), DSet.of([2]), DSet.of([1, 3])]
     mus = {d.key: {} for d in dsets}
     for f in range(16, 25):
-        goals = [n_of(d, f, warn_uncertified=False).gaps_mask for d in dsets]
+        goals = [n_of(d, f).gaps_mask for d in dsets]
         counts = density_table(f).preimages(goals)
         for d, count in zip(dsets, counts.tolist()):
             mus[d.key][f] = Fraction(count, 1 << (f - 1))

@@ -73,11 +73,12 @@ class TestBatches:
             assert sum(got.values()) == 3 ** (t - 1)
 
     def test_corrupted_cache_is_caught(self):
-        # a wrong cached constant must trip the truncation identity, which
-        # the 4^t oracle replays; the slice route reads no other level
+        # a wrong cached level must trip the truncation identity, which the
+        # 4^t oracle replays; the slice route reads no other level.  A_{2}
+        # and A_{1,2} swapped keep the level rule: 1 and 2 sum to 3^1
         cache = ConstantCache()
         a_consts_batch(1, cache)
-        cache.a_entries[0b10] = 1  # A_{2}; truth is 2
+        cache.set_level(2, [1, 2])  # truth is A_{2} = 2, A_{1,2} = 1
         a_consts_batch(3, cache)
         with pytest.raises(CacheConflictError, match="truncation identity"):
             full_window_oracle(3, cache)
@@ -89,9 +90,15 @@ class TestBatches:
         assert "top buckets of the 4^t sweep" in results[0].detail
 
     def test_oracle_rejects_a_wrong_top_bucket(self):
-        cache = build_a_constants(3)
-        cache.a_entries[0b101] = 2  # A_{1,3}; truth is 3
-        with pytest.raises(CacheConflictError, match=r"A_\{1,3\} is 2"):
+        # A_{3} = 3 and A_{2,3} = 2 swapped keep the level sum 3^2, so the
+        # level rule holds them and only the 4^t sweep can refuse them
+        cache = build_a_constants(2)
+        level = [A_FIXTURES[3][DSet.from_mask(m).key] for m in range(4, 8)]
+        level[0], level[2] = level[2], level[0]
+        cache.set_level(3, level)
+        with pytest.raises(CacheConflictError, match=(
+            r"^A_\{3\} is 2 on the slice route, 3 in the 4\^3 sweep$"
+        )):
             full_window_oracle(3, cache)
 
     @pytest.mark.parametrize("t", range(1, 12))
@@ -127,7 +134,8 @@ class TestAConst:
 
     def test_reads_cache_without_sweeping(self):
         cache = ConstantCache()
-        cache.set_a(DSet.of([9]), 1065)
+        cache.set_level(9, list(a_consts_batch(9).values()))
+        assert cache.a(DSet.of([9])) == 1065
         # budget 1 would forbid any sweep at this depth
         assert a_const(DSet.of([9]), cache, budget=1) == 1065
 
@@ -184,10 +192,10 @@ class TestCConst:
 class TestCacheObject:
     def test_conflict_fatal(self):
         cache = ConstantCache()
-        cache.set_a(DSet.of([2]), 2)
-        cache.set_a(DSet.of([2]), 2)  # same value is fine
+        cache.set_level(2, [2, 1])
+        cache.set_level(2, [2, 1])  # same values are fine
         with pytest.raises(CacheConflictError):
-            cache.set_a(DSet.of([2]), 3)
+            cache.set_level(2, [1, 2])
         cache.set_c(1, 4, 3)
         with pytest.raises(CacheConflictError):
             cache.set_c(1, 4, 4)
@@ -197,11 +205,55 @@ class TestCacheObject:
         assert cache.a_depth() == 0
         build_a_constants(3, cache)
         assert cache.a_depth() == 3
-        # one missing entry at t = 4 keeps the certified depth at 3
-        for m, v in a_consts_batch(4, ConstantCache()).items():
-            if m != DSet.of([2, 4]).mask:
-                cache.set_a(DSet.from_mask(m), v)
+        # a missing level 4 keeps the certified depth at 3
+        a_consts_batch(5, cache)
         assert cache.a_depth() == 3
+
+    @pytest.mark.parametrize("t, values, message", [
+        (2, [0, 3], "level 2: 2 A constants in [0, 3] summing to 3; "
+                    "the rule is 2^1 in [1, 3^1] summing to 3^1"),
+        (2, [2, 2], "level 2: 2 A constants in [2, 2] summing to 4; "
+                    "the rule is 2^1 in [1, 3^1] summing to 3^1"),
+        (3, [3, 3, 3], "level 3: 3 A constants in [3, 3] summing to 9; "
+                       "the rule is 2^2 in [1, 3^2] summing to 3^2"),
+        (0, [1], "level 0: A_∅ = 1 by definition and is never stored"),
+        (32, [1], "level 32: A levels lie in [1, 31], the deepest top slice"),
+        # 2^69 values could not be built at all: the level is refused first
+        (70, [1], "level 70: A levels lie in [1, 31], the deepest top slice"),
+    ], ids=["zero", "sum", "count", "level-0", "level-32", "level-70"])
+    def test_set_level_refuses_a_rule_breaking_level(self, t, values, message):
+        cache = build_a_constants(1)
+        with pytest.raises(CacheConflictError) as caught:
+            cache.set_level(t, values)
+        assert str(caught.value) == message
+        assert dict(cache.levels).keys() == {1}
+
+    def test_set_level_refuses_a_differing_recompute(self):
+        cache = build_a_constants(3)
+        held = cache.levels[3].tolist()  # A_{3}, A_{1,3}, A_{2,3}, A_{1,2,3}
+        swapped = [held[2], held[1], held[0], held[3]]  # same level sum
+        with pytest.raises(CacheConflictError) as caught:
+            cache.set_level(3, swapped)
+        assert str(caught.value) == "A[3] recomputed as 2, cached 3"
+        assert cache.levels[3].tolist() == held
+        # the first differing D is named, not the first D of the level
+        swapped = [held[0], held[3], held[2], held[1]]
+        with pytest.raises(CacheConflictError, match=r"^A\[1,3\] recomputed as 1, cached 3$"):
+            cache.set_level(3, swapped)
+
+    def test_held_constants_are_read_only(self, shipped_cache):
+        with pytest.raises(TypeError):
+            shipped_cache.a_entries[0b10] = 1
+        with pytest.raises(TypeError):
+            shipped_cache.levels[2] = np.array([1, 2])
+        with pytest.raises(ValueError, match="read-only"):
+            shipped_cache.levels[2][0] = 1
+        assert shipped_cache.a_entries[0b10] == 2
+        assert type(shipped_cache.a_entries[0b10]) is int
+        assert len(shipped_cache.a_entries) == 2**15 - 1
+        # no level holds the empty set, a negative mask or one past depth 15
+        for mask in (0, -1, -5, 1 << 15):
+            assert mask not in shipped_cache.a_entries
 
 
 class TestCacheFile:
@@ -212,12 +264,13 @@ class TestCacheFile:
         path = tmp_path / "c.cache"
         cache_store(cache, path)
         again = cache_load(path)
-        assert again == cache
+        assert again.a_entries == cache.a_entries
+        assert again.c_entries == cache.c_entries
         assert again.provenance.get("a-depth") == "3"
 
     def test_file_shape(self, tmp_path):
         cache = ConstantCache()
-        cache.set_a(DSet.of([1]), 1)
+        cache.set_level(1, [1])
         cache.set_c(1, 4, 3)
         cache.provenance["note"] = "x"
         path = tmp_path / "c.cache"
@@ -256,12 +309,31 @@ class TestCacheFile:
         # int() forms of the same elements name the same masks
         path = tmp_path / "c.cache"
         path.write_text("A|+1|1\nA| 2|2\nA|01, 2 |1\n", encoding="utf-8")
-        assert cache_load(path) == build_a_constants(2)
+        assert cache_load(path).a_entries == build_a_constants(2).a_entries
 
     def test_load_rejects_internal_conflict(self, tmp_path):
         path = tmp_path / "bad.cache"
         path.write_text("A|1|1\nA|1|2\n", encoding="utf-8")
         with pytest.raises(CacheConflictError):
+            cache_load(path)
+
+    @pytest.mark.parametrize("records, message", [
+        # a malformed line anywhere comes first, then a key with two values
+        ("A|1|1\nA|1|2\nA|1|x\n", r":3: non-integer value 'x'$"),
+        ("A|1|1\nA|1|2\nA|1|3\n", r"^A\[1\] recomputed as 2, cached 1$"),
+        ("A|1|1\nC|1,4|3\nC|1,4|4\n", r"^C\[1,4\] recomputed as 4, cached 3$"),
+        ("A|2|9\nC|1,4|3\nC|1,4|4\n", r"^C\[1,4\] recomputed as 4, cached 3$"),
+        # equal duplicates are dropped before the level rule counts
+        ("A|1|2\nA|1|2\n", r"^level 1: 1 A constants in \[2, 2\] summing to 2;"),
+        # the level rule comes before the C bound
+        ("C|1,4|7\nA|2|9\n", r"^level 2: 1 A constants in \[9, 9\]"),
+        ("C|1,4|7\nA|1|1\n", r"^C\[1,4\] = 7 outside \[1, 6\]$"),
+    ], ids=["malformed", "a-conflict", "c-conflict", "c-conflict-before-level",
+            "duplicates-dropped", "level-before-c-bound", "c-bound"])
+    def test_load_refuses_in_one_order(self, tmp_path, records, message):
+        path = tmp_path / "bad.cache"
+        path.write_text(records, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):  # CacheConflictError included
             cache_load(path)
 
     def test_load_rejects_incomplete_level(self, tmp_path):
@@ -332,14 +404,14 @@ class TestCacheFile:
             cache_load(path)
 
     def test_store_refuses_a_partial_level(self, tmp_path):
-        # what the loader would refuse is never written, not even in part
+        # what the loader would refuse is never held, so never written
         cache = build_a_constants(3)
-        for m, v in a_consts_batch(4).items():
-            if m != DSet.of([2, 4]).mask:
-                cache.set_a(DSet.from_mask(m), v)
+        level = a_consts_batch(4)
+        del level[DSet.of([2, 4]).mask]
         with pytest.raises(CacheConflictError, match="level 4: 7 A constants"):
-            cache_store(cache, tmp_path / "c.cache")
-        assert list(tmp_path.iterdir()) == []
+            cache.set_level(4, list(level.values()))
+        cache_store(cache, tmp_path / "c.cache")
+        assert cache_load(tmp_path / "c.cache").a_entries == cache.a_entries
 
     def test_empty_set_record_has_its_own_refusal(self, tmp_path, capsys):
         # A_∅ has no level: the level rule's powers 2^(t-1), 3^(t-1) at
@@ -351,25 +423,20 @@ class TestCacheFile:
         assert code == 1
         assert "A_∅ = 1 by definition and is never stored" in err
         assert "^-" not in err
-        cache = build_a_constants(2)
-        cache.a_entries[0] = 1
         with pytest.raises(CacheConflictError, match="never stored"):
-            cache_store(cache, tmp_path / "c.cache")
-        assert list(tmp_path.iterdir()) == [path]
+            build_a_constants(2).set_level(0, [1])
 
     def test_store_refuses_c_out_of_range(self, tmp_path):
         cache = build_a_constants(2)
-        cache.set_c(1, 6, 10**6)
         with pytest.raises(CacheConflictError, match=r"C\[1,6\] = 1000000 outside \[1, 54\]"):
-            cache_store(cache, tmp_path / "c.cache")
-        assert list(tmp_path.iterdir()) == []
+            cache.set_c(1, 6, 10**6)
+        assert cache.c_entries == {}
 
     def test_store_refuses_a_mask_past_64_bits(self, tmp_path):
         cache = build_a_constants(2)
-        cache.set_a(DSet.of([70]), 1)
         with pytest.raises(CacheConflictError, match=r"level 70: A levels lie in \[1, 31\]"):
-            cache_store(cache, tmp_path / "c.cache")
-        assert list(tmp_path.iterdir()) == []
+            cache.set_level(70, [1])
+        assert dict(cache.levels).keys() == {1, 2}
 
     def test_store_failure_leaves_no_temp_file(self, tmp_path):
         # the rename onto a directory fails after the temp file is written
@@ -391,12 +458,10 @@ class TestCacheFile:
 def per_line_load(path) -> ConstantCache:
     """The oracle for cache_load: its per-line parser on every line, split
     as a text file opened with newline="" splits them, then the same rules."""
-    cache = ConstantCache()
+    reader = constants._Reader(path)
     with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            constants._parse_record(cache, path, lineno, raw)
-    constants._check_rules(cache)
-    return cache
+        reader.lines(fh)
+    return reader.cache()
 
 
 def load_outcome(load, path):
@@ -451,6 +516,7 @@ LOADER_CASES = {
     "no-key": SMALL + "A|5\n",
     "head-closed-by-comma": SMALL + "A,1|5\n",
     "empty": "",
+    "only-lf": "\n",
     "level-5-at-18-digits": LEVEL_5_AT_18_DIGITS,
     "19-digits": "A|1|1000000000000000000\n",
     "past-uint64": "A|1|18446744073709551617\n",
@@ -470,13 +536,13 @@ class TestLoaderRoutes:
     def test_shipped_cache_parses_its_a_records_in_numpy(self, monkeypatch):
         # only the 3 provenance lines and 15 C records take the per-line route
         seen = []
-        parse = constants._parse_record
+        line = constants._Reader.line
 
-        def spy(cache, path, lineno, raw):
+        def spy(reader, lineno, raw):
             seen.append(raw)
-            parse(cache, path, lineno, raw)
+            return line(reader, lineno, raw)
 
-        monkeypatch.setattr(constants, "_parse_record", spy)
+        monkeypatch.setattr(constants._Reader, "line", spy)
         cache = cache_load(SHIPPED_CACHE)
         assert len(cache.a_entries) == 2**15 - 1
         assert len(seen) == 18

@@ -7,7 +7,6 @@ from nsdensity.core import (
     DSet,
     NumericalSet,
     Semigroup,
-    UncertifiedSemigroupWarning,
     associated_semigroup,
     associated_semigroup_definitional,
     as_semigroup,
@@ -175,17 +174,15 @@ class TestEncoding:
                     continue
                 s = as_semigroup(t)
                 d = d_of(s)
-                assert as_semigroup(n_of(d, f, warn_uncertified=False)) == s
+                assert as_semigroup(n_of(d, f)) == s
                 assert r_value(s) == (d.max_element if len(d) else -1)
                 assert multiplicity(s) == f - r_value(s)
 
     def test_n_of_bounds(self):
         with pytest.raises(ValueError):
             n_of(DSet.of([3]), 3)
-        with pytest.warns(UncertifiedSemigroupWarning):
-            n_of(DSet.of([3]), 5)  # f <= 2 Max(D): closure not certified
-        # f > 2 Max(D) never warns
-        n_of(DSet.of([3]), 7)
+        # f <= 2 Max(D): a numerical set, with closure not certified
+        assert n_of(DSet.of([3]), 5).gaps_mask == make_numerical_set(5, [2]).gaps_mask
 
     def test_n_of_certified_band_is_semigroup(self):
         for t_max in range(1, 6):
@@ -194,8 +191,7 @@ class TestEncoding:
                 for f in range(2 * d.max_element + 1, 2 * d.max_element + 6):
                     if f <= d.max_element:
                         continue
-                    as_semigroup(n_of(d, max(f, d.max_element + 1),
-                                      warn_uncertified=False))
+                    as_semigroup(n_of(d, max(f, d.max_element + 1)))
 
 
 class TestWindowsAndFolding:

@@ -76,8 +76,8 @@ class TestDensityTable:
     def test_f3(self):
         table = density_table(3)
         assert dict(table.entries) == {
-            as_semigroup(n_of(DSet(), 3, warn_uncertified=False)): 3,
-            as_semigroup(n_of(DSet.of([1]), 3, warn_uncertified=False)): 1,
+            as_semigroup(n_of(DSet(), 3)): 3,
+            as_semigroup(n_of(DSet.of([1]), 3)): 1,
         }
 
     def test_sum_identity(self):
@@ -513,7 +513,7 @@ class TestSuffixCensus:
         wide = (f - 1) // 2
         for mask in range(8):
             d = DSet.from_mask(mask)
-            s = as_semigroup(n_of(d, f, warn_uncertified=False))
+            s = as_semigroup(n_of(d, f))
             assert census.p_counts[d] == table.entries.get(s, 0)
             assert census.s_counts[d] == sum(
                 p for a, p in table.entries.items()
@@ -566,7 +566,7 @@ class TestWorkers:
 
     def test_preimage_counts(self):
         f = 19
-        goals = [n_of(DSet.from_mask(m), f, warn_uncertified=False).gaps_mask
+        goals = [n_of(DSet.from_mask(m), f).gaps_mask
                  for m in range(16)]
         one, two = density_table(f), density_table(f, workers=2)
         assert np.array_equal(one.preimages(goals), two.preimages(goals))

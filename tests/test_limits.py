@@ -90,8 +90,8 @@ class TestScalars:
             assert a_constant(l) > 0
 
     def test_gamma_lower_bound(self):
-        assert gamma_lower_bound(DSet.of([1])) == Fraction(7, 384)
-        assert gamma_lower_bound(DSet()) == Fraction(-1, 24)  # vacuous
+        assert gamma_lower_bound(1) == Fraction(7, 384)
+        assert gamma_lower_bound(0) == Fraction(-1, 24)  # D = ∅: vacuous
 
 
 class TestInterval:
