@@ -43,7 +43,7 @@ def main() -> None:
     ) + f"   (depth-{args.depth} truncation)")
     for d in dsets:
         drift = abs(rows[d.key][args.f_max] - gamma(d, args.depth, cache).value)
-        print(f"  D = {d.key or '∅'}: |mu({args.f_max}) - truncation| = "
+        print(f"  D = {d.key}: |mu({args.f_max}) - truncation| = "
               f"{decimal_str(drift)}")
 
 

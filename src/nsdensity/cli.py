@@ -35,6 +35,7 @@ from .constants import (
     CacheConflictError,
     ConstantCache,
     DEFAULT_DEPTH_BUDGET,
+    TOP_SLICE_LIMIT,
     cache_load,
     cache_store,
     resolve_cache_path,
@@ -127,6 +128,10 @@ def validate(args: argparse.Namespace) -> None:
     else:
         if args.depth < 0:
             raise UsageError("--depth must be >= 0")
+        if args.depth > TOP_SLICE_LIMIT:
+            raise UsageError(
+                f"--depth must be <= {TOP_SLICE_LIMIT}, the deepest top slice"
+            )
         if args.depth > args.depth_budget:
             raise BudgetError(
                 f"--depth {args.depth} exceeds depth budget {args.depth_budget}"

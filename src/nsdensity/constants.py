@@ -552,7 +552,8 @@ def c_const(
         )
     buckets = top_slice_counts(k, prefix_zeros=l, workers=workers)
     value = int(buckets[1 << (k - 1)])
-    check_c(l, k, value)
-    if cache is not None:
+    if cache is None:
+        check_c(l, k, value)
+    else:
         cache.set_c(l, k, value)
     return value

@@ -19,10 +19,11 @@ s in [1, f-1] lies in A(T) iff no pair (x, x+s) with x <= f-s has x in T
 and x+s not in T; 0 is in T and f is not.  The violation mask V(T), bit s-1
 set when some pair violates at s, is therefore an OR over pairs, and
 A(T) = ~V(T) & low_bits(f-1).  An OR over pairs splits by where each
-pair's two ends lie, which is how the flat sweep builds its A-masks.  A
-chunk fixes everything but the low block L = [l+1, l+b] (l = prefix_zeros,
-2^b sets per chunk): the rest H = {0} ∪ [1, l] ∪ (l+b, f] is constant
-within it.  With L split into L1 = [l+1, l+b1] and L2 = (l+b1, l+b],
+pair's two ends lie, which is how the flat sweep builds its A-masks.  Its
+chunker, :func:`_flat_chunks`, gives each chunk everything but the low
+block L = [l+1, l+b] fixed (l = prefix_zeros, 2^b sets per chunk): the
+rest H = {0} ∪ [1, l] ∪ (l+b, f] is constant within it.  With L split
+into L1 = [l+1, l+b1] and L2 = (l+b1, l+b],
 
     V = V_LL(T ∩ L) | V_L1H(T ∩ L1; H) | V_L2H(T ∩ L2; H) | V_HH(H)
 
@@ -41,8 +42,9 @@ step over digit pairs.  Digit j in [1, t-1] is the pair (x_j, h_j) =
 Window bit y-1 (f-y not in A(T)) is violated exactly when some pair (k, j)
 with 0 <= k <= j <= t has x_k in T and h_j not in T, at y = t-j+k.  So the
 window's violation mask is an OR over digit pairs, and as the digits are
-independent it splits by block.  A chunk fixes the leading digits and runs
-over every state of the trailing digits 1..a (3^a at most the chunk):
+independent it splits by block.  Its chunker, :func:`_slice_chunks`,
+gives each chunk the leading digits fixed and runs it over every state of
+the trailing digits 1..a (3^a at most the chunk):
 
     V = V_TT(trailing) | V_TH(trailing members; leading out-mask) | V_HH(leading)
 
@@ -57,7 +59,10 @@ digit's membership by the one pair rule, k = j included, so a pair state
 with x_j in T and h_j out would leave a window below 2^(t-1), which
 :func:`top_slice_counts` refuses.
 
-Word size limits these kernels to f <= 63; the pure-python routines in
+The two chunkers share one worker-pool runner, :func:`_run_chunks`, and
+nothing else: the flat sweep takes f and checks its enumeration budget,
+and the top slice takes t and has no budget, as its callers own it.  Word
+size limits these kernels to f <= 63; the pure-python routines in
 ``core`` remain valid for arbitrary f.
 """
 
@@ -91,101 +96,106 @@ class BudgetError(Exception):
     """A sweep would visit more sets than the configured budget allows."""
 
 
-def _check_budget(f: int, budget: int, sets: str) -> None:
-    """Refuse f beyond the budget; ``sets`` states what the sweep visits."""
+# ---------------------------------------------------------------------------
+# chunked mask production and the two elementary kernels
+
+
+def _run_chunks(run: Callable[[int], object], chunks: int, workers: int) -> list:
+    """``run(i)`` for every chunk index i in [0, ``chunks``), on up to
+    ``workers`` threads, with the results in ascending index order, so any
+    reduction that is associative and commutative over exact integers is
+    deterministic for every worker count."""
+    # Executor.map submits every chunk at once: more threads than chunks
+    # or cores would only start and idle
+    workers = min(workers, chunks, os.cpu_count() or 1)
+    if workers <= 1:
+        return [run(i) for i in range(chunks)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(chunks)))
+
+
+def _flat_chunks(
+    f: int,
+    func: Callable[[np.ndarray], object],
+    *,
+    prefix_zeros: int = 0,
+    budget: int = DEFAULT_ENUM_BUDGET,
+    workers: int = 1,
+    chunk: int | None = None,
+) -> list:
+    """Apply ``func`` to the A-masks of each chunk of the flat sweep.
+
+    The flat sweep visits the 2^(f-1-l) sets avoiding [1, l], l =
+    ``prefix_zeros``: a chunk fixes T above the low block L = [l+1, l+b]
+    and runs over all 2^b patterns of L, with 2^b = ``chunk`` (default
+    BLOCK) rounded down to a power of two and capped at the sweep (see the
+    module docstring).  Results come in chunk order (:func:`_run_chunks`).
+    """
+    free = f - 1 - prefix_zeros
     if f < 1:
         raise ValueError(f"Frobenius number must be >= 1, got {f}")
     if f > budget:
         raise BudgetError(
             f"enumeration over f={f} exceeds budget f<={budget} "
-            f"({sets} sets); raise the budget explicitly to proceed"
+            f"(2^{free} sets); raise the budget explicitly to proceed"
         )
     if f > WORD_LIMIT:
         raise BudgetError(f"vectorized kernels require f <= {WORD_LIMIT}, got {f}")
+    if not 0 <= prefix_zeros <= f - 1:
+        raise ValueError(f"prefix [1,{prefix_zeros}] does not fit below f={f}")
+    b = min(free, (chunk or BLOCK).bit_length() - 1)
+    allowed_ll = _low_block_table(f, prefix_zeros, b)
+
+    def run(high: int):
+        return func(_amask_block(f, prefix_zeros, b, high, allowed_ll))
+
+    return _run_chunks(run, 1 << (free - b), workers)
 
 
-# ---------------------------------------------------------------------------
-# chunked mask production and the two elementary kernels
-
-
-def _map_chunks(
-    f: int,
+def _slice_chunks(
+    t: int,
     func: Callable[[np.ndarray], object],
     *,
     prefix_zeros: int = 0,
-    top_slice: bool = False,
-    budget: int = DEFAULT_ENUM_BUDGET,
     workers: int = 1,
     chunk: int | None = None,
 ) -> list:
-    """Apply ``func`` to the chunks that cover the whole sweep.
+    """Apply ``func`` to the width-t windows of each chunk of the top slice.
 
-    The flat sweep visits the 2^(f-1-l) sets avoiding [1, l], l =
-    ``prefix_zeros``, and hands ``func`` their A-masks: a chunk fixes T
-    above the low block L = [l+1, l+b] and runs over all 2^b patterns of
-    L, with 2^b = ``chunk`` (default BLOCK) rounded down to a power of two
-    and capped at the sweep (see the module docstring).
-
-    With ``top_slice`` the sweep covers only the top slice at f = 2t+1 (see
-    :func:`top_slice_counts`), indexed in mixed radix: digit j in [1, t-1]
-    is the state of the pair (j, j+t+1), base 2 for j <= prefix_zeros and
-    base 3 above.  Each chunk fixes the leading digits and runs over every
-    state of the trailing digits, at most ``chunk`` of them (default
-    16 * 2^t, so that a chunk outweighs its 2^t-bin histogram, within
-    [BLOCK, CHUNK]), and ``func`` gets their width-t windows.
-
-    Results are returned in ascending index order, so any reduction that is
-    associative and commutative over exact integers is deterministic for
-    every worker count.
+    The top slice at f = 2t+1 (see :func:`top_slice_counts`) is indexed in
+    mixed radix: digit j in [1, t-1] is the state of the pair (j, j+t+1),
+    base 2 for j <= ``prefix_zeros`` and base 3 above.  Each chunk fixes
+    the leading digits and runs over every state of the trailing digits,
+    at most ``chunk`` of them (default 16 * 2^t, so that a chunk outweighs
+    its 2^t-bin histogram, within [BLOCK, CHUNK]).  Results come in chunk
+    order (:func:`_run_chunks`).  The sweep has no budget: its callers own
+    it.
     """
-    if top_slice:
-        t = (f - 1) // 2
-        _check_budget(f, budget, f"2^{prefix_zeros} 3^{t - 1 - prefix_zeros}")
-        if f != 2 * t + 1 or not 0 <= prefix_zeros <= t - 1:
-            raise ValueError(
-                f"top slice needs odd f = 2t+1 and prefix [1,{prefix_zeros}] "
-                f"below t, got f={f}"
-            )
-        # a prefix digit keeps the states with j out of T
-        digits = [
-            [s for s in _PAIR_STATES if j > prefix_zeros or not s[0]]
-            for j in range(1, t)
-        ]
-        chunk = chunk or min(max(BLOCK, 16 << t), CHUNK)
-        a, step = 0, 1
-        while a < len(digits) and step * len(digits[a]) <= chunk:
-            step *= len(digits[a])
-            a += 1
-        trailing, leading = digits[:a], digits[a:]
-        allowed_tt = _slice_trailing_table(t, trailing)
-        ranges = range(math.prod(len(s) for s in leading))
+    if not 0 <= prefix_zeros <= t - 1:
+        raise ValueError(
+            f"top slice needs the prefix [1,{prefix_zeros}] below t={t}"
+        )
+    # a prefix digit keeps the states with j out of T
+    digits = [
+        [s for s in _PAIR_STATES if j > prefix_zeros or not s[0]]
+        for j in range(1, t)
+    ]
+    chunk = chunk or min(max(BLOCK, 16 << t), CHUNK)
+    a, step = 0, 1
+    while a < len(digits) and step * len(digits[a]) <= chunk:
+        step *= len(digits[a])
+        a += 1
+    trailing, leading = digits[:a], digits[a:]
+    allowed_tt = _slice_trailing_table(t, trailing)
 
-        def run(index: int):
-            states = []
-            for digit in leading:
-                index, d = divmod(index, len(digit))
-                states.append(digit[d])
-            return func(_slice_block(t, trailing, states, allowed_tt))
+    def run(index: int):
+        states = []
+        for digit in leading:
+            index, d = divmod(index, len(digit))
+            states.append(digit[d])
+        return func(_slice_block(t, trailing, states, allowed_tt))
 
-    else:
-        free = f - 1 - prefix_zeros
-        _check_budget(f, budget, f"2^{free}")
-        if not 0 <= prefix_zeros <= f - 1:
-            raise ValueError(f"prefix [1,{prefix_zeros}] does not fit below f={f}")
-        b = min(free, (chunk or BLOCK).bit_length() - 1)
-        allowed_ll = _low_block_table(f, prefix_zeros, b)
-        ranges = range(1 << (free - b))
-
-        def run(high: int):
-            return func(_amask_block(f, prefix_zeros, b, high, allowed_ll))
-
-    # Executor.map submits every chunk at once: more threads than chunks
-    # or cores would only start and idle
-    workers = min(workers, len(ranges), os.cpu_count() or 1)
-    if workers <= 1:
-        return [run(r) for r in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, ranges))
+    return _run_chunks(run, math.prod(len(s) for s in leading), workers)
 
 
 def _low_block_table(f: int, l: int, b: int) -> np.ndarray:
@@ -513,12 +523,12 @@ def density_table(
     """Map every T with f(T) = f avoiding [1, prefix_zeros] through A and
     tally preimages per A-mask.
 
-    Each chunk (``chunk`` sets, see :func:`_map_chunks`) tallies its own
+    Each chunk (``chunk`` sets, see :func:`_flat_chunks`) tallies its own
     A-masks; the per-chunk tallies merge in one concatenated ``np.unique``
     and an exact integer sum, so the table is the same for every chunk
     size and worker count.
     """
-    parts = _map_chunks(
+    parts = _flat_chunks(
         f,
         lambda amask: np.unique(amask, return_counts=True),
         prefix_zeros=prefix_zeros,
@@ -575,37 +585,39 @@ def top_slice_counts(
     AssertionError.
 
     The caller owns the budget: this sweep is far smaller than the 2^(f-1)
-    sets the enumeration budget is stated in.
+    sets the enumeration budget is stated in.  Only the word size bounds
+    it, t <= (WORD_LIMIT-1)/2, checked before the histogram is allocated.
     """
     if t < 1:
         raise ValueError(f"top slice needs t >= 1, got {t}")
-    f = 2 * t + 1
-    buckets = _window_histogram(
-        f, t, prefix_zeros=prefix_zeros, budget=f, workers=workers
-    )
+    if 2 * t + 1 > WORD_LIMIT:
+        raise BudgetError(
+            f"top slice at t={t} needs f = 2t+1 <= {WORD_LIMIT}, the word limit"
+        )
+    buckets = _window_histogram(t, prefix_zeros=prefix_zeros, workers=workers)
     stray = int(buckets[: 1 << (t - 1)].sum())
     if stray:
         raise AssertionError(
-            f"{stray} top-slice sets at f={f} have a window below 2^{t - 1}"
+            f"{stray} top-slice sets at f={2 * t + 1} have a window below 2^{t - 1}"
         )
     return buckets
 
 
-def _window_histogram(f: int, width: int, **sweep) -> np.ndarray:
-    """Sum of per-chunk bincounts of the top slice's width-``width`` windows.
+def _window_histogram(t: int, **sweep) -> np.ndarray:
+    """Sum of per-chunk bincounts of the top slice's width-t windows.
 
     Each chunk adds its bincount to one running total, so memory stays at
     one histogram per worker however many chunks the sweep has.
     """
-    total = np.zeros(1 << width, dtype=np.int64)
+    total = np.zeros(1 << t, dtype=np.int64)
     lock = threading.Lock()
 
     def tally(windows: np.ndarray) -> None:
-        counts = np.bincount(windows, minlength=1 << width)
+        counts = np.bincount(windows, minlength=1 << t)
         with lock:
             np.add(total, counts, out=total)
 
-    _map_chunks(f, tally, top_slice=True, **sweep)
+    _slice_chunks(t, tally, **sweep)
     return total
 
 

@@ -99,9 +99,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -258,8 +255,6 @@ def alpha_partial_sum(
         raise AssertionError(
             f"partial alpha sum {value} != telescoped form {check}"
         )
-    if value > 1:
-        raise AssertionError(f"partial alpha sum {value} exceeds 1")
     return Interval(value - tail_bound(depth), value)
 
 

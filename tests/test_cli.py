@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nsdensity import cli
+from nsdensity import cli, constants
 from nsdensity.constants import cache_load
 
 CACHE_PATH = str(Path(__file__).resolve().parents[1] / "nsdensity.cache")
@@ -165,6 +165,23 @@ class TestVerify:
         assert "[FAIL]" not in out
         assert out.rstrip("\n").split("\n")[-1].endswith(" 0 failed")
 
+    def test_report_runs_each_check_once(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--cache", CACHE_PATH, "--format", "json"
+        )
+        assert code == 0
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert len(names) == len(set(names)) == 30
+        # no check restates a fact enforced where the data enters
+        deleted = ("a-bounds", "a-sum-identity", "sum-preimages", "alpha-width")
+        assert not [n for n in names if n.startswith(deleted)]
+        assert [n for n in names if n.startswith("c-unit-range")] == [
+            "c-unit-range(l<=5)"
+        ]
+        assert [n for n in names if n.startswith("preimage-identity")] == [
+            "preimage-identity(f=14,t<=3)"
+        ]
+
     @pytest.mark.parametrize("max_f", range(1, 8))
     @pytest.mark.parametrize("suite", ["core", "convergence"])
     def test_small_max_f_completes(self, capsys, suite, max_f):
@@ -197,6 +214,26 @@ class TestExitCodes:
     def test_depth_budget(self, capsys):
         code, _, err = run(capsys, "gamma", "--d", "1", "--depth", "20")
         assert code == 2 and "budget error" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gamma", "--d", "32", "--depth", "32", "--depth-budget", "32"],
+         "--depth must be <= 31, the deepest top slice"),
+        (["gamma", "--d", "1", "--depth", "32", "--depth-budget", "32"],
+         "--depth must be <= 31, the deepest top slice"),
+        (["glimit", "--l", "1", "--depth", "32", "--depth-budget", "32"],
+         "--depth must be <= 31, the deepest top slice"),
+        (["gamma", "--d", "1", "--depth", "-1"], "--depth must be >= 0"),
+    ])
+    def test_depth_beyond_the_deepest_top_slice(self, capsys, monkeypatch,
+                                                argv, message):
+        # refused before any sweep: none may start, however small
+        def no_sweep(t, **kwargs):
+            raise AssertionError(f"top slice at t={t} swept")
+
+        monkeypatch.setattr(constants, "top_slice_counts", no_sweep)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {message}\n"
 
     def test_unsorted_d(self, capsys):
         code, _, err = run(capsys, "gamma", "--d", "3,1", "--depth", "5")

@@ -219,7 +219,7 @@ def core_amasks(f, prefix_zeros):
 
 
 def sweep_amasks(f, **sweep):
-    parts = enumeration._map_chunks(f, lambda amask: amask.copy(), **sweep)
+    parts = enumeration._flat_chunks(f, lambda amask: amask.copy(), **sweep)
     return np.concatenate(parts).tolist()
 
 
@@ -255,14 +255,14 @@ class TestAMapSweep:
         assert dict(density_table(2).entries) == {n_f(2): 2}
         # a sweep smaller than the block is one chunk of 2^(f-1-l) sets
         calls = []
-        enumeration._map_chunks(9, calls.append, chunk=1 << 10)
+        enumeration._flat_chunks(9, calls.append, chunk=1 << 10)
         assert [len(c) for c in calls] == [1 << 8]
         calls.clear()
-        enumeration._map_chunks(12, calls.append, prefix_zeros=6, chunk=1 << 8)
+        enumeration._flat_chunks(12, calls.append, prefix_zeros=6, chunk=1 << 8)
         assert [len(c) for c in calls] == [1 << 5]
         # a block of 2^3 sets leaves the positions above it to the chunks
         calls.clear()
-        enumeration._map_chunks(9, calls.append, prefix_zeros=2, chunk=12)
+        enumeration._flat_chunks(9, calls.append, prefix_zeros=2, chunk=12)
         assert [len(c) for c in calls] == [1 << 3] * (1 << 3)
 
     def test_merge_across_chunks(self):
@@ -376,11 +376,9 @@ class TestTopSlice:
         )
         with pytest.raises(AssertionError, match="below 2\\^4"):
             top_slice_counts(5)
-        t, f = 6, 13
+        t = 6
         for chunk in (1, 3, 9, None):
-            got = enumeration._window_histogram(
-                f, t, budget=f, chunk=chunk
-            )
+            got = enumeration._window_histogram(t, chunk=chunk)
             # every set with a pair in the fourth state lands below 2^(t-1),
             # and the sets without one keep their windows
             assert got[: 1 << (t - 1)].sum() == 4 ** (t - 1) - 3 ** (t - 1)
@@ -392,11 +390,9 @@ class TestTopSlice:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunked_slice_is_the_top_of_the_flat_sweep(self, chunk, workers):
         for t in range(1, 11):
-            f = 2 * t + 1
             for l in range(min(3, t - 1) + 1):
                 got = enumeration._window_histogram(
-                    f, t, prefix_zeros=l, budget=f,
-                    workers=workers, chunk=chunk,
+                    t, prefix_zeros=l, workers=workers, chunk=chunk
                 )
                 low = 1 << (t - 1)
                 assert not got[:low].any(), (t, l)
@@ -406,20 +402,15 @@ class TestTopSlice:
         # the trailing table takes the most digits that fit the chunk, and
         # a chunk below one digit's states leaves every digit leading
         sizes = []
-        enumeration._map_chunks(
-            13, lambda w: sizes.append(len(w)), top_slice=True, chunk=27
-        )
+        enumeration._slice_chunks(6, lambda w: sizes.append(len(w)), chunk=27)
         assert sizes == [27] * 9
         sizes.clear()
-        enumeration._map_chunks(
-            13, lambda w: sizes.append(len(w)), top_slice=True,
-            prefix_zeros=2, chunk=20,
+        enumeration._slice_chunks(
+            6, lambda w: sizes.append(len(w)), prefix_zeros=2, chunk=20
         )
         assert sizes == [12] * 9
         sizes.clear()
-        enumeration._map_chunks(
-            9, lambda w: sizes.append(len(w)), top_slice=True, chunk=1
-        )
+        enumeration._slice_chunks(4, lambda w: sizes.append(len(w)), chunk=1)
         assert sizes == [1] * 27
 
     def test_verify_check(self):
@@ -434,6 +425,18 @@ class TestTopSlice:
         for t, prefix in ((3, -1), (3, 3), (5, -2), (5, 5), (5, 9)):
             with pytest.raises(ValueError, match="below t"):
                 top_slice_counts(t, prefix_zeros=prefix)
+
+    def test_word_limit_is_refused_before_the_histogram(self, monkeypatch):
+        # t = 31 is the deepest slice a 64-bit word holds (f = 63); t = 32
+        # would allocate a 2^32-bin histogram before reaching any kernel
+        def histogram(t, **sweep):
+            raise AssertionError(f"histogram of 2^{t} bins allocated")
+
+        monkeypatch.setattr(enumeration, "_window_histogram", histogram)
+        with pytest.raises(BudgetError, match="t=32 needs f = 2t\\+1 <= 63"):
+            top_slice_counts(32)
+        with pytest.raises(BudgetError):
+            top_slice_counts(40, prefix_zeros=3)
 
 
 class TestBCounters:
@@ -534,13 +537,13 @@ class TestSuffixCensus:
     def test_preimage_identity_is_one_sweep(self, monkeypatch):
         # the census and the wide window are two reductions of one table
         calls = []
-        real = enumeration._map_chunks
+        real = enumeration._flat_chunks
 
         def counted(f, func, **sweep):
             calls.append((f, sweep.get("prefix_zeros", 0)))
             return real(f, func, **sweep)
 
-        monkeypatch.setattr(enumeration, "_map_chunks", counted)
+        monkeypatch.setattr(enumeration, "_flat_chunks", counted)
         res = check_preimage_identity(12)
         assert res.passed, res.detail
         assert calls == [(12, 0)]

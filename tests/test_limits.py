@@ -98,8 +98,8 @@ class TestInterval:
     def test_basics(self):
         iv = Interval(Fraction(1, 4), Fraction(1, 2))
         assert iv.width == Fraction(1, 4)
-        assert iv.contains(Fraction(1, 3))
-        assert not iv.contains(Fraction(3, 5))
+        assert iv.intersects(Interval(Fraction(1, 3), Fraction(1, 3)))
+        assert not iv.intersects(Interval(Fraction(3, 5), Fraction(3, 5)))
         assert str(iv) == "[0.25000, 0.50000]"
 
     def test_intersects(self):
