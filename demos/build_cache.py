@@ -28,7 +28,7 @@ def main() -> None:
     args = ap.parse_args()
 
     total = time.monotonic()
-    cache = build_a_constants(args.depth, budget=args.depth, workers=args.workers)
+    cache = build_a_constants(args.depth, workers=args.workers)
     print(
         f"A: Max(D) <= {args.depth}  {len(cache.a_entries)} constants  "
         f"{time.monotonic() - total:7.2f}s"
@@ -40,7 +40,7 @@ def main() -> None:
                 print(f"C[{l},{k}] skipped: sweep depth {k} over --depth")
                 continue
             start = time.monotonic()
-            value = c_const(l, k, cache, budget=args.depth, workers=args.workers)
+            value = c_const(l, k, cache, workers=args.workers)
             print(f"C[{l},{k}] = {value:6d}  {time.monotonic() - start:7.2f}s")
 
     cache.provenance["c-range"] = f"l<={args.c_lmax},k<=2l+{args.c_extra + 1}"

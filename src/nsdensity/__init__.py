@@ -24,7 +24,6 @@ from .core import (
 )
 from .enumeration import (
     BudgetError,
-    DEFAULT_ENUM_BUDGET,
     DensityTable,
     SuffixCensus,
     density_table,
@@ -35,7 +34,6 @@ from .enumeration import (
 from .constants import (
     CacheConflictError,
     ConstantCache,
-    DEFAULT_DEPTH_BUDGET,
     a_const,
     a_consts_batch,
     build_a_constants,

@@ -6,7 +6,9 @@ Subcommands map one-to-one onto library entry points: ``enumerate`` onto
 :mod:`nsdensity.verify`.  Each takes only the flags it reads, all checked by
 :func:`validate` before dispatch so that exit codes stay meaningful: 0
 success, 1 failed verification or internal inconsistency, 2 usage or budget
-errors (an unusable ``--cache`` path included).
+errors (an unusable ``--cache`` path included).  The budget flags
+``--enum-budget`` and ``--depth-budget`` are checked there and nowhere
+else: each library function sweeps the size it is given.
 
 Each ``cmd_*`` returns a :class:`Report`, which :func:`render` alone writes
 as text, CSV (LF line endings, header row) or JSON (one UTF-8 document with
@@ -27,14 +29,12 @@ from fractions import Fraction
 from .core import DSet, d_keys
 from .enumeration import (
     BudgetError,
-    DEFAULT_ENUM_BUDGET,
     density_table,
     WORD_LIMIT,
 )
 from .constants import (
     CacheConflictError,
     ConstantCache,
-    DEFAULT_DEPTH_BUDGET,
     TOP_SLICE_LIMIT,
     cache_load,
     cache_store,
@@ -52,6 +52,10 @@ from .limits import (
 from .verify import SUITES, run_suites
 
 SCHEMA_VERSION = 1
+# flag defaults: the largest f swept (2^(f-1) sets) and the largest level t
+# of a constant (3^(t-1) sets)
+DEFAULT_ENUM_BUDGET = 30
+DEFAULT_DEPTH_BUDGET = 15
 
 
 class UsageError(Exception):
@@ -101,7 +105,7 @@ def validate(args: argparse.Namespace) -> None:
             args.d = DSet.parse(args.d)
         except ValueError as e:
             raise UsageError(str(e)) from None
-    if args.workers < 1:
+    if "workers" in args and args.workers < 1:
         raise UsageError("--workers must be >= 1")
     if "depth_budget" in args and args.depth_budget < 1:
         raise UsageError("--depth-budget must be >= 1")
@@ -120,7 +124,7 @@ def validate(args: argparse.Namespace) -> None:
                 raise UsageError(
                     f"unknown suite {s!r}; choose from {sorted(SUITES)} or 'all'"
                 )
-        # the suites sweep at the library's enumeration budget
+        # verify takes no --enum-budget: its sweeps are held to the default
         if args.max_f is not None and not 1 <= args.max_f <= DEFAULT_ENUM_BUDGET:
             raise UsageError(
                 f"--max-f must lie in [1, {DEFAULT_ENUM_BUDGET}], the enumeration budget"
@@ -169,9 +173,7 @@ def _series(args: argparse.Namespace, func, *lead):
     then stores; returns the result and the cache."""
     path = resolve_cache_path(args.cache)
     cache = _load_cache(path)
-    result = func(
-        *lead, args.depth, cache, budget=args.depth_budget, workers=args.workers
-    )
+    result = func(*lead, args.depth, cache, workers=args.workers)
     if args.write_cache:
         try:
             cache_store(cache, path)
@@ -196,7 +198,7 @@ def _dyadic(p: int, e: int) -> str:
 
 def cmd_enumerate(args: argparse.Namespace) -> Report:
     f = args.f
-    table = density_table(f, budget=args.enum_budget, workers=args.workers)
+    table = density_table(f, workers=args.workers)
     _, d_masks, mults, counts = table.ranked()
     total = table.sets  # DensityTable refuses a tally of any other sum
     rows = [
@@ -385,7 +387,6 @@ def cmd_verify(args: argparse.Namespace) -> Report:
         suites,
         max_f=args.max_f,
         cache=cache if cache.levels else None,
-        workers=args.workers,
     )
     all_passed = all(r.passed for r in results)
     payload = {
@@ -411,6 +412,7 @@ def cmd_verify(args: argparse.Namespace) -> Report:
 # argument parsing
 
 OPTIONS = {
+    "--workers": dict(type=int, default=1),
     "--enum-budget": dict(
         type=int, default=DEFAULT_ENUM_BUDGET,
         help=f"largest Frobenius number swept (default {DEFAULT_ENUM_BUDGET})"),
@@ -438,13 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-        p.add_argument("--workers", type=int, default=1)
         for flag in flags:
             p.add_argument(flag, **OPTIONS[flag])
 
     p = sub.add_parser("enumerate", help="exact density table at fixed Frobenius number")
     p.add_argument("--f", type=int, required=True)
-    common(p, "--enum-budget")
+    common(p, "--workers", "--enum-budget")
 
     for name, help_text, lead, kwargs in (
         ("gamma", "limit density gamma_D with certified interval", "--d",
@@ -456,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument(lead, required=True, **kwargs)
         p.add_argument("--depth", type=int, default=15)
-        common(p, "--depth-budget", "--cache", "--write-cache")
+        common(p, "--workers", "--depth-budget", "--cache", "--write-cache")
 
     p = sub.add_parser("verify", help="run invariant suites and report pass/fail")
     p.add_argument("--suite", action="append", default=None,

@@ -71,9 +71,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import DSet, d_mask_keys, parse_d_mask
-from .enumeration import WORD_LIMIT, BudgetError, top_slice_counts
+from .enumeration import WORD_LIMIT, top_slice_counts
 
-DEFAULT_DEPTH_BUDGET = 15
 CACHE_ENV = "NSDENSITY_CACHE"
 DEFAULT_CACHE_NAME = "nsdensity.cache"
 
@@ -454,35 +453,29 @@ def a_consts_batch(
     t: int,
     cache: ConstantCache | None = None,
     *,
-    budget: int = DEFAULT_DEPTH_BUDGET,
     workers: int = 1,
-) -> dict[int, int]:
-    """All A_D with Max(D) = t, as {D.mask: A_D}, from one top-slice sweep.
+) -> Mapping[int, int]:
+    """All A_D with Max(D) = t, as a read-only {D.mask: A_D} view of the
+    swept level, from one top-slice sweep.
 
     Held by ``cache`` as level t when given: the sweep's slice as is,
     after the checks described in the module docstring.
     """
     if t < 1:
         raise ValueError("batch needs t >= 1; A over the empty set is 1")
-    if t > budget:
-        raise BudgetError(
-            f"A_D at Max(D)={t} needs a sweep of 3^{t - 1} sets at "
-            f"f={2 * t + 1}; depth budget is {budget}"
-        )
     low = 1 << (t - 1)  # level t is the mask range [2^(t-1), 2^t)
     level = top_slice_counts(t, workers=workers)[low:]
     if cache is None:
         check_a_level(t, level)
     else:
         cache.set_level(t, level)
-    return dict(zip(range(low, 2 * low), level.tolist()))
+    return _AEntries({t: level})
 
 
 def a_const(
     d: DSet,
     cache: ConstantCache | None = None,
     *,
-    budget: int = DEFAULT_DEPTH_BUDGET,
     workers: int = 1,
 ) -> int:
     """A_D = |B(D, 2 Max(D) + 1)|, from cache when possible."""
@@ -491,14 +484,13 @@ def a_const(
         return 1
     if cache is not None and t in cache.levels:
         return cache.a(d)
-    return a_consts_batch(t, cache, budget=budget, workers=workers)[d.mask]
+    return a_consts_batch(t, cache, workers=workers)[d.mask]
 
 
 def build_a_constants(
     depth: int,
     cache: ConstantCache | None = None,
     *,
-    budget: int | None = None,
     workers: int = 1,
 ) -> ConstantCache:
     """Fill a cache with every A_D for Max(D) <= depth, in increasing t.
@@ -509,11 +501,9 @@ def build_a_constants(
     """
     if cache is None:
         cache = ConstantCache()
-    if budget is None:
-        budget = max(depth, DEFAULT_DEPTH_BUDGET)
     for t in range(1, depth + 1):
         if t not in cache.levels:
-            a_consts_batch(t, cache, budget=budget, workers=workers)
+            a_consts_batch(t, cache, workers=workers)
     return cache
 
 
@@ -526,7 +516,6 @@ def c_const(
     k: int,
     cache: ConstantCache | None = None,
     *,
-    budget: int = DEFAULT_DEPTH_BUDGET,
     workers: int = 1,
 ) -> int:
     """C_{l,k}: prefix-avoiding window constant.
@@ -545,11 +534,6 @@ def c_const(
         hit = cache.c(l, k)
         if hit is not None:
             return hit
-    if k > budget:
-        raise BudgetError(
-            f"C[{l},{k}] needs a sweep of 2^{l} 3^{k - 1 - l} sets at "
-            f"f={2 * k + 1}; depth budget is {budget}"
-        )
     buckets = top_slice_counts(k, prefix_zeros=l, workers=workers)
     value = int(buckets[1 << (k - 1)])
     if cache is None:

@@ -60,10 +60,10 @@ with x_j in T and h_j out would leave a window below 2^(t-1), which
 :func:`top_slice_counts` refuses.
 
 The two chunkers share one worker-pool runner, :func:`_run_chunks`, and
-nothing else: the flat sweep takes f and checks its enumeration budget,
-and the top slice takes t and has no budget, as its callers own it.  Word
-size limits these kernels to f <= 63; the pure-python routines in
-``core`` remain valid for arbitrary f.
+nothing else: the flat sweep takes f and the top slice takes t.  Neither
+has a budget: each sweeps the size it is given, and the budget flags are
+checked in :mod:`nsdensity.cli` alone.  Word size limits these kernels to
+f <= 63; the pure-python routines in ``core`` remain valid for arbitrary f.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ from .core import DSet, Semigroup, n_of
 
 BLOCK = 1 << 16  # flat sweep: sets per chunk (2^b, the low block)
 CHUNK = 1 << 22  # top slice: cap on the sets per chunk
-DEFAULT_ENUM_BUDGET = 30
 WORD_LIMIT = 63
 
 _U1 = np.uint64(1)
@@ -93,7 +92,8 @@ _PAIR_STATES = ((False, False), (False, True), (True, True))
 
 
 class BudgetError(Exception):
-    """A sweep would visit more sets than the configured budget allows."""
+    """A sweep is refused for its size: here, beyond the 64-bit word limit
+    of the kernels; in :mod:`nsdensity.cli`, beyond a budget flag."""
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,6 @@ def _flat_chunks(
     func: Callable[[np.ndarray], object],
     *,
     prefix_zeros: int = 0,
-    budget: int = DEFAULT_ENUM_BUDGET,
     workers: int = 1,
     chunk: int | None = None,
 ) -> list:
@@ -131,18 +130,13 @@ def _flat_chunks(
     BLOCK) rounded down to a power of two and capped at the sweep (see the
     module docstring).  Results come in chunk order (:func:`_run_chunks`).
     """
-    free = f - 1 - prefix_zeros
     if f < 1:
         raise ValueError(f"Frobenius number must be >= 1, got {f}")
-    if f > budget:
-        raise BudgetError(
-            f"enumeration over f={f} exceeds budget f<={budget} "
-            f"(2^{free} sets); raise the budget explicitly to proceed"
-        )
     if f > WORD_LIMIT:
         raise BudgetError(f"vectorized kernels require f <= {WORD_LIMIT}, got {f}")
     if not 0 <= prefix_zeros <= f - 1:
         raise ValueError(f"prefix [1,{prefix_zeros}] does not fit below f={f}")
+    free = f - 1 - prefix_zeros
     b = min(free, (chunk or BLOCK).bit_length() - 1)
     allowed_ll = _low_block_table(f, prefix_zeros, b)
 
@@ -168,8 +162,7 @@ def _slice_chunks(
     the leading digits and runs over every state of the trailing digits,
     at most ``chunk`` of them (default 16 * 2^t, so that a chunk outweighs
     its 2^t-bin histogram, within [BLOCK, CHUNK]).  Results come in chunk
-    order (:func:`_run_chunks`).  The sweep has no budget: its callers own
-    it.
+    order (:func:`_run_chunks`).
     """
     if not 0 <= prefix_zeros <= t - 1:
         raise ValueError(
@@ -516,7 +509,6 @@ def density_table(
     f: int,
     *,
     prefix_zeros: int = 0,
-    budget: int = DEFAULT_ENUM_BUDGET,
     workers: int = 1,
     chunk: int | None = None,
 ) -> DensityTable:
@@ -532,7 +524,6 @@ def density_table(
         f,
         lambda amask: np.unique(amask, return_counts=True),
         prefix_zeros=prefix_zeros,
-        budget=budget,
         workers=workers,
         chunk=chunk,
     )
@@ -559,14 +550,13 @@ def window_counts(
     width: int,
     *,
     prefix_zeros: int = 0,
-    budget: int = DEFAULT_ENUM_BUDGET,
     workers: int = 1,
 ) -> np.ndarray:
     """``density_table(f, prefix_zeros=...).window(width)``: the flat window
     histogram that :func:`nsdensity.verify.full_window_oracle` replays the
     top slice against."""
     return density_table(
-        f, prefix_zeros=prefix_zeros, budget=budget, workers=workers
+        f, prefix_zeros=prefix_zeros, workers=workers
     ).window(width)
 
 
@@ -584,9 +574,9 @@ def top_slice_counts(
     window from every digit pair, and a set landing below 2^(t-1) is an
     AssertionError.
 
-    The caller owns the budget: this sweep is far smaller than the 2^(f-1)
-    sets the enumeration budget is stated in.  Only the word size bounds
-    it, t <= (WORD_LIMIT-1)/2, checked before the histogram is allocated.
+    It sweeps the t it is given: the budget flags are checked in
+    :mod:`nsdensity.cli` alone.  Only the word size bounds it, t <=
+    (WORD_LIMIT-1)/2, checked before the histogram is allocated.
     """
     if t < 1:
         raise ValueError(f"top slice needs t >= 1, got {t}")

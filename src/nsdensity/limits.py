@@ -38,7 +38,6 @@ from functools import cached_property
 from .core import DSet
 from .constants import (
     ConstantCache,
-    DEFAULT_DEPTH_BUDGET,
     a_const,
     c_const,
 )
@@ -142,7 +141,6 @@ def gamma(
     depth: int,
     cache: ConstantCache | None = None,
     *,
-    budget: int = DEFAULT_DEPTH_BUDGET,
     workers: int = 1,
 ) -> GammaEstimate:
     """Exact depth-``depth`` truncation of the gamma_D series."""
@@ -151,11 +149,11 @@ def gamma(
         raise ValueError(f"depth {depth} is below Max(D) = {t}")
     if cache is None:
         cache = ConstantCache()  # local reuse across the k-loop's batches
-    a_d = a_const(d, cache, budget=budget, workers=workers)
+    a_d = a_const(d, cache, workers=workers)
     scaled = a_d * 4 ** (depth - t)  # the truncation times 4^depth
     terms = []
     for k in range(t + 1, depth + 1):
-        a_k = a_const(d.with_added(k), cache, budget=budget, workers=workers)
+        a_k = a_const(d.with_added(k), cache, workers=workers)
         terms.append((k, a_k))
         scaled -= a_k * 4 ** (depth - k)
     value = Fraction(scaled, 4**depth)
@@ -182,7 +180,6 @@ def alpha_limit(
     depth: int,
     cache: ConstantCache | None = None,
     *,
-    budget: int = DEFAULT_DEPTH_BUDGET,
     workers: int = 1,
 ) -> AlphaEstimate:
     """alpha_n = sum of gamma_{D∪{n}} over D ⊆ [1, n-1]; alpha_{-1} = gamma_∅.
@@ -196,7 +193,7 @@ def alpha_limit(
     if cache is None:
         cache = ConstantCache()
     if n == -1:
-        parts = [gamma(DSet(), depth, cache, budget=budget, workers=workers)]
+        parts = [gamma(DSet(), depth, cache, workers=workers)]
     else:
         if depth < n:
             raise ValueError(f"depth {depth} is below n = {n}")
@@ -205,7 +202,6 @@ def alpha_limit(
                 DSet.from_mask(m | (1 << (n - 1))),
                 depth,
                 cache,
-                budget=budget,
                 workers=workers,
             )
             for m in range(1 << (n - 1))
@@ -219,7 +215,6 @@ def alpha_partial_sum(
     depth: int,
     cache: ConstantCache | None = None,
     *,
-    budget: int = DEFAULT_DEPTH_BUDGET,
     workers: int = 1,
 ) -> Interval:
     """Certified interval for sum_{n=-1}^{n_max} alpha_n.
@@ -241,13 +236,13 @@ def alpha_partial_sum(
     value = Fraction(0)
     for m in range(1 << n_max):
         value += gamma(
-            DSet.from_mask(m), depth, cache, budget=budget, workers=workers
+            DSet.from_mask(m), depth, cache, workers=workers
         ).value
 
     check = Fraction(1)
     for k in range(n_max + 1, depth + 1):
         sigma = sum(
-            a_const(DSet.from_mask(m | (1 << (k - 1))), cache, budget=budget)
+            a_const(DSet.from_mask(m | (1 << (k - 1))), cache)
             for m in range(1 << n_max)
         )
         check -= Fraction(sigma, 4**k)
@@ -263,7 +258,6 @@ def g_l_limit(
     depth: int,
     cache: ConstantCache | None = None,
     *,
-    budget: int = DEFAULT_DEPTH_BUDGET,
     workers: int = 1,
 ) -> Interval:
     """Certified interval for lim_f |G_l(f)| / 2^(f-1).
@@ -283,11 +277,11 @@ def g_l_limit(
     value = Fraction(1, 2**l)
     for k in range(1, l + 1):
         value -= Fraction(
-            c_const(l, k, cache, budget=budget, workers=workers), 2 ** (l + k)
+            c_const(l, k, cache, workers=workers), 2 ** (l + k)
         )
     for k in range(l + 1, depth + 1):
         value -= Fraction(
-            c_const(l, k, cache, budget=budget, workers=workers), 4**k
+            c_const(l, k, cache, workers=workers), 4**k
         )
     tail = Fraction(2**l, 3 ** (2 * l)) * tail_bound(depth)
     out = Interval(value - tail, value)
@@ -338,7 +332,6 @@ def gamma_table(
     depth: int,
     cache: ConstantCache | None = None,
     *,
-    budget: int = DEFAULT_DEPTH_BUDGET,
     workers: int = 1,
 ) -> GammaTable:
     if max_t < 0:
@@ -346,7 +339,7 @@ def gamma_table(
     if cache is None:
         cache = ConstantCache()
     rows = [
-        gamma(DSet.from_mask(m), depth, cache, budget=budget, workers=workers)
+        gamma(DSet.from_mask(m), depth, cache, workers=workers)
         for m in range(1 << max_t)
     ]
     rows.sort(key=lambda g: (-g.value, g.d.elements))

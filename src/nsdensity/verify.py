@@ -22,8 +22,9 @@ that breaks them, so no suite restates them:
   * the sum of P(S) over a density table, 2^(f-1-l), by
     :class:`~nsdensity.enumeration.DensityTable` on construction.
 
-``c-growth-bound`` reports the C bound's refusal of a fresh sweep as its
-FAIL line.
+``c-growth-bound`` sweeps into a fresh cache, never the loaded one, whose
+every C was checked on load, and reports the C bound's refusal of the
+sweep as its FAIL line.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .enumeration import (
 from .constants import CacheConflictError, ConstantCache, a_consts_batch, c_const
 from .limits import (
     Interval,
-    a_constant,
     alpha_partial_sum,
     g_l_limit,
     gamma,
@@ -217,8 +217,7 @@ def check_fold_window(samples: int = 2000, f_max: int = 24,
     return _ok(name, "window_t(A(T)) = window_t(A(fold(T, t, 2t+1)))")
 
 
-def check_window_factorization(f_max: int, t_max: int = 4,
-                               workers: int = 1) -> CheckResult:
+def check_window_factorization(f_max: int, t_max: int = 4) -> CheckResult:
     """|B(D,f)| = A_D 2^(f-2t-1) for every D with Max(D) = t <= t_max."""
     name = f"window-factorization(t<={t_max},f<={f_max})"
     a_arrays = {}  # level t, read off the sweep at f = 2t+1
@@ -226,7 +225,7 @@ def check_window_factorization(f_max: int, t_max: int = 4,
         cap = min(t_max, (f - 1) // 2)
         if cap < 1:
             continue
-        wide = density_table(f, workers=workers).window(cap)
+        wide = density_table(f).window(cap)
         if f == 2 * cap + 1:
             a_arrays[cap] = wide
         for t in range(1, cap + 1):
@@ -244,7 +243,7 @@ def check_window_factorization(f_max: int, t_max: int = 4,
     return _ok(name, "B(D,f) = A_D * 2^(f-2t-1) for all windows")
 
 
-def check_preimage_identity(f: int, t_max: int = 3, workers: int = 1) -> CheckResult:
+def check_preimage_identity(f: int, t_max: int = 3) -> CheckResult:
     """Exact partition of B(D,f) by the first window element above Max(D):
 
     P(N(D,f)) = B(D,f) - sum_{k=t+1}^{floor((f-1)/2)} B(D u {k}, f) - |S(D,f)|.
@@ -252,7 +251,7 @@ def check_preimage_identity(f: int, t_max: int = 3, workers: int = 1) -> CheckRe
     cap = min(t_max, (f - 1) // 2)
     name = f"preimage-identity(f={f},t<={cap})"
     wide_w = (f - 1) // 2
-    table = density_table(f, workers=workers)
+    table = density_table(f)
     census = table.census(cap)
     wide = table.window(wide_w)
 
@@ -277,22 +276,22 @@ def check_preimage_identity(f: int, t_max: int = 3, workers: int = 1) -> CheckRe
     return _ok(name, "P(N(D,f)) = B - sum B(D u {k}) - |S|, bit for bit")
 
 
-def check_small_multiplicity_bound(f_max: int, workers: int = 1) -> CheckResult:
+def check_small_multiplicity_bound(f_max: int) -> CheckResult:
     """#{T : m(A(T)) <= f/2} <= f 3^(f/2), compared in squares (exactly)."""
     name = f"small-multiplicity-bound(f<={f_max})"
     for f in range(2, f_max + 1):
-        counts = density_table(f, workers=workers).multiplicities()
+        counts = density_table(f).multiplicities()
         c = sum(n for m, n in counts.items() if m <= f // 2)
         if c * c > f * f * 3**f:
             return _bad(name, f"f={f}: count {c} exceeds f*3^(f/2)")
     return _ok(name, "count(m(A(T)) <= f/2) <= f * 3^(f/2)")
 
 
-def check_per_m_bounds(f_max: int, workers: int = 1) -> CheckResult:
+def check_per_m_bounds(f_max: int) -> CheckResult:
     """#{T : m(A(T)) = m} <= (q+2)^(r-1) (q+1)^(m-r) when f = qm + r, 0<r<m."""
     name = f"per-m-bounds(f<={f_max})"
     for f in range(3, f_max + 1):
-        for m, c in density_table(f, workers=workers).multiplicities().items():
+        for m, c in density_table(f).multiplicities().items():
             q, r = divmod(f, m)
             if r == 0:
                 continue  # bound stated only for m not dividing f
@@ -304,7 +303,7 @@ def check_per_m_bounds(f_max: int, workers: int = 1) -> CheckResult:
     return _ok(name, "per-multiplicity counts below (q+2)^(r-1)(q+1)^(m-r)")
 
 
-def check_c_unit_range(l_max: int = 5, workers: int = 1) -> CheckResult:
+def check_c_unit_range(l_max: int = 5) -> CheckResult:
     """Direct sweeps confirm C_{l,k} = 1 whenever k <= 2l+1, l <= l_max."""
     name = f"c-unit-range(l<={l_max})"
     for l in range(1, l_max + 1):
@@ -312,29 +311,30 @@ def check_c_unit_range(l_max: int = 5, workers: int = 1) -> CheckResult:
             # at the minimal f the free middle block is empty and the sweep
             # count is C_{l,k} itself, no 2^(f-1-k-max(k,l)) factor
             f = max(2 * k + 1, l + k + 1)
-            table = density_table(f, prefix_zeros=l, workers=workers)
+            table = density_table(f, prefix_zeros=l)
             got = int(table.window(k)[1 << (k - 1)])
             if got != 1:
                 return _bad(name, f"C_{{{l},{k}}} = {got} != 1")
     return _ok(name, "C_{l,k} = 1 for k <= 2l+1 (swept, not assumed)")
 
 
-def check_c_growth_bound(cache: ConstantCache | None = None, l_max: int = 3,
-                         extra: int = 5, workers: int = 1) -> CheckResult:
-    """C_{l,k} <= 2^l 3^(k-2l-1) on the computed range k in (2l+1, 2l+1+extra]."""
+def check_c_growth_bound(l_max: int = 3, extra: int = 5) -> CheckResult:
+    """C_{l,k} <= 2^l 3^(k-2l-1) on the computed range k in (2l+1, 2l+1+extra],
+    each swept into a fresh cache: a loaded cache would answer from records
+    it checked on load, and sweep nothing."""
     name = f"c-growth-bound(l<={l_max},k<=2l+{extra + 1})"
-    cache = cache if cache is not None else ConstantCache()
+    cache = ConstantCache()
     for l in range(1, l_max + 1):
         for k in range(2 * l + 2, 2 * l + 2 + extra):
             try:
                 # c_const refuses a swept value above the bound (check_c)
-                c_const(l, k, cache, workers=workers)
+                c_const(l, k, cache)
             except (AssertionError, CacheConflictError) as e:
                 return _bad(name, str(e))
     return _ok(name, "C_{l,k} <= 2^l 3^(k-2l-1) on the swept range")
 
 
-def full_window_oracle(t: int, cache: ConstantCache, workers: int = 1) -> None:
+def full_window_oracle(t: int, cache: ConstantCache) -> None:
     """Replay level t of ``cache`` against the 4^t full-window sweep.
 
     The independent oracle for the top-slice route: the sweep at f = 2t+1
@@ -343,7 +343,7 @@ def full_window_oracle(t: int, cache: ConstantCache, workers: int = 1) -> None:
     cached must equal the truncation identity (see :mod:`.constants`).
     CacheConflictError names the first mismatch.
     """
-    buckets = window_counts(2 * t + 1, t, budget=2 * t + 1, workers=workers)
+    buckets = window_counts(2 * t + 1, t)
     if int(buckets.sum()) != 4**t:
         raise CacheConflictError(
             f"4^{t} sweep buckets sum to {int(buckets.sum())}, not 4^{t}"
@@ -388,8 +388,8 @@ def _truncation_bucket(m: int, t: int, cache: ConstantCache) -> int | None:
 # suites
 
 
-def suite_core(max_f: int | None = None, cache: ConstantCache | None = None,
-               workers: int = 1) -> list[CheckResult]:
+def suite_core(max_f: int | None = None,
+               cache: ConstantCache | None = None) -> list[CheckResult]:
     f_cap = max_f or 40
     return [
         check_amap_exhaustive(min(11, f_cap)),
@@ -400,25 +400,25 @@ def suite_core(max_f: int | None = None, cache: ConstantCache | None = None,
     ]
 
 
-def suite_counting(max_f: int | None = None, cache: ConstantCache | None = None,
-                   workers: int = 1) -> list[CheckResult]:
+def suite_counting(max_f: int | None = None,
+                   cache: ConstantCache | None = None) -> list[CheckResult]:
     f_cap = max_f or 16
     return [
-        check_window_factorization(f_cap, min(4, (f_cap - 1) // 2), workers),
-        check_preimage_identity(min(14, f_cap), 3, workers),
-        check_small_multiplicity_bound(f_cap, workers),
+        check_window_factorization(f_cap, min(4, (f_cap - 1) // 2)),
+        check_preimage_identity(min(14, f_cap), 3),
+        check_small_multiplicity_bound(f_cap),
     ]
 
 
-def suite_constants(max_f: int | None = None, cache: ConstantCache | None = None,
-                    workers: int = 1) -> list[CheckResult]:
+def suite_constants(max_f: int | None = None,
+                    cache: ConstantCache | None = None) -> list[CheckResult]:
     out = []
     t_max = 6
     fresh = ConstantCache()
     try:
         for t in range(1, t_max + 1):
-            a_consts_batch(t, fresh, workers=workers)
-            full_window_oracle(t, fresh, workers)
+            a_consts_batch(t, fresh)
+            full_window_oracle(t, fresh)
     except (AssertionError, CacheConflictError) as e:
         out.append(_bad("a-batch-validation", str(e)))
         return out
@@ -443,19 +443,19 @@ def suite_constants(max_f: int | None = None, cache: ConstantCache | None = None
     return out
 
 
-def suite_bounds(max_f: int | None = None, cache: ConstantCache | None = None,
-                 workers: int = 1) -> list[CheckResult]:
+def suite_bounds(max_f: int | None = None,
+                 cache: ConstantCache | None = None) -> list[CheckResult]:
     f_cap = max_f or 16
     return [
-        check_c_unit_range(5, workers),
-        check_c_growth_bound(cache, 3, 5, workers),
-        check_per_m_bounds(f_cap, workers),
-        check_small_multiplicity_bound(min(f_cap + 4, 20), workers),
+        check_c_unit_range(5),
+        check_c_growth_bound(3, 5),
+        check_per_m_bounds(f_cap),
+        check_small_multiplicity_bound(min(f_cap + 4, 20)),
     ]
 
 
-def suite_limits(max_f: int | None = None, cache: ConstantCache | None = None,
-                 workers: int = 1) -> list[CheckResult]:
+def suite_limits(max_f: int | None = None,
+                 cache: ConstantCache | None = None) -> list[CheckResult]:
     out = []
     cache = cache if cache is not None else ConstantCache()
     depth = min(10, cache.a_depth() or 10)
@@ -465,7 +465,7 @@ def suite_limits(max_f: int | None = None, cache: ConstantCache | None = None,
     for d in (DSet(), DSet.of([1]), DSet.of([2, 3])):
         prev = None
         for n in range(d.max_element, depth + 1):
-            g = gamma(d, n, cache, workers=workers)
+            g = gamma(d, n, cache)
             if prev is not None and not (
                 g.value <= prev.value
                 and g.interval.lo >= prev.interval.lo
@@ -482,7 +482,7 @@ def suite_limits(max_f: int | None = None, cache: ConstantCache | None = None,
 
     name = "alpha-partial-telescope"
     try:
-        iv = alpha_partial_sum(min(4, depth), depth, cache, workers=workers)
+        iv = alpha_partial_sum(min(4, depth), depth, cache)
     except AssertionError as e:
         out.append(_bad(name, str(e)))
     else:
@@ -491,19 +491,16 @@ def suite_limits(max_f: int | None = None, cache: ConstantCache | None = None,
     name = "g-limit-closed-form"
     ok = True
     for l in (1, 2):
-        iv = g_l_limit(l, 2 * l + 1, cache, workers=workers)
+        iv = g_l_limit(l, 2 * l + 1, cache)
         expect = Fraction(2, 3) / 4**l + Fraction(1, 3) / 4 ** (2 * l + 1)
         if iv.hi != expect:
             out.append(_bad(name, f"l={l}: truncation {iv.hi} != (2/3)4^-l + (1/3)4^-(2l+1)"))
-            ok = False
-        if iv.lo < a_constant(l):
-            out.append(_bad(name, f"l={l}: interval lower end below a_l"))
             ok = False
     if ok:
         out.append(_ok(name, "depth-(2l+1) value is (2/3)4^-l + (1/3)4^-(2l+1); lower end >= a_l"))
 
     name = "table-order"
-    tbl = gamma_table(min(3, depth), depth, cache, workers=workers)
+    tbl = gamma_table(min(3, depth), depth, cache)
     if tbl.rows[0].d != DSet():
         out.append(_bad(name, f"top row is {tbl.rows[0].d.key}, not ∅"))
     else:
@@ -533,12 +530,12 @@ ORACLE_A4 = {
 ORACLE_C = {(1, 4): 3, (1, 5): 6, (1, 6): 17, (2, 6): 5, (2, 7): 11, (2, 8): 36}
 
 
-def suite_oracle(max_f: int | None = None, cache: ConstantCache | None = None,
-                 workers: int = 1) -> list[CheckResult]:
+def suite_oracle(max_f: int | None = None,
+                 cache: ConstantCache | None = None) -> list[CheckResult]:
     out = []
     fresh = ConstantCache()
     for t in range(1, 5):
-        a_consts_batch(t, fresh, workers=workers)
+        a_consts_batch(t, fresh)
 
     for label, frozen, t in (("a-fixture-3", ORACLE_A3, 3), ("a-fixture-4", ORACLE_A4, 4)):
         got = {
@@ -551,7 +548,7 @@ def suite_oracle(max_f: int | None = None, cache: ConstantCache | None = None,
             out.append(_bad(label, f"swept {got} != fixture {frozen}"))
 
     name = "c-fixture"
-    got_c = {lk: c_const(*lk, fresh, workers=workers) for lk in ORACLE_C}
+    got_c = {lk: c_const(*lk, fresh) for lk in ORACLE_C}
     out.append(
         _ok(name, f"{len(ORACLE_C)} swept C values match fixtures")
         if got_c == ORACLE_C
@@ -559,14 +556,14 @@ def suite_oracle(max_f: int | None = None, cache: ConstantCache | None = None,
     )
 
     name = "semigroup-count-9"
-    n9 = len(density_table(9, workers=workers))
+    n9 = len(density_table(9))
     out.append(
         _ok(name, "21 semigroups with f = 9")
         if n9 == 21 else _bad(name, f"{n9} semigroups at f=9, expected 21")
     )
 
     name = "table-3"
-    t3 = density_table(3, workers=workers)
+    t3 = density_table(3)
     want = {as_semigroup(n_of(DSet(), 3)): 3,
             as_semigroup(n_of(DSet.of([1]), 3)): 1}
     out.append(
@@ -585,7 +582,7 @@ def suite_oracle(max_f: int | None = None, cache: ConstantCache | None = None,
         out.append(_bad(name, f"got {g2}, {g12}, {g13.value}"))
 
     name = "g1-fixture"
-    g19 = int(density_table(9, prefix_zeros=1, workers=workers).preimages(0))
+    g19 = int(density_table(9, prefix_zeros=1).preimages(0))
     out.append(
         _ok(name, "|G_1(9)| = 41") if g19 == 41
         else _bad(name, f"|G_1(9)| = {g19} != 41")
@@ -593,8 +590,8 @@ def suite_oracle(max_f: int | None = None, cache: ConstantCache | None = None,
     return out
 
 
-def suite_convergence(max_f: int | None = None, cache: ConstantCache | None = None,
-                      workers: int = 1) -> list[CheckResult]:
+def suite_convergence(max_f: int | None = None,
+                      cache: ConstantCache | None = None) -> list[CheckResult]:
     out = []
     f_cap = max(7, max_f or 20)  # N(D,f) for D up to {1,3} needs f >= 7
     cache = cache if cache is not None else ConstantCache()
@@ -604,12 +601,12 @@ def suite_convergence(max_f: int | None = None, cache: ConstantCache | None = No
     name = f"mu-drift(f={f_cap},depth={depth})"
     dsets = [DSet(), DSet.of([1]), DSet.of([2]), DSet.of([1, 3])]
     goals = [n_of(d, f_cap).gaps_mask for d in dsets]
-    counts = density_table(f_cap, workers=workers).preimages(goals)
+    counts = density_table(f_cap).preimages(goals)
     allowance = Fraction(2, 100) + tail_bound(depth)
     ok = True
     for d, count in zip(dsets, counts.tolist()):
         mu = Fraction(count, 1 << (f_cap - 1))
-        v = gamma(d, depth, cache, workers=workers).value
+        v = gamma(d, depth, cache).value
         if abs(mu - v) > allowance:
             out.append(_bad(name, f"D={d.key}: |mu - gamma| = {float(abs(mu - v)):.4f}"))
             ok = False
@@ -617,7 +614,7 @@ def suite_convergence(max_f: int | None = None, cache: ConstantCache | None = No
         out.append(_ok(name, "mu(N(D,f)) within 0.02 + (3/4)^depth of the truncation"))
 
     name = "gamma-external-estimate"
-    g = gamma(DSet(), depth, cache, workers=workers)
+    g = gamma(DSet(), depth, cache)
     published = Interval(
         Fraction(484451, 10**6) - Fraction(5011, 10**6),
         Fraction(484451, 10**6) + Fraction(5011, 10**6),
@@ -629,8 +626,8 @@ def suite_convergence(max_f: int | None = None, cache: ConstantCache | None = No
     )
 
     f_g = min(f_cap, 20)
-    iv = g_l_limit(1, depth, cache, workers=workers)
-    g1 = density_table(f_g, prefix_zeros=1, workers=workers).preimages(0)
+    iv = g_l_limit(1, depth, cache)
+    g1 = density_table(f_g, prefix_zeros=1).preimages(0)
     emp = Fraction(int(g1), 1 << (f_g - 1))
     inside = iv.lo - Fraction(2, 100) <= emp <= iv.hi + Fraction(2, 100)
     out.append(_ok(  # report-only: finite-f drift, no certified rate
@@ -653,12 +650,11 @@ SUITES = {
 
 
 def run_suites(names: list[str], max_f: int | None = None,
-               cache: ConstantCache | None = None,
-               workers: int = 1) -> list[CheckResult]:
+               cache: ConstantCache | None = None) -> list[CheckResult]:
     picked = list(SUITES) if "all" in names else names
     results = []
     for name in picked:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-        results.extend(SUITES[name](max_f=max_f, cache=cache, workers=workers))
+        results.extend(SUITES[name](max_f=max_f, cache=cache))
     return results

@@ -147,11 +147,11 @@ def test_criterion_06_external_estimate(shipped_cache):
     assert g.interval.intersects(published), str(g.interval)
 
 
-def test_criterion_07_bound_suite(shipped_cache):
+def test_criterion_07_bound_suite():
     """Every stated bound holds on every computed value, at scale."""
     for res in (
         check_c_unit_range(5),
-        check_c_growth_bound(shipped_cache, 3, 5),
+        check_c_growth_bound(3, 5),
         check_per_m_bounds(16),
         check_small_multiplicity_bound(20),
     ):

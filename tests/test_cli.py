@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nsdensity import cli, constants
+from nsdensity import cli, constants, enumeration
 from nsdensity.constants import cache_load
 
 CACHE_PATH = str(Path(__file__).resolve().parents[1] / "nsdensity.cache")
@@ -216,6 +216,32 @@ class TestExitCodes:
         assert code == 2 and "budget error" in err
 
     @pytest.mark.parametrize("argv, message", [
+        (["gamma", "--d", "1", "--depth", "16"], "--depth 16 exceeds depth budget 15"),
+        (["enumerate", "--f", "31"], "--f 31 exceeds enumeration budget 30"),
+    ])
+    def test_budget_refused_before_any_sweep(self, capsys, monkeypatch,
+                                             argv, message):
+        # one past each default budget: the CLI alone refuses, so no
+        # sweep of either kind may start
+        def no_sweep(size, *args, **kwargs):
+            raise AssertionError(f"sweep at {size} started")
+
+        monkeypatch.setattr(constants, "top_slice_counts", no_sweep)
+        monkeypatch.setattr(enumeration, "_flat_chunks", no_sweep)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"budget error: {message}\n"
+
+    def test_raised_depth_budget_is_not_refused_below_the_cli(self, capsys,
+                                                              tmp_path):
+        code, out, err = run(
+            capsys, "gamma", "--d", "1", "--depth", "16", "--depth-budget", "16",
+            "--cache", str(tmp_path / "empty.cache"),
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("gamma_D for D = 1, truncated at depth 16\n")
+
+    @pytest.mark.parametrize("argv, message", [
         (["gamma", "--d", "32", "--depth", "32", "--depth-budget", "32"],
          "--depth must be <= 31, the deepest top slice"),
         (["gamma", "--d", "1", "--depth", "32", "--depth-budget", "32"],
@@ -252,6 +278,7 @@ class TestExitCodes:
         ["enumerate", "--f", "9", "--depth-budget", "5"],
         ["verify", "--suite", "oracle", "--write-cache"],
         ["verify", "--suite", "oracle", "--enum-budget", "40"],
+        ["verify", "--suite", "oracle", "--workers", "2"],
     ])
     def test_flag_the_subcommand_does_not_read(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

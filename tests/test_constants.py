@@ -17,8 +17,13 @@ from nsdensity.constants import (
     cache_store,
     resolve_cache_path,
 )
-from nsdensity.enumeration import BudgetError, window_counts
-from nsdensity.verify import check_c_growth_bound, full_window_oracle, suite_constants
+from nsdensity.enumeration import window_counts
+from nsdensity.verify import (
+    check_c_growth_bound,
+    full_window_oracle,
+    suite_bounds,
+    suite_constants,
+)
 
 SHIPPED_CACHE = Path(__file__).resolve().parents[1] / "nsdensity.cache"
 
@@ -104,7 +109,7 @@ class TestBatches:
     @pytest.mark.parametrize("t", range(1, 12))
     def test_slice_route_equals_full_sweep(self, t):
         low = 1 << (t - 1)
-        full = window_counts(2 * t + 1, t, budget=2 * t + 1)
+        full = window_counts(2 * t + 1, t)
         assert a_consts_batch(t) == dict(zip(range(low, 2 * low), full[low:].tolist()))
 
     @pytest.mark.parametrize("l, k", [
@@ -112,12 +117,10 @@ class TestBatches:
     ])
     def test_c_slice_route_equals_full_sweep(self, l, k):
         f = 2 * k + 1
-        full = window_counts(f, k, prefix_zeros=l, budget=f)
+        full = window_counts(f, k, prefix_zeros=l)
         assert c_const(l, k) == int(full[1 << (k - 1)])
 
-    def test_budget(self):
-        with pytest.raises(BudgetError, match=r"3\^5 sets at f=13"):
-            a_consts_batch(6, ConstantCache(), budget=5)
+    def test_level_zero_is_refused(self):
         with pytest.raises(ValueError):
             a_consts_batch(0, ConstantCache())
 
@@ -132,12 +135,16 @@ class TestAConst:
         assert cache.a(DSet.of([1, 3])) == 3
         assert cache.a(DSet.of([2, 3])) == 2  # whole batch landed
 
-    def test_reads_cache_without_sweeping(self):
+    def test_reads_cache_without_sweeping(self, monkeypatch):
         cache = ConstantCache()
         cache.set_level(9, list(a_consts_batch(9).values()))
         assert cache.a(DSet.of([9])) == 1065
-        # budget 1 would forbid any sweep at this depth
-        assert a_const(DSet.of([9]), cache, budget=1) == 1065
+
+        def no_sweep(t, **kwargs):
+            raise AssertionError(f"top slice at t={t} swept")
+
+        monkeypatch.setattr(constants, "top_slice_counts", no_sweep)
+        assert a_const(DSet.of([9]), cache) == 1065
 
     def test_build_depth(self, tmp_path):
         cache = ConstantCache()
@@ -163,9 +170,9 @@ class TestCConst:
             assert c_const(l, k, cache) == want
             assert cache.c(l, k) == want
 
-    def test_growth_bound_check_reports_fail(self, monkeypatch):
-        # a sweep that inflates bucket {k}: c_const refuses the value, and
-        # the verify check turns that refusal into its FAIL line
+    @pytest.fixture
+    def inflated_c_sweep(self, monkeypatch):
+        """A top slice that inflates bucket {k}, as a faulty C sweep would."""
         real = constants.top_slice_counts
 
         def inflated(t, *, prefix_zeros=0, workers=1):
@@ -174,19 +181,30 @@ class TestCConst:
             return buckets
 
         monkeypatch.setattr(constants, "top_slice_counts", inflated)
-        result = check_c_growth_bound(ConstantCache(), 1, 1)
+
+    def test_growth_bound_check_reports_fail(self, inflated_c_sweep):
+        # c_const refuses the inflated value, and the verify check turns
+        # that refusal into its FAIL line
+        result = check_c_growth_bound(1, 1)
         assert not result.passed
         assert result.line() == (
             "[FAIL] c-growth-bound(l<=1,k<=2l+2): C[1,4] = 1000003 outside [1, 6]"
         )
+
+    def test_growth_bound_sweeps_past_a_loaded_cache(self, inflated_c_sweep,
+                                                     shipped_cache):
+        # every C the shipped cache holds was checked on load; the suite
+        # must sweep its own, or the check could never fail
+        lines = [r.line() for r in suite_bounds(cache=shipped_cache)]
+        assert (
+            "[FAIL] c-growth-bound(l<=3,k<=2l+6): C[1,4] = 1000003 outside [1, 6]"
+        ) in lines
 
     def test_validation(self):
         with pytest.raises(ValueError):
             c_const(0, 3)
         with pytest.raises(ValueError):
             c_const(1, 0)
-        with pytest.raises(BudgetError, match=r"2\^1 3\^7 sets at f=19"):
-            c_const(1, 9, budget=8)
 
 
 class TestCacheObject:
@@ -406,7 +424,7 @@ class TestCacheFile:
     def test_store_refuses_a_partial_level(self, tmp_path):
         # what the loader would refuse is never held, so never written
         cache = build_a_constants(3)
-        level = a_consts_batch(4)
+        level = dict(a_consts_batch(4))  # the batch is a read-only view
         del level[DSet.of([2, 4]).mask]
         with pytest.raises(CacheConflictError, match="level 4: 7 A constants"):
             cache.set_level(4, list(level.values()))

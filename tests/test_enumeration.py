@@ -157,7 +157,10 @@ class TestDensityTable:
             density_table(3)
 
     def test_workers_equivalence(self):
-        assert density_table(13).entries == density_table(13, workers=3).entries
+        # 64 chunks of 2^6 sets, so the pool has chunks to share; at the
+        # default chunk f = 13 is one chunk, and one thread
+        one = density_table(13, chunk=1 << 6)
+        assert one.entries == density_table(13, workers=3, chunk=1 << 6).entries
 
     def test_workers_capped_at_chunks_and_cpus(self, monkeypatch):
         # a stand-in pool that records its size and runs tasks inline, so
@@ -185,17 +188,6 @@ class TestDensityTable:
             assert density_table(f, workers=10**6).entries == want
             assert sizes.pop() == pool
         assert sizes == []
-
-    def test_budget(self):
-        with pytest.raises(BudgetError, match=r"\(2\^24 sets\)"):
-            density_table(25, budget=24)
-
-    def test_budget_states_the_prefix_sweep(self):
-        # avoiding [1, 5] leaves 2^34 of the 2^39 sets at f = 40
-        with pytest.raises(BudgetError, match=r"f=40 exceeds budget f<=30 \(2\^34 sets\)"):
-            density_table(40, prefix_zeros=5, budget=30)
-        with pytest.raises(BudgetError, match=r"\(2\^28 sets\)"):
-            window_counts(31, 4, prefix_zeros=2)
 
     def test_preimage_counts_match_table(self):
         f = 12
@@ -337,7 +329,7 @@ class TestWindowCounts:
 def flat_top_buckets(t, prefix_zeros):
     """Buckets 2^(t-1) on of the flat width-t window sweep at f = 2t+1."""
     f = 2 * t + 1
-    return window_counts(f, t, prefix_zeros=prefix_zeros, budget=f)[1 << (t - 1):]
+    return window_counts(f, t, prefix_zeros=prefix_zeros)[1 << (t - 1):]
 
 
 class TestTopSlice:

@@ -6,7 +6,6 @@ import pytest
 
 from nsdensity.core import DSet
 from nsdensity.constants import ConstantCache, build_a_constants
-from nsdensity.enumeration import BudgetError
 from nsdensity.limits import (
     AlphaEstimate,
     GammaEstimate,
@@ -130,10 +129,6 @@ class TestGamma:
     def test_depth_below_max_rejected(self):
         with pytest.raises(ValueError):
             gamma(DSet.of([1, 3]), 2)
-
-    def test_budget(self):
-        with pytest.raises(BudgetError):
-            gamma(DSet(), 6, budget=5)
 
     def test_interval(self):
         g = gamma(DSet(), 2)
