@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -286,17 +287,16 @@ def cmd_table(args: argparse.Namespace) -> Report:
     bounds = [""] + [
         decimal_str(gamma_lower_bound(t)) for t in range(1, tbl.max_t + 1)
     ]
-    rows = [
-        [
-            r.d.key,
-            decimal_str(r.value),
-            decimal_str(r.interval.lo),
-            decimal_str(r.interval.hi),
-            decimal_str(r.refined_interval.lo),
-            bounds[r.d.max_element],
-        ]
-        for r in tbl.rows
-    ]
+    q, tail = 4**tbl.depth, 3**tbl.depth
+    rows = []
+    for key, mask, s, lo in zip(
+        d_keys(tbl.rows, tbl.max_t), tbl.rows, tbl.numerators, tbl.refined_lows
+    ):
+        t, value = mask.bit_length(), ratio_str(s, q)
+        # a lower end set by the bound is a_t/2^(t+1) itself, not its
+        # ceiling on the grid
+        refined = bounds[t] if lo > max(s - tail, 0) else ratio_str(lo, q)
+        rows.append([key, value, ratio_str(s - tail, q), value, refined, bounds[t]])
     payload = {
         "command": "table",
         "max_t": tbl.max_t,
@@ -428,7 +428,10 @@ OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nsdensity",
         description=(

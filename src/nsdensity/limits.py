@@ -24,12 +24,22 @@ contribute distinct tail sets D∪{k}, so any family of gamma estimates with
 pairwise distinct D has combined tail at most sum_{k>N} 3^(k-1) 4^(-k) =
 (3/4)^N, not a per-term multiple of it.  alpha_n and the partial sums of
 alpha use this.
+
+On the grid q = 4^N the whole certificate is integer.  The truncation is
+S_D / q with S_D = A_D 4^(N-t) - sum_{k=t+1}^N A_{D∪{k}} 4^(N-k) an
+integer, and the tail (3/4)^N is 3^N / q, so the raw enclosure is
+[(S_D - 3^N) / q, S_D / q].  Only the structural bound a_t / 2^(t+1) falls
+off the grid; it depends on t alone, and an integer S meets it on the grid
+exactly when S >= ceil(q a_t / 2^(t+1)).  :func:`gamma_table` builds every
+S_D with Max(D) <= max_t in one pass over the constant levels
+(:func:`truncation_numerators`) and compares rows on these integers;
+:func:`gamma` builds one D's terms and Fraction value, and is the table's
+oracle in the tests.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +49,7 @@ from .core import DSet
 from .constants import (
     ConstantCache,
     a_const,
+    build_a_constants,
     c_const,
 )
 
@@ -233,11 +244,8 @@ def alpha_partial_sum(
         raise ValueError(f"depth {depth} is below n_max = {n_max}")
     if cache is None:
         cache = ConstantCache()
-    value = Fraction(0)
-    for m in range(1 << n_max):
-        value += gamma(
-            DSet.from_mask(m), depth, cache, workers=workers
-        ).value
+    scaled = truncation_numerators(n_max, depth, cache, workers=workers)
+    value = Fraction(sum(scaled), 4**depth)
 
     check = Fraction(1)
     for k in range(n_max + 1, depth + 1):
@@ -292,13 +300,76 @@ def g_l_limit(
     return out
 
 
+def truncation_numerators(
+    max_t: int,
+    depth: int,
+    cache: ConstantCache | None = None,
+    *,
+    workers: int = 1,
+) -> list[int]:
+    """S_D = 4^depth times the depth-``depth`` truncation of gamma_D, for
+    every D with Max(D) <= max_t, indexed by D.mask.
+
+    Sweeps the levels 1..depth that ``cache`` lacks, then reads each level
+    once: level t adds A_D 4^(depth-t) to the rows with Max(D) = t and takes
+    A_{D∪{t}} 4^(depth-t), entry D.mask of the level, from each row with
+    Max(D) < t.  ``tolist`` gives Python ints, from int64 and object levels
+    alike.
+    """
+    if not 0 <= max_t <= depth:
+        raise ValueError(f"max_t must lie in [0, depth]; got {max_t}, depth {depth}")
+    cache = build_a_constants(depth, cache, workers=workers)
+    size = 1 << max_t
+    scaled = [4**depth] + [0] * (size - 1)  # A_∅ = 1 at t = 0
+    for t in range(1, depth + 1):
+        low, weight = 1 << (t - 1), 4 ** (depth - t)
+        terms = [a * weight for a in cache.levels[t][: min(low, size)].tolist()]
+        scaled[: len(terms)] = [s - a for s, a in zip(scaled, terms)]
+        if t <= max_t:  # rows [low, 2 low) have Max(D) = t, untouched so far
+            scaled[low : 2 * low] = terms
+    return scaled
+
+
 @dataclass(frozen=True)
 class GammaTable:
-    """All gamma_D estimates with Max(D) <= max_t, largest value first."""
+    """All gamma_D with Max(D) <= max_t at one depth, on the grid
+    q = 4^depth: row i is D.mask ``rows[i]`` with truncation
+    ``numerators[i]`` / q.  Rows run by descending value, then by
+    ascending elements."""
 
     max_t: int
     depth: int
-    rows: tuple[GammaEstimate, ...]
+    rows: tuple[int, ...]
+    numerators: tuple[int, ...]
+
+    @cached_property
+    def bounds(self) -> list[int]:
+        """ceil(q a_t / 2^(t+1)) for t = 0..max_t: a row's S meets the
+        structural bound exactly when S >= bounds[Max(D)].  Nonpositive,
+        so never binding, at t = 0 (see :func:`gamma_lower_bound`)."""
+        q = 4**self.depth
+        return [
+            -(-b.numerator * q // b.denominator)
+            for b in map(gamma_lower_bound, range(self.max_t + 1))
+        ]
+
+    @cached_property
+    def refined_lows(self) -> list[int]:
+        """Each row's refined lower end, rounded up to the grid:
+        max(S - 3^depth, 0, bounds[t]).  The raw end and 0 are on the grid
+        already; the bound is not, and H < lo q exactly when H < ceil(lo q)
+        for an integer H.  A lower end above its row's S would contradict
+        the lower-bound theorem, so that is a ValueError naming D."""
+        tail, bounds, lows = 3**self.depth, self.bounds, []
+        for mask, s in zip(self.rows, self.numerators):
+            lo = max(s - tail, 0, bounds[mask.bit_length()])
+            if lo > s:
+                raise ValueError(
+                    f"empty refined interval for D = {DSet.from_mask(mask).key}: "
+                    f"lower end {lo} above upper end {s} over 4^{self.depth}"
+                )
+            lows.append(lo)
+        return lows
 
     def distinctness_counts(self) -> tuple[int, int]:
         """(conclusively distinct pairs, inconclusive pairs).
@@ -310,20 +381,14 @@ class GammaTable:
         other's start, so the disjoint pairs are the ordered pairs (i, j)
         with hi_i < lo_j, counted by bisecting the sorted upper ends.
 
-        Every hi is a multiple of 1/q, q the lcm of their denominators (q
-        divides 4^depth for the gamma series), so the upper ends are sorted as the
-        integers H_i = hi_i q.  For an integer H, H < lo q exactly when
-        H < ceil(lo q), so each lo is bisected as that integer, whatever
-        its denominator.
+        With q = 4^depth every upper end is S_i / q, so the upper ends sort
+        as the integers S_i, the numerators in reverse row order, and
+        hi_i < lo_j exactly when S_i is below the integer
+        :attr:`refined_lows` [j].
         """
-        intervals = [row.refined_interval for row in self.rows]
-        q = math.lcm(*(iv.hi.denominator for iv in intervals))
-        his = sorted(iv.hi.numerator * (q // iv.hi.denominator) for iv in intervals)
-        distinct = sum(
-            bisect_left(his, -(-iv.lo.numerator * q // iv.lo.denominator))
-            for iv in intervals
-        )
-        n = len(intervals)
+        his = self.numerators[::-1]
+        distinct = sum(bisect_left(his, lo) for lo in self.refined_lows)
+        n = len(self.rows)
         return distinct, n * (n - 1) // 2 - distinct
 
 
@@ -334,13 +399,15 @@ def gamma_table(
     *,
     workers: int = 1,
 ) -> GammaTable:
-    if max_t < 0:
-        raise ValueError("max_t must be >= 0")
-    if cache is None:
-        cache = ConstantCache()
-    rows = [
-        gamma(DSet.from_mask(m), depth, cache, workers=workers)
-        for m in range(1 << max_t)
-    ]
-    rows.sort(key=lambda g: (-g.value, g.d.elements))
-    return GammaTable(max_t, depth, tuple(rows))
+    """Every gamma_D with Max(D) <= max_t from one
+    :func:`truncation_numerators` pass, sorted as :class:`GammaTable` says."""
+    scaled = truncation_numerators(max_t, depth, cache, workers=workers)
+    # the D within [e, max_t] by ascending elements, for e = max_t+1 down to 1:
+    # ∅, then those holding e, then the rest
+    order = [0]
+    for e in range(max_t, 0, -1):
+        bit = 1 << (e - 1)
+        order = [0, *(bit | m for m in order), *order[1:]]
+    # stable, reverse=True included: equal values keep the element order
+    rows = sorted(order, key=scaled.__getitem__, reverse=True)
+    return GammaTable(max_t, depth, tuple(rows), tuple(scaled[m] for m in rows))

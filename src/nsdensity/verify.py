@@ -61,7 +61,6 @@ from .limits import (
     alpha_partial_sum,
     g_l_limit,
     gamma,
-    gamma_lower_bound,
     gamma_table,
     tail_bound,
 )
@@ -501,23 +500,22 @@ def suite_limits(max_f: int | None = None,
 
     name = "table-order"
     tbl = gamma_table(min(3, depth), depth, cache)
-    if tbl.rows[0].d != DSet():
-        out.append(_bad(name, f"top row is {tbl.rows[0].d.key}, not ∅"))
+    if tbl.rows[0]:
+        out.append(_bad(name, f"top row is {DSet.from_mask(tbl.rows[0]).key}, not ∅"))
     else:
         out.append(_ok(name, f"top row of {len(tbl.rows)} is ∅"))
 
     name = "positivity-consistency"
-    bad = None
-    for row in tbl.rows:
-        t = row.d.max_element
-        if t >= 1 and row.value < gamma_lower_bound(t):
-            bad = row.d
-            break
-        row.refined_interval  # raises if structurally empty
+    # S < ceil(q b_t) exactly when the value S/q is below b_t; t = 0 has no bound
+    bad = next((
+        mask for mask, s in zip(tbl.rows, tbl.numerators)
+        if mask and s < tbl.bounds[mask.bit_length()]
+    ), None)
     if bad is None:
+        tbl.refined_lows  # raises if structurally empty
         out.append(_ok(name, "upper ends dominate a_t/2^(t+1); refined intervals nonempty"))
     else:
-        out.append(_bad(name, f"gamma upper end below a_t/2^(t+1) at D={bad.key}"))
+        out.append(_bad(name, f"gamma upper end below a_t/2^(t+1) at D={DSet.from_mask(bad).key}"))
     return out
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from nsdensity import cli, constants, enumeration
 from nsdensity.constants import cache_load
+from nsdensity.core import DSet
+from nsdensity.limits import decimal_str, gamma, gamma_lower_bound
 
 CACHE_PATH = str(Path(__file__).resolve().parents[1] / "nsdensity.cache")
 
@@ -98,6 +100,29 @@ class TestTable:
         assert [r["d"] for r in doc["rows"][:5]] == ["∅", "1", "2", "3", "1,3"]
         assert len(doc["rows"]) == 16
         assert doc["distinct_pairs"] + doc["inconclusive_pairs"] == 16 * 15 // 2
+
+    @pytest.mark.parametrize("max_t, depth", [(8, 15), (6, 8), (2, 2), (1, 1), (0, 0)])
+    def test_rows_equal_the_fraction_route(self, max_t, depth):
+        # each row rendered from gamma(D)'s Fraction intervals, as the
+        # table rendered them before its integer route; at depth 1 the
+        # bound 7/384 lies far inside its grid cell [0, 1/4]
+        cache = cache_load(CACHE_PATH)
+        ests = sorted(
+            (gamma(DSet.from_mask(m), depth, cache) for m in range(1 << max_t)),
+            key=lambda g: (-g.value, g.d.elements),
+        )
+        want = [
+            [
+                g.d.key, decimal_str(g.value), decimal_str(g.interval.lo),
+                decimal_str(g.interval.hi), decimal_str(g.refined_interval.lo),
+                decimal_str(gamma_lower_bound(g.d.max_element)) if g.d.mask else "",
+            ]
+            for g in ests
+        ]
+        args = cli.build_parser().parse_args(
+            ["table", "--max-t", str(max_t), "--depth", str(depth), "--cache", CACHE_PATH]
+        )
+        assert cli.cmd_table(args).rows == want
 
     def test_text_footer(self, capsys):
         code, out, _ = run(
@@ -324,6 +349,17 @@ class TestDeterminismAndCache:
             "--workers", "2",
         )
         assert out1 == out2
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # parsing must leave the shared parser as it was: a repeated
+        # --suite does not carry over into the next call
+        assert cli.build_parser() is cli.build_parser()
+        for _ in range(2):
+            code, out, _ = run(
+                capsys, "verify", "--suite", "oracle", "--cache", CACHE_PATH,
+                "--format", "json",
+            )
+            assert code == 0 and json.loads(out)["suites"] == ["oracle"]
 
     def test_missing_cache_falls_back_to_fresh(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

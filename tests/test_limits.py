@@ -1,11 +1,14 @@
+import math
 import random
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from nsdensity import cli, limits
 from nsdensity.core import DSet
-from nsdensity.constants import ConstantCache, build_a_constants
+from nsdensity.constants import ConstantCache, build_a_constants, cache_store
 from nsdensity.limits import (
     AlphaEstimate,
     GammaEstimate,
@@ -22,6 +25,9 @@ from nsdensity.limits import (
     ratio_str,
     tail_bound,
 )
+from nsdensity.verify import suite_limits
+
+CACHE_PATH = str(Path(__file__).resolve().parents[1] / "nsdensity.cache")
 
 
 def decimal_oracle(x, places=5):
@@ -48,12 +54,14 @@ class TestScalars:
 
     def test_decimal_str_equals_the_decimal_route(self, shipped_cache):
         table = gamma_table(8, 15, shipped_cache)
-        assert sum(r.interval.lo < 0 for r in table.rows) == 247
+        q, tail = 4**15, 3**15
+        assert sum(s < tail for s in table.numerators) == 247  # raw lo < 0
         values = [
-            x
-            for r in table.rows
-            for x in (r.value, r.interval.lo, r.refined_interval.lo)
+            Fraction(n, q)
+            for s, lo in zip(table.numerators, table.refined_lows)
+            for n in (s, s - tail, lo)
         ]
+        values += [gamma_lower_bound(t) for t in range(1, 9)]
         values += [
             Fraction(-1, 10**7), Fraction(1, 200000), Fraction(3, 200000),
             Fraction(-1, 200000), Fraction(-3, 200000),
@@ -203,6 +211,15 @@ class TestAlpha:
         assert len(a.terms) == 4
         assert a.interval.width == tail_bound(6)
 
+    def test_partial_sum_is_the_sum_of_gammas(self, small_cache):
+        for n_max in range(5):
+            want = sum(
+                (gamma(DSet.from_mask(m), 6, small_cache).value
+                 for m in range(1 << n_max)),
+                Fraction(0),
+            )
+            assert alpha_partial_sum(n_max, 6, small_cache).hi == want, n_max
+
     def test_partial_sum(self):
         assert alpha_partial_sum(0, 4).hi == gamma(DSet(), 4).value
         assert alpha_partial_sum(2, 4).hi == Fraction(201, 256)
@@ -232,72 +249,132 @@ class TestGLimit:
             g_l_limit(1, 2)
 
 
-def pair_loop_inconclusive(rows):
-    """Pairs of rows whose refined intervals intersect, one pair at a time."""
+def pair_loop_inconclusive(intervals):
+    """Pairs of intervals that intersect, one pair at a time."""
     return sum(
         1
-        for i in range(len(rows))
-        for j in range(i + 1, len(rows))
-        if rows[i].refined_interval.intersects(rows[j].refined_interval)
+        for i in range(len(intervals))
+        for j in range(i + 1, len(intervals))
+        if intervals[i].intersects(intervals[j])
     )
+
+
+def refined_intervals(max_t, depth, cache):
+    """gamma(D).refined_interval for every D with Max(D) <= max_t."""
+    return [
+        gamma(DSet.from_mask(m), depth, cache).refined_interval
+        for m in range(1 << max_t)
+    ]
 
 
 class TestGammaTable:
     def test_small_table(self):
         table = gamma_table(3, 6)
         assert len(table.rows) == 8
-        assert table.rows[0].d == DSet()
-        values = [r.value for r in table.rows]
-        assert values == sorted(values, reverse=True)
+        assert table.rows[0] == 0
+        assert sorted(table.rows) == list(range(8))
+        assert list(table.numerators) == sorted(table.numerators, reverse=True)
         distinct, inconclusive = table.distinctness_counts()
         assert distinct + inconclusive == 8 * 7 // 2
+
+    @pytest.mark.parametrize("max_t, depth", [(8, 15), (8, 8), (5, 5), (3, 3), (2, 2), (1, 1)])
+    def test_rows_equal_gamma(self, shipped_cache, max_t, depth):
+        # order, value, raw lower end and refined lower end of every row,
+        # against the per-D Fraction route; depths below 15 hold ties
+        table = gamma_table(max_t, depth, shipped_cache)
+        q = 4**depth
+        ests = sorted(
+            (gamma(DSet.from_mask(m), depth, shipped_cache) for m in range(1 << max_t)),
+            key=lambda g: (-g.value, g.d.elements),
+        )
+        assert list(table.rows) == [g.d.mask for g in ests]
+        for s, lo, g in zip(table.numerators, table.refined_lows, ests):
+            assert Fraction(s, q) == g.value == g.interval.hi
+            assert Fraction(s - 3**depth, q) == g.interval.lo
+            assert lo == math.ceil(g.refined_interval.lo * q)
 
     def test_distinctness_matches_pair_loop(self, shipped_cache):
         table = gamma_table(6, 15, shipped_cache)
         n = len(table.rows)
-        inconclusive = pair_loop_inconclusive(table.rows)
+        inconclusive = pair_loop_inconclusive(refined_intervals(6, 15, shipped_cache))
         assert 0 < inconclusive < n * (n - 1) // 2
         assert table.distinctness_counts() == (
             n * (n - 1) // 2 - inconclusive, inconclusive
         )
 
     def test_distinctness_matches_pair_loop_small_tables(self, shipped_cache):
-        for max_t in range(6):
+        for max_t in range(7):
             table = gamma_table(max_t, 15, shipped_cache)
             n = len(table.rows)
-            inconclusive = pair_loop_inconclusive(table.rows)
+            inconclusive = pair_loop_inconclusive(
+                refined_intervals(max_t, 15, shipped_cache)
+            )
             assert table.distinctness_counts() == (
                 n * (n - 1) // 2 - inconclusive, inconclusive
             ), max_t
 
     def test_distinctness_with_planted_ties(self):
-        # refined intervals [value - tail, value], clamped at 0 and, for
-        # D = {1}, at 7/384.  Every hi is a multiple of 1/64; ties
-        # hi_i == lo_j touch, so they intersect, and a lo just above some
-        # hi (13/48 over 1/4, 7/384 over 1/64) must still separate them
-        def row(value, tail, d=DSet()):
-            return GammaEstimate(d, 3, value, tail, 1, ())
-
-        rows = (
-            row(Fraction(1, 4), Fraction(1, 4)),  # [0, 1/4]
-            row(Fraction(1, 2), Fraction(1, 4)),  # [1/4, 1/2]: ties the first
-            row(Fraction(1, 2), Fraction(11, 48)),  # [13/48, 1/2]
-            row(Fraction(3, 4), Fraction(1, 4)),  # [1/2, 3/4]: ties the two above
-            row(Fraction(1), Fraction(1, 3)),  # [2/3, 1]
-            row(Fraction(1, 16), Fraction(1, 16), DSet.of([1])),  # [7/384, 1/16]
-            row(Fraction(1, 64), Fraction(1, 64)),  # [0, 1/64]
-        )
-        assert rows[5].refined_interval.lo == Fraction(7, 384)
-        table = GammaTable(1, 3, rows)
-        inconclusive = pair_loop_inconclusive(rows)
-        assert table.distinctness_counts() == (21 - inconclusive, inconclusive)
+        # depth 3: q = 64 and tail 27/64; the bound's ceilings on the grid
+        # are 2/64 for t = 1 and 1/64 for t = 2, 3.  Ties hi_i == lo_j
+        # touch, so they intersect, and D = {1}'s lower end 7/384, just
+        # above 1/64, must separate it from a row ending at 1/64
+        rows = (0, 2, 4, 1, 6, 3)  # ∅, {2}, {3}, {1}, {2,3}, {1,2}
+        nums = (64, 37, 10, 4, 2, 1)
+        table = GammaTable(3, 3, rows, nums)
+        assert table.bounds[1:] == [2, 1, 1]
+        # [37, 64], [10, 37], [1, 10], [2, 4], [1, 2], [1, 1]
+        assert table.refined_lows == [37, 10, 1, 2, 1, 1]
+        exact = [
+            Interval(
+                max(Fraction(s - 27, 64), Fraction(0),
+                    gamma_lower_bound(m.bit_length()) if m else Fraction(0)),
+                Fraction(s, 64),
+            )
+            for m, s in zip(rows, nums)
+        ]
+        assert exact[3].lo == Fraction(7, 384) > exact[5].hi == Fraction(1, 64)
+        inconclusive = pair_loop_inconclusive(exact)
+        assert table.distinctness_counts() == (15 - inconclusive, inconclusive)
         assert inconclusive == 7
+
+    def test_bound_above_a_value_fails_verify_and_table(
+        self, shipped_cache, monkeypatch, capsys
+    ):
+        # a bound above every Max(D) = 3 value empties those refined
+        # intervals: verify names the first such row, {3}, and table exits 1
+        real = limits.gamma_lower_bound
+        monkeypatch.setattr(
+            limits, "gamma_lower_bound", lambda t: Fraction(1) if t == 3 else real(t)
+        )
+        lines = [r.line() for r in suite_limits(cache=shipped_cache)]
+        assert "[FAIL] positivity-consistency: gamma upper end below " \
+            "a_t/2^(t+1) at D=3" in lines
+        code = cli.main(
+            ["table", "--max-t", "3", "--depth", "15", "--cache", CACHE_PATH]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("internal inconsistency: empty refined interval for D = 3")
+
+    def test_empty_cache_sweeps_levels_to_depth(self, tmp_path):
+        # the per-D route's levels 1..depth, so --write-cache files match it
+        cache = ConstantCache()
+        gamma_table(3, 6, cache)
+        assert sorted(cache.levels) == list(range(1, 7))
+        per_d = ConstantCache()
+        for m in range(8):
+            gamma(DSet.from_mask(m), 6, per_d)
+        cache_store(cache, tmp_path / "table.cache")
+        cache_store(per_d, tmp_path / "gamma.cache")
+        assert (tmp_path / "table.cache").read_bytes() == (tmp_path / "gamma.cache").read_bytes()
 
     def test_leading_order_at_full_depth(self, shipped_cache):
         table = gamma_table(4, 15, shipped_cache)
-        lead = [r.d.elements for r in table.rows[:5]]
+        lead = [DSet.from_mask(m).elements for m in table.rows[:5]]
         assert lead == [(), (1,), (2,), (3,), (1, 3)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             gamma_table(-1, 3)
+        with pytest.raises(ValueError):
+            gamma_table(4, 3)
