@@ -5,9 +5,9 @@ nsdensity.constants.build_a_constants (one top-slice sweep of 3^(t-1) sets
 per level t, with the checks in nsdensity.constants) and the swept
 C_{l,k} for l <= 3, k <= 2l+6, then writes the sorted cache file.
 
-Depth 15 takes well under a second on one core.  Lower --depth for a smaller
-cache; the library degrades gracefully (wider intervals, same
-certificates).
+Depth 15 takes well under a second; every sweep runs on one thread.
+Lower --depth for a smaller cache; the library degrades gracefully (wider
+intervals, same certificates).
 
     python demos/build_cache.py --depth 15 --out nsdensity.cache
 """
@@ -22,13 +22,12 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--depth", type=int, default=15)
     ap.add_argument("--out", default="nsdensity.cache")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--c-lmax", type=int, default=3)
     ap.add_argument("--c-extra", type=int, default=5)
     args = ap.parse_args()
 
     total = time.monotonic()
-    cache = build_a_constants(args.depth, workers=args.workers)
+    cache = build_a_constants(args.depth)
     print(
         f"A: Max(D) <= {args.depth}  {len(cache.a_entries)} constants  "
         f"{time.monotonic() - total:7.2f}s"
@@ -40,7 +39,7 @@ def main() -> None:
                 print(f"C[{l},{k}] skipped: sweep depth {k} over --depth")
                 continue
             start = time.monotonic()
-            value = c_const(l, k, cache, workers=args.workers)
+            value = c_const(l, k, cache)
             print(f"C[{l},{k}] = {value:6d}  {time.monotonic() - start:7.2f}s")
 
     cache.provenance["c-range"] = f"l<={args.c_lmax},k<=2l+{args.c_extra + 1}"

@@ -13,7 +13,8 @@ else: each library function sweeps the size it is given.
 Each ``cmd_*`` returns a :class:`Report`, which :func:`render` alone writes
 as text, CSV (LF line endings, header row) or JSON (one UTF-8 document with
 ``schema_version``), in one shot.  Output is deterministic for fixed inputs
-and cache contents regardless of ``--workers``.
+and cache contents.  Sweeps run on one thread: ``--workers`` accepts only 1,
+its default, and stays because existing command lines pass ``--workers 1``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .constants import (
     CacheConflictError,
     ConstantCache,
     TOP_SLICE_LIMIT,
+    c_const,
     cache_load,
     cache_store,
     resolve_cache_path,
@@ -106,8 +108,8 @@ def validate(args: argparse.Namespace) -> None:
             args.d = DSet.parse(args.d)
         except ValueError as e:
             raise UsageError(str(e)) from None
-    if "workers" in args and args.workers < 1:
-        raise UsageError("--workers must be >= 1")
+    if "workers" in args and args.workers != 1:
+        raise UsageError("--workers must be 1: sweeps run on one thread")
     if "depth_budget" in args and args.depth_budget < 1:
         raise UsageError("--depth-budget must be >= 1")
     if args.subcommand == "enumerate":
@@ -174,7 +176,7 @@ def _series(args: argparse.Namespace, func, *lead):
     then stores; returns the result and the cache."""
     path = resolve_cache_path(args.cache)
     cache = _load_cache(path)
-    result = func(*lead, args.depth, cache, workers=args.workers)
+    result = func(*lead, args.depth, cache)
     if args.write_cache:
         try:
             cache_store(cache, path)
@@ -199,7 +201,7 @@ def _dyadic(p: int, e: int) -> str:
 
 def cmd_enumerate(args: argparse.Namespace) -> Report:
     f = args.f
-    table = density_table(f, workers=args.workers)
+    table = density_table(f)
     _, d_masks, mults, counts = table.ranked()
     total = table.sets  # DensityTable refuses a tally of any other sum
     rows = [
@@ -352,12 +354,8 @@ def cmd_alpha(args: argparse.Namespace) -> Report:
 def cmd_glimit(args: argparse.Namespace) -> Report:
     iv, cache = _series(args, g_l_limit, args.l)
     l, depth = args.l, args.depth
-    # g_l_limit just populated the cache for every swept k; the only absent
-    # entries are the closed-form ones with k <= 2l+1, which are all 1
-    consts = [
-        {"k": k, "c": cache.c(l, k) if cache.c(l, k) is not None else 1}
-        for k in range(1, depth + 1)
-    ]
+    # g_l_limit just put every swept k in the cache: no further sweep
+    consts = [{"k": k, "c": c_const(l, k, cache)} for k in range(1, depth + 1)]
     lo, hi = _frac(iv.lo), _frac(iv.hi)
     lo_dec, hi_dec = decimal_str(iv.lo), decimal_str(iv.hi)
     payload = {
@@ -412,7 +410,8 @@ def cmd_verify(args: argparse.Namespace) -> Report:
 # argument parsing
 
 OPTIONS = {
-    "--workers": dict(type=int, default=1),
+    "--workers": dict(
+        type=int, default=1, help="must be 1: sweeps run on one thread"),
     "--enum-budget": dict(
         type=int, default=DEFAULT_ENUM_BUDGET,
         help=f"largest Frobenius number swept (default {DEFAULT_ENUM_BUDGET})"),

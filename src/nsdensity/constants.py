@@ -449,12 +449,7 @@ def resolve_cache_path(flag: str | None = None) -> str:
 # A_D
 
 
-def a_consts_batch(
-    t: int,
-    cache: ConstantCache | None = None,
-    *,
-    workers: int = 1,
-) -> Mapping[int, int]:
+def a_consts_batch(t: int, cache: ConstantCache | None = None) -> Mapping[int, int]:
     """All A_D with Max(D) = t, as a read-only {D.mask: A_D} view of the
     swept level, from one top-slice sweep.
 
@@ -464,7 +459,7 @@ def a_consts_batch(
     if t < 1:
         raise ValueError("batch needs t >= 1; A over the empty set is 1")
     low = 1 << (t - 1)  # level t is the mask range [2^(t-1), 2^t)
-    level = top_slice_counts(t, workers=workers)[low:]
+    level = top_slice_counts(t)[low:]
     if cache is None:
         check_a_level(t, level)
     else:
@@ -472,27 +467,17 @@ def a_consts_batch(
     return _AEntries({t: level})
 
 
-def a_const(
-    d: DSet,
-    cache: ConstantCache | None = None,
-    *,
-    workers: int = 1,
-) -> int:
+def a_const(d: DSet, cache: ConstantCache | None = None) -> int:
     """A_D = |B(D, 2 Max(D) + 1)|, from cache when possible."""
     t = d.max_element
     if t == 0:
         return 1
     if cache is not None and t in cache.levels:
         return cache.a(d)
-    return a_consts_batch(t, cache, workers=workers)[d.mask]
+    return a_consts_batch(t, cache)[d.mask]
 
 
-def build_a_constants(
-    depth: int,
-    cache: ConstantCache | None = None,
-    *,
-    workers: int = 1,
-) -> ConstantCache:
+def build_a_constants(depth: int, cache: ConstantCache | None = None) -> ConstantCache:
     """Fill a cache with every A_D for Max(D) <= depth, in increasing t.
 
     Each level is its own top-slice sweep and reads no other level; the
@@ -503,7 +488,7 @@ def build_a_constants(
         cache = ConstantCache()
     for t in range(1, depth + 1):
         if t not in cache.levels:
-            a_consts_batch(t, cache, workers=workers)
+            a_consts_batch(t, cache)
     return cache
 
 
@@ -511,13 +496,7 @@ def build_a_constants(
 # C_{l,k}
 
 
-def c_const(
-    l: int,
-    k: int,
-    cache: ConstantCache | None = None,
-    *,
-    workers: int = 1,
-) -> int:
+def c_const(l: int, k: int, cache: ConstantCache | None = None) -> int:
     """C_{l,k}: prefix-avoiding window constant.
 
     1 in closed form for k <= 2l+1.  For k >= 2l+2 it is |B_l(k, 2k+1)|,
@@ -534,7 +513,7 @@ def c_const(
         hit = cache.c(l, k)
         if hit is not None:
             return hit
-    buckets = top_slice_counts(k, prefix_zeros=l, workers=workers)
+    buckets = top_slice_counts(k, prefix_zeros=l)
     value = int(buckets[1 << (k - 1)])
     if cache is None:
         check_c(l, k, value)

@@ -8,12 +8,12 @@ preimage count P(S) of every semigroup S = A(T) it meets; the
 about A(T) alone, so each is a method of the table that reduces it: it
 reads its window, multiplicity or key off the few distinct A-masks and sums
 their counts with exact integer arithmetic, so results are independent of
-chunking and worker count, and no counter sweeps again.  Two more
-reductions serve the report: the table checks on construction, one array
-pass per element, that every A-mask it holds is closed under addition,
-and ``DensityTable.ranked`` gives the masks in report order with their D
-masks, multiplicities and counts.  The per-semigroup objects of
-``DensityTable.entries`` remain as the slow route they are checked against.
+chunking, and no counter sweeps again.  Two more reductions serve the
+report: the table checks on construction, one array pass per element, that
+every A-mask it holds is closed under addition, and ``DensityTable.ranked``
+gives the masks in report order with their D masks, multiplicities and
+counts.  The per-semigroup objects of ``DensityTable.entries`` remain as
+the slow route they are checked against.
 
 s in [1, f-1] lies in A(T) iff no pair (x, x+s) with x <= f-s has x in T
 and x+s not in T; 0 is in T and f is not.  The violation mask V(T), bit s-1
@@ -59,8 +59,8 @@ digit's membership by the one pair rule, k = j included, so a pair state
 with x_j in T and h_j out would leave a window below 2^(t-1), which
 :func:`top_slice_counts` refuses.
 
-The two chunkers share one worker-pool runner, :func:`_run_chunks`, and
-nothing else: the flat sweep takes f and the top slice takes t.  Neither
+The two chunkers share nothing: the flat sweep takes f and the top slice
+takes t, and each runs its chunks in order on the calling thread.  Neither
 has a budget: each sweeps the size it is given, and the budget flags are
 checked in :mod:`nsdensity.cli` alone.  Word size limits these kernels to
 f <= 63; the pure-python routines in ``core`` remain valid for arbitrary f.
@@ -69,9 +69,6 @@ f <= 63; the pure-python routines in ``core`` remain valid for arbitrary f.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -100,26 +97,11 @@ class BudgetError(Exception):
 # chunked mask production and the two elementary kernels
 
 
-def _run_chunks(run: Callable[[int], object], chunks: int, workers: int) -> list:
-    """``run(i)`` for every chunk index i in [0, ``chunks``), on up to
-    ``workers`` threads, with the results in ascending index order, so any
-    reduction that is associative and commutative over exact integers is
-    deterministic for every worker count."""
-    # Executor.map submits every chunk at once: more threads than chunks
-    # or cores would only start and idle
-    workers = min(workers, chunks, os.cpu_count() or 1)
-    if workers <= 1:
-        return [run(i) for i in range(chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(chunks)))
-
-
 def _flat_chunks(
     f: int,
     func: Callable[[np.ndarray], object],
     *,
     prefix_zeros: int = 0,
-    workers: int = 1,
     chunk: int | None = None,
 ) -> list:
     """Apply ``func`` to the A-masks of each chunk of the flat sweep.
@@ -128,7 +110,7 @@ def _flat_chunks(
     ``prefix_zeros``: a chunk fixes T above the low block L = [l+1, l+b]
     and runs over all 2^b patterns of L, with 2^b = ``chunk`` (default
     BLOCK) rounded down to a power of two and capped at the sweep (see the
-    module docstring).  Results come in chunk order (:func:`_run_chunks`).
+    module docstring).  Results come in chunk order.
     """
     if f < 1:
         raise ValueError(f"Frobenius number must be >= 1, got {f}")
@@ -139,11 +121,10 @@ def _flat_chunks(
     free = f - 1 - prefix_zeros
     b = min(free, (chunk or BLOCK).bit_length() - 1)
     allowed_ll = _low_block_table(f, prefix_zeros, b)
-
-    def run(high: int):
-        return func(_amask_block(f, prefix_zeros, b, high, allowed_ll))
-
-    return _run_chunks(run, 1 << (free - b), workers)
+    return [
+        func(_amask_block(f, prefix_zeros, b, high, allowed_ll))
+        for high in range(1 << (free - b))
+    ]
 
 
 def _slice_chunks(
@@ -151,7 +132,6 @@ def _slice_chunks(
     func: Callable[[np.ndarray], object],
     *,
     prefix_zeros: int = 0,
-    workers: int = 1,
     chunk: int | None = None,
 ) -> list:
     """Apply ``func`` to the width-t windows of each chunk of the top slice.
@@ -162,7 +142,7 @@ def _slice_chunks(
     the leading digits and runs over every state of the trailing digits,
     at most ``chunk`` of them (default 16 * 2^t, so that a chunk outweighs
     its 2^t-bin histogram, within [BLOCK, CHUNK]).  Results come in chunk
-    order (:func:`_run_chunks`).
+    order.
     """
     if not 0 <= prefix_zeros <= t - 1:
         raise ValueError(
@@ -188,7 +168,7 @@ def _slice_chunks(
             states.append(digit[d])
         return func(_slice_block(t, trailing, states, allowed_tt))
 
-    return _run_chunks(run, math.prod(len(s) for s in leading), workers)
+    return [run(i) for i in range(math.prod(len(s) for s in leading))]
 
 
 def _low_block_table(f: int, l: int, b: int) -> np.ndarray:
@@ -509,7 +489,6 @@ def density_table(
     f: int,
     *,
     prefix_zeros: int = 0,
-    workers: int = 1,
     chunk: int | None = None,
 ) -> DensityTable:
     """Map every T with f(T) = f avoiding [1, prefix_zeros] through A and
@@ -518,13 +497,12 @@ def density_table(
     Each chunk (``chunk`` sets, see :func:`_flat_chunks`) tallies its own
     A-masks; the per-chunk tallies merge in one concatenated ``np.unique``
     and an exact integer sum, so the table is the same for every chunk
-    size and worker count.
+    size.
     """
     parts = _flat_chunks(
         f,
         lambda amask: np.unique(amask, return_counts=True),
         prefix_zeros=prefix_zeros,
-        workers=workers,
         chunk=chunk,
     )
     masks, where = np.unique(
@@ -545,24 +523,14 @@ def _sum_by(keys: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:
 # window histograms
 
 
-def window_counts(
-    f: int,
-    width: int,
-    *,
-    prefix_zeros: int = 0,
-    workers: int = 1,
-) -> np.ndarray:
+def window_counts(f: int, width: int, *, prefix_zeros: int = 0) -> np.ndarray:
     """``density_table(f, prefix_zeros=...).window(width)``: the flat window
     histogram that :func:`nsdensity.verify.full_window_oracle` replays the
     top slice against."""
-    return density_table(
-        f, prefix_zeros=prefix_zeros, workers=workers
-    ).window(width)
+    return density_table(f, prefix_zeros=prefix_zeros).window(width)
 
 
-def top_slice_counts(
-    t: int, *, prefix_zeros: int = 0, workers: int = 1
-) -> np.ndarray:
+def top_slice_counts(t: int, *, prefix_zeros: int = 0) -> np.ndarray:
     """Width-t window histogram at f = 2t+1 over the top slice alone.
 
     t+1 is in A(T) iff t+1 in T, t not in T, and x in T implies x+t+1 in T
@@ -584,7 +552,7 @@ def top_slice_counts(
         raise BudgetError(
             f"top slice at t={t} needs f = 2t+1 <= {WORD_LIMIT}, the word limit"
         )
-    buckets = _window_histogram(t, prefix_zeros=prefix_zeros, workers=workers)
+    buckets = _window_histogram(t, prefix_zeros=prefix_zeros)
     stray = int(buckets[: 1 << (t - 1)].sum())
     if stray:
         raise AssertionError(
@@ -597,15 +565,12 @@ def _window_histogram(t: int, **sweep) -> np.ndarray:
     """Sum of per-chunk bincounts of the top slice's width-t windows.
 
     Each chunk adds its bincount to one running total, so memory stays at
-    one histogram per worker however many chunks the sweep has.
+    one total and one chunk's bincount however many chunks the sweep has.
     """
     total = np.zeros(1 << t, dtype=np.int64)
-    lock = threading.Lock()
 
     def tally(windows: np.ndarray) -> None:
-        counts = np.bincount(windows, minlength=1 << t)
-        with lock:
-            np.add(total, counts, out=total)
+        np.add(total, np.bincount(windows, minlength=1 << t), out=total)
 
     _slice_chunks(t, tally, **sweep)
     return total

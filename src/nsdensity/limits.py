@@ -147,24 +147,18 @@ class GammaEstimate:
         return Interval(lo, self.value)
 
 
-def gamma(
-    d: DSet,
-    depth: int,
-    cache: ConstantCache | None = None,
-    *,
-    workers: int = 1,
-) -> GammaEstimate:
+def gamma(d: DSet, depth: int, cache: ConstantCache | None = None) -> GammaEstimate:
     """Exact depth-``depth`` truncation of the gamma_D series."""
     t = d.max_element
     if depth < t:
         raise ValueError(f"depth {depth} is below Max(D) = {t}")
     if cache is None:
         cache = ConstantCache()  # local reuse across the k-loop's batches
-    a_d = a_const(d, cache, workers=workers)
+    a_d = a_const(d, cache)
     scaled = a_d * 4 ** (depth - t)  # the truncation times 4^depth
     terms = []
     for k in range(t + 1, depth + 1):
-        a_k = a_const(d.with_added(k), cache, workers=workers)
+        a_k = a_const(d.with_added(k), cache)
         terms.append((k, a_k))
         scaled -= a_k * 4 ** (depth - k)
     value = Fraction(scaled, 4**depth)
@@ -190,8 +184,6 @@ def alpha_limit(
     n: int,
     depth: int,
     cache: ConstantCache | None = None,
-    *,
-    workers: int = 1,
 ) -> AlphaEstimate:
     """alpha_n = sum of gamma_{D∪{n}} over D ⊆ [1, n-1]; alpha_{-1} = gamma_∅.
 
@@ -204,17 +196,12 @@ def alpha_limit(
     if cache is None:
         cache = ConstantCache()
     if n == -1:
-        parts = [gamma(DSet(), depth, cache, workers=workers)]
+        parts = [gamma(DSet(), depth, cache)]
     else:
         if depth < n:
             raise ValueError(f"depth {depth} is below n = {n}")
         parts = [
-            gamma(
-                DSet.from_mask(m | (1 << (n - 1))),
-                depth,
-                cache,
-                workers=workers,
-            )
+            gamma(DSet.from_mask(m | (1 << (n - 1))), depth, cache)
             for m in range(1 << (n - 1))
         ]
     value = sum((p.value for p in parts), Fraction(0))
@@ -225,8 +212,6 @@ def alpha_partial_sum(
     n_max: int,
     depth: int,
     cache: ConstantCache | None = None,
-    *,
-    workers: int = 1,
 ) -> Interval:
     """Certified interval for sum_{n=-1}^{n_max} alpha_n.
 
@@ -244,7 +229,7 @@ def alpha_partial_sum(
         raise ValueError(f"depth {depth} is below n_max = {n_max}")
     if cache is None:
         cache = ConstantCache()
-    scaled = truncation_numerators(n_max, depth, cache, workers=workers)
+    scaled = truncation_numerators(n_max, depth, cache)
     value = Fraction(sum(scaled), 4**depth)
 
     check = Fraction(1)
@@ -261,13 +246,7 @@ def alpha_partial_sum(
     return Interval(value - tail_bound(depth), value)
 
 
-def g_l_limit(
-    l: int,
-    depth: int,
-    cache: ConstantCache | None = None,
-    *,
-    workers: int = 1,
-) -> Interval:
+def g_l_limit(l: int, depth: int, cache: ConstantCache | None = None) -> Interval:
     """Certified interval for lim_f |G_l(f)| / 2^(f-1).
 
     The limit is 2^(-l) - sum_{k<=l} C_{l,k} 2^(-l-k) - sum_{k>l} C_{l,k} 4^(-k);
@@ -284,13 +263,9 @@ def g_l_limit(
         cache = ConstantCache()
     value = Fraction(1, 2**l)
     for k in range(1, l + 1):
-        value -= Fraction(
-            c_const(l, k, cache, workers=workers), 2 ** (l + k)
-        )
+        value -= Fraction(c_const(l, k, cache), 2 ** (l + k))
     for k in range(l + 1, depth + 1):
-        value -= Fraction(
-            c_const(l, k, cache, workers=workers), 4**k
-        )
+        value -= Fraction(c_const(l, k, cache), 4**k)
     tail = Fraction(2**l, 3 ** (2 * l)) * tail_bound(depth)
     out = Interval(value - tail, value)
     if out.lo < a_constant(l):
@@ -304,8 +279,6 @@ def truncation_numerators(
     max_t: int,
     depth: int,
     cache: ConstantCache | None = None,
-    *,
-    workers: int = 1,
 ) -> list[int]:
     """S_D = 4^depth times the depth-``depth`` truncation of gamma_D, for
     every D with Max(D) <= max_t, indexed by D.mask.
@@ -318,7 +291,7 @@ def truncation_numerators(
     """
     if not 0 <= max_t <= depth:
         raise ValueError(f"max_t must lie in [0, depth]; got {max_t}, depth {depth}")
-    cache = build_a_constants(depth, cache, workers=workers)
+    cache = build_a_constants(depth, cache)
     size = 1 << max_t
     scaled = [4**depth] + [0] * (size - 1)  # A_∅ = 1 at t = 0
     for t in range(1, depth + 1):
@@ -396,12 +369,10 @@ def gamma_table(
     max_t: int,
     depth: int,
     cache: ConstantCache | None = None,
-    *,
-    workers: int = 1,
 ) -> GammaTable:
     """Every gamma_D with Max(D) <= max_t from one
     :func:`truncation_numerators` pass, sorted as :class:`GammaTable` says."""
-    scaled = truncation_numerators(max_t, depth, cache, workers=workers)
+    scaled = truncation_numerators(max_t, depth, cache)
     # the D within [e, max_t] by ascending elements, for e = max_t+1 down to 1:
     # ∅, then those holding e, then the rest
     order = [0]

@@ -43,7 +43,6 @@ from .core import (
     as_semigroup,
     d_of,
     fold,
-    is_semigroup,
     multiplicity,
     n_of,
     r_value,
@@ -104,7 +103,10 @@ def check_amap_exhaustive(f: int) -> CheckResult:
 
 
 def check_amap_random(samples: int, f_max: int, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Optimized vs reference A(T) on random sets, plus structural facts."""
+    """Optimized vs reference A(T) on random sets, and A(A(T)) = A(T).
+    A(T) is a semigroup with T's f by construction: ``associated_semigroup``
+    builds a :class:`Semigroup` at ``T.f``, which refuses a set that is not
+    closed under addition."""
     name = f"amap-random(n={samples},f<={f_max})"
     rng = random.Random(seed)
     for _ in range(samples):
@@ -113,8 +115,6 @@ def check_amap_random(samples: int, f_max: int, seed: int = DEFAULT_SEED) -> Che
         s = associated_semigroup(t)
         if s != associated_semigroup_definitional(t):
             return _bad(name, f"route mismatch at f={f} mask={t.gaps_mask:#x}")
-        if s.f != f or not is_semigroup(s):
-            return _bad(name, f"A(T) malformed at f={f} mask={t.gaps_mask:#x}")
         if associated_semigroup(s) != s:
             return _bad(name, f"A not idempotent at f={f} mask={t.gaps_mask:#x}")
     return _ok(name, "routes agree; A(T) is a semigroup, same f, A(A(T))=A(T)")
@@ -192,8 +192,6 @@ def check_encoding_roundtrip(f_max: int = 12) -> CheckResult:
                 return _bad(name, f"N(D({s!s}),{f}) != S")
             if r_value(s) != (d.max_element if len(d) else -1):
                 return _bad(name, f"R({s!s}) != Max(D)")
-            if multiplicity(s) != f - r_value(s):
-                return _bad(name, f"m({s!s}) != f - R")
     return _ok(name, "N(D(S),f) = S; R(S) = Max(D(S)) with -1 for D = ∅")
 
 

@@ -339,16 +339,51 @@ class TestExitCodes:
 
 
 class TestDeterminismAndCache:
-    def test_workers_do_not_change_output(self, capsys):
-        _, out1, _ = run(
-            capsys, "gamma", "--d", "2", "--depth", "6", "--format", "csv",
-            "--workers", "1",
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--f", "9"],
+        ["gamma", "--d", "1,3", "--depth", "15", "--cache", CACHE_PATH],
+        ["table", "--max-t", "3", "--depth", "15", "--cache", CACHE_PATH],
+        ["alpha", "--n", "2", "--depth", "15", "--cache", CACHE_PATH],
+        ["glimit", "--l", "1", "--depth", "13", "--cache", CACHE_PATH],
+    ])
+    def test_workers_flag_accepts_only_1(self, capsys, monkeypatch, argv):
+        # sweeps run on one thread: --workers 1, which existing command
+        # lines pass, changes no byte, and any other value is refused
+        # before any cache read or sweep
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert run(capsys, *argv, "--workers", "1") == (0, out, "")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("cache read or sweep started")
+
+        monkeypatch.setattr(cli, "cache_load", no_work)
+        monkeypatch.setattr(constants, "top_slice_counts", no_work)
+        monkeypatch.setattr(enumeration, "_flat_chunks", no_work)
+        for n in ("2", "0"):
+            assert run(capsys, *argv, "--workers", n) == (
+                2, "", "usage error: --workers must be 1: sweeps run on one thread\n"
+            )
+
+    def test_glimit_sweeps_only_in_g_l_limit(self, capsys, monkeypatch):
+        # the shipped cache holds C[1,k] for k <= 8; g_l_limit sweeps
+        # k = 9..13, and the report reads each C through c_const without
+        # a second sweep
+        swept = []
+        real = constants.top_slice_counts
+
+        def counted(t, **sweep):
+            swept.append(t)
+            return real(t, **sweep)
+
+        monkeypatch.setattr(constants, "top_slice_counts", counted)
+        code, out, _ = run(
+            capsys, "glimit", "--l", "1", "--depth", "13", "--cache", CACHE_PATH
         )
-        _, out2, _ = run(
-            capsys, "gamma", "--d", "2", "--depth", "6", "--format", "csv",
-            "--workers", "2",
+        assert code == 0 and swept == [9, 10, 11, 12, 13]
+        assert out.endswith(
+            ": 1, 1, 1, 3, 6, 17, 45, 130, 352, 1003, 2848, 8402, 23929\n"
         )
-        assert out1 == out2
 
     def test_one_parser_serves_every_call(self, capsys):
         # parsing must leave the shared parser as it was: a repeated

@@ -175,8 +175,8 @@ class TestCConst:
         """A top slice that inflates bucket {k}, as a faulty C sweep would."""
         real = constants.top_slice_counts
 
-        def inflated(t, *, prefix_zeros=0, workers=1):
-            buckets = real(t, prefix_zeros=prefix_zeros, workers=workers).copy()
+        def inflated(t, *, prefix_zeros=0):
+            buckets = real(t, prefix_zeros=prefix_zeros).copy()
             buckets[1 << (t - 1)] += 10**6
             return buckets
 

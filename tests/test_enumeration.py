@@ -2,7 +2,6 @@ import contextlib
 import functools
 import hashlib
 import io
-import os
 import re
 from fractions import Fraction
 
@@ -156,39 +155,6 @@ class TestDensityTable:
         with pytest.raises(AssertionError, match="disagree on 0x0 at f=3"):
             density_table(3)
 
-    def test_workers_equivalence(self):
-        # 64 chunks of 2^6 sets, so the pool has chunks to share; at the
-        # default chunk f = 13 is one chunk, and one thread
-        one = density_table(13, chunk=1 << 6)
-        assert one.entries == density_table(13, workers=3, chunk=1 << 6).entries
-
-    def test_workers_capped_at_chunks_and_cpus(self, monkeypatch):
-        # a stand-in pool that records its size and runs tasks inline, so
-        # no thread starts whatever size is asked for
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(enumeration, "ThreadPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        # 8 chunks of 2^16 sets at f = 20, 2 at f = 18
-        for f, pool in ((20, 4), (18, 2)):
-            want = density_table(f).entries
-            assert density_table(f, workers=10**6).entries == want
-            assert sizes.pop() == pool
-        assert sizes == []
-
     def test_preimage_counts_match_table(self):
         f = 12
         table = density_table(f)
@@ -231,11 +197,10 @@ class TestAMapSweep:
     # chunk 2 leaves L1 empty, 8 splits L as 1 + 2 positions, 32 as 2 + 3;
     # None is the default block, which covers every sweep at f <= 14
     @pytest.mark.parametrize("chunk", [2, 8, 32, None])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_equals_core_a_mask(self, chunk, workers):
+    def test_equals_core_a_mask(self, chunk):
         for f in range(1, 15):
             for l in range(f):
-                got = sweep_amasks(f, prefix_zeros=l, chunk=chunk, workers=workers)
+                got = sweep_amasks(f, prefix_zeros=l, chunk=chunk)
                 assert got == core_amasks(f, l), (f, l)
 
     def test_edge_sizes(self):
@@ -260,7 +225,7 @@ class TestAMapSweep:
     def test_merge_across_chunks(self):
         # many chunks, each with its own np.unique tally, merge to the table
         f = 13
-        chunked = density_table(f, chunk=4, workers=2)
+        chunked = density_table(f, chunk=4)
         table = density_table(f)
         assert chunked.masks.tolist() == sorted(s.gaps_mask for s in table.entries)
         assert chunked.counts.tolist() == [
@@ -342,11 +307,18 @@ class TestTopSlice:
         assert not got[:low].any()
         assert np.array_equal(got[low:], full[low:])
 
-    def test_chunks_and_workers(self):
-        # 3^13 sets run as several chunks of the trailing-digit table
-        one = top_slice_counts(14)
-        assert np.array_equal(one, top_slice_counts(14, workers=2))
-        assert one.sum() == 3**13
+    def test_several_chunks(self, monkeypatch):
+        # 3^13 sets run as 9 chunks of the trailing-digit table by default,
+        # and as one chunk of at most CHUNK sets, to the same histogram
+        chunks = []
+        real = enumeration._slice_block
+        monkeypatch.setattr(
+            enumeration, "_slice_block", lambda *a: chunks.append(1) or real(*a)
+        )
+        several = top_slice_counts(14)
+        assert len(chunks) == 9 and several.sum() == 3**13
+        one = enumeration._window_histogram(14, chunk=enumeration.CHUNK)
+        assert len(chunks) == 10 and np.array_equal(several, one)
 
     def test_stray_window_is_an_error(self, monkeypatch):
         # a kernel that loses the top window bit must not go unnoticed
@@ -379,13 +351,10 @@ class TestTopSlice:
     # chunk 3 leaves one trailing digit and the rest leading, 9 and 27 split
     # the trailing digits into two halves; the default covers t <= 10 in one
     @pytest.mark.parametrize("chunk", [3, 9, 27, None])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_chunked_slice_is_the_top_of_the_flat_sweep(self, chunk, workers):
+    def test_chunked_slice_is_the_top_of_the_flat_sweep(self, chunk):
         for t in range(1, 11):
             for l in range(min(3, t - 1) + 1):
-                got = enumeration._window_histogram(
-                    t, prefix_zeros=l, workers=workers, chunk=chunk
-                )
+                got = enumeration._window_histogram(t, prefix_zeros=l, chunk=chunk)
                 low = 1 << (t - 1)
                 assert not got[:low].any(), (t, l)
                 assert np.array_equal(got[low:], flat_top_buckets(t, l)), (t, l)
@@ -539,32 +508,6 @@ class TestSuffixCensus:
         res = check_preimage_identity(12)
         assert res.passed, res.detail
         assert calls == [(12, 0)]
-
-
-class TestWorkers:
-    # beyond 2^16 free positions (one BLOCK) a flat sweep has several chunks
-    # for the workers to share
-
-    def test_window_counts_with_prefix(self):
-        one = window_counts(21, 7, prefix_zeros=2)
-        assert np.array_equal(one, window_counts(21, 7, prefix_zeros=2, workers=2))
-
-    def test_suffix_census(self):
-        one = density_table(19).census(4)
-        two = density_table(19, workers=2).census(4)
-        assert np.array_equal(one.buckets, two.buckets)
-        assert one.p_counts == two.p_counts and one.s_counts == two.s_counts
-
-    def test_multiplicity_counts(self):
-        one, two = density_table(19), density_table(19, workers=2)
-        assert one.multiplicities() == two.multiplicities()
-
-    def test_preimage_counts(self):
-        f = 19
-        goals = [n_of(DSet.from_mask(m), f).gaps_mask
-                 for m in range(16)]
-        one, two = density_table(f), density_table(f, workers=2)
-        assert np.array_equal(one.preimages(goals), two.preimages(goals))
 
 
 class TestMultiplicityStats:
