@@ -1,9 +1,10 @@
 """Exhaustive sweeps over all numerical sets with a fixed Frobenius number.
 
 There are 2^(f-1) numerical sets with Frobenius number f, one per subset of
-[1, f-1].  One flat sweep, :func:`density_table`, visits all of them
-(optionally restricted to sets avoiding a prefix [1, l]) and tallies the
-preimage count P(S) of every semigroup S = A(T) it meets; the
+[1, f-1].  One flat sweep, :func:`density_table`, counts all of them
+(optionally restricted to sets avoiding a prefix [1, l]), visiting half
+of them at even f with l = 0 (see below), and tallies the preimage count
+P(S) of every semigroup S = A(T) it meets; the
 :class:`DensityTable` it returns is that tally.  Each finite-f counter asks
 about A(T) alone, so each is a method of the table that reduces it: it
 reads its window, multiplicity or key off the few distinct A-masks and sums
@@ -35,6 +36,21 @@ per-chunk scalar.  A chunk's 2^b A-masks then cost two full-width ANDs of
 the complements: the outer AND of the two vectors, then the table.  The
 tables are built by doubling, one position at a time (see
 ``_low_block_table`` and ``_amask_block``).
+
+At even f with l = 0 the flat sweep visits half the sets, by duality.  The
+dual of T is T* = {x : f - x not in T}, and A(T*) = A(T).  T* is a
+numerical set with Frobenius number f: 0 is in T* as f is not in T, f is
+not as 0 is in T, and every x > f is, as f - x < 0.  If s + T ⊆ T, then
+s + T* ⊆ T*: for x in T*, were f - x - s in T, then f - x would be in T.
+So A(T) ⊆ A(T*), and as T** = T the two are equal.  At even f, f/2 is in
+T* exactly when it is not in T, so T -> T* pairs each set with f/2 out of
+T with one that holds it, and the sets with f/2 out of T, doubled, give
+the whole tally.  The map does not keep [1, l] out of T, so a prefix sweep
+visits every set.  In the chunk layout f/2 is kept out of T either inside
+L, where it becomes pattern bit 0 of L2 (the split is b1 = f/2 - 1 - l,
+and only the rows of the L2 vector and of the table with that bit clear
+are built), or above L, where the chunks whose fixed bits hold it are
+skipped: for f >= 34 at the default block, or at a small chunk.
 
 The top slice at f = 2t+1 (see :func:`top_slice_counts`) takes the same
 step over digit pairs.  Digit j in [1, t-1] is the pair (x_j, h_j) =
@@ -103,6 +119,7 @@ def _flat_chunks(
     *,
     prefix_zeros: int = 0,
     chunk: int | None = None,
+    absent: int | None = None,
 ) -> list:
     """Apply ``func`` to the A-masks of each chunk of the flat sweep.
 
@@ -111,6 +128,10 @@ def _flat_chunks(
     and runs over all 2^b patterns of L, with 2^b = ``chunk`` (default
     BLOCK) rounded down to a power of two and capped at the sweep (see the
     module docstring).  Results come in chunk order.
+
+    ``absent``, a position in (l, f), is kept out of T as well, which
+    halves the sweep: inside L it is pattern bit 0 of L2, whose other half
+    is never built, and above L the chunks that put it in T are skipped.
     """
     if f < 1:
         raise ValueError(f"Frobenius number must be >= 1, got {f}")
@@ -121,9 +142,19 @@ def _flat_chunks(
     free = f - 1 - prefix_zeros
     b = min(free, (chunk or BLOCK).bit_length() - 1)
     allowed_ll = _low_block_table(f, prefix_zeros, b)
+    highs = range(1 << (free - b))
+    split = None
+    if absent is not None:
+        k = absent - prefix_zeros - 1  # its pattern bit, or b + its high bit
+        if k < b:
+            # the table's rows with pattern bit k clear
+            allowed_ll = allowed_ll.reshape(-1, 1 << k)[::2].ravel()
+            split = k
+        else:
+            highs = (high for high in highs if not high >> (k - b) & 1)
     return [
-        func(_amask_block(f, prefix_zeros, b, high, allowed_ll))
-        for high in range(1 << (free - b))
+        func(_amask_block(f, prefix_zeros, b, high, allowed_ll, split))
+        for high in highs
     ]
 
 
@@ -190,7 +221,12 @@ def _low_block_table(f: int, l: int, b: int) -> np.ndarray:
 
 
 def _amask_block(
-    f: int, l: int, b: int, high: int, allowed_ll: np.ndarray
+    f: int,
+    l: int,
+    b: int,
+    high: int,
+    allowed_ll: np.ndarray,
+    split: int | None = None,
 ) -> np.ndarray:
     """A-masks of the 2^b sets of one chunk, in pattern order of L.
 
@@ -201,6 +237,12 @@ def _amask_block(
     with y in T and h > l+b out of T: each y in T ∩ L1 (or L2) adds the
     shifted out-of-T part of H.  The pairs inside H give one scalar, folded
     into the L1 vector.
+
+    With ``split`` = k, L1 holds pattern bits below k, and pattern bit k,
+    bit 0 of L2, stays out of T: the L2 vector has only the rows where it
+    is clear, ``allowed_ll`` holds the table's rows where it is clear, and
+    the chunk has 2^(b-1) sets.  Out of T, that position forms no pair
+    with H.
     """
     low = (1 << (f - 1)) - 1
     members = high << (l + b + 1)
@@ -210,7 +252,7 @@ def _amask_block(
     for h in range(l + b + 1, f):
         if members >> h & 1:
             v_hh |= out >> (h + 1)
-    b1 = b // 2
+    b1 = b // 2 if split is None else split
 
     def half(start: int, stop: int, allowed: int) -> np.ndarray:
         # pattern bit i of the half is position y = l+1+start+i
@@ -220,8 +262,8 @@ def _amask_block(
         return vec
 
     l1 = half(0, b1, low & ~v_hh)
-    l2 = half(b1, b, low)
-    amask = np.empty(1 << b, dtype=np.uint64)
+    l2 = half(b1 if split is None else b1 + 1, b, low)
+    amask = np.empty(len(allowed_ll), dtype=np.uint64)
     np.bitwise_and(l2[:, None], l1[None, :], out=amask.reshape(len(l2), len(l1)))
     return np.bitwise_and(amask, allowed_ll, out=amask)
 
@@ -351,8 +393,8 @@ class SuffixCensus:
 class DensityTable:
     """The preimage tally of one flat sweep at Frobenius number ``f``.
 
-    The sweep visits the 2^(f-1-l) sets T avoiding [1, l], l =
-    ``prefix_zeros``; ``masks`` holds every distinct A-mask it met,
+    The table counts the 2^(f-1-l) sets T avoiding [1, l], l =
+    ``prefix_zeros``; ``masks`` holds every distinct A-mask among them,
     ascending, and ``counts`` how many of the sets T have that A(T).  Every
     counter below is a reduction of these two arrays, and none sweeps again.
     """
@@ -380,7 +422,8 @@ class DensityTable:
 
     @property
     def sets(self) -> int:
-        """2^(f-1-l), the number of sets the sweep visited."""
+        """2^(f-1-l), the number of sets the table counts.  The sweep of
+        :func:`density_table` visits half of them at even f with l = 0."""
         return 1 << (self.f - 1 - self.prefix_zeros)
 
     @cached_property
@@ -494,21 +537,31 @@ def density_table(
     """Map every T with f(T) = f avoiding [1, prefix_zeros] through A and
     tally preimages per A-mask.
 
-    Each chunk (``chunk`` sets, see :func:`_flat_chunks`) tallies its own
-    A-masks; the per-chunk tallies merge in one concatenated ``np.unique``
-    and an exact integer sum, so the table is the same for every chunk
-    size.
+    The table counts 2^(f-1-l) sets, l = ``prefix_zeros``, but at even f
+    with l = 0 the sweep visits half of them: those with f/2 out of T.
+    T -> T* swaps them with the other half and keeps A(T) (see the module
+    docstring), so every count of the visited half is doubled.  Each chunk
+    (``chunk`` sets, see :func:`_flat_chunks`) tallies its own A-masks, on
+    32-bit keys when they fit (f <= 33); the per-chunk tallies merge in
+    one concatenated ``np.unique`` and an exact integer sum, so the table
+    is the same for every chunk size.
     """
+    dual = f % 2 == 0 and prefix_zeros == 0
+    key = np.uint32 if f <= 33 else np.uint64
     parts = _flat_chunks(
         f,
-        lambda amask: np.unique(amask, return_counts=True),
+        lambda amask: np.unique(amask.astype(key, copy=False), return_counts=True),
         prefix_zeros=prefix_zeros,
         chunk=chunk,
+        absent=f // 2 if dual else None,
     )
     masks, where = np.unique(
-        np.concatenate([m for m, _ in parts]), return_inverse=True
+        np.concatenate([m.astype(np.uint64) for m, _ in parts]),
+        return_inverse=True,
     )
     counts = _sum_by(where, np.concatenate([c for _, c in parts]), len(masks))
+    if dual:
+        counts *= 2
     return DensityTable(f, prefix_zeros, masks, counts)
 
 

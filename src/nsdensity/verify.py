@@ -103,10 +103,11 @@ def check_amap_exhaustive(f: int) -> CheckResult:
 
 
 def check_amap_random(samples: int, f_max: int, seed: int = DEFAULT_SEED) -> CheckResult:
-    """Optimized vs reference A(T) on random sets, and A(A(T)) = A(T).
-    A(T) is a semigroup with T's f by construction: ``associated_semigroup``
-    builds a :class:`Semigroup` at ``T.f``, which refuses a set that is not
-    closed under addition."""
+    """Optimized vs reference A(T) on random sets, A(A(T)) = A(T), and
+    A(T*) = A(T) for the dual T* = {x : f - x not in T}, which halves the
+    flat sweep at even f.  A(T) is a semigroup with T's f by construction:
+    ``associated_semigroup`` builds a :class:`Semigroup` at ``T.f``, which
+    refuses a set that is not closed under addition."""
     name = f"amap-random(n={samples},f<={f_max})"
     rng = random.Random(seed)
     for _ in range(samples):
@@ -117,7 +118,17 @@ def check_amap_random(samples: int, f_max: int, seed: int = DEFAULT_SEED) -> Che
             return _bad(name, f"route mismatch at f={f} mask={t.gaps_mask:#x}")
         if associated_semigroup(s) != s:
             return _bad(name, f"A not idempotent at f={f} mask={t.gaps_mask:#x}")
-    return _ok(name, "routes agree; A(T) is a semigroup, same f, A(A(T))=A(T)")
+        # mask bit x-1 of T* is set iff bit f-x-1 of T's is clear: the
+        # complement of the (f-1)-bit reversal
+        rev = int(format(t.gaps_mask, f"0{f - 1}b")[::-1], 2)
+        dual = ~rev & ((1 << (f - 1)) - 1)
+        if associated_semigroup(NumericalSet(f, dual)) != s:
+            return _bad(name, f"A(T*) != A(T) at f={f} mask={t.gaps_mask:#x}")
+    return _ok(
+        name,
+        "routes agree; A(T) is a semigroup, same f, A(A(T))=A(T), "
+        "A(T*)=A(T) for the dual T*",
+    )
 
 
 def check_amap_sweep(f: int, chunk: int) -> CheckResult:
@@ -125,7 +136,10 @@ def check_amap_sweep(f: int, chunk: int) -> CheckResult:
 
     ``chunk`` below 2^(f-1) leaves positions above the low block to vary
     from chunk to chunk, so every term of the block decomposition is used;
-    ``density_table`` at its default chunk must give the same tally.
+    ``density_table`` at its default chunk must give the same tally.  At
+    even f both sweeps visit only the sets with f/2 out of T and double
+    the counts; f/2 lies above the low block of a small ``chunk`` and
+    inside the default one, so the two replay both places it can take.
     """
     name = f"amap-sweep(f={f},chunk={chunk})"
     want = Counter(a_mask(f, mask) for mask in range(1 << (f - 1)))
@@ -391,7 +405,9 @@ def suite_core(max_f: int | None = None,
     return [
         check_amap_exhaustive(min(11, f_cap)),
         check_amap_random(3000, min(60, f_cap)),
-        check_amap_sweep(min(13, f_cap), 1 << 5),
+        # at chunk 32, f/2 = 7 lies above the low block; at the default
+        # chunk, inside it
+        check_amap_sweep(min(14, f_cap), 1 << 5),
         check_encoding_roundtrip(min(12, f_cap)),
         check_fold_window(2000, max(4, min(24, f_cap))),  # folds need f >= 4
     ]

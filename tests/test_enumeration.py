@@ -3,6 +3,7 @@ import functools
 import hashlib
 import io
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +222,36 @@ class TestAMapSweep:
         calls.clear()
         enumeration._flat_chunks(9, calls.append, prefix_zeros=2, chunk=12)
         assert [len(c) for c in calls] == [1 << 3] * (1 << 3)
+
+    # f/2 lies in L2 at every even f for the default block and at f <= 2,
+    # 6 and 10 for chunk 2, 8 and 32, and above the block beyond
+    @pytest.mark.parametrize("chunk", [2, 8, 32, None])
+    def test_halved_sweep_equals_core_a_mask(self, chunk):
+        for f in range(2, 17, 2):
+            table = density_table(f, chunk=chunk)
+            got = dict(zip(table.masks.tolist(), table.counts.tolist()))
+            assert got == Counter(core_amasks(f, 0)), f
+            # T and its dual T* pair up with the same A(T)
+            assert (table.counts % 2 == 0).all(), f
+
+    def test_sets_visited(self, monkeypatch):
+        # at even f without a prefix the sweep keeps f/2 out of T
+        visited = []
+        real = enumeration._amask_block
+
+        def counted(*args):
+            amask = real(*args)
+            visited.append(len(amask))
+            return amask
+
+        monkeypatch.setattr(enumeration, "_amask_block", counted)
+        for f in range(1, 13):
+            for l in range(f):
+                for chunk in (4, None):
+                    visited.clear()
+                    density_table(f, prefix_zeros=l, chunk=chunk)
+                    halved = f % 2 == 0 and l == 0
+                    assert sum(visited) == 1 << (f - 1 - l - halved), (f, l, chunk)
 
     def test_merge_across_chunks(self):
         # many chunks, each with its own np.unique tally, merge to the table
