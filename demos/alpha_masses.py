@@ -13,6 +13,7 @@ import argparse
 from fractions import Fraction
 
 from nsdensity import (
+    Interval,
     alpha_limit,
     alpha_partial_sum,
     cache_load,
@@ -34,12 +35,12 @@ def main() -> None:
     print(f"{'n':>3}  {'alpha_n(' + str(args.f) + ')':>12}  "
           f"{'limit interval':>21}  summands")
     for n in [-1] + list(range(1, args.n_max + 1)):
-        est = alpha_limit(n, args.depth, cache)
+        # the summands' numerators over 4^depth; their sum carries one tail
+        parts = alpha_limit(n, args.depth, cache)
+        total = sum(parts)
+        iv = Interval.on_grid(total - 3**args.depth, total, args.depth)
         emp = masses.get(n, Fraction(0))
-        print(
-            f"{n:>3}  {decimal_str(emp):>12}  {str(est.interval):>21}  "
-            f"{len(est.terms):>8}"
-        )
+        print(f"{n:>3}  {decimal_str(emp):>12}  {str(iv):>21}  {len(parts):>8}")
 
     iv = alpha_partial_sum(args.n_max, args.depth, cache)
     print(

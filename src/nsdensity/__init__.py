@@ -43,7 +43,6 @@ from .constants import (
     resolve_cache_path,
 )
 from .limits import (
-    AlphaEstimate,
     GammaEstimate,
     GammaTable,
     Interval,

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto library entry points: ``enumerate`` onto
-:func:`nsdensity.enumeration.density_table`, ``gamma``/``table``/``alpha``/
-``glimit`` onto :mod:`nsdensity.limits`, and ``verify`` onto the suites in
+:func:`nsdensity.enumeration.density_table`, ``gamma``/``table``/``alpha``
+onto the series engine :func:`nsdensity.limits.truncation_numerators` and
+``glimit`` onto :func:`~nsdensity.limits.g_l_limit`, all rendered from
+integers over 4^depth (:func:`~nsdensity.limits.gamma` is the engine's
+oracle, not a route here), and ``verify`` onto the suites in
 :mod:`nsdensity.verify`.  Each takes only the flags it reads, all checked by
 :func:`validate` before dispatch so that exit codes stay meaningful: 0
 success, 1 failed verification or internal inconsistency, 2 usage or budget
@@ -26,7 +29,6 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import DSet, d_keys
 from .enumeration import (
@@ -38,19 +40,20 @@ from .constants import (
     CacheConflictError,
     ConstantCache,
     TOP_SLICE_LIMIT,
-    c_const,
     cache_load,
     cache_store,
     resolve_cache_path,
 )
 from .limits import (
     alpha_limit,
+    alpha_masks,
     decimal_str,
     g_l_limit,
-    gamma,
     gamma_lower_bound,
     gamma_table,
     ratio_str,
+    refined_lo,
+    truncation_numerators,
 )
 from .verify import SUITES, run_suites
 
@@ -185,14 +188,15 @@ def _series(args: argparse.Namespace, func, *lead):
     return result, cache
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def _dyadic(p: int, e: int) -> str:
-    """p/2^e (p >= 1) in lowest terms, as :func:`_frac` writes it."""
-    z = min((p & -p).bit_length() - 1, e)
+    """p/2^e in lowest terms, as ``str`` writes it; p & -p is p's lowest bit."""
+    z = min((p & -p).bit_length() - 1, e) if p else e
     return f"{p >> z}/{1 << (e - z)}" if z < e else str(p >> z)
+
+
+def _grid(n: int, depth: int) -> tuple[str, str]:
+    """n/4^depth exactly, as :func:`_dyadic` writes it, and in decimals."""
+    return _dyadic(n, 2 * depth), ratio_str(n, 4**depth)
 
 
 # ---------------------------------------------------------------------------
@@ -230,25 +234,29 @@ def cmd_enumerate(args: argparse.Namespace) -> Report:
 
 
 def cmd_gamma(args: argparse.Namespace) -> Report:
-    est, _ = _series(args, gamma, args.d)
-    bound = gamma_lower_bound(est.d.max_element) if est.d.max_element >= 1 else None
-    value, value_dec = _frac(est.value), decimal_str(est.value)
-    lo, hi = _frac(est.interval.lo), _frac(est.interval.hi)
-    lo_dec, hi_dec = decimal_str(est.interval.lo), decimal_str(est.interval.hi)
-    refined_lo, tail = _frac(est.refined_interval.lo), _frac(est.tail)
-    positivity = _frac(bound) if bound is not None else None
+    d, depth, t = args.d, args.depth, args.d.max_element
+    (s,), cache = _series(args, truncation_numerators, d.mask, d.mask + 1)
+    # the entries the engine just read, from levels t..depth
+    a_d = cache.a(d)
+    terms = [
+        (k, cache.a_entries[d.mask | 1 << (k - 1)]) for k in range(t + 1, depth + 1)
+    ]
+    (value, value_dec), (lo, lo_dec) = _grid(s, depth), _grid(s - 3**depth, depth)
+    refined, tail = refined_lo(d.mask, s, depth), _grid(3**depth, depth)[0]
+    bound = gamma_lower_bound(t) if t >= 1 else None
+    positivity = str(bound) if bound is not None else None
     payload = {
         "command": "gamma",
-        "d": est.d.key,
-        "depth": est.depth,
+        "d": d.key,
+        "depth": depth,
         "value": value,
         "value_decimal": value_dec,
-        "interval": {"lo": lo, "hi": hi},
-        "interval_decimal": {"lo": lo_dec, "hi": hi_dec},
-        "refined_lo": refined_lo,
+        "interval": {"lo": lo, "hi": value},
+        "interval_decimal": {"lo": lo_dec, "hi": value_dec},
+        "refined_lo": str(refined),
         "tail_bound": tail,
-        "a_d": est.a_d,
-        "terms": [{"k": k, "a": a} for k, a in est.terms],
+        "a_d": a_d,
+        "terms": [{"k": k, "a": a} for k, a in terms],
         "positivity_bound": positivity,
     }
     header = [
@@ -256,28 +264,25 @@ def cmd_gamma(args: argparse.Namespace) -> Report:
         "refined_lo", "tail_bound", "a_d", "positivity_bound", "terms",
     ]
     row = [
-        est.d.key, str(est.depth), value, value_dec, lo, hi, refined_lo, tail,
-        str(est.a_d), positivity or "",
-        ";".join(f"{k}:{a}" for k, a in est.terms),
+        d.key, str(depth), value, value_dec, lo, value, str(refined), tail,
+        str(a_d), positivity or "", ";".join(f"{k}:{a}" for k, a in terms),
     ]
     text = [
-        f"gamma_D for D = {est.d.key}, truncated at depth {est.depth}",
+        f"gamma_D for D = {d.key}, truncated at depth {depth}",
         f"  value     = {value} = {value_dec}",
-        f"  interval  = [{lo_dec}, {hi_dec}]  (tail bound (3/4)^{est.depth})",
-        f"  refined   = [{decimal_str(est.refined_interval.lo)}, "
+        f"  interval  = [{lo_dec}, {value_dec}]  (tail bound (3/4)^{depth})",
+        f"  refined   = [{decimal_str(refined)}, "
         f"{value_dec}]  (nonnegativity and a_t/2^(t+1) folded in)",
-        f"  A_D       = {est.a_d}",
+        f"  A_D       = {a_d}",
     ]
-    if est.terms:
-        terms = ", ".join(f"A_(D u {{{k}}}) = {a}" for k, a in est.terms)
-        text.append(f"  constants = {terms}")
-    if bound is not None:
-        text.append(
-            f"  positivity: gamma_D >= a_t/2^(t+1) = {positivity}"
-            f" = {decimal_str(bound)}"
-        )
-    else:
-        text.append("  positivity: no structural bound for D = ∅")
+    if terms:
+        text.append("  constants = " + ", ".join(
+            f"A_(D u {{{k}}}) = {a}" for k, a in terms
+        ))
+    text.append(
+        f"  positivity: gamma_D >= a_t/2^(t+1) = {positivity} = {decimal_str(bound)}"
+        if bound is not None else "  positivity: no structural bound for D = ∅"
+    )
     return Report(payload, header, [row], text)
 
 
@@ -292,13 +297,11 @@ def cmd_table(args: argparse.Namespace) -> Report:
     q, tail = 4**tbl.depth, 3**tbl.depth
     rows = []
     for key, mask, s, lo in zip(
-        d_keys(tbl.rows, tbl.max_t), tbl.rows, tbl.numerators, tbl.refined_lows
+        d_keys(tbl.rows, tbl.max_t), tbl.rows, tbl.numerators, tbl.refined
     ):
-        t, value = mask.bit_length(), ratio_str(s, q)
-        # a lower end set by the bound is a_t/2^(t+1) itself, not its
-        # ceiling on the grid
-        refined = bounds[t] if lo > max(s - tail, 0) else ratio_str(lo, q)
-        rows.append([key, value, ratio_str(s - tail, q), value, refined, bounds[t]])
+        value = ratio_str(s, q)
+        rows.append([key, value, ratio_str(s - tail, q), value, decimal_str(lo),
+                     bounds[mask.bit_length()]])
     payload = {
         "command": "table",
         "max_t": tbl.max_t,
@@ -317,34 +320,34 @@ def cmd_table(args: argparse.Namespace) -> Report:
 
 
 def cmd_alpha(args: argparse.Namespace) -> Report:
-    est, _ = _series(args, alpha_limit, args.n)
-    value, value_dec = _frac(est.value), decimal_str(est.value)
-    lo, hi = _frac(est.interval.lo), _frac(est.interval.hi)
-    lo_dec, hi_dec = decimal_str(est.interval.lo), decimal_str(est.interval.hi)
+    n, depth = args.n, args.depth
+    parts, _ = _series(args, alpha_limit, n)
+    s = sum(parts)  # the summands share one tail (limits module docstring)
+    (value, value_dec), (lo, lo_dec) = _grid(s, depth), _grid(s - 3**depth, depth)
     components = [
-        {"d": g.d.key, "value": _frac(g.value), "value_decimal": decimal_str(g.value)}
-        for g in est.terms
+        dict(zip(("d", "value", "value_decimal"), (key, *_grid(p, depth))))
+        for key, p in zip(d_keys(alpha_masks(n), max(n, 0)), parts)
     ]
     payload = {
         "command": "alpha",
-        "n": est.n,
-        "depth": est.depth,
+        "n": n,
+        "depth": depth,
         "value": value,
         "value_decimal": value_dec,
-        "interval": {"lo": lo, "hi": hi},
-        "interval_decimal": {"lo": lo_dec, "hi": hi_dec},
-        "tail_bound": _frac(est.tail),
+        "interval": {"lo": lo, "hi": value},
+        "interval_decimal": {"lo": lo_dec, "hi": value_dec},
+        "tail_bound": _grid(3**depth, depth)[0],
         "components": components,
     }
     header = ["n", "depth", "value", "value_decimal", "lo", "hi", "components"]
     row = [
-        str(est.n), str(est.depth), value, value_dec, lo, hi,
+        str(n), str(depth), value, value_dec, lo, value,
         ";".join(c["d"] for c in components),
     ]
     text = [
-        f"alpha_{est.n} truncated at depth {est.depth}",
+        f"alpha_{n} truncated at depth {depth}",
         f"  value    = {value} = {value_dec}",
-        f"  interval = [{lo_dec}, {hi_dec}]  (shared tail (3/4)^{est.depth})",
+        f"  interval = [{lo_dec}, {value_dec}]  (shared tail (3/4)^{depth})",
         f"  components ({len(components)}):",
     ]
     text += [f"    gamma_({c['d']}) = {c['value_decimal']}" for c in components]
@@ -352,12 +355,9 @@ def cmd_alpha(args: argparse.Namespace) -> Report:
 
 
 def cmd_glimit(args: argparse.Namespace) -> Report:
-    iv, cache = _series(args, g_l_limit, args.l)
     l, depth = args.l, args.depth
-    # g_l_limit just put every swept k in the cache: no further sweep
-    consts = [{"k": k, "c": c_const(l, k, cache)} for k in range(1, depth + 1)]
-    lo, hi = _frac(iv.lo), _frac(iv.hi)
-    lo_dec, hi_dec = decimal_str(iv.lo), decimal_str(iv.hi)
+    g, _ = _series(args, g_l_limit, l)
+    (lo, lo_dec), (hi, hi_dec) = _grid(g.lo, depth), _grid(g.hi, depth)
     payload = {
         "command": "glimit",
         "l": l,
@@ -366,14 +366,14 @@ def cmd_glimit(args: argparse.Namespace) -> Report:
         "hi": hi,
         "lo_decimal": lo_dec,
         "hi_decimal": hi_dec,
-        "c_constants": consts,
+        "c_constants": [{"k": k, "c": c} for k, c in enumerate(g.c, 1)],
     }
     header = ["l", "depth", "lo", "hi", "lo_decimal", "hi_decimal"]
     row = [str(l), str(depth), lo, hi, lo_dec, hi_dec]
     text = [
         f"limit of |G_{l}(f)|/2^(f-1), truncated at depth {depth}",
         f"  interval = [{lo_dec}, {hi_dec}]",
-        f"  C_({l},k) for k <= {depth}: " + ", ".join(str(c["c"]) for c in consts),
+        f"  C_({l},k) for k <= {depth}: " + ", ".join(map(str, g.c)),
     ]
     return Report(payload, header, [row], text)
 

@@ -6,18 +6,16 @@ The limit density of the family N(D, .) is
 
 a series of nonnegative dyadic terms, so a depth-N truncation is an upper
 bound and overshoots by at most sum_{k > N} 3^(k-1) 4^(-k) = (3/4)^N (using
-A_E <= 3^(Max(E)-1)).  All arithmetic here is over ``fractions.Fraction``;
-floats appear only in presentation helpers.
+A_E <= 3^(Max(E)-1)).  All arithmetic here is exact, over integers and
+``fractions.Fraction``; the decimals are rounded from exact ratios.
 
 Two certified facts sharpen the raw enclosure [value - (3/4)^N, value]:
 
   * gamma_D >= a_t / 2^(t+1) > 0 for t >= 1, with
     a_l = (2/3) 4^(-l) - 3 * 2^l / 4^(2l+1);
   * the constants with a common window maximum sum exactly:
-    sum over Max(E)=k of A_E = 3^(k-1), because that sum counts the sets T
-    at f = 2k+1 with k+1 in A(T), and the three forced conditions (k+1 in
-    T, k not in T, x in T => x+k+1 in T for x in [1, k-1]) are also
-    sufficient, leaving 3 states for each of the k-1 position pairs.
+    sum over Max(E)=k of A_E = 3^(k-1), the sets T at f = 2k+1 with k+1 in
+    A(T) (proof in :mod:`nsdensity.constants`).
 
 The second fact makes tails of *sums* of gamma series collapse: distinct D
 contribute distinct tail sets D∪{k}, so any family of gamma estimates with
@@ -30,11 +28,14 @@ S_D / q with S_D = A_D 4^(N-t) - sum_{k=t+1}^N A_{D∪{k}} 4^(N-k) an
 integer, and the tail (3/4)^N is 3^N / q, so the raw enclosure is
 [(S_D - 3^N) / q, S_D / q].  Only the structural bound a_t / 2^(t+1) falls
 off the grid; it depends on t alone, and an integer S meets it on the grid
-exactly when S >= ceil(q a_t / 2^(t+1)).  :func:`gamma_table` builds every
-S_D with Max(D) <= max_t in one pass over the constant levels
-(:func:`truncation_numerators`) and compares rows on these integers;
-:func:`gamma` builds one D's terms and Fraction value, and is the table's
-oracle in the tests.
+exactly when S >= ceil(q a_t / 2^(t+1)).
+
+:func:`truncation_numerators`, the one production route, builds S_D for a
+range of D masks in one pass over the levels: all D with Max(D) <= max_t
+for :func:`gamma_table`, the summands of alpha_n for :func:`alpha_limit`,
+or one D.  :func:`g_l_limit` sums its C terms on the same grid.
+:func:`gamma`, one ``a_const`` and one Fraction per term, is its oracle in
+``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -44,14 +45,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .core import DSet
-from .constants import (
-    ConstantCache,
-    a_const,
-    build_a_constants,
-    c_const,
-)
+from .constants import ConstantCache, a_const, a_consts_batch, c_const
 
 
 def ratio_str(n: int, d: int, places: int = 5) -> str:
@@ -70,7 +67,6 @@ def ratio_str(n: int, d: int, places: int = 5) -> str:
 
 def decimal_str(x: Fraction | int, places: int = 5) -> str:
     """Fixed-point rendering, round-half-even; presentation only."""
-    x = Fraction(x)
     return ratio_str(x.numerator, x.denominator, places)
 
 
@@ -87,13 +83,25 @@ def a_constant(l: int) -> Fraction:
 @functools.cache
 def gamma_lower_bound(t: int) -> Fraction:
     """a_t / 2^(t+1), a certified lower bound for gamma_D when t = Max(D) >= 1.
-
-    For D = ∅ the formula extends to a_0 / 2 = -1/24, which is vacuous
-    (gamma_∅ needs no such bound; its truncation interval is already
-    positive at practical depths).  Callers rendering reports should treat
-    the nonpositive value as "no structural bound".
-    """
+    At t = 0 it is a_0 / 2 = -1/24, which binds nothing: reports state no
+    structural bound for D = ∅."""
     return a_constant(t) / 2 ** (t + 1)
+
+
+def refined_lo(mask: int, s: int, depth: int) -> Fraction:
+    """The refined lower end max((S - 3^depth)/q, 0, a_t/2^(t+1)) of gamma_D,
+    D.mask = ``mask``, t = Max(D), from its truncation S/q, q = 4^depth; a
+    ValueError naming D when it lies above S/q."""
+    q, bound = 4**depth, gamma_lower_bound(mask.bit_length())
+    raw = max(s - 3**depth, 0)
+    if raw * bound.denominator >= bound.numerator * q:  # raw / q >= bound
+        return Fraction(raw, q)
+    if s * bound.denominator < bound.numerator * q:
+        raise ValueError(
+            f"empty refined interval for D = {DSet.from_mask(mask).key}: "
+            f"lower end {bound} above upper end {s}/4^{depth}"
+        )
+    return bound
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,12 @@ class Interval:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+
+    @classmethod
+    def on_grid(cls, lo: int, hi: int, depth: int) -> "Interval":
+        """[lo / 4^depth, hi / 4^depth]."""
+        q = 4**depth
+        return cls(Fraction(lo, q), Fraction(hi, q))
 
     @property
     def width(self) -> Fraction:
@@ -134,12 +148,8 @@ class GammaEstimate:
 
     @cached_property
     def refined_interval(self) -> Interval:
-        """Series enclosure intersected with the structural facts.
-
-        gamma_D is a limit of densities, hence >= 0, and >= a_t/2^(t+1)
-        for t >= 1.  If the resulting interval were empty the constants
-        would contradict the lower-bound theorem, so that is an error.
-        """
+        """Series enclosure intersected with gamma_D >= 0 and, for t >= 1,
+        gamma_D >= a_t/2^(t+1); an empty one refutes the constants."""
         lo = max(self.value - self.tail, Fraction(0))
         t = self.d.max_element
         if t >= 1:
@@ -148,7 +158,8 @@ class GammaEstimate:
 
 
 def gamma(d: DSet, depth: int, cache: ConstantCache | None = None) -> GammaEstimate:
-    """Exact depth-``depth`` truncation of the gamma_D series."""
+    """Exact depth-``depth`` truncation of the gamma_D series, one ``a_const``
+    per term: the oracle of :func:`truncation_numerators`."""
     t = d.max_element
     if depth < t:
         raise ValueError(f"depth {depth} is below Max(D) = {t}")
@@ -165,47 +176,27 @@ def gamma(d: DSet, depth: int, cache: ConstantCache | None = None) -> GammaEstim
     return GammaEstimate(d, depth, value, tail_bound(depth), a_d, tuple(terms))
 
 
-@dataclass(frozen=True)
-class AlphaEstimate:
-    """alpha_n as an exact sum of gamma estimates sharing one tail bound."""
-
-    n: int
-    depth: int
-    value: Fraction
-    tail: Fraction
-    terms: tuple[GammaEstimate, ...]
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.value - self.tail, self.value)
+def alpha_masks(n: int) -> range:
+    """The masks of alpha_n's summands gamma_{D∪{n}}, D ⊆ [1, n-1], or of
+    gamma_∅ alone for n = -1."""
+    if n == 0 or n < -1:
+        raise ValueError(f"R(S) takes values -1, 1, 2, ...; got {n}")
+    return range(1) if n == -1 else range(1 << (n - 1), 1 << n)
 
 
 def alpha_limit(
     n: int,
     depth: int,
     cache: ConstantCache | None = None,
-) -> AlphaEstimate:
-    """alpha_n = sum of gamma_{D∪{n}} over D ⊆ [1, n-1]; alpha_{-1} = gamma_∅.
+) -> list[int]:
+    """S_D of alpha_n's summands, in :func:`alpha_masks` order.
 
-    The 2^(n-1) summands have pairwise distinct index sets, so the combined
-    tail is (3/4)^depth (see module docstring), far below the worst-case
-    2^(n-1) (3/4)^depth from summing the one-term bounds.
+    The 2^(n-1) summands have pairwise distinct index sets, so their sum S
+    carries one tail (module docstring), not 2^(n-1): alpha_n lies in
+    [(S - 3^depth) / 4^depth, S / 4^depth].
     """
-    if n == 0 or n < -1:
-        raise ValueError(f"R(S) takes values -1, 1, 2, ...; got {n}")
-    if cache is None:
-        cache = ConstantCache()
-    if n == -1:
-        parts = [gamma(DSet(), depth, cache)]
-    else:
-        if depth < n:
-            raise ValueError(f"depth {depth} is below n = {n}")
-        parts = [
-            gamma(DSet.from_mask(m | (1 << (n - 1))), depth, cache)
-            for m in range(1 << (n - 1))
-        ]
-    value = sum((p.value for p in parts), Fraction(0))
-    return AlphaEstimate(n, depth, value, tail_bound(depth), tuple(parts))
+    masks = alpha_masks(n)
+    return truncation_numerators(masks.start, masks.stop, depth, cache)
 
 
 def alpha_partial_sum(
@@ -225,28 +216,30 @@ def alpha_partial_sum(
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0 (n = -1 is always included)")
-    if depth < n_max:
-        raise ValueError(f"depth {depth} is below n_max = {n_max}")
     if cache is None:
         cache = ConstantCache()
-    scaled = truncation_numerators(n_max, depth, cache)
-    value = Fraction(sum(scaled), 4**depth)
-
-    check = Fraction(1)
-    for k in range(n_max + 1, depth + 1):
-        sigma = sum(
-            a_const(DSet.from_mask(m | (1 << (k - 1))), cache)
-            for m in range(1 << n_max)
-        )
-        check -= Fraction(sigma, 4**k)
-    if value != check:
+    scaled = sum(truncation_numerators(0, 1 << n_max, depth, cache))
+    # entry m < 2^n_max of level k is A_E for E∖{k} ⊆ [1, n_max], E = m ∪ {k}
+    check = 4**depth - sum(
+        sum(cache.levels[k][: 1 << n_max].tolist()) * 4 ** (depth - k)
+        for k in range(n_max + 1, depth + 1)
+    )
+    if scaled != check:
         raise AssertionError(
-            f"partial alpha sum {value} != telescoped form {check}"
+            f"partial alpha sum {scaled} != telescoped form {check} over 4^{depth}"
         )
-    return Interval(value - tail_bound(depth), value)
+    return Interval.on_grid(scaled - 3**depth, scaled, depth)
 
 
-def g_l_limit(l: int, depth: int, cache: ConstantCache | None = None) -> Interval:
+class GLimit(NamedTuple):
+    """The limit lies in [lo, hi] / 4^depth; c[k-1] = C_{l,k}, k <= depth."""
+
+    lo: int
+    hi: int
+    c: tuple[int, ...]
+
+
+def g_l_limit(l: int, depth: int, cache: ConstantCache | None = None) -> GLimit:
     """Certified interval for lim_f |G_l(f)| / 2^(f-1).
 
     The limit is 2^(-l) - sum_{k<=l} C_{l,k} 2^(-l-k) - sum_{k>l} C_{l,k} 4^(-k);
@@ -254,52 +247,63 @@ def g_l_limit(l: int, depth: int, cache: ConstantCache | None = None) -> Interva
     sum_{k>depth} 2^l 3^(k-2l-1) 4^(-k) = 2^l 3^(-2l) (3/4)^depth.  The lower
     end always dominates a_l: at depth 2l+1 it equals a_l + (1/3) 4^(-2l-1),
     and each further term removes at most what the tail bound releases.
+    Over q = 4^depth every term and the tail 2^l 3^(depth-2l) are integers.
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     if depth < 2 * l + 1:
         raise ValueError(f"depth {depth} is below 2l+1 = {2 * l + 1}")
-    if cache is None:
-        cache = ConstantCache()
-    value = Fraction(1, 2**l)
-    for k in range(1, l + 1):
-        value -= Fraction(c_const(l, k, cache), 2 ** (l + k))
-    for k in range(l + 1, depth + 1):
-        value -= Fraction(c_const(l, k, cache), 4**k)
-    tail = Fraction(2**l, 3 ** (2 * l)) * tail_bound(depth)
-    out = Interval(value - tail, value)
-    if out.lo < a_constant(l):
+    c = tuple(c_const(l, k, cache) for k in range(1, depth + 1))
+    hi = (1 << (2 * depth - l)) - sum(
+        ck << (2 * depth - l - k) if k <= l else ck * 4 ** (depth - k)
+        for k, ck in enumerate(c, 1)
+    )
+    lo, a_l = hi - 2**l * 3 ** (depth - 2 * l), a_constant(l)
+    if lo * a_l.denominator < a_l.numerator * 4**depth:
         raise AssertionError(
-            f"G_{l} interval lower end {out.lo} fell below a_{l}"
+            f"G_{l} interval lower end {Fraction(lo, 4**depth)} fell below a_{l}"
         )
-    return out
+    return GLimit(lo, hi, c)
 
 
 def truncation_numerators(
-    max_t: int,
+    lo: int,
+    hi: int,
     depth: int,
     cache: ConstantCache | None = None,
 ) -> list[int]:
     """S_D = 4^depth times the depth-``depth`` truncation of gamma_D, for
-    every D with Max(D) <= max_t, indexed by D.mask.
+    the D with lo <= D.mask < hi, in mask order.
 
-    Sweeps the levels 1..depth that ``cache`` lacks, then reads each level
-    once: level t adds A_D 4^(depth-t) to the rows with Max(D) = t and takes
-    A_{D∪{t}} 4^(depth-t), entry D.mask of the level, from each row with
-    Max(D) < t.  ``tolist`` gives Python ints, from int64 and object levels
-    alike.
+    Every such D has Max(D) >= Max(lo), so the levels Max(lo)..depth are
+    swept where ``cache`` lacks them, then each is read once by slicing:
+    level t sets the rows with Max(D) = t to A_D 4^(depth-t) and takes
+    A_{D∪{t}} 4^(depth-t), entry D.mask, from each row with Max(D) < t.
+    ``tolist`` gives Python ints, from int64 and object levels alike.
     """
-    if not 0 <= max_t <= depth:
-        raise ValueError(f"max_t must lie in [0, depth]; got {max_t}, depth {depth}")
-    cache = build_a_constants(depth, cache)
-    size = 1 << max_t
-    scaled = [4**depth] + [0] * (size - 1)  # A_∅ = 1 at t = 0
-    for t in range(1, depth + 1):
-        low, weight = 1 << (t - 1), 4 ** (depth - t)
-        terms = [a * weight for a in cache.levels[t][: min(low, size)].tolist()]
-        scaled[: len(terms)] = [s - a for s, a in zip(scaled, terms)]
-        if t <= max_t:  # rows [low, 2 low) have Max(D) = t, untouched so far
-            scaled[low : 2 * low] = terms
+    if not 0 <= lo < hi <= 1 << depth:
+        raise ValueError(
+            f"mask range [{lo}, {hi}) must lie in [0, 2^{depth}) at depth {depth}"
+        )
+    if cache is None:
+        cache = ConstantCache()
+    first = max(lo.bit_length(), 1)
+    for t in range(first, depth + 1):
+        if t not in cache.levels:
+            a_consts_batch(t, cache)
+    scaled = [0] * (hi - lo)
+    if lo == 0:
+        scaled[0] = 4**depth  # A_∅ = 1 at t = 0
+    for t in range(first, depth + 1):
+        low, weight, level = 1 << (t - 1), 4 ** (depth - t), cache.levels[t]
+        below = min(hi, low) - lo  # rows with Max(D) < t
+        if below > 0:
+            terms = level[lo : lo + below].tolist()
+            scaled[:below] = [s - a * weight for s, a in zip(scaled, terms)]
+        start, stop = max(lo, low), min(hi, 2 * low)  # rows with Max(D) = t
+        if start < stop:
+            terms = level[start - low : stop - low].tolist()
+            scaled[start - lo : stop - lo] = [a * weight for a in terms]
     return scaled
 
 
@@ -327,22 +331,17 @@ class GammaTable:
         ]
 
     @cached_property
+    def refined(self) -> list[Fraction]:
+        """Each row's :func:`refined_lo`; a ValueError names the first D
+        whose refined interval is empty."""
+        return [refined_lo(m, s, self.depth) for m, s in zip(self.rows, self.numerators)]
+
+    @cached_property
     def refined_lows(self) -> list[int]:
-        """Each row's refined lower end, rounded up to the grid:
-        max(S - 3^depth, 0, bounds[t]).  The raw end and 0 are on the grid
-        already; the bound is not, and H < lo q exactly when H < ceil(lo q)
-        for an integer H.  A lower end above its row's S would contradict
-        the lower-bound theorem, so that is a ValueError naming D."""
-        tail, bounds, lows = 3**self.depth, self.bounds, []
-        for mask, s in zip(self.rows, self.numerators):
-            lo = max(s - tail, 0, bounds[mask.bit_length()])
-            if lo > s:
-                raise ValueError(
-                    f"empty refined interval for D = {DSet.from_mask(mask).key}: "
-                    f"lower end {lo} above upper end {s} over 4^{self.depth}"
-                )
-            lows.append(lo)
-        return lows
+        """Each row's refined lower end rounded up to the grid: an integer
+        H is below lo q exactly when it is below ceil(lo q)."""
+        q = 4**self.depth
+        return [-(-lo.numerator * q // lo.denominator) for lo in self.refined]
 
     def distinctness_counts(self) -> tuple[int, int]:
         """(conclusively distinct pairs, inconclusive pairs).
@@ -351,13 +350,10 @@ class GammaTable:
         depth cannot separate the two limits.  Disjoint intervals are
         numerical evidence that distinct D give distinct gamma_D.  Two
         intervals are disjoint exactly when one ends strictly below the
-        other's start, so the disjoint pairs are the ordered pairs (i, j)
-        with hi_i < lo_j, counted by bisecting the sorted upper ends.
-
-        With q = 4^depth every upper end is S_i / q, so the upper ends sort
-        as the integers S_i, the numerators in reverse row order, and
-        hi_i < lo_j exactly when S_i is below the integer
-        :attr:`refined_lows` [j].
+        other's start: hi_i < lo_j.  Every upper end is S_i / q, so the
+        upper ends sort as the numerators in reverse row order, and
+        hi_i < lo_j exactly when S_i < :attr:`refined_lows` [j]; bisecting
+        counts these pairs.
         """
         his = self.numerators[::-1]
         distinct = sum(bisect_left(his, lo) for lo in self.refined_lows)
@@ -372,7 +368,9 @@ def gamma_table(
 ) -> GammaTable:
     """Every gamma_D with Max(D) <= max_t from one
     :func:`truncation_numerators` pass, sorted as :class:`GammaTable` says."""
-    scaled = truncation_numerators(max_t, depth, cache)
+    if max_t < 0:
+        raise ValueError(f"max_t must be >= 0; got {max_t}")
+    scaled = truncation_numerators(0, 1 << max_t, depth, cache)
     # the D within [e, max_t] by ascending elements, for e = max_t+1 down to 1:
     # ∅, then those holding e, then the rest
     order = [0]

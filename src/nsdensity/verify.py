@@ -1,12 +1,19 @@
 """Invariant suites wiring the independent computation routes against each
 other.
 
-Every check returns a CheckResult rather than raising, so the CLI can print
-a full pass/fail report; the check functions are also what the test suite
-calls at its own (larger) scales.  Suites never trust a single code path:
-counts produced by the vectorized sweeps are replayed against closed forms,
-frozen fixtures, or the deliberately naive reference implementations in
-:mod:`nsdensity.core`.
+A suite is a list of :class:`Check` objects, each a name and a
+zero-argument body that returns its PASS detail or raises.
+:meth:`Check.run` turns an AssertionError, a ValueError (so a
+CacheConflictError too) or a BudgetError into a FAIL line that carries the
+message, so a route that raises inside one check leaves every other line
+of the report in place.  The ``check_*`` factories are also what the test
+suite runs at its own (larger) scales.  Suites never trust a single code
+path: counts produced by the vectorized sweeps are replayed against closed
+forms, frozen fixtures, or the deliberately naive reference implementations
+in :mod:`nsdensity.core`, and ``series-engine`` replays the integer series
+engine (:func:`~nsdensity.limits.truncation_numerators`) over the table's
+range and over alpha_n's sub-ranges against the per-D oracle
+:func:`~nsdensity.limits.gamma`.
 
 The suites hold only checks that can fail, each run once.  The counting
 facts below are enforced where the data enters, which refuses any data
@@ -29,8 +36,10 @@ sweep as its FAIL line.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,6 +58,7 @@ from .core import (
     suffix_pattern,
 )
 from .enumeration import (
+    BudgetError,
     _window_histogram,
     density_table,
     window_counts,
@@ -57,11 +67,14 @@ from .enumeration import (
 from .constants import CacheConflictError, ConstantCache, a_consts_batch, c_const
 from .limits import (
     Interval,
+    alpha_limit,
+    alpha_masks,
     alpha_partial_sum,
     g_l_limit,
     gamma,
     gamma_table,
     tail_bound,
+    truncation_numerators,
 )
 
 DEFAULT_SEED = 20260825
@@ -78,60 +91,78 @@ class CheckResult:
         return f"[{mark}] {self.name}: {self.detail}"
 
 
-def _ok(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, True, detail)
+@dataclass(frozen=True)
+class Check:
+    """A named check, not yet run: ``body()`` returns the PASS detail, or
+    raises with the FAIL detail as its message."""
+
+    name: str
+    body: Callable[[], str]
+
+    def run(self) -> CheckResult:
+        try:
+            return CheckResult(self.name, True, self.body())
+        except (AssertionError, ValueError, BudgetError) as e:
+            return CheckResult(self.name, False, str(e))
 
 
-def _bad(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, False, detail)
+def _check(name: Callable[..., str]):
+    """Decorate a check body: called with the body's arguments, it returns
+    the :class:`Check` named ``name(*args)`` whose body is that call."""
+    def wrap(body: Callable[..., str]) -> Callable[..., Check]:
+        @functools.wraps(body)
+        def make(*args, **kwargs) -> Check:
+            return Check(name(*args, **kwargs), functools.partial(body, *args, **kwargs))
+        return make
+    return wrap
 
 
 # ---------------------------------------------------------------------------
-# reusable primitives (tests call these at their own scales)
+# reusable primitives (tests run these at their own scales)
 
 
-def check_amap_exhaustive(f: int) -> CheckResult:
+@_check(lambda f: f"amap-exhaustive(f={f})")
+def check_amap_exhaustive(f: int) -> str:
     """Optimized A(T) against the pairwise-scan reference, all T at this f."""
-    name = f"amap-exhaustive(f={f})"
     for mask in range(1 << (f - 1)):
         t = NumericalSet(f, mask)
         fast = associated_semigroup(t)
         slow = associated_semigroup_definitional(t)
         if fast != slow:
-            return _bad(name, f"mismatch at gaps_mask={mask:#x}")
-    return _ok(name, f"2^{f - 1} sets, bitmask route == pairwise scan")
+            raise AssertionError(f"mismatch at gaps_mask={mask:#x}")
+    return f"2^{f - 1} sets, bitmask route == pairwise scan"
 
 
-def check_amap_random(samples: int, f_max: int, seed: int = DEFAULT_SEED) -> CheckResult:
+@_check(lambda samples, f_max, seed=DEFAULT_SEED: f"amap-random(n={samples},f<={f_max})")
+def check_amap_random(samples: int, f_max: int, seed: int = DEFAULT_SEED) -> str:
     """Optimized vs reference A(T) on random sets, A(A(T)) = A(T), and
     A(T*) = A(T) for the dual T* = {x : f - x not in T}, which halves the
     flat sweep at even f.  A(T) is a semigroup with T's f by construction:
     ``associated_semigroup`` builds a :class:`Semigroup` at ``T.f``, which
     refuses a set that is not closed under addition."""
-    name = f"amap-random(n={samples},f<={f_max})"
     rng = random.Random(seed)
     for _ in range(samples):
         f = rng.randint(1, f_max)
         t = NumericalSet(f, rng.getrandbits(f - 1) if f > 1 else 0)
         s = associated_semigroup(t)
         if s != associated_semigroup_definitional(t):
-            return _bad(name, f"route mismatch at f={f} mask={t.gaps_mask:#x}")
+            raise AssertionError(f"route mismatch at f={f} mask={t.gaps_mask:#x}")
         if associated_semigroup(s) != s:
-            return _bad(name, f"A not idempotent at f={f} mask={t.gaps_mask:#x}")
+            raise AssertionError(f"A not idempotent at f={f} mask={t.gaps_mask:#x}")
         # mask bit x-1 of T* is set iff bit f-x-1 of T's is clear: the
         # complement of the (f-1)-bit reversal
         rev = int(format(t.gaps_mask, f"0{f - 1}b")[::-1], 2)
         dual = ~rev & ((1 << (f - 1)) - 1)
         if associated_semigroup(NumericalSet(f, dual)) != s:
-            return _bad(name, f"A(T*) != A(T) at f={f} mask={t.gaps_mask:#x}")
-    return _ok(
-        name,
+            raise AssertionError(f"A(T*) != A(T) at f={f} mask={t.gaps_mask:#x}")
+    return (
         "routes agree; A(T) is a semigroup, same f, A(A(T))=A(T), "
-        "A(T*)=A(T) for the dual T*",
+        "A(T*)=A(T) for the dual T*"
     )
 
 
-def check_amap_sweep(f: int, chunk: int) -> CheckResult:
+@_check(lambda f, chunk: f"amap-sweep(f={f},chunk={chunk})")
+def check_amap_sweep(f: int, chunk: int) -> str:
     """Flat-sweep A-masks, tallied, against ``core.a_mask`` on every T.
 
     ``chunk`` below 2^(f-1) leaves positions above the low block to vary
@@ -141,20 +172,18 @@ def check_amap_sweep(f: int, chunk: int) -> CheckResult:
     the counts; f/2 lies above the low block of a small ``chunk`` and
     inside the default one, so the two replay both places it can take.
     """
-    name = f"amap-sweep(f={f},chunk={chunk})"
     want = Counter(a_mask(f, mask) for mask in range(1 << (f - 1)))
     chunked = density_table(f, chunk=chunk)
     if dict(zip(chunked.masks.tolist(), chunked.counts.tolist())) != want:
-        return _bad(name, "chunked sweep tally != core.a_mask tally")
+        raise AssertionError("chunked sweep tally != core.a_mask tally")
     table = density_table(f)
     if {s.gaps_mask: p for s, p in table.entries.items()} != want:
-        return _bad(name, "density_table != core.a_mask tally")
-    return _ok(
-        name, f"2^{f - 1} sets: chunked sweep == density_table == core.a_mask"
-    )
+        raise AssertionError("density_table != core.a_mask tally")
+    return f"2^{f - 1} sets: chunked sweep == density_table == core.a_mask"
 
 
-def check_topslice_sweep(t: int, chunk: int) -> CheckResult:
+@_check(lambda t, chunk: f"topslice-sweep(t={t},chunk={chunk})")
+def check_topslice_sweep(t: int, chunk: int) -> str:
     """Chunked top-slice histograms against ``core.a_mask`` on all 4^t sets.
 
     The width-t window of A(T) at f = 2t+1 (t >= 3) is tallied over every
@@ -165,7 +194,6 @@ def check_topslice_sweep(t: int, chunk: int) -> CheckResult:
     chunk, so the cross term and V_HH of the digit-pair decomposition are
     both used.
     """
-    name = f"topslice-sweep(t={t},chunk={chunk})"
     f, low = 2 * t + 1, 1 << (t - 1)
     windows = []
     for mask in range(1 << (f - 1)):
@@ -180,19 +208,18 @@ def check_topslice_sweep(t: int, chunk: int) -> CheckResult:
                 want[w] += 1
         got = _window_histogram(t, prefix_zeros=l, chunk=chunk).tolist()
         if any(got[:low]) or got[low:] != want[low:]:
-            return _bad(name, f"slice histogram != core.a_mask tally at l={l}")
-    return _ok(
-        name,
+            raise AssertionError(f"slice histogram != core.a_mask tally at l={l}")
+    return (
         f"4^{t} sets, l = 0 and 2: chunked slice == top buckets of the "
-        f"core.a_mask window tally",
+        f"core.a_mask window tally"
     )
 
 
-def check_encoding_roundtrip(f_max: int = 12) -> CheckResult:
+@_check(lambda f_max=12: f"encode-roundtrip(f<={f_max})")
+def check_encoding_roundtrip(f_max: int = 12) -> str:
     """S -> D(S) -> N(D,f) is the identity on every semigroup, f <= f_max,
     and ``DensityTable.ranked`` gives each S the D(S) and m(S) that
     ``d_of`` and ``multiplicity`` give."""
-    name = f"encode-roundtrip(f<={f_max})"
     for f in range(1, f_max + 1):
         table = density_table(f)
         gaps, d_masks, mults, _ = table.ranked()
@@ -200,19 +227,20 @@ def check_encoding_roundtrip(f_max: int = 12) -> CheckResult:
         for s in table.entries:
             d = d_of(s)
             if ranked[s.gaps_mask] != (d.mask, multiplicity(s)):
-                return _bad(name, f"ranked() D, m of {s!s} != d_of, multiplicity")
+                raise AssertionError(f"ranked() D, m of {s!s} != d_of, multiplicity")
             back = as_semigroup(n_of(d, f))
             if back != s:
-                return _bad(name, f"N(D({s!s}),{f}) != S")
+                raise AssertionError(f"N(D({s!s}),{f}) != S")
             if r_value(s) != (d.max_element if len(d) else -1):
-                return _bad(name, f"R({s!s}) != Max(D)")
-    return _ok(name, "N(D(S),f) = S; R(S) = Max(D(S)) with -1 for D = ∅")
+                raise AssertionError(f"R({s!s}) != Max(D)")
+    return "N(D(S),f) = S; R(S) = Max(D(S)) with -1 for D = ∅"
 
 
+@_check(lambda samples=2000, f_max=24, seed=DEFAULT_SEED:
+        f"fold-window(n={samples},f<={f_max})")
 def check_fold_window(samples: int = 2000, f_max: int = 24,
-                      seed: int = DEFAULT_SEED) -> CheckResult:
+                      seed: int = DEFAULT_SEED) -> str:
     """Width-t suffix window of A(T) survives folding T down to f = 2t+1."""
-    name = f"fold-window(n={samples},f<={f_max})"
     rng = random.Random(seed)
     for _ in range(samples):
         f = rng.randint(4, f_max)
@@ -222,15 +250,15 @@ def check_fold_window(samples: int = 2000, f_max: int = 24,
         a_big = associated_semigroup(t)
         a_small = associated_semigroup(folded)
         if suffix_pattern(a_big, t_wid) != suffix_pattern(a_small, t_wid):
-            return _bad(
-                name, f"window changed: f={f} t={t_wid} mask={t.gaps_mask:#x}"
+            raise AssertionError(
+                f"window changed: f={f} t={t_wid} mask={t.gaps_mask:#x}"
             )
-    return _ok(name, "window_t(A(T)) = window_t(A(fold(T, t, 2t+1)))")
+    return "window_t(A(T)) = window_t(A(fold(T, t, 2t+1)))"
 
 
-def check_window_factorization(f_max: int, t_max: int = 4) -> CheckResult:
+@_check(lambda f_max, t_max=4: f"window-factorization(t<={t_max},f<={f_max})")
+def check_window_factorization(f_max: int, t_max: int = 4) -> str:
     """|B(D,f)| = A_D 2^(f-2t-1) for every D with Max(D) = t <= t_max."""
-    name = f"window-factorization(t<={t_max},f<={f_max})"
     a_arrays = {}  # level t, read off the sweep at f = 2t+1
     for f in range(3, f_max + 1):
         cap = min(t_max, (f - 1) // 2)
@@ -246,21 +274,20 @@ def check_window_factorization(f_max: int, t_max: int = 4) -> CheckResult:
             for mask in range(1 << (t - 1), 1 << t):
                 if got[mask] != want[mask]:
                     d = DSet.from_mask(mask)
-                    return _bad(
-                        name,
+                    raise AssertionError(
                         f"B({d.key},{f}) = {int(got[mask])} != "
-                        f"A_D*2^{f - 2 * t - 1} = {int(want[mask])}",
+                        f"A_D*2^{f - 2 * t - 1} = {int(want[mask])}"
                     )
-    return _ok(name, "B(D,f) = A_D * 2^(f-2t-1) for all windows")
+    return "B(D,f) = A_D * 2^(f-2t-1) for all windows"
 
 
-def check_preimage_identity(f: int, t_max: int = 3) -> CheckResult:
+@_check(lambda f, t_max=3: f"preimage-identity(f={f},t<={min(t_max, (f - 1) // 2)})")
+def check_preimage_identity(f: int, t_max: int = 3) -> str:
     """Exact partition of B(D,f) by the first window element above Max(D):
 
     P(N(D,f)) = B(D,f) - sum_{k=t+1}^{floor((f-1)/2)} B(D u {k}, f) - |S(D,f)|.
     """
     cap = min(t_max, (f - 1) // 2)
-    name = f"preimage-identity(f={f},t<={cap})"
     wide_w = (f - 1) // 2
     table = density_table(f)
     census = table.census(cap)
@@ -280,43 +307,41 @@ def check_preimage_identity(f: int, t_max: int = 3) -> CheckResult:
             rhs -= b_of(d.with_added(k))
         rhs -= census.s_counts[d]
         if census.p_counts[d] != rhs:
-            return _bad(
-                name,
-                f"P(N({d.key},{f})) = {census.p_counts[d]} but partition gives {rhs}",
+            raise AssertionError(
+                f"P(N({d.key},{f})) = {census.p_counts[d]} but partition gives {rhs}"
             )
-    return _ok(name, "P(N(D,f)) = B - sum B(D u {k}) - |S|, bit for bit")
+    return "P(N(D,f)) = B - sum B(D u {k}) - |S|, bit for bit"
 
 
-def check_small_multiplicity_bound(f_max: int) -> CheckResult:
+@_check(lambda f_max: f"small-multiplicity-bound(f<={f_max})")
+def check_small_multiplicity_bound(f_max: int) -> str:
     """#{T : m(A(T)) <= f/2} <= f 3^(f/2), compared in squares (exactly)."""
-    name = f"small-multiplicity-bound(f<={f_max})"
     for f in range(2, f_max + 1):
         counts = density_table(f).multiplicities()
         c = sum(n for m, n in counts.items() if m <= f // 2)
         if c * c > f * f * 3**f:
-            return _bad(name, f"f={f}: count {c} exceeds f*3^(f/2)")
-    return _ok(name, "count(m(A(T)) <= f/2) <= f * 3^(f/2)")
+            raise AssertionError(f"f={f}: count {c} exceeds f*3^(f/2)")
+    return "count(m(A(T)) <= f/2) <= f * 3^(f/2)"
 
 
-def check_per_m_bounds(f_max: int) -> CheckResult:
+@_check(lambda f_max: f"per-m-bounds(f<={f_max})")
+def check_per_m_bounds(f_max: int) -> str:
     """#{T : m(A(T)) = m} <= (q+2)^(r-1) (q+1)^(m-r) when f = qm + r, 0<r<m."""
-    name = f"per-m-bounds(f<={f_max})"
     for f in range(3, f_max + 1):
         for m, c in density_table(f).multiplicities().items():
             q, r = divmod(f, m)
             if r == 0:
                 continue  # bound stated only for m not dividing f
             if c > (q + 2) ** (r - 1) * (q + 1) ** (m - r):
-                return _bad(
-                    name,
-                    f"f={f} m={m}: count {c} > (q+2)^{r - 1}(q+1)^{m - r}",
+                raise AssertionError(
+                    f"f={f} m={m}: count {c} > (q+2)^{r - 1}(q+1)^{m - r}"
                 )
-    return _ok(name, "per-multiplicity counts below (q+2)^(r-1)(q+1)^(m-r)")
+    return "per-multiplicity counts below (q+2)^(r-1)(q+1)^(m-r)"
 
 
-def check_c_unit_range(l_max: int = 5) -> CheckResult:
+@_check(lambda l_max=5: f"c-unit-range(l<={l_max})")
+def check_c_unit_range(l_max: int = 5) -> str:
     """Direct sweeps confirm C_{l,k} = 1 whenever k <= 2l+1, l <= l_max."""
-    name = f"c-unit-range(l<={l_max})"
     for l in range(1, l_max + 1):
         for k in range(1, 2 * l + 2):
             # at the minimal f the free middle block is empty and the sweep
@@ -325,24 +350,21 @@ def check_c_unit_range(l_max: int = 5) -> CheckResult:
             table = density_table(f, prefix_zeros=l)
             got = int(table.window(k)[1 << (k - 1)])
             if got != 1:
-                return _bad(name, f"C_{{{l},{k}}} = {got} != 1")
-    return _ok(name, "C_{l,k} = 1 for k <= 2l+1 (swept, not assumed)")
+                raise AssertionError(f"C_{{{l},{k}}} = {got} != 1")
+    return "C_{l,k} = 1 for k <= 2l+1 (swept, not assumed)"
 
 
-def check_c_growth_bound(l_max: int = 3, extra: int = 5) -> CheckResult:
+@_check(lambda l_max=3, extra=5: f"c-growth-bound(l<={l_max},k<=2l+{extra + 1})")
+def check_c_growth_bound(l_max: int = 3, extra: int = 5) -> str:
     """C_{l,k} <= 2^l 3^(k-2l-1) on the computed range k in (2l+1, 2l+1+extra],
     each swept into a fresh cache: a loaded cache would answer from records
-    it checked on load, and sweep nothing."""
-    name = f"c-growth-bound(l<={l_max},k<=2l+{extra + 1})"
+    it checked on load, and sweep nothing.  ``c_const`` refuses a swept
+    value above the bound (``check_c``), and that refusal is the FAIL."""
     cache = ConstantCache()
     for l in range(1, l_max + 1):
         for k in range(2 * l + 2, 2 * l + 2 + extra):
-            try:
-                # c_const refuses a swept value above the bound (check_c)
-                c_const(l, k, cache)
-            except (AssertionError, CacheConflictError) as e:
-                return _bad(name, str(e))
-    return _ok(name, "C_{l,k} <= 2^l 3^(k-2l-1) on the swept range")
+            c_const(l, k, cache)
+    return "C_{l,k} <= 2^l 3^(k-2l-1) on the swept range"
 
 
 def full_window_oracle(t: int, cache: ConstantCache) -> None:
@@ -396,11 +418,18 @@ def _truncation_bucket(m: int, t: int, cache: ConstantCache) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each returns its checks unrun; run_suites runs them in order
+
+
+def _verdict(ok: bool, passed: str, failed: str) -> str:
+    """``passed`` when ``ok``; else a FAIL that says ``failed``."""
+    if not ok:
+        raise AssertionError(failed)
+    return passed
 
 
 def suite_core(max_f: int | None = None,
-               cache: ConstantCache | None = None) -> list[CheckResult]:
+               cache: ConstantCache | None = None) -> list[Check]:
     f_cap = max_f or 40
     return [
         check_amap_exhaustive(min(11, f_cap)),
@@ -414,7 +443,7 @@ def suite_core(max_f: int | None = None,
 
 
 def suite_counting(max_f: int | None = None,
-                   cache: ConstantCache | None = None) -> list[CheckResult]:
+                   cache: ConstantCache | None = None) -> list[Check]:
     f_cap = max_f or 16
     return [
         check_window_factorization(f_cap, min(4, (f_cap - 1) // 2)),
@@ -424,40 +453,36 @@ def suite_counting(max_f: int | None = None,
 
 
 def suite_constants(max_f: int | None = None,
-                    cache: ConstantCache | None = None) -> list[CheckResult]:
-    out = []
-    t_max = 6
-    fresh = ConstantCache()
-    try:
+                    cache: ConstantCache | None = None) -> list[Check]:
+    t_max, fresh = 6, ConstantCache()
+
+    def batch_validation() -> str:
         for t in range(1, t_max + 1):
             a_consts_batch(t, fresh)
             full_window_oracle(t, fresh)
-    except (AssertionError, CacheConflictError) as e:
-        out.append(_bad("a-batch-validation", str(e)))
-        return out
-    out.append(_ok(
-        "a-batch-validation",
-        f"slice route equals the top buckets of the 4^t sweep, whose buckets "
-        f"sum to 4^t and meet the truncation identity; t <= {t_max}",
-    ))
-    out.append(check_topslice_sweep(7, 9))
-    if cache is not None and cache.levels:
-        name = "cache-consistency"
+        return (
+            f"slice route equals the top buckets of the 4^t sweep, whose buckets "
+            f"sum to 4^t and meet the truncation identity; t <= {t_max}"
+        )
+
+    def cache_consistency() -> str:  # runs after batch_validation fills fresh
         bad = [
             DSet.from_mask(mask).key for mask, v in fresh.a_entries.items()
             if cache.a_entries.get(mask, v) != v
         ]
-        if bad:
-            out.append(_bad(name, f"cached A differs for {bad[:3]}"))
-        else:
-            out.append(_ok(
-                name, f"{len(fresh.a_entries)} recomputed A match the cache"
-            ))
-    return out
+        return _verdict(
+            not bad, f"{len(fresh.a_entries)} recomputed A match the cache",
+            f"cached A differs for {bad[:3]}",
+        )
+
+    checks = [Check("a-batch-validation", batch_validation), check_topslice_sweep(7, 9)]
+    if cache is not None and cache.levels:
+        checks.append(Check("cache-consistency", cache_consistency))
+    return checks
 
 
 def suite_bounds(max_f: int | None = None,
-                 cache: ConstantCache | None = None) -> list[CheckResult]:
+                 cache: ConstantCache | None = None) -> list[Check]:
     f_cap = max_f or 16
     return [
         check_c_unit_range(5),
@@ -468,69 +493,80 @@ def suite_bounds(max_f: int | None = None,
 
 
 def suite_limits(max_f: int | None = None,
-                 cache: ConstantCache | None = None) -> list[CheckResult]:
-    out = []
+                 cache: ConstantCache | None = None) -> list[Check]:
     cache = cache if cache is not None else ConstantCache()
     depth = min(10, cache.a_depth() or 10)
 
-    name = f"truncation-monotone(depth<={depth})"
-    ok = True
-    for d in (DSet(), DSet.of([1]), DSet.of([2, 3])):
-        prev = None
-        for n in range(d.max_element, depth + 1):
-            g = gamma(d, n, cache)
-            if prev is not None and not (
-                g.value <= prev.value
-                and g.interval.lo >= prev.interval.lo
-                and g.interval.hi <= prev.interval.hi
-            ):
-                out.append(_bad(name, f"violated at D={d.key} depth {n}"))
-                ok = False
-                break
-            prev = g
-        if not ok:
-            break
-    if ok:
-        out.append(_ok(name, "values decrease, intervals nest as depth grows"))
+    def series_engine() -> str:
+        # the engine's rows against the per-D oracle, over the table's
+        # range and over each alpha_n's sub-range
+        q = 4**depth
+        want = [gamma(DSet.from_mask(m), depth, cache).value * q for m in range(8)]
+        if truncation_numerators(0, 8, depth, cache) != want:
+            raise AssertionError("table rows with Max(D) <= 3 != gamma(D)")
+        for n in (-1, 1, 2, 3):
+            masks = alpha_masks(n)
+            if alpha_limit(n, depth, cache) != want[masks.start : masks.stop]:
+                raise AssertionError(f"alpha_{n} rows != gamma(D) of its summands")
+        return "rows with Max(D) <= 3, and alpha_n rows for n = -1..3, equal gamma(D)"
 
-    name = "alpha-partial-telescope"
-    try:
-        iv = alpha_partial_sum(min(4, depth), depth, cache)
-    except AssertionError as e:
-        out.append(_bad(name, str(e)))
-    else:
-        out.append(_ok(name, f"sum_(n<=4) alpha_n = {iv} <= 1, telescoped form agrees"))
+    def truncation_monotone() -> str:
+        for d in (DSet(), DSet.of([1]), DSet.of([2, 3])):
+            prev = None
+            for n in range(d.max_element, depth + 1):
+                g = gamma(d, n, cache)
+                if prev is not None and not (
+                    g.value <= prev.value
+                    and g.interval.lo >= prev.interval.lo
+                    and g.interval.hi <= prev.interval.hi
+                ):
+                    raise AssertionError(f"violated at D={d.key} depth {n}")
+                prev = g
+        return "values decrease, intervals nest as depth grows"
 
-    name = "g-limit-closed-form"
-    ok = True
-    for l in (1, 2):
-        iv = g_l_limit(l, 2 * l + 1, cache)
-        expect = Fraction(2, 3) / 4**l + Fraction(1, 3) / 4 ** (2 * l + 1)
-        if iv.hi != expect:
-            out.append(_bad(name, f"l={l}: truncation {iv.hi} != (2/3)4^-l + (1/3)4^-(2l+1)"))
-            ok = False
-    if ok:
-        out.append(_ok(name, "depth-(2l+1) value is (2/3)4^-l + (1/3)4^-(2l+1); lower end >= a_l"))
+    def alpha_partial_telescope() -> str:
+        iv = alpha_partial_sum(min(4, depth), depth, cache)  # raises if they differ
+        return f"sum_(n<=4) alpha_n = {iv} <= 1, telescoped form agrees"
 
-    name = "table-order"
-    tbl = gamma_table(min(3, depth), depth, cache)
-    if tbl.rows[0]:
-        out.append(_bad(name, f"top row is {DSet.from_mask(tbl.rows[0]).key}, not ∅"))
-    else:
-        out.append(_ok(name, f"top row of {len(tbl.rows)} is ∅"))
+    def g_limit_closed_form() -> str:
+        for l in (1, 2):  # g_l_limit raises if the lower end is below a_l
+            hi = Fraction(g_l_limit(l, 2 * l + 1, cache).hi, 4 ** (2 * l + 1))
+            expect = Fraction(2, 3) / 4**l + Fraction(1, 3) / 4 ** (2 * l + 1)
+            if hi != expect:
+                raise AssertionError(
+                    f"l={l}: truncation {hi} != (2/3)4^-l + (1/3)4^-(2l+1)"
+                )
+        return "depth-(2l+1) value is (2/3)4^-l + (1/3)4^-(2l+1); lower end >= a_l"
 
-    name = "positivity-consistency"
-    # S < ceil(q b_t) exactly when the value S/q is below b_t; t = 0 has no bound
-    bad = next((
-        mask for mask, s in zip(tbl.rows, tbl.numerators)
-        if mask and s < tbl.bounds[mask.bit_length()]
-    ), None)
-    if bad is None:
+    def table_order() -> str:
+        rows = gamma_table(min(3, depth), depth, cache).rows
+        return _verdict(
+            not rows[0], f"top row of {len(rows)} is ∅",
+            f"top row is {DSet.from_mask(rows[0]).key}, not ∅",
+        )
+
+    def positivity_consistency() -> str:
+        tbl = gamma_table(min(3, depth), depth, cache)
+        # S < ceil(q b_t) exactly when the value S/q is below b_t; t = 0 has no bound
+        bad = next((
+            mask for mask, s in zip(tbl.rows, tbl.numerators)
+            if mask and s < tbl.bounds[mask.bit_length()]
+        ), None)
+        if bad is not None:
+            raise AssertionError(
+                f"gamma upper end below a_t/2^(t+1) at D={DSet.from_mask(bad).key}"
+            )
         tbl.refined_lows  # raises if structurally empty
-        out.append(_ok(name, "upper ends dominate a_t/2^(t+1); refined intervals nonempty"))
-    else:
-        out.append(_bad(name, f"gamma upper end below a_t/2^(t+1) at D={DSet.from_mask(bad).key}"))
-    return out
+        return "upper ends dominate a_t/2^(t+1); refined intervals nonempty"
+
+    return [
+        Check(f"series-engine(t<=3,depth={depth})", series_engine),
+        Check(f"truncation-monotone(depth<={depth})", truncation_monotone),
+        Check("alpha-partial-telescope", alpha_partial_telescope),
+        Check("g-limit-closed-form", g_limit_closed_form),
+        Check("table-order", table_order),
+        Check("positivity-consistency", positivity_consistency),
+    ]
 
 
 # frozen fixtures, derived once from the pairwise-scan reference route
@@ -543,111 +579,120 @@ ORACLE_C = {(1, 4): 3, (1, 5): 6, (1, 6): 17, (2, 6): 5, (2, 7): 11, (2, 8): 36}
 
 
 def suite_oracle(max_f: int | None = None,
-                 cache: ConstantCache | None = None) -> list[CheckResult]:
-    out = []
-    fresh = ConstantCache()
-    for t in range(1, 5):
-        a_consts_batch(t, fresh)
+                 cache: ConstantCache | None = None) -> list[Check]:
+    @functools.cache
+    def fresh() -> ConstantCache:
+        swept = ConstantCache()
+        for t in range(1, 5):
+            a_consts_batch(t, swept)
+        return swept
 
-    for label, frozen, t in (("a-fixture-3", ORACLE_A3, 3), ("a-fixture-4", ORACLE_A4, 4)):
+    def a_fixture(frozen: dict[str, int], t: int) -> str:
         got = {
-            DSet.from_mask(mask).key: v for mask, v in fresh.a_entries.items()
+            DSet.from_mask(mask).key: v for mask, v in fresh().a_entries.items()
             if mask.bit_length() == t
         }
-        if got == frozen:
-            out.append(_ok(label, f"all {len(frozen)} constants at Max(D) = {t}"))
-        else:
-            out.append(_bad(label, f"swept {got} != fixture {frozen}"))
+        return _verdict(
+            got == frozen, f"all {len(frozen)} constants at Max(D) = {t}",
+            f"swept {got} != fixture {frozen}",
+        )
 
-    name = "c-fixture"
-    got_c = {lk: c_const(*lk, fresh) for lk in ORACLE_C}
-    out.append(
-        _ok(name, f"{len(ORACLE_C)} swept C values match fixtures")
-        if got_c == ORACLE_C
-        else _bad(name, f"swept {got_c} != fixture {ORACLE_C}")
-    )
+    def c_fixture() -> str:
+        got = {lk: c_const(*lk, fresh()) for lk in ORACLE_C}
+        return _verdict(
+            got == ORACLE_C, f"{len(ORACLE_C)} swept C values match fixtures",
+            f"swept {got} != fixture {ORACLE_C}",
+        )
 
-    name = "semigroup-count-9"
-    n9 = len(density_table(9))
-    out.append(
-        _ok(name, "21 semigroups with f = 9")
-        if n9 == 21 else _bad(name, f"{n9} semigroups at f=9, expected 21")
-    )
+    def semigroup_count_9() -> str:
+        n9 = len(density_table(9))
+        return _verdict(
+            n9 == 21, "21 semigroups with f = 9", f"{n9} semigroups at f=9, expected 21"
+        )
 
-    name = "table-3"
-    t3 = density_table(3)
-    want = {as_semigroup(n_of(DSet(), 3)): 3,
-            as_semigroup(n_of(DSet.of([1]), 3)): 1}
-    out.append(
-        _ok(name, "f=3: P = 3 for the minimal semigroup, 1 for {0,2,4,...}")
-        if dict(t3.entries) == want
-        else _bad(name, f"f=3 table {t3.entries} != {want}")
-    )
+    def table_3() -> str:
+        t3 = density_table(3)
+        want = {as_semigroup(n_of(DSet(), 3)): 3,
+                as_semigroup(n_of(DSet.of([1]), 3)): 1}
+        return _verdict(
+            dict(t3.entries) == want,
+            "f=3: P = 3 for the minimal semigroup, 1 for {0,2,4,...}",
+            f"f=3 table {t3.entries} != {want}",
+        )
 
-    name = "gamma-small-depth"
-    g2 = gamma(DSet(), 2, fresh).value
-    g12 = gamma(DSet.of([1]), 2, fresh).value
-    g13 = gamma(DSet.of([1, 3]), 3, fresh)
-    if g2 == Fraction(5, 8) and g12 == Fraction(3, 16) and g13.value == Fraction(3, 64) and not g13.terms:
-        out.append(_ok(name, "gamma(∅,2) = 5/8; gamma({1},2) = 3/16; gamma({1,3},3) = 3/64"))
-    else:
-        out.append(_bad(name, f"got {g2}, {g12}, {g13.value}"))
+    def gamma_small_depth() -> str:
+        g2 = gamma(DSet(), 2, fresh()).value
+        g12 = gamma(DSet.of([1]), 2, fresh()).value
+        g13 = gamma(DSet.of([1, 3]), 3, fresh())
+        return _verdict(
+            g2 == Fraction(5, 8) and g12 == Fraction(3, 16)
+            and g13.value == Fraction(3, 64) and not g13.terms,
+            "gamma(∅,2) = 5/8; gamma({1},2) = 3/16; gamma({1,3},3) = 3/64",
+            f"got {g2}, {g12}, {g13.value}",
+        )
 
-    name = "g1-fixture"
-    g19 = int(density_table(9, prefix_zeros=1).preimages(0))
-    out.append(
-        _ok(name, "|G_1(9)| = 41") if g19 == 41
-        else _bad(name, f"|G_1(9)| = {g19} != 41")
-    )
-    return out
+    def g1_fixture() -> str:
+        g19 = int(density_table(9, prefix_zeros=1).preimages(0))
+        return _verdict(g19 == 41, "|G_1(9)| = 41", f"|G_1(9)| = {g19} != 41")
+
+    return [
+        Check("a-fixture-3", functools.partial(a_fixture, ORACLE_A3, 3)),
+        Check("a-fixture-4", functools.partial(a_fixture, ORACLE_A4, 4)),
+        Check("c-fixture", c_fixture),
+        Check("semigroup-count-9", semigroup_count_9),
+        Check("table-3", table_3),
+        Check("gamma-small-depth", gamma_small_depth),
+        Check("g1-fixture", g1_fixture),
+    ]
 
 
 def suite_convergence(max_f: int | None = None,
-                      cache: ConstantCache | None = None) -> list[CheckResult]:
-    out = []
+                      cache: ConstantCache | None = None) -> list[Check]:
     f_cap = max(7, max_f or 20)  # N(D,f) for D up to {1,3} needs f >= 7
     cache = cache if cache is not None else ConstantCache()
     depth = cache.a_depth()
     depth = min(12, depth) if depth >= 1 else 12
 
-    name = f"mu-drift(f={f_cap},depth={depth})"
-    dsets = [DSet(), DSet.of([1]), DSet.of([2]), DSet.of([1, 3])]
-    goals = [n_of(d, f_cap).gaps_mask for d in dsets]
-    counts = density_table(f_cap).preimages(goals)
-    allowance = Fraction(2, 100) + tail_bound(depth)
-    ok = True
-    for d, count in zip(dsets, counts.tolist()):
-        mu = Fraction(count, 1 << (f_cap - 1))
-        v = gamma(d, depth, cache).value
-        if abs(mu - v) > allowance:
-            out.append(_bad(name, f"D={d.key}: |mu - gamma| = {float(abs(mu - v)):.4f}"))
-            ok = False
-    if ok:
-        out.append(_ok(name, "mu(N(D,f)) within 0.02 + (3/4)^depth of the truncation"))
+    def mu_drift() -> str:
+        dsets = [DSet(), DSet.of([1]), DSet.of([2]), DSet.of([1, 3])]
+        goals = [n_of(d, f_cap).gaps_mask for d in dsets]
+        counts = density_table(f_cap).preimages(goals)
+        allowance = Fraction(2, 100) + tail_bound(depth)
+        for d, count in zip(dsets, counts.tolist()):
+            mu = Fraction(count, 1 << (f_cap - 1))
+            v = gamma(d, depth, cache).value
+            if abs(mu - v) > allowance:
+                raise AssertionError(f"D={d.key}: |mu - gamma| = {float(abs(mu - v)):.4f}")
+        return "mu(N(D,f)) within 0.02 + (3/4)^depth of the truncation"
 
-    name = "gamma-external-estimate"
-    g = gamma(DSet(), depth, cache)
-    published = Interval(
-        Fraction(484451, 10**6) - Fraction(5011, 10**6),
-        Fraction(484451, 10**6) + Fraction(5011, 10**6),
-    )
-    out.append(
-        _ok(name, f"gamma interval {g.interval} meets 0.484451 +/- 0.005011")
-        if g.interval.intersects(published)
-        else _bad(name, f"gamma interval {g.interval} misses 0.484451 +/- 0.005011")
-    )
+    def external_estimate() -> str:
+        g = gamma(DSet(), depth, cache)
+        published = Interval(
+            Fraction(484451, 10**6) - Fraction(5011, 10**6),
+            Fraction(484451, 10**6) + Fraction(5011, 10**6),
+        )
+        return _verdict(
+            g.interval.intersects(published),
+            f"gamma interval {g.interval} meets 0.484451 +/- 0.005011",
+            f"gamma interval {g.interval} misses 0.484451 +/- 0.005011",
+        )
 
-    f_g = min(f_cap, 20)
-    iv = g_l_limit(1, depth, cache)
-    g1 = density_table(f_g, prefix_zeros=1).preimages(0)
-    emp = Fraction(int(g1), 1 << (f_g - 1))
-    inside = iv.lo - Fraction(2, 100) <= emp <= iv.hi + Fraction(2, 100)
-    out.append(_ok(  # report-only: finite-f drift, no certified rate
-        "g1-empirical-report",
-        f"|G_1({f_g})|/2^(f-1) = {float(emp):.5f} vs limit {iv}"
-        + (" (within 0.02)" if inside else " (outside 0.02)"),
-    ))
-    return out
+    def g1_empirical_report() -> str:  # report-only: finite-f drift, no certified rate
+        f_g = min(f_cap, 20)
+        g = g_l_limit(1, depth, cache)
+        iv = Interval.on_grid(g.lo, g.hi, depth)
+        emp = Fraction(int(density_table(f_g, prefix_zeros=1).preimages(0)), 1 << (f_g - 1))
+        inside = iv.lo - Fraction(2, 100) <= emp <= iv.hi + Fraction(2, 100)
+        return (
+            f"|G_1({f_g})|/2^(f-1) = {float(emp):.5f} vs limit {iv}"
+            + (" (within 0.02)" if inside else " (outside 0.02)")
+        )
+
+    return [
+        Check(f"mu-drift(f={f_cap},depth={depth})", mu_drift),
+        Check("gamma-external-estimate", external_estimate),
+        Check("g1-empirical-report", g1_empirical_report),
+    ]
 
 
 SUITES = {
@@ -663,10 +708,12 @@ SUITES = {
 
 def run_suites(names: list[str], max_f: int | None = None,
                cache: ConstantCache | None = None) -> list[CheckResult]:
+    """Every check of the named suites (or of all, for "all"), in order,
+    each run in :meth:`Check.run`'s one try."""
     picked = list(SUITES) if "all" in names else names
     results = []
     for name in picked:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-        results.extend(SUITES[name](max_f=max_f, cache=cache))
+        results += [check.run() for check in SUITES[name](max_f=max_f, cache=cache)]
     return results

@@ -96,7 +96,7 @@ def test_criterion_02_exact_table_f9():
 
 def test_criterion_03_window_factorization():
     """B(D,f) = A_D 2^(f-2t-1) exactly for t = Max(D) <= 4, 2t < f <= 24."""
-    res = check_window_factorization(24, 4)
+    res = check_window_factorization(24, 4).run()
     assert res.passed, res.detail
     for f in range(1, 13):  # t = 0 degenerates to the full count
         assert density_table(f).window(0).tolist() == [1 << (f - 1)]
@@ -105,7 +105,7 @@ def test_criterion_03_window_factorization():
 def test_criterion_04_preimage_partition_identity():
     """P(N(D,f)) = B(D,f) - sum_k B(D u {k},f) - |S(D,f)|, Max(D) <= 3, f <= 22."""
     for f in range(3, 23):
-        res = check_preimage_identity(f, 3)
+        res = check_preimage_identity(f, 3).run()
         assert res.passed, res.detail
 
 
@@ -149,12 +149,13 @@ def test_criterion_06_external_estimate(shipped_cache):
 
 def test_criterion_07_bound_suite():
     """Every stated bound holds on every computed value, at scale."""
-    for res in (
+    for check in (
         check_c_unit_range(5),
         check_c_growth_bound(3, 5),
         check_per_m_bounds(16),
         check_small_multiplicity_bound(20),
     ):
+        res = check.run()
         assert res.passed, res.detail
 
 
@@ -190,9 +191,9 @@ def test_criterion_09_alpha_masses(shipped_cache):
 def test_criterion_10_amap_routes_agree():
     """The vectorized A(T) equals the pairwise-scan reference: exhaustively
     at f = 14 and on 100000 random sets with f <= 60."""
-    res = check_amap_exhaustive(14)
+    res = check_amap_exhaustive(14).run()
     assert res.passed, res.detail
-    res = check_amap_random(100_000, 60)
+    res = check_amap_random(100_000, 60).run()
     assert res.passed, res.detail
 
 

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from nsdensity import cli, constants, enumeration
+from nsdensity import cli, constants, enumeration, verify
 from nsdensity.constants import cache_load
 from nsdensity.core import DSet
-from nsdensity.limits import decimal_str, gamma, gamma_lower_bound
+from nsdensity.limits import decimal_str, gamma, gamma_lower_bound, tail_bound
 
 CACHE_PATH = str(Path(__file__).resolve().parents[1] / "nsdensity.cache")
 
@@ -150,6 +150,27 @@ class TestAlpha:
         assert code == 0
         assert "alpha_-1" in out and "components (1):" in out
 
+    def test_summands_share_one_tail(self, capsys):
+        # 2^(n-1) summands, one tail: the collapse is the whole point
+        code, out, _ = run(
+            capsys, "alpha", "--n", "3", "--depth", "6", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert [c["d"] for c in doc["components"]] == ["3", "1,3", "2,3", "1,2,3"]
+        lo, hi = Fraction(doc["interval"]["lo"]), Fraction(doc["interval"]["hi"])
+        assert hi - lo == tail_bound(6)
+        assert hi == Fraction(doc["value"]) == sum(
+            Fraction(c["value"]) for c in doc["components"]
+        )
+
+
+def test_dyadic_reducer_writes_what_str_writes():
+    # zero, negative and odd numerators included
+    for e in range(8):
+        for p in range(-300, 301):
+            assert cli._dyadic(p, e) == str(Fraction(p, 1 << e)), (p, e)
+
 
 class TestGLimit:
     def test_small(self, capsys):
@@ -196,7 +217,8 @@ class TestVerify:
         )
         assert code == 0
         names = [c["name"] for c in json.loads(out)["checks"]]
-        assert len(names) == len(set(names)) == 30
+        assert len(names) == len(set(names)) == 31
+        assert "series-engine(t<=3,depth=10)" in names
         # no check restates a fact enforced where the data enters
         deleted = ("a-bounds", "a-sum-identity", "sum-preimages", "alpha-width")
         assert not [n for n in names if n.startswith(deleted)]
@@ -206,6 +228,29 @@ class TestVerify:
         assert [n for n in names if n.startswith("preimage-identity")] == [
             "preimage-identity(f=14,t<=3)"
         ]
+
+    def test_a_check_that_raises_is_a_fail_line(self, capsys, monkeypatch):
+        # the sweep refuses its table inside amap-sweep; that check alone
+        # fails, with the refusal as its detail, and every other line prints
+        real = verify.density_table
+
+        def refused(f, **kwargs):
+            if f == 14:
+                raise ValueError("{0, 7, 15->} is not closed under addition")
+            return real(f, **kwargs)
+
+        monkeypatch.setattr(verify, "density_table", refused)
+        code, out, err = run(capsys, "verify", "--suite", "core", "--cache", CACHE_PATH)
+        lines = out.rstrip("\n").split("\n")
+        assert (code, err) == (1, "")
+        assert lines[2] == (
+            "[FAIL] amap-sweep(f=14,chunk=32): {0, 7, 15->} is not closed under addition"
+        )
+        assert [line.split("(")[0] for line in lines[:5]] == [
+            "[PASS] amap-exhaustive", "[PASS] amap-random", "[FAIL] amap-sweep",
+            "[PASS] encode-roundtrip", "[PASS] fold-window",
+        ]
+        assert lines[5] == "5 checks, 4 passed, 1 failed"
 
     @pytest.mark.parametrize("max_f", range(1, 8))
     @pytest.mark.parametrize("suite", ["core", "convergence"])

@@ -89,7 +89,7 @@ class TestBatches:
             full_window_oracle(3, cache)
 
     def test_constants_suite_runs_the_oracle(self, shipped_cache):
-        results = suite_constants(cache=shipped_cache)
+        results = [check.run() for check in suite_constants(cache=shipped_cache)]
         assert all(r.passed for r in results), [r.line() for r in results]
         assert results[0].name == "a-batch-validation"
         assert "top buckets of the 4^t sweep" in results[0].detail
@@ -185,7 +185,7 @@ class TestCConst:
     def test_growth_bound_check_reports_fail(self, inflated_c_sweep):
         # c_const refuses the inflated value, and the verify check turns
         # that refusal into its FAIL line
-        result = check_c_growth_bound(1, 1)
+        result = check_c_growth_bound(1, 1).run()
         assert not result.passed
         assert result.line() == (
             "[FAIL] c-growth-bound(l<=1,k<=2l+2): C[1,4] = 1000003 outside [1, 6]"
@@ -195,7 +195,7 @@ class TestCConst:
                                                      shipped_cache):
         # every C the shipped cache holds was checked on load; the suite
         # must sweep its own, or the check could never fail
-        lines = [r.line() for r in suite_bounds(cache=shipped_cache)]
+        lines = [c.run().line() for c in suite_bounds(cache=shipped_cache)]
         assert (
             "[FAIL] c-growth-bound(l<=3,k<=2l+6): C[1,4] = 1000003 outside [1, 6]"
         ) in lines

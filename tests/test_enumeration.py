@@ -108,7 +108,7 @@ class TestDensityTable:
             want = [
                 [
                     d_of(s).key, str(multiplicity(s)), str(r_value(s)), str(p),
-                    cli._frac(Fraction(p, table.sets)),
+                    str(Fraction(p, table.sets)),
                     decimal_str(Fraction(p, table.sets)),
                 ]
                 for s, p in entries
@@ -265,7 +265,7 @@ class TestAMapSweep:
         assert chunked.entries == table.entries
 
     def test_verify_check(self):
-        res = check_amap_sweep(12, 16)
+        res = check_amap_sweep(12, 16).run()
         assert res.passed, res.detail
 
     def test_tables_unchanged_through_f24(self):
@@ -406,7 +406,7 @@ class TestTopSlice:
         assert sizes == [1] * 27
 
     def test_verify_check(self):
-        res = check_topslice_sweep(6, 9)
+        res = check_topslice_sweep(6, 9).run()
         assert res.passed, res.detail
         assert res.name == "topslice-sweep(t=6,chunk=9)"
 
@@ -536,7 +536,7 @@ class TestSuffixCensus:
             return real(f, func, **sweep)
 
         monkeypatch.setattr(enumeration, "_flat_chunks", counted)
-        res = check_preimage_identity(12)
+        res = check_preimage_identity(12).run()
         assert res.passed, res.detail
         assert calls == [(12, 0)]
 

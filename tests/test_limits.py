@@ -8,14 +8,14 @@ import pytest
 
 from nsdensity import cli, limits
 from nsdensity.core import DSet
-from nsdensity.constants import ConstantCache, build_a_constants, cache_store
+from nsdensity.constants import ConstantCache, build_a_constants, c_const, cache_store
 from nsdensity.limits import (
-    AlphaEstimate,
     GammaEstimate,
     GammaTable,
     Interval,
     a_constant,
     alpha_limit,
+    alpha_masks,
     alpha_partial_sum,
     decimal_str,
     g_l_limit,
@@ -23,7 +23,9 @@ from nsdensity.limits import (
     gamma_lower_bound,
     gamma_table,
     ratio_str,
+    refined_lo,
     tail_bound,
+    truncation_numerators,
 )
 from nsdensity.verify import suite_limits
 
@@ -183,6 +185,32 @@ class TestGamma:
             prev = g
 
 
+class TestEngine:
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 8), (5, 6), (4, 8), (3, 13), (8, 16), (9, 64)])
+    def test_ranges_equal_the_whole_table(self, shipped_cache, lo, hi):
+        whole = truncation_numerators(0, 1 << 6, 15, shipped_cache)
+        assert truncation_numerators(lo, hi, 15, shipped_cache) == whole[lo:hi]
+
+    def test_rows_equal_gamma_at_every_depth(self, small_cache):
+        for depth in range(7):
+            got = truncation_numerators(0, 1 << depth, depth, small_cache)
+            for m, s in enumerate(got):
+                assert Fraction(s, 4**depth) == gamma(DSet.from_mask(m), depth, small_cache).value
+
+    def test_sweeps_only_levels_max_lo_to_depth(self):
+        # the levels the oracle sweeps for one D: Max(D)..depth
+        cache, per_d = ConstantCache(), ConstantCache()
+        d = DSet.of([2, 5])
+        (s,) = truncation_numerators(d.mask, d.mask + 1, 9, cache)
+        assert Fraction(s, 4**9) == gamma(d, 9, per_d).value
+        assert sorted(cache.levels) == sorted(per_d.levels) == [5, 6, 7, 8, 9]
+
+    def test_validation(self):
+        for lo, hi, depth in [(-1, 1, 3), (2, 2, 3), (3, 2, 3), (0, 9, 3)]:
+            with pytest.raises(ValueError):
+                truncation_numerators(lo, hi, depth)
+
+
 class TestAlpha:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -193,23 +221,26 @@ class TestAlpha:
             alpha_limit(3, 2)
 
     def test_alpha_minus_one_is_gamma_empty(self):
-        a = alpha_limit(-1, 5)
-        g = gamma(DSet(), 5)
-        assert a.value == g.value
-        assert len(a.terms) == 1 and a.terms[0].d == DSet()
+        assert alpha_masks(-1) == range(1)
+        assert alpha_limit(-1, 5) == [gamma(DSet(), 5).value * 4**5]
 
     def test_frozen_values(self):
-        assert alpha_limit(1, 3).value == Fraction(9, 64)
-        a2 = alpha_limit(2, 4)
+        assert Fraction(sum(alpha_limit(1, 3)), 4**3) == Fraction(9, 64)
         # gamma_{2}(4) + gamma_{1,2}(4) = 22/256 + 9/256
-        assert a2.value == Fraction(31, 256)
-        assert sorted(p.d.elements for p in a2.terms) == [(1, 2), (2,)]
+        assert alpha_limit(2, 4) == [22, 9]
+        assert [DSet.from_mask(m).elements for m in alpha_masks(2)] == [(2,), (1, 2)]
 
-    def test_shared_tail(self):
-        # 2^(n-1) summands, one tail: the collapse is the whole point
-        a = alpha_limit(3, 6)
-        assert len(a.terms) == 4
-        assert a.interval.width == tail_bound(6)
+    @pytest.mark.parametrize("n", [-1, 1, 2, 3, 4, 5, 6, 7, 8])
+    def test_rows_equal_gamma(self, shipped_cache, n):
+        # each summand's numerator against the per-D Fraction oracle, so
+        # the alpha value, their sum, is the sum of the oracle's values
+        q = 4**15
+        want = [
+            gamma(DSet.from_mask(m), 15, shipped_cache).value for m in alpha_masks(n)
+        ]
+        parts = alpha_limit(n, 15, shipped_cache)
+        assert [Fraction(s, q) for s in parts] == want
+        assert Fraction(sum(parts), q) == sum(want)
 
     def test_partial_sum_is_the_sum_of_gammas(self, small_cache):
         for n_max in range(5):
@@ -231,16 +262,30 @@ class TestAlpha:
 
 class TestGLimit:
     def test_frozen_l1(self):
-        iv = g_l_limit(1, 3)
-        assert iv.hi == Fraction(11, 64)
-        assert iv.lo == Fraction(5, 64)
-        assert iv.lo >= a_constant(1)
+        g = g_l_limit(1, 3)
+        assert (g.lo, g.hi, g.c) == (5, 11, (1, 1, 1))
+        assert Interval.on_grid(g.lo, g.hi, 3) == Interval(Fraction(5, 64), Fraction(11, 64))
+        assert Fraction(g.lo, 64) >= a_constant(1)
 
     def test_minimal_depth_closed_form(self):
         # truncating right at 2l+1 uses only unit constants
         for l in (1, 2, 3):
-            iv = g_l_limit(l, 2 * l + 1)
-            assert iv.hi == Fraction(2, 3) / 4**l + Fraction(1, 3) / 4 ** (2 * l + 1)
+            g = g_l_limit(l, 2 * l + 1)
+            assert Fraction(g.hi, 4 ** (2 * l + 1)) == Fraction(2, 3) / 4**l + Fraction(1, 3) / 4 ** (2 * l + 1)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_grid_equals_the_fraction_sum(self, shipped_cache, l):
+        # the series and tail of the docstring, summed over Fractions
+        depth = 13
+        g = g_l_limit(l, depth, shipped_cache)
+        c = [c_const(l, k, shipped_cache) for k in range(1, depth + 1)]
+        value = Fraction(1, 2**l) - sum(
+            Fraction(ck, 2 ** (l + k) if k <= l else 4**k) for k, ck in enumerate(c, 1)
+        )
+        tail = Fraction(2**l, 3 ** (2 * l)) * tail_bound(depth)
+        assert g.c == tuple(c)
+        assert Interval.on_grid(g.lo, g.hi, depth) == Interval(value - tail, value)
+        assert value - tail >= a_constant(l)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -292,6 +337,7 @@ class TestGammaTable:
             assert Fraction(s, q) == g.value == g.interval.hi
             assert Fraction(s - 3**depth, q) == g.interval.lo
             assert lo == math.ceil(g.refined_interval.lo * q)
+            assert refined_lo(g.d.mask, s, depth) == g.refined_interval.lo
 
     def test_distinctness_matches_pair_loop(self, shipped_cache):
         table = gamma_table(6, 15, shipped_cache)
@@ -346,7 +392,7 @@ class TestGammaTable:
         monkeypatch.setattr(
             limits, "gamma_lower_bound", lambda t: Fraction(1) if t == 3 else real(t)
         )
-        lines = [r.line() for r in suite_limits(cache=shipped_cache)]
+        lines = [c.run().line() for c in suite_limits(cache=shipped_cache)]
         assert "[FAIL] positivity-consistency: gamma upper end below " \
             "a_t/2^(t+1) at D=3" in lines
         code = cli.main(
@@ -367,6 +413,12 @@ class TestGammaTable:
         cache_store(cache, tmp_path / "table.cache")
         cache_store(per_d, tmp_path / "gamma.cache")
         assert (tmp_path / "table.cache").read_bytes() == (tmp_path / "gamma.cache").read_bytes()
+
+    def test_refined_lo_empty_is_an_error(self):
+        # D = {1}: 1/4^5 lies below the bound 7/384
+        assert refined_lo(1, 19, 5) == Fraction(7, 384)
+        with pytest.raises(ValueError, match="empty refined interval for D = 1"):
+            refined_lo(1, 18, 5)
 
     def test_leading_order_at_full_depth(self, shipped_cache):
         table = gamma_table(4, 15, shipped_cache)
