@@ -230,6 +230,18 @@ class TestAlpha:
         assert alpha_limit(2, 4) == [22, 9]
         assert [DSet.from_mask(m).elements for m in alpha_masks(2)] == [(2,), (1, 2)]
 
+    def test_shared_tail(self):
+        # 2^(n-1) summands, one tail: the collapse is the whole point
+        parts = alpha_limit(3, 6)
+        assert len(parts) == 4
+        s = sum(parts)
+        shared = Interval.on_grid(s - 3**6, s, 6)
+        assert shared.width == tail_bound(6)
+        # one tail in place of the four the summands' intervals add up to
+        each = [gamma(DSet.from_mask(m), 6).interval for m in alpha_masks(3)]
+        assert sum((iv.width for iv in each), Fraction(0)) == 4 * tail_bound(6)
+        assert shared.hi == sum((iv.hi for iv in each), Fraction(0))
+
     @pytest.mark.parametrize("n", [-1, 1, 2, 3, 4, 5, 6, 7, 8])
     def test_rows_equal_gamma(self, shipped_cache, n):
         # each summand's numerator against the per-D Fraction oracle, so
