@@ -1,9 +1,10 @@
 """Regenerate the constant cache shipped at the repository root.
 
 Computes every A_D with Max(D) <= DEPTH with
-nsdensity.constants.build_a_constants (one top-slice sweep of 3^(t-1) sets
-per level t, with the checks in nsdensity.constants) and the swept
-C_{l,k} for l <= 3, k <= 2l+6, then writes the sorted cache file.
+nsdensity.constants.build_a_constants (every level read off one top-slice
+table, 3^(t-1) sets at level t, with the checks in nsdensity.constants) and
+the swept C_{l,k} for l <= 3, k <= 2l+6 (one table per l), then writes the
+sorted cache file.
 
 Depth 15 takes well under a second; every sweep runs on one thread.
 Lower --depth for a smaller cache; the library degrades gracefully (wider
@@ -15,7 +16,7 @@ intervals, same certificates).
 import argparse
 import time
 
-from nsdensity.constants import build_a_constants, c_const, cache_store
+from nsdensity.constants import build_a_constants, c_consts, cache_store
 
 
 def main() -> None:
@@ -34,13 +35,17 @@ def main() -> None:
     )
 
     for l in range(1, args.c_lmax + 1):
-        for k in range(2 * l + 2, 2 * l + 2 + args.c_extra):
-            if k > args.depth:
-                print(f"C[{l},{k}] skipped: sweep depth {k} over --depth")
-                continue
+        top = 2 * l + 1 + args.c_extra
+        last = min(top, args.depth)
+        if last >= 2 * l + 2:
             start = time.monotonic()
-            value = c_const(l, k, cache)
-            print(f"C[{l},{k}] = {value:6d}  {time.monotonic() - start:7.2f}s")
+            values = c_consts(l, last, cache)  # one table for every k
+            elapsed = time.monotonic() - start
+            for k in range(2 * l + 2, last + 1):
+                print(f"C[{l},{k}] = {values[k - 1]:6d}")
+            print(f"C[{l},k] for k <= {last}: one table  {elapsed:7.2f}s")
+        for k in range(max(last + 1, 2 * l + 2), top + 1):
+            print(f"C[{l},{k}] skipped: sweep depth {k} over --depth")
 
     cache.provenance["c-range"] = f"l<={args.c_lmax},k<=2l+{args.c_extra + 1}"
     cache.provenance["format"] = "1"

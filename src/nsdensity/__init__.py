@@ -27,7 +27,9 @@ from .enumeration import (
     DensityTable,
     SuffixCensus,
     density_table,
+    top_slice_c,
     top_slice_counts,
+    top_slice_levels,
     window_counts,
     window_restrict,
 )
@@ -36,8 +38,10 @@ from .constants import (
     ConstantCache,
     a_const,
     a_consts_batch,
+    a_levels,
     build_a_constants,
     c_const,
+    c_consts,
     cache_load,
     cache_store,
     resolve_cache_path,

@@ -5,21 +5,46 @@ Frobenius number where the width-t window factorizes, and C_{l,k} is the
 prefix-constrained analogue |B_l(k, 2k+1)| (or |B_l(k, l+k+1)| for k <= l,
 where it is 1 by a short argument, as it is for all k <= 2l+1).
 
-Both come from one sweep over the top slice at f = 2t+1
-(:func:`~nsdensity.enumeration.top_slice_counts`).  t+1 is in A(T) iff
+Both come from the top slice at f = 2t+1
+(:func:`~nsdensity.enumeration.top_slice_levels`).  t+1 is in A(T) iff
 t+1 in T, t not in T, and x in T implies x+t+1 in T for x in [1, t-1];
 positions t and t+1 are forced and each residual pair (x, x+t+1) admits
 3 of 4 states, so exactly 3^(t-1) sets have window maximum t, and their
 width-t windows are the D with Max(D) = t.  A_D at level t is bucket
-D.mask of that sweep; C_{l,k} is bucket {k} of the sweep at t = k with
-the 2^l 3^(k-1-l) sets avoiding [1, l].  The checks that run:
+D.mask of that sweep, and every level a query lacks is read off one table
+(:func:`a_levels`).  C_{l,k} is bucket {k} of the sweep at t = k over the
+sets avoiding [1, l], and only 2^l 3^(k-1-2l) of those can land there:
+
+  * Forced digits.  Let T avoid [1, l], k >= 2l+2, and let T's window at
+    level k be {k}: every window bit y-1, y in [1, k-1], is violated.  A
+    violation at y is a member x_m of T and an h_j out of T with
+    y = k-j+m and m <= j <= k, j = k standing for f (see
+    :mod:`nsdensity.enumeration`).  For y <= l, a member m >= 1 has
+    m > l >= y, as T avoids [1, l], and would need j = k+m-y > k.  So
+    m = 0, and h_{k-y} is out of T for every y in [1, l].  The state
+    (x in T, h out) is no top-slice state, so x_{k-y} is out of T too.
+    Digits k-l..k-1 thus take one state, digits 1..l two and the other
+    k-1-2l three (l < k-l, so the two runs are disjoint), and every set in
+    bucket {k} is one of those 2^l 3^(k-1-2l) sets.  :func:`c_consts`
+    counts bucket {k} over them alone
+    (:func:`~nsdensity.enumeration.top_slice_c`), every C_{l,k} a query
+    lacks from one table.
+  * The bound.  Hence C_{l,k} <= 2^l 3^(k-1-2l), the upper end of
+    :func:`check_c`.  On the restricted route it holds by construction,
+    since the route visits no more sets than that, so it checks nothing
+    there: ``verify``'s ``c-growth-bound`` replays the restricted route
+    against the prefix-only sweep over all 2^l 3^(k-1-l) sets avoiding
+    [1, l] as an equality, and :func:`check_c` stays as the refusal on
+    entry, of loaded values above all.
+
+The checks that run:
 
   * the kernel computes each slice set's whole width-t window, every
     pair of the set included (a pair in T at x but not at x+t+1 would
     clear the top bit), and a window below 2^(t-1) (t+1 missing from
-    A(T)) is an error.  The slice holds 3^(t-1) sets by construction, so
-    this is what makes the level sum below a check of the kernel and of
-    the proof above;
+    A(T)) is an error, on the A and the C route alike.  The slice holds
+    3^(t-1) sets by construction, so this is what makes the level sum
+    below a check of the kernel and of the proof above;
   * the level rule, :func:`check_a_level`: all 2^(t-1) constants, each in
     [1, 3^(t-1)], summing to exactly 3^(t-1), at a level t <= 31;
   * :func:`check_c`: 1 <= C_{l,k} <= 2^l 3^(k-2l-1) for l >= 1 and
@@ -71,7 +96,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import DSet, d_mask_keys, parse_d_mask
-from .enumeration import WORD_LIMIT, top_slice_counts
+from .enumeration import WORD_LIMIT, top_slice_c, top_slice_levels
 
 CACHE_ENV = "NSDENSITY_CACHE"
 DEFAULT_CACHE_NAME = "nsdensity.cache"
@@ -418,16 +443,18 @@ def cache_store(cache: ConstantCache, path: str | os.PathLike) -> None:
         provenance["a-depth"] = str(depth)
     lines = [f"# {k}: {v}" for k, v in sorted(provenance.items())]
     keys = d_mask_keys(max(cache.levels, default=0))
-    records = sorted(
-        [f"A|{keys[mask]}|{value}" for t, level in cache.levels.items()
-         for mask, value in enumerate(level.tolist(), 1 << (t - 1))]
-        + [f"C|{l},{k}|{value}" for (l, k), value in cache.c_entries.items()]
-    )
+    # level t holds the keys of the masks [2^(t-1), 2^t), in mask order
+    records = [
+        f"A|{key}|{value}" for t, level in cache.levels.items()
+        for key, value in zip(keys[1 << (t - 1) : 1 << t], level.tolist())
+    ]
+    records += [f"C|{l},{k}|{value}" for (l, k), value in cache.c_entries.items()]
+    records.sort()
+    text = "\n".join([*lines, *records, ""])
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines + records:
-                fh.write(line + "\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -449,22 +476,40 @@ def resolve_cache_path(flag: str | None = None) -> str:
 # A_D
 
 
+def _hold(t: int, buckets: np.ndarray, cache: ConstantCache | None) -> np.ndarray:
+    """Level t of A, the top half of its top-slice histogram ``buckets``,
+    held by ``cache`` through :meth:`ConstantCache.set_level` when given
+    and checked by the level rule otherwise."""
+    level = buckets[1 << (t - 1):]  # level t is the mask range [2^(t-1), 2^t)
+    if cache is None:
+        check_a_level(t, level)
+    else:
+        cache.set_level(t, level)
+    return level
+
+
+def a_levels(first: int, depth: int, cache: ConstantCache) -> None:
+    """Every level of A in [first, depth] that ``cache`` lacks, from one
+    top-slice table (a level range of :func:`top_slice_levels`), each held
+    as it is swept, after the checks described in the module docstring."""
+    missing = [t for t in range(max(first, 1), depth + 1) if t not in cache.levels]
+    if missing:
+        for t, buckets in top_slice_levels(missing):
+            _hold(t, buckets, cache)
+
+
 def a_consts_batch(t: int, cache: ConstantCache | None = None) -> Mapping[int, int]:
     """All A_D with Max(D) = t, as a read-only {D.mask: A_D} view of the
     swept level, from one top-slice sweep.
 
     Held by ``cache`` as level t when given: the sweep's slice as is,
-    after the checks described in the module docstring.
+    after the checks described in the module docstring.  A level the cache
+    already holds is swept again, and must be equal.
     """
     if t < 1:
         raise ValueError("batch needs t >= 1; A over the empty set is 1")
-    low = 1 << (t - 1)  # level t is the mask range [2^(t-1), 2^t)
-    level = top_slice_counts(t)[low:]
-    if cache is None:
-        check_a_level(t, level)
-    else:
-        cache.set_level(t, level)
-    return _AEntries({t: level})
+    ((_, buckets),) = top_slice_levels([t])
+    return _AEntries({t: _hold(t, buckets, cache)})
 
 
 def a_const(d: DSet, cache: ConstantCache | None = None) -> int:
@@ -478,17 +523,16 @@ def a_const(d: DSet, cache: ConstantCache | None = None) -> int:
 
 
 def build_a_constants(depth: int, cache: ConstantCache | None = None) -> ConstantCache:
-    """Fill a cache with every A_D for Max(D) <= depth, in increasing t.
+    """Fill a cache with every A_D for Max(D) <= depth: the levels it
+    lacks, by :func:`a_levels`.
 
-    Each level is its own top-slice sweep and reads no other level; the
+    Each level is read off the one table and no other level; the
     lower-window buckets that tie the levels together are replayed by the
     oracle in :mod:`nsdensity.verify`, not here.
     """
     if cache is None:
         cache = ConstantCache()
-    for t in range(1, depth + 1):
-        if t not in cache.levels:
-            a_consts_batch(t, cache)
+    a_levels(1, depth, cache)
     return cache
 
 
@@ -496,27 +540,45 @@ def build_a_constants(depth: int, cache: ConstantCache | None = None) -> Constan
 # C_{l,k}
 
 
+def c_consts(l: int, depth: int, cache: ConstantCache | None = None) -> tuple[int, ...]:
+    """C_{l,k} for k = 1..depth: 1 in closed form for k <= 2l+1, each
+    other one from ``cache`` or, for all that it lacks, from one table of
+    :func:`top_slice_c`, each checked by :func:`check_c` on entry."""
+    if l < 1 or depth < 1:
+        raise ValueError("l and depth must be positive")
+    return tuple(_c_values(l, range(1, depth + 1), cache))
+
+
 def c_const(l: int, k: int, cache: ConstantCache | None = None) -> int:
     """C_{l,k}: prefix-avoiding window constant.
 
     1 in closed form for k <= 2l+1.  For k >= 2l+2 it is |B_l(k, 2k+1)|,
     bucket {k} of the top slice at f = 2k+1 with [1, l] kept out of T,
-    checked against the bound 2^l 3^(k-2l-1).
+    read off the 2^l 3^(k-1-2l) sets that can land there (module
+    docstring) and checked against the bound 2^l 3^(k-2l-1).
     """
     if l < 1 or k < 1:
         raise ValueError("l and k must be positive")
-    if k <= 2 * l + 1:
-        # k <= l: only {f-k} ∪ N_f qualifies at f = l+k+1; l < k <= 2l+1:
-        # the prefix gap empties [1, k-1] too and the same set remains
-        return 1
-    if cache is not None:
-        hit = cache.c(l, k)
-        if hit is not None:
-            return hit
-    buckets = top_slice_counts(k, prefix_zeros=l)
-    value = int(buckets[1 << (k - 1)])
-    if cache is None:
-        check_c(l, k, value)
-    else:
-        cache.set_c(l, k, value)
+    (value,) = _c_values(l, [k], cache)
     return value
+
+
+def _c_values(l: int, ks, cache: ConstantCache | None) -> list[int]:
+    """C_{l,k} for each k of ``ks``: closed form, cache hit, or one
+    :func:`top_slice_c` table for every k left."""
+    # k <= l: only {f-k} ∪ N_f qualifies at f = l+k+1; l < k <= 2l+1: the
+    # prefix gap empties [1, k-1] too and the same set remains
+    held = {k: 1 for k in ks if k <= 2 * l + 1}
+    if cache is not None:
+        held.update(
+            (k, v) for k in ks if k not in held and (v := cache.c(l, k)) is not None
+        )
+    missing = [k for k in ks if k not in held]
+    if missing:
+        for k, value in top_slice_c(l, missing).items():
+            if cache is None:
+                check_c(l, k, value)
+            else:
+                cache.set_c(l, k, value)
+            held[k] = value
+    return [held[k] for k in ks]

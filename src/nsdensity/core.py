@@ -126,7 +126,8 @@ def d_mask_keys(depth: int, first: int = 1) -> list[str]:
     concatenation per key."""
     keys = [""]
     for e in range(first, first + depth):
-        keys += [f"{k},{e}" if k else str(e) for k in keys]
+        tail = f",{e}"
+        keys += [str(e), *[k + tail for k in keys[1:]]]
     return keys
 
 

@@ -57,38 +57,71 @@ step over digit pairs.  Digit j in [1, t-1] is the pair (x_j, h_j) =
 (j, j+t+1); x_0 = 0 and h_0 = t+1 are in T, x_t = t and h_t = f are not.
 Window bit y-1 (f-y not in A(T)) is violated exactly when some pair (k, j)
 with 0 <= k <= j <= t has x_k in T and h_j not in T, at y = t-j+k.  So the
-window's violation mask is an OR over digit pairs, and as the digits are
-independent it splits by block.  Its chunker, :func:`_slice_chunks`,
-gives each chunk the leading digits fixed and runs it over every state of
-the trailing digits 1..a (3^a at most the chunk):
+window's violation mask is an OR over digit pairs.
+
+Two anchors.  A member x_k meets f (j = t) at window bit k-1, counted from
+the bottom, and an out-of-T h_j with k <= j < t at bit t-1-(j-k), counted
+from the top by the distance j-k.  Proof: y = t-j+k is k at j = t, and
+y-1 = t-1-(j-k) otherwise.  The first reading does not involve t, and the
+second only through its anchor t-1, which one shift supplies.  So over
+the digits 1..a one table holds M (bit k for each member
+k, 0 included), B (bit k-1 for each member k >= 1) and R (bit a-d for each
+pair at distance d <= a, a member k and an out-of-T h_j with j-k = d), and
+level t's window is ~(B | R << (t-1-a)) & low_bits(t), a right shift when
+t-1 < a.  The table is built once, digit by digit (``_slice_table``), and
+read at every level a query needs (``_slice_levels``).
+
+Neutral first.  Each digit lists its neutral state (x_j out of T, h_j in
+T) first, at index 0.  A neutral digit is in no pair: its x is out and its
+h is in.  Level t holds the digits 1..t-1, so its sets are exactly the
+table's rows whose digits t..a are neutral, with the same B and R.  In
+mixed radix with digit 1 least significant those are the table's first
+3^(t-1) rows (2^l 3^(t-1-l) under a prefix [1, l] whose digits keep x
+out).  A level too large for one chunk (see ``_slice_levels``) keeps the
+table's first rows over its digits 1..a_t, fixes its leading digits
+a_t+1, ..., t-1 chunk by chunk and runs each chunk over those rows:
 
     V = V_TT(trailing) | V_TH(trailing members; leading out-mask) | V_HH(leading)
 
-V_TT, the pairs inside the trailing block and those of the block with x_0
-and with f, is one table per sweep.  V_TH, a trailing x_k in T against a
-leading h_j out of T, splits over the two halves of the trailing block
-into two per-chunk vectors, and V_HH, the pairs among x_0, the leading
-digits and f, is a per-chunk scalar folded into one of them.  A chunk's
-windows are the table ANDed with the outer AND of the two vectors (see
-``_slice_trailing_table`` and ``_slice_block``).  Both are built from each
-digit's membership by the one pair rule, k = j included, so a pair state
-with x_j in T and h_j out would leave a window below 2^(t-1), which
-:func:`top_slice_counts` refuses.
+V_TT, the pairs inside the digits 1..a_t and those with x_0 and with f,
+is B | R << (t-1-a) over those rows, one array per level.  V_TH, a
+trailing x_k in T against a leading h_j out of T, splits over the two
+halves of the trailing block into two per-chunk vectors, and V_HH, the
+pairs among x_0, the leading digits and f, is a per-chunk scalar folded
+into one of them.  A chunk's windows are ~V_TT ANDed with the outer AND
+of the two vectors (see ``_slice_block``).
+
+Forced digits.  A C sweep (:func:`top_slice_c`) keeps x and h out of T at
+the digits t-r..t-1 (r = l, why in :mod:`nsdensity.constants`).  The
+forced h_{t-i}, i = 1..r, meets a member k at bit t-1-(t-i-k) = k+i-1, so
+the forced digits add the bottom-anchored term OR_{i=1..r} M << (i-1) to
+B, again free of t.  The table then runs over the free digits 1..t-1-r
+alone, and level t is its first 2^l 3^(t-1-r-l) rows; past the table the
+forced digits are leading digits of one state, whose V_TH gives the same
+bits again.
+
+Both the table and the per-chunk vectors are built from each digit's
+membership by the one pair rule, k = j included, so a pair state with x_j
+in T and h_j out would leave a window below 2^(t-1), which
+:func:`top_slice_counts` and :func:`top_slice_c` refuse.
 
 The two chunkers share nothing: the flat sweep takes f and the top slice
-takes t, and each runs its chunks in order on the calling thread.  Neither
-has a budget: each sweeps the size it is given, and the budget flags are
-checked in :mod:`nsdensity.cli` alone.  Word size limits these kernels to
-f <= 63; the pure-python routines in ``core`` remain valid for arbitrary f.
+takes a list of levels, and each runs its chunks in order on the calling
+thread.  Neither has a budget: each sweeps the size it is given, and the
+budget flags are checked in :mod:`nsdensity.cli` alone.  Word size limits
+these kernels to f <= 63; the pure-python routines in ``core`` remain
+valid for arbitrary f.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -100,8 +133,11 @@ WORD_LIMIT = 63
 
 _U1 = np.uint64(1)
 # (x in T, x+t+1 in T) for each state the top slice gives the pair
-# (x, x+t+1): x alone in T would put x+t+1 out of A(T)
-_PAIR_STATES = ((False, False), (False, True), (True, True))
+# (x, x+t+1), the neutral state first: x alone in T would put x+t+1 out
+# of A(T)
+_PAIR_STATES = ((False, True), (False, False), (True, True))
+# the one state of a digit forced by a C sweep (see top_slice_c)
+_FORCED_STATE = (False, False)
 
 
 class BudgetError(Exception):
@@ -158,48 +194,74 @@ def _flat_chunks(
     ]
 
 
-def _slice_chunks(
-    t: int,
-    func: Callable[[np.ndarray], object],
+def _slice_levels(
+    levels: Iterable[int],
     *,
     prefix_zeros: int = 0,
+    forced: int = 0,
     chunk: int | None = None,
-) -> list:
-    """Apply ``func`` to the width-t windows of each chunk of the top slice.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(t, windows) for each chunk of each top-slice level t in
+    ``levels``: the chunk's width-t windows, all read from one table.
 
     The top slice at f = 2t+1 (see :func:`top_slice_counts`) is indexed in
-    mixed radix: digit j in [1, t-1] is the state of the pair (j, j+t+1),
-    base 2 for j <= ``prefix_zeros`` and base 3 above.  Each chunk fixes
-    the leading digits and runs over every state of the trailing digits,
-    at most ``chunk`` of them (default 16 * 2^t, so that a chunk outweighs
-    its 2^t-bin histogram, within [BLOCK, CHUNK]).  Results come in chunk
-    order.
+    mixed radix: digit j is the state of the pair (j, j+t+1), base 2 for
+    j <= ``prefix_zeros`` (j out of T) and base 3 above, each digit's
+    neutral state first.  With r = ``forced``, the digits t-r, ..., t-1 of
+    level t keep j and j+t+1 out of T, so its free digits are 1..t-1-r.
+    Level t's chunk is ``chunk`` sets (default 16 * 2^t, within [BLOCK,
+    CHUNK]), and a_t is the most free digits whose states fit in it.  One
+    table (:func:`_slice_table`) holds every state of the free digits
+    1..a_T of the deepest level T, digit 1 least significant.  A level
+    with at most a_t free digits is the table's first rows, read as one
+    chunk; a deeper level fixes its leading digits a_t+1, ..., t-1 chunk
+    by chunk and runs each against the table's first rows over the digits
+    1..a_t (see the module docstring).  The levels are checked and the
+    table is built at the call; the chunks are computed as they are taken,
+    level by level in the order given.
     """
-    if not 0 <= prefix_zeros <= t - 1:
-        raise ValueError(
-            f"top slice needs the prefix [1,{prefix_zeros}] below t={t}"
-        )
-    # a prefix digit keeps the states with j out of T
+    levels = list(levels)
+    if not levels or levels != sorted(set(levels)):
+        raise ValueError(f"levels must ascend without repeats, got {levels}")
+    for t in levels:
+        if not 0 <= prefix_zeros <= t - 1 - forced:
+            raise ValueError(
+                f"top slice needs the prefix [1,{prefix_zeros}] below t={t}"
+                + (f" and its {forced} forced digits" if forced else "")
+            )
     digits = [
         [s for s in _PAIR_STATES if j > prefix_zeros or not s[0]]
-        for j in range(1, t)
+        for j in range(1, levels[-1] - forced)
     ]
-    chunk = chunk or min(max(BLOCK, 16 << t), CHUNK)
-    a, step = 0, 1
-    while a < len(digits) and step * len(digits[a]) <= chunk:
-        step *= len(digits[a])
-        a += 1
-    trailing, leading = digits[:a], digits[a:]
-    allowed_tt = _slice_trailing_table(t, trailing)
 
-    def run(index: int):
-        states = []
-        for digit in leading:
-            index, d = divmod(index, len(digit))
-            states.append(digit[d])
-        return func(_slice_block(t, trailing, states, allowed_tt))
+    def fit(t: int) -> tuple[int, int]:
+        # the most digits whose states fit in level t's chunk, and their count
+        limit = chunk or min(max(BLOCK, 16 << t), CHUNK)
+        a, size = 0, 1
+        while a < len(digits) and size * len(digits[a]) <= limit:
+            size *= len(digits[a])
+            a += 1
+        return a, size
 
-    return [run(i) for i in range(math.prod(len(s) for s in leading))]
+    table = _slice_table(digits[: fit(levels[-1])[0]], forced)
+
+    def chunks() -> Iterator[tuple[int, np.ndarray]]:
+        for t in levels:
+            free = t - 1 - forced
+            a, size = fit(t)
+            if free <= a:
+                yield t, table.windows(t, math.prod(len(s) for s in digits[:free]))
+                continue
+            trailing, allowed_tt = digits[:a], table.windows(t, size)
+            leading = digits[a:free] + [[_FORCED_STATE]] * forced
+            for index in range(math.prod(len(s) for s in leading)):
+                states = []
+                for digit in leading:
+                    index, d = divmod(index, len(digit))
+                    states.append(digit[d])
+                yield t, _slice_block(t, trailing, states, allowed_tt)
+
+    return chunks()
 
 
 def _low_block_table(f: int, l: int, b: int) -> np.ndarray:
@@ -268,32 +330,62 @@ def _amask_block(
     return np.bitwise_and(amask, allowed_ll, out=amask)
 
 
-def _slice_trailing_table(t: int, trailing: list) -> np.ndarray:
-    """~V_TT within low_bits(t), for every state of the trailing digits.
+class _SliceTable(NamedTuple):
+    """The part of the top slice's windows that no level changes, for
+    every state of the digits 1..a (see :func:`_slice_table`)."""
 
-    Digit j of ``trailing`` (j = 1, 2, ...) lists the (j in T, j+t+1 in T)
-    states it runs over; table entries are in mixed radix, digit 1 least
-    significant.  Digit j is added on top of the digits below it: j+t+1 out
-    of T makes a violation with every member k <= j of T (0 and j itself
-    included) at window bit t-1-j+k, and j in T makes one with f at bit
-    j-1.
+    a: int
+    base: np.ndarray  # B: pairs with f and with the forced digits
+    reach: np.ndarray  # R: bit a-d for a pair at distance d
+
+    def windows(self, t: int, rows: int) -> np.ndarray:
+        """~(B | R shifted to bit t-1-d) & low_bits(t) over the first
+        ``rows`` rows: level t's windows when its free digits lie in the
+        table, and its V_TT complement otherwise."""
+        reach = self.reach[:rows]
+        shift = t - 1 - self.a
+        if shift >= 0:
+            w = np.left_shift(reach, np.int32(shift))
+        else:
+            w = np.right_shift(reach, np.int32(-shift))
+        np.bitwise_or(w, self.base[:rows], out=w)
+        np.invert(w, out=w)
+        w &= np.int32((1 << t) - 1)
+        return w
+
+
+def _slice_table(digits: list, forced: int = 0) -> _SliceTable:
+    """B and R for every state of ``digits``, digits 1..a in mixed radix.
+
+    Digit j of ``digits`` (j = 1, 2, ...) lists the (j in T, j+t+1 in T)
+    states it runs over, digit 1 least significant.  Digit j is added on
+    top of the digits below it, with M the members k <= j of T (0 and j
+    itself included): j+t+1 out of T gives R the bits a-(j-k), and j in T
+    gives B bit j-1, its pair with f, and bits j..j+r-1, r = ``forced``,
+    its pairs with the forced h_{t-i}, i = 1..r, as does 0 with bits
+    0..r-1.  Neither depends on t (module docstring).
     """
-    members = np.empty(math.prod(len(s) for s in trailing), dtype=np.int64)
-    viol = np.empty_like(members)
-    members[0], viol[0], n = 1, 0, 1  # bit k of members: k in T; 0 always is
-    for j, states in enumerate(trailing, 1):
+    a = len(digits)
+    members = np.empty(math.prod(len(s) for s in digits), dtype=np.int32)
+    base, reach = np.empty_like(members), np.empty_like(members)
+    members[0], base[0], reach[0], n = 1, (1 << forced) - 1, 0, 1
+    for j, states in enumerate(digits, 1):
+        hits = np.int32(((2 << forced) - 1) << (j - 1))
         # block 0 holds the digits below j, so it is overwritten last
         for i in reversed(range(len(states))):
             x_in, h_in = states[i]
             block = slice(i * n, (i + 1) * n)
-            m = np.bitwise_or(members[:n], np.int64(x_in << j), out=members[block])
-            v = np.bitwise_or(viol[:n], np.int64(x_in << (j - 1)), out=viol[block])
+            if i == 0 and not x_in:  # block 0 keeps its members and B
+                m = members[:n]
+            else:
+                m = np.bitwise_or(members[:n], np.int32(x_in << j), out=members[block])
+                np.bitwise_or(base[:n], hits if x_in else np.int32(0), out=base[block])
             if not h_in:
-                v |= m << np.int64(t - 1 - j)
+                np.bitwise_or(reach[:n], m << np.int32(a - j), out=reach[block])
+            elif i:
+                reach[block] = reach[:n]
         n *= len(states)
-    np.invert(viol, out=viol)
-    viol &= np.int64((1 << t) - 1)
-    return viol
+    return _SliceTable(a, base, reach)
 
 
 def _slice_block(
@@ -325,17 +417,17 @@ def _slice_block(
     out = p_lead >> 1
 
     def half(start: int, stop: int, allowed: int) -> np.ndarray:
-        vec = np.array([allowed], dtype=np.int64)
+        vec = np.array([allowed], dtype=np.int32)
         for j, states in enumerate(trailing[start:stop], start + 1):
             hit = low & ~(out << j)
-            col = np.array([hit if x_in else low for x_in, _ in states], dtype=np.int64)
+            col = np.array([hit if x_in else low for x_in, _ in states], dtype=np.int32)
             vec = (col[:, None] & vec[None, :]).ravel()
         return vec
 
     a1 = a // 2
     v1 = half(0, a1, low & ~(v_hh >> 1))
     v2 = half(a1, a, low)
-    windows = np.empty(len(allowed_tt), dtype=np.int64)
+    windows = np.empty(len(allowed_tt), dtype=np.int32)
     np.bitwise_and(v2[:, None], v1[None, :], out=windows.reshape(len(v2), len(v1)))
     return np.bitwise_and(windows, allowed_tt, out=windows)
 
@@ -583,6 +675,46 @@ def window_counts(f: int, width: int, *, prefix_zeros: int = 0) -> np.ndarray:
     return density_table(f, prefix_zeros=prefix_zeros).window(width)
 
 
+def _check_levels(levels: list[int]) -> None:
+    """Each level t >= 1, and within the word size, t <= (WORD_LIMIT-1)/2:
+    checked before any histogram is allocated."""
+    for t in levels:
+        if t < 1:
+            raise ValueError(f"top slice needs t >= 1, got {t}")
+        if 2 * t + 1 > WORD_LIMIT:
+            raise BudgetError(
+                f"top slice at t={t} needs f = 2t+1 <= {WORD_LIMIT}, the word limit"
+            )
+
+
+def _refuse_stray(t: int, stray: int) -> None:
+    """A kernel that put ``stray`` level-t sets below window 2^(t-1) is
+    wrong (see :func:`top_slice_counts`)."""
+    if stray:
+        raise AssertionError(
+            f"{stray} top-slice sets at f={2 * t + 1} have a window below 2^{t - 1}"
+        )
+
+
+def top_slice_levels(
+    levels: Iterable[int], *, prefix_zeros: int = 0
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(t, :func:`top_slice_counts` at t) for every level t in ``levels``
+    (ascending), all from one table (see :func:`_slice_levels`).  Each
+    level comes as soon as its last chunk is in, so memory holds one
+    level's histogram at a time; the levels are checked at the call."""
+    levels = list(levels)
+    _check_levels(levels)
+    histograms = _window_histograms(_slice_levels(levels, prefix_zeros=prefix_zeros))
+
+    def checked() -> Iterator[tuple[int, np.ndarray]]:
+        for t, buckets in histograms:
+            _refuse_stray(t, int(buckets[: 1 << (t - 1)].sum()))
+            yield t, buckets
+
+    return checked()
+
+
 def top_slice_counts(t: int, *, prefix_zeros: int = 0) -> np.ndarray:
     """Width-t window histogram at f = 2t+1 over the top slice alone.
 
@@ -599,34 +731,45 @@ def top_slice_counts(t: int, *, prefix_zeros: int = 0) -> np.ndarray:
     :mod:`nsdensity.cli` alone.  Only the word size bounds it, t <=
     (WORD_LIMIT-1)/2, checked before the histogram is allocated.
     """
-    if t < 1:
-        raise ValueError(f"top slice needs t >= 1, got {t}")
-    if 2 * t + 1 > WORD_LIMIT:
-        raise BudgetError(
-            f"top slice at t={t} needs f = 2t+1 <= {WORD_LIMIT}, the word limit"
-        )
-    buckets = _window_histogram(t, prefix_zeros=prefix_zeros)
-    stray = int(buckets[: 1 << (t - 1)].sum())
-    if stray:
-        raise AssertionError(
-            f"{stray} top-slice sets at f={2 * t + 1} have a window below 2^{t - 1}"
-        )
+    ((_, buckets),) = top_slice_levels([t], prefix_zeros=prefix_zeros)
     return buckets
 
 
-def _window_histogram(t: int, **sweep) -> np.ndarray:
-    """Sum of per-chunk bincounts of the top slice's width-t windows.
-
-    Each chunk adds its bincount to one running total, so memory stays at
-    one total and one chunk's bincount however many chunks the sweep has.
+def top_slice_c(l: int, levels: Iterable[int]) -> dict[int, int]:
+    """C_{l,k} for each k in ``levels`` (ascending, k >= 2l+1), all from
+    one table: the sets of level k with digits 1..l out of T and digits
+    k-l..k-1 forced (x and h out of T) whose window is exactly {k}, that is
+    bucket 2^(k-1).  That is the count of the prefix-only sweep
+    ``top_slice_counts(k, prefix_zeros=l)`` at bucket 2^(k-1), over
+    2^l 3^(k-1-2l) sets instead of 2^l 3^(k-1-l) (proof in
+    :mod:`nsdensity.constants`).  A window below 2^(k-1) is an
+    AssertionError, as in :func:`top_slice_counts`.
     """
-    total = np.zeros(1 << t, dtype=np.int64)
+    levels = list(levels)
+    _check_levels(levels)
+    full = dict.fromkeys(levels, 0)
+    stray = dict.fromkeys(levels, 0)
+    for t, windows in _slice_levels(levels, prefix_zeros=l, forced=l):
+        top = 1 << (t - 1)
+        full[t] += int(np.count_nonzero(windows == top))
+        stray[t] += int(np.count_nonzero(windows < top))
+    for t in levels:
+        _refuse_stray(t, stray[t])
+    return full
 
-    def tally(windows: np.ndarray) -> None:
-        np.add(total, np.bincount(windows, minlength=1 << t), out=total)
 
-    _slice_chunks(t, tally, **sweep)
-    return total
+def _window_histograms(
+    chunks: Iterable[tuple[int, np.ndarray]],
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(t, histogram) for each level of ``chunks``, the (t, windows) pairs
+    of :func:`_slice_levels`: the sum of the level's per-chunk bincounts,
+    yielded once its last chunk is in, so memory holds one level's total
+    and one chunk's bincount however many chunks and levels there are."""
+    for t, level_chunks in itertools.groupby(chunks, key=operator.itemgetter(0)):
+        total = np.zeros(1 << t, dtype=np.int64)
+        for _, windows in level_chunks:
+            np.add(total, np.bincount(windows, minlength=1 << t), out=total)
+        yield t, total
 
 
 def window_restrict(buckets: np.ndarray, width: int, t: int) -> np.ndarray:

@@ -48,7 +48,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .core import DSet
-from .constants import ConstantCache, a_const, a_consts_batch, c_const
+from .constants import ConstantCache, a_const, a_levels, c_consts
 
 
 def ratio_str(n: int, d: int, places: int = 5) -> str:
@@ -248,12 +248,13 @@ def g_l_limit(l: int, depth: int, cache: ConstantCache | None = None) -> GLimit:
     end always dominates a_l: at depth 2l+1 it equals a_l + (1/3) 4^(-2l-1),
     and each further term removes at most what the tail bound releases.
     Over q = 4^depth every term and the tail 2^l 3^(depth-2l) are integers.
+    The C_{l,k} ``cache`` lacks come from one table (:func:`c_consts`).
     """
     if l < 1:
         raise ValueError("l must be >= 1")
     if depth < 2 * l + 1:
         raise ValueError(f"depth {depth} is below 2l+1 = {2 * l + 1}")
-    c = tuple(c_const(l, k, cache) for k in range(1, depth + 1))
+    c = c_consts(l, depth, cache)
     hi = (1 << (2 * depth - l)) - sum(
         ck << (2 * depth - l - k) if k <= l else ck * 4 ** (depth - k)
         for k, ck in enumerate(c, 1)
@@ -275,8 +276,9 @@ def truncation_numerators(
     """S_D = 4^depth times the depth-``depth`` truncation of gamma_D, for
     the D with lo <= D.mask < hi, in mask order.
 
-    Every such D has Max(D) >= Max(lo), so the levels Max(lo)..depth are
-    swept where ``cache`` lacks them, then each is read once by slicing:
+    Every such D has Max(D) >= Max(lo), so the levels Max(lo)..depth that
+    ``cache`` lacks are swept, all from one table (:func:`a_levels`), then
+    each is read once by slicing:
     level t sets the rows with Max(D) = t to A_D 4^(depth-t) and takes
     A_{D∪{t}} 4^(depth-t), entry D.mask, from each row with Max(D) < t.
     ``tolist`` gives Python ints, from int64 and object levels alike.
@@ -288,9 +290,7 @@ def truncation_numerators(
     if cache is None:
         cache = ConstantCache()
     first = max(lo.bit_length(), 1)
-    for t in range(first, depth + 1):
-        if t not in cache.levels:
-            a_consts_batch(t, cache)
+    a_levels(first, depth, cache)
     scaled = [0] * (hi - lo)
     if lo == 0:
         scaled[0] = 4**depth  # A_∅ = 1 at t = 0

@@ -25,13 +25,49 @@ that breaks them, so no suite restates them:
   * the C bound 1 <= C_{l,k} <= 2^l 3^(k-2l-1) by
     :func:`~nsdensity.constants.check_c`, which
     :meth:`ConstantCache.set_c` runs on every C a cache takes, loaded or
-    swept, and ``c_const`` on a value it sweeps without a cache;
+    swept, and ``c_consts`` and ``c_const`` on a value they sweep
+    without a cache;
   * the sum of P(S) over a density table, 2^(f-1-l), by
     :class:`~nsdensity.enumeration.DensityTable` on construction.
 
+Each fast production route and the checks that replay it against an
+oracle:
+
+  =====================================  ==================================
+  route                                  check (oracle)
+  =====================================  ==================================
+  flat sweep, ``density_table``          ``amap-sweep`` (``core.a_mask``
+                                         on every T)
+  its halving at even f by the dual      ``amap-sweep`` (f/2 inside and
+                                         above the low block),
+                                         ``amap-random`` (A(T*) = A(T))
+  top slice, one table per query         ``a-batch-validation`` (the 4^t
+  (``top_slice_levels``)                 flat sweep, t <= 6),
+                                         ``topslice-sweep`` (``core.a_mask``
+                                         at every level s <= 7, at a chunk
+                                         that puts the deep levels in
+                                         leading-digit chunks),
+                                         ``a-fixture-3``, ``a-fixture-4``
+  C route, forced digits                 ``c-growth-bound`` (the
+  (``top_slice_c``, ``c_consts``)        prefix-only sweep, which shares
+                                         the table code but forces no
+                                         digit, as an equality),
+                                         ``c-fixture`` (frozen values),
+                                         ``c-unit-range`` (the flat sweep
+                                         for k <= 2l+1)
+  cache loader                           ``cache-consistency`` (levels
+                                         swept afresh), when a cache is
+                                         loaded
+  series engine                          ``series-engine`` (``gamma``, one
+  (``truncation_numerators``)            ``a_const`` and one Fraction per
+                                         term)
+  =====================================  ==================================
+
 ``c-growth-bound`` sweeps into a fresh cache, never the loaded one, whose
-every C was checked on load, and reports the C bound's refusal of the
-sweep as its FAIL line.
+every C was checked on load.  The restricted route makes the C bound true
+by construction (:mod:`nsdensity.constants`), so the check's FAIL line is
+a mismatch with the prefix-only sweep, or ``check_c`` refusing a value on
+entry.
 """
 
 from __future__ import annotations
@@ -59,12 +95,20 @@ from .core import (
 )
 from .enumeration import (
     BudgetError,
-    _window_histogram,
+    _slice_levels,
+    _window_histograms,
     density_table,
+    top_slice_levels,
     window_counts,
     window_restrict,
 )
-from .constants import CacheConflictError, ConstantCache, a_consts_batch, c_const
+from .constants import (
+    CacheConflictError,
+    ConstantCache,
+    a_consts_batch,
+    c_const,
+    c_consts,
+)
 from .limits import (
     Interval,
     alpha_limit,
@@ -184,34 +228,42 @@ def check_amap_sweep(f: int, chunk: int) -> str:
 
 @_check(lambda t, chunk: f"topslice-sweep(t={t},chunk={chunk})")
 def check_topslice_sweep(t: int, chunk: int) -> str:
-    """Chunked top-slice histograms against ``core.a_mask`` on all 4^t sets.
+    """Shared-table histograms against ``core.a_mask`` on all 4^s sets of
+    every level s <= t.
 
-    The width-t window of A(T) at f = 2t+1 (t >= 3) is tallied over every
-    T, and over the T avoiding [1, 2]; the slice sweep over the same sets
-    must put nothing below bucket 2^(t-1) and match the tally from there
-    on.  With
-    ``chunk`` below the slice size the leading digits vary from chunk to
-    chunk, so the cross term and V_HH of the digit-pair decomposition are
-    both used.
+    The width-s window of A(T) at f = 2s+1 is tallied over every T, and
+    over the T avoiding [1, 2]; one table's sweep of the levels up to t
+    must put nothing below bucket 2^(s-1) of each and match its tally from
+    there on.  A ``chunk`` below level t's size leaves the table fewer
+    digits than the deep levels have, so those run in leading-digit chunks
+    (the cross term and V_HH of the digit-pair decomposition) and the
+    shallow ones are the table's first rows: both reads are replayed.
     """
-    f, low = 2 * t + 1, 1 << (t - 1)
-    windows = []
-    for mask in range(1 << (f - 1)):
-        amask = a_mask(f, mask)
-        windows.append(sum(
-            1 << (y - 1) for y in range(1, t + 1) if amask >> (f - y - 1) & 1
-        ))
+    windows = {}
+    for s in range(1, t + 1):
+        f = 2 * s + 1
+        windows[s] = [
+            sum(1 << (y - 1) for y in range(1, s + 1) if amask >> (f - y - 1) & 1)
+            for amask in (a_mask(f, mask) for mask in range(1 << (f - 1)))
+        ]
     for l in (0, 2):
-        want = [0] * (1 << t)
-        for mask, w in enumerate(windows):
-            if not mask & ((1 << l) - 1):
-                want[w] += 1
-        got = _window_histogram(t, prefix_zeros=l, chunk=chunk).tolist()
-        if any(got[:low]) or got[low:] != want[low:]:
-            raise AssertionError(f"slice histogram != core.a_mask tally at l={l}")
+        levels = list(range(l + 1, t + 1))
+        swept = dict(_window_histograms(
+            _slice_levels(levels, prefix_zeros=l, chunk=chunk)
+        ))
+        for s in levels:
+            want = [0] * (1 << s)
+            for mask, w in enumerate(windows[s]):
+                if not mask & ((1 << l) - 1):
+                    want[w] += 1
+            got, low = swept[s].tolist(), 1 << (s - 1)
+            if any(got[:low]) or got[low:] != want[low:]:
+                raise AssertionError(
+                    f"slice histogram != core.a_mask tally at t={s}, l={l}"
+                )
     return (
-        f"4^{t} sets, l = 0 and 2: chunked slice == top buckets of the "
-        f"core.a_mask window tally"
+        f"4^s sets for every s <= {t}, l = 0 and 2: one table's levels == top "
+        f"buckets of the core.a_mask window tally"
     )
 
 
@@ -356,15 +408,29 @@ def check_c_unit_range(l_max: int = 5) -> str:
 
 @_check(lambda l_max=3, extra=5: f"c-growth-bound(l<={l_max},k<=2l+{extra + 1})")
 def check_c_growth_bound(l_max: int = 3, extra: int = 5) -> str:
-    """C_{l,k} <= 2^l 3^(k-2l-1) on the computed range k in (2l+1, 2l+1+extra],
-    each swept into a fresh cache: a loaded cache would answer from records
-    it checked on load, and sweep nothing.  ``c_const`` refuses a swept
-    value above the bound (``check_c``), and that refusal is the FAIL."""
-    cache = ConstantCache()
+    """The restricted C route against the prefix-only sweep on the range
+    k in (2l+1, 2l+1+extra].
+
+    ``c_consts`` counts bucket {k} over the 2^l 3^(k-1-2l) sets whose digits
+    k-l..k-1 are forced, which makes C_{l,k} <= 2^l 3^(k-2l-1) true by
+    construction (proof in :mod:`nsdensity.constants`).  So the check is an
+    equality: bucket {k} of ``top_slice_levels`` over all 2^l 3^(k-1-l)
+    sets avoiding [1, l], which forces no digit, must give the same C.
+    The restricted route sweeps into a fresh cache, since a loaded cache
+    would answer from records it checked on load and sweep nothing; a
+    mismatch, or ``check_c``'s refusal on entry, is the FAIL."""
     for l in range(1, l_max + 1):
-        for k in range(2 * l + 2, 2 * l + 2 + extra):
-            c_const(l, k, cache)
-    return "C_{l,k} <= 2^l 3^(k-2l-1) on the swept range"
+        ks = range(2 * l + 2, 2 * l + 2 + extra)
+        restricted = c_consts(l, ks[-1], ConstantCache())[2 * l + 1:]
+        prefix_only = top_slice_levels(ks, prefix_zeros=l)
+        for (k, buckets), c in zip(prefix_only, restricted):
+            want = int(buckets[1 << (k - 1)])
+            if c != want:
+                raise AssertionError(
+                    f"C[{l},{k}] = {c} on the restricted route, "
+                    f"{want} on the prefix-only sweep"
+                )
+    return "restricted C route == prefix-only sweep on the swept range"
 
 
 def full_window_oracle(t: int, cache: ConstantCache) -> None:

@@ -296,7 +296,7 @@ class TestExitCodes:
         def no_sweep(size, *args, **kwargs):
             raise AssertionError(f"sweep at {size} started")
 
-        monkeypatch.setattr(constants, "top_slice_counts", no_sweep)
+        monkeypatch.setattr(enumeration, "_slice_table", no_sweep)
         monkeypatch.setattr(enumeration, "_flat_chunks", no_sweep)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
@@ -323,10 +323,10 @@ class TestExitCodes:
     def test_depth_beyond_the_deepest_top_slice(self, capsys, monkeypatch,
                                                 argv, message):
         # refused before any sweep: none may start, however small
-        def no_sweep(t, **kwargs):
-            raise AssertionError(f"top slice at t={t} swept")
+        def no_sweep(digits, forced=0):
+            raise AssertionError(f"top-slice table of {len(digits)} digits built")
 
-        monkeypatch.setattr(constants, "top_slice_counts", no_sweep)
+        monkeypatch.setattr(enumeration, "_slice_table", no_sweep)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"usage error: {message}\n"
@@ -403,7 +403,7 @@ class TestDeterminismAndCache:
             raise AssertionError("cache read or sweep started")
 
         monkeypatch.setattr(cli, "cache_load", no_work)
-        monkeypatch.setattr(constants, "top_slice_counts", no_work)
+        monkeypatch.setattr(enumeration, "_slice_table", no_work)
         monkeypatch.setattr(enumeration, "_flat_chunks", no_work)
         for n in ("2", "0"):
             assert run(capsys, *argv, "--workers", n) == (
@@ -412,20 +412,25 @@ class TestDeterminismAndCache:
 
     def test_glimit_sweeps_only_in_g_l_limit(self, capsys, monkeypatch):
         # the shipped cache holds C[1,k] for k <= 8; g_l_limit sweeps
-        # k = 9..13, and the report reads each C through c_const without
-        # a second sweep
-        swept = []
-        real = constants.top_slice_counts
+        # k = 9..13 from one table, and the report reads the C it returned
+        # without a second sweep
+        swept, built = [], []
+        real_c, real_table = constants.top_slice_c, enumeration._slice_table
 
-        def counted(t, **sweep):
-            swept.append(t)
-            return real(t, **sweep)
+        def counted(l, levels):
+            swept.append(list(levels))
+            return real_c(l, levels)
 
-        monkeypatch.setattr(constants, "top_slice_counts", counted)
+        def table(digits, forced=0):
+            built.append(len(digits))
+            return real_table(digits, forced)
+
+        monkeypatch.setattr(constants, "top_slice_c", counted)
+        monkeypatch.setattr(enumeration, "_slice_table", table)
         code, out, _ = run(
             capsys, "glimit", "--l", "1", "--depth", "13", "--cache", CACHE_PATH
         )
-        assert code == 0 and swept == [9, 10, 11, 12, 13]
+        assert code == 0 and swept == [[9, 10, 11, 12, 13]] and len(built) == 1
         assert out.endswith(
             ": 1, 1, 1, 3, 6, 17, 45, 130, 352, 1003, 2848, 8402, 23929\n"
         )

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsdensity import cli, constants
+from nsdensity import cli, constants, enumeration
 from nsdensity.core import DSet, parse_d_mask
 from nsdensity.constants import (
     CacheConflictError,
@@ -13,11 +13,12 @@ from nsdensity.constants import (
     a_consts_batch,
     build_a_constants,
     c_const,
+    c_consts,
     cache_load,
     cache_store,
     resolve_cache_path,
 )
-from nsdensity.enumeration import window_counts
+from nsdensity.enumeration import top_slice_levels, window_counts
 from nsdensity.verify import (
     check_c_growth_bound,
     full_window_oracle,
@@ -140,11 +141,26 @@ class TestAConst:
         cache.set_level(9, list(a_consts_batch(9).values()))
         assert cache.a(DSet.of([9])) == 1065
 
-        def no_sweep(t, **kwargs):
-            raise AssertionError(f"top slice at t={t} swept")
+        def no_sweep(digits, forced=0):
+            raise AssertionError(f"top-slice table of {len(digits)} digits built")
 
-        monkeypatch.setattr(constants, "top_slice_counts", no_sweep)
+        monkeypatch.setattr(enumeration, "_slice_table", no_sweep)
         assert a_const(DSet.of([9]), cache) == 1065
+
+    def test_build_15_is_one_table_and_the_shipped_levels(self, monkeypatch,
+                                                            shipped_cache):
+        built = []
+        real = enumeration._slice_table
+        monkeypatch.setattr(
+            enumeration, "_slice_table",
+            lambda digits, forced=0: built.append(len(digits)) or real(digits, forced),
+        )
+        fresh = build_a_constants(15)
+        # levels 1..12 are the table's first rows, 13..15 run in chunks
+        assert built == [11]
+        assert sorted(fresh.levels) == sorted(shipped_cache.levels) == list(range(1, 16))
+        for t in range(1, 16):
+            assert np.array_equal(fresh.levels[t], shipped_cache.levels[t]), t
 
     def test_build_depth(self, tmp_path):
         cache = ConstantCache()
@@ -171,34 +187,75 @@ class TestCConst:
             assert cache.c(l, k) == want
 
     @pytest.fixture
-    def inflated_c_sweep(self, monkeypatch):
-        """A top slice that inflates bucket {k}, as a faulty C sweep would."""
-        real = constants.top_slice_counts
+    def inflate_c_route(self, monkeypatch):
+        """Make the restricted C route add ``by`` to every C it counts, as
+        a faulty C sweep would; the prefix-only sweep stays as it is."""
+        def inflate(by):
+            real = constants.top_slice_c
 
-        def inflated(t, *, prefix_zeros=0):
-            buckets = real(t, prefix_zeros=prefix_zeros).copy()
-            buckets[1 << (t - 1)] += 10**6
-            return buckets
+            def inflated(l, levels):
+                return {k: c + by for k, c in real(l, levels).items()}
 
-        monkeypatch.setattr(constants, "top_slice_counts", inflated)
+            monkeypatch.setattr(constants, "top_slice_c", inflated)
 
-    def test_growth_bound_check_reports_fail(self, inflated_c_sweep):
-        # c_const refuses the inflated value, and the verify check turns
-        # that refusal into its FAIL line
+        return inflate
+
+    def test_growth_bound_check_reports_a_mismatch(self, inflate_c_route):
+        # within the bound, only the prefix-only sweep can see the error
+        inflate_c_route(1)
+        result = check_c_growth_bound(1, 2).run()
+        assert not result.passed
+        assert result.line() == (
+            "[FAIL] c-growth-bound(l<=1,k<=2l+3): C[1,4] = 4 on the restricted "
+            "route, 3 on the prefix-only sweep"
+        )
+
+    def test_growth_bound_check_reports_fail(self, inflate_c_route):
+        # check_c refuses a value above 2^l 3^(k-2l-1) on entry, and the
+        # verify check turns that refusal into its FAIL line
+        inflate_c_route(10**6)
         result = check_c_growth_bound(1, 1).run()
         assert not result.passed
         assert result.line() == (
             "[FAIL] c-growth-bound(l<=1,k<=2l+2): C[1,4] = 1000003 outside [1, 6]"
         )
 
-    def test_growth_bound_sweeps_past_a_loaded_cache(self, inflated_c_sweep,
+    def test_growth_bound_sweeps_past_a_loaded_cache(self, inflate_c_route,
                                                      shipped_cache):
         # every C the shipped cache holds was checked on load; the suite
         # must sweep its own, or the check could never fail
+        inflate_c_route(1)
         lines = [c.run().line() for c in suite_bounds(cache=shipped_cache)]
         assert (
-            "[FAIL] c-growth-bound(l<=3,k<=2l+6): C[1,4] = 1000003 outside [1, 6]"
+            "[FAIL] c-growth-bound(l<=3,k<=2l+6): C[1,4] = 4 on the restricted "
+            "route, 3 on the prefix-only sweep"
         ) in lines
+
+    @pytest.mark.parametrize("l", range(1, 5))
+    def test_restricted_route_equals_the_prefix_only_sweep(self, l):
+        # item 7's forced digits: bucket {k} of the 2^l 3^(k-1-2l) sets
+        # equals that of the 2^l 3^(k-1-l) sets avoiding [1, l]
+        ks = range(2 * l + 2, 17)
+        prefix_only = dict(top_slice_levels(ks, prefix_zeros=l))
+        assert c_consts(l, 16)[2 * l + 1:] == tuple(
+            int(prefix_only[k][1 << (k - 1)]) for k in ks
+        )
+
+    def test_one_table_fills_every_missing_c(self, monkeypatch):
+        built = []
+        real = enumeration._slice_table
+
+        def table(digits, forced=0):
+            built.append((len(digits), forced))
+            return real(digits, forced)
+
+        monkeypatch.setattr(enumeration, "_slice_table", table)
+        cache = ConstantCache()
+        cache.set_c(2, 7, 11)
+        assert c_consts(2, 9, cache) == (1, 1, 1, 1, 1, 5, 11, 36, 97)
+        # k = 6, 8, 9 from one table over the free digits 1..6 of k = 9
+        assert built == [(6, 2)]
+        assert c_consts(2, 9, cache)[5:] == (5, 11, 36, 97) and len(built) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -28,7 +28,9 @@ from nsdensity.enumeration import (
     BudgetError,
     DensityTable,
     density_table,
+    top_slice_c,
     top_slice_counts,
+    top_slice_levels,
     window_counts,
     window_restrict,
 )
@@ -321,6 +323,12 @@ class TestWindowCounts:
             window_counts(9, 5)  # width beyond (f-1)//2
 
 
+def swept_levels(levels, **sweep):
+    """Each level's histogram from one table, as the kernel gives it: a
+    window below 2^(t-1) is counted, not refused."""
+    return dict(enumeration._window_histograms(enumeration._slice_levels(levels, **sweep)))
+
+
 @functools.lru_cache(maxsize=None)
 def flat_top_buckets(t, prefix_zeros):
     """Buckets 2^(t-1) on of the flat width-t window sweep at f = 2t+1."""
@@ -339,8 +347,8 @@ class TestTopSlice:
         assert np.array_equal(got[low:], full[low:])
 
     def test_several_chunks(self, monkeypatch):
-        # 3^13 sets run as 9 chunks of the trailing-digit table by default,
-        # and as one chunk of at most CHUNK sets, to the same histogram
+        # 3^13 sets run as 9 chunks of the 3^11-row table by default, and
+        # as the first rows of one table at CHUNK, to the same histogram
         chunks = []
         real = enumeration._slice_block
         monkeypatch.setattr(
@@ -348,62 +356,83 @@ class TestTopSlice:
         )
         several = top_slice_counts(14)
         assert len(chunks) == 9 and several.sum() == 3**13
-        one = enumeration._window_histogram(14, chunk=enumeration.CHUNK)
-        assert len(chunks) == 10 and np.array_equal(several, one)
+        one = swept_levels([14], chunk=enumeration.CHUNK)[14]
+        assert len(chunks) == 9 and np.array_equal(several, one)
 
     def test_stray_window_is_an_error(self, monkeypatch):
-        # a kernel that loses the top window bit must not go unnoticed
-        real = enumeration._slice_trailing_table
+        # a kernel that loses the top window bit must not go unnoticed, on
+        # a table prefix and in leading-digit chunks alike
+        real = enumeration._SliceTable.windows
         monkeypatch.setattr(
-            enumeration, "_slice_trailing_table",
-            lambda t, trailing: real(t, trailing) & np.int64((1 << (t - 1)) - 1),
+            enumeration._SliceTable, "windows",
+            lambda table, t, rows: real(table, t, rows) & np.int32((1 << (t - 1)) - 1),
         )
         with pytest.raises(AssertionError, match="below 2\\^2"):
             top_slice_counts(3)
+        with pytest.raises(AssertionError, match="below 2\\^13"):
+            top_slice_counts(14)
+        with pytest.raises(AssertionError, match="below 2\\^5"):
+            top_slice_c(2, [6, 7])
 
     def test_fourth_pair_state_is_an_error(self, monkeypatch):
         # x in T with x+t+1 out of T puts t+1 outside A(T); the pair rule,
-        # not the state list, must see that, in the trailing table and in
-        # the per-chunk vectors alike
+        # not the state list, must see that, in the table and in the
+        # per-chunk vectors alike
         monkeypatch.setattr(
             enumeration, "_PAIR_STATES",
             enumeration._PAIR_STATES + ((True, False),),
         )
         with pytest.raises(AssertionError, match="below 2\\^4"):
             top_slice_counts(5)
-        t = 6
         for chunk in (1, 3, 9, None):
-            got = enumeration._window_histogram(t, chunk=chunk)
-            # every set with a pair in the fourth state lands below 2^(t-1),
-            # and the sets without one keep their windows
-            assert got[: 1 << (t - 1)].sum() == 4 ** (t - 1) - 3 ** (t - 1)
-            assert np.array_equal(got[1 << (t - 1):], flat_top_buckets(t, 0))
+            swept = swept_levels(range(1, 7), chunk=chunk)
+            for t, got in swept.items():
+                # every set with a pair in the fourth state lands below
+                # 2^(t-1), and the sets without one keep their windows
+                assert got[: 1 << (t - 1)].sum() == 4 ** (t - 1) - 3 ** (t - 1)
+                assert np.array_equal(got[1 << (t - 1):], flat_top_buckets(t, 0))
 
-    # chunk 3 leaves one trailing digit and the rest leading, 9 and 27 split
-    # the trailing digits into two halves; the default covers t <= 10 in one
+    # chunk 3 leaves one table digit and the rest leading, 9 and 27 split
+    # the table into two halves for the deep levels and read the shallow
+    # ones off its first rows; the default reads every level up to 11 off
+    # one table of 10 digits
     @pytest.mark.parametrize("chunk", [3, 9, 27, None])
     def test_chunked_slice_is_the_top_of_the_flat_sweep(self, chunk):
-        for t in range(1, 11):
-            for l in range(min(3, t - 1) + 1):
-                got = enumeration._window_histogram(t, prefix_zeros=l, chunk=chunk)
+        # every level up to 11 from one table (up to 10 at chunk 3, whose
+        # 3^9 chunks at level 11 would only repeat level 10's reads)
+        top = 10 if chunk == 3 else 11
+        for l in range(4):
+            swept = swept_levels(range(l + 1, top + 1), prefix_zeros=l, chunk=chunk)
+            for t in range(l + 1, top + 1):
                 low = 1 << (t - 1)
-                assert not got[:low].any(), (t, l)
-                assert np.array_equal(got[low:], flat_top_buckets(t, l)), (t, l)
+                assert not swept[t][:low].any(), (t, l)
+                assert np.array_equal(swept[t][low:], flat_top_buckets(t, l)), (t, l)
+
+    def test_levels_need_not_be_contiguous(self):
+        levels = dict(top_slice_levels([2, 5, 6, 9]))
+        assert list(levels) == [2, 5, 6, 9]
+        for t, got in levels.items():
+            assert np.array_equal(got, top_slice_counts(t))
+        with pytest.raises(ValueError, match="ascend without repeats"):
+            top_slice_levels([5, 3])
+        with pytest.raises(ValueError, match="ascend without repeats"):
+            top_slice_levels([])
 
     def test_chunk_sizes(self):
-        # the trailing table takes the most digits that fit the chunk, and
-        # a chunk below one digit's states leaves every digit leading
-        sizes = []
-        enumeration._slice_chunks(6, lambda w: sizes.append(len(w)), chunk=27)
-        assert sizes == [27] * 9
-        sizes.clear()
-        enumeration._slice_chunks(
-            6, lambda w: sizes.append(len(w)), prefix_zeros=2, chunk=20
+        # the table takes the most digits of the deepest level that fit
+        # the chunk, a level with no more free digits is its first rows,
+        # and a chunk below one digit's states leaves every digit leading
+        def sizes(levels, **sweep):
+            return [(t, len(w)) for t, w in enumeration._slice_levels(levels, **sweep)]
+
+        assert sizes([6], chunk=27) == [(6, 27)] * 9
+        assert sizes([6], prefix_zeros=2, chunk=20) == [(6, 12)] * 9
+        assert sizes([4], chunk=1) == [(4, 1)] * 27
+        assert sizes([1, 2, 4, 6], chunk=27) == [(1, 1), (2, 3), (4, 27)] + [(6, 27)] * 9
+        # C_{2,k}: digits 1, 2 of two states, k-2 and k-1 forced
+        assert sizes([5, 6, 8], prefix_zeros=2, forced=2, chunk=12) == (
+            [(5, 4), (6, 12)] + [(8, 12)] * 9
         )
-        assert sizes == [12] * 9
-        sizes.clear()
-        enumeration._slice_chunks(4, lambda w: sizes.append(len(w)), chunk=1)
-        assert sizes == [1] * 27
 
     def test_verify_check(self):
         res = check_topslice_sweep(6, 9).run()
@@ -421,14 +450,18 @@ class TestTopSlice:
     def test_word_limit_is_refused_before_the_histogram(self, monkeypatch):
         # t = 31 is the deepest slice a 64-bit word holds (f = 63); t = 32
         # would allocate a 2^32-bin histogram before reaching any kernel
-        def histogram(t, **sweep):
-            raise AssertionError(f"histogram of 2^{t} bins allocated")
+        def histogram(chunks):
+            raise AssertionError("histograms allocated")
 
-        monkeypatch.setattr(enumeration, "_window_histogram", histogram)
+        monkeypatch.setattr(enumeration, "_window_histograms", histogram)
         with pytest.raises(BudgetError, match="t=32 needs f = 2t\\+1 <= 63"):
             top_slice_counts(32)
         with pytest.raises(BudgetError):
             top_slice_counts(40, prefix_zeros=3)
+        with pytest.raises(BudgetError, match="t=32"):
+            top_slice_levels(range(30, 33))
+        with pytest.raises(BudgetError, match="t=32"):
+            top_slice_c(1, [31, 32])
 
 
 class TestBCounters:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nsdensity import cli, limits
+from nsdensity import cli, enumeration, limits
 from nsdensity.core import DSet
 from nsdensity.constants import ConstantCache, build_a_constants, c_const, cache_store
 from nsdensity.limits import (
@@ -204,6 +204,52 @@ class TestEngine:
         (s,) = truncation_numerators(d.mask, d.mask + 1, 9, cache)
         assert Fraction(s, 4**9) == gamma(d, 9, per_d).value
         assert sorted(cache.levels) == sorted(per_d.levels) == [5, 6, 7, 8, 9]
+
+    @pytest.mark.parametrize("query, levels", [
+        (lambda cache: truncation_numerators(0, 8, 12, cache), list(range(1, 13))),
+        (lambda cache: truncation_numerators(20, 21, 12, cache), list(range(5, 13))),
+        (lambda cache: g_l_limit(2, 13, cache), None),
+        (lambda cache: g_l_limit(1, 15, cache), None),
+    ])
+    def test_one_table_per_call(self, monkeypatch, query, levels):
+        # every level or C a query lacks comes from one top-slice table,
+        # read once per level
+        built, read = [], []
+        real_table, real_windows = enumeration._slice_table, enumeration._SliceTable.windows
+
+        def table(digits, forced=0):
+            built.append(len(digits))
+            return real_table(digits, forced)
+
+        def windows(tbl, t, rows):
+            read.append(t)
+            return real_windows(tbl, t, rows)
+
+        monkeypatch.setattr(enumeration, "_slice_table", table)
+        monkeypatch.setattr(enumeration._SliceTable, "windows", windows)
+        cache = ConstantCache()
+        query(cache)
+        assert len(built) == 1
+        if levels is not None:
+            assert read == levels and sorted(cache.levels) == levels
+        query(cache)  # everything is held now: no second table
+        assert len(built) == 1
+
+    def test_one_table_fills_the_gaps_of_a_cache(self, monkeypatch):
+        built = []
+        real = enumeration._slice_table
+        monkeypatch.setattr(
+            enumeration, "_slice_table",
+            lambda digits, forced=0: built.append(len(digits)) or real(digits, forced),
+        )
+        full = build_a_constants(9)
+        assert built == [8]  # levels 1..9, the free digits of level 9
+        cache = ConstantCache()
+        for t in (1, 2, 4, 5, 8, 9):
+            cache.set_level(t, full.levels[t])
+        truncation_numerators(0, 4, 11, cache)  # levels 3, 6, 7, 10 and 11
+        assert built == [8, 10] and cache.a_depth() == 11
+        assert all((cache.levels[t] == full.levels[t]).all() for t in range(1, 10))
 
     def test_validation(self):
         for lo, hi, depth in [(-1, 1, 3), (2, 2, 3), (3, 2, 3), (0, 9, 3)]:
