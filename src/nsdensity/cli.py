@@ -15,9 +15,14 @@ else: each library function sweeps the size it is given.
 
 Each ``cmd_*`` returns a :class:`Report`, which :func:`render` alone writes
 as text, CSV (LF line endings, header row) or JSON (one UTF-8 document with
-``schema_version``), in one shot.  Output is deterministic for fixed inputs
-and cache contents.  Sweeps run on one thread: ``--workers`` accepts only 1,
-its default, and stays because existing command lines pass ``--workers 1``.
+``schema_version``), in one shot.  The JSON document is byte for byte what
+``json.dumps(..., ensure_ascii=False, indent=2)`` writes, but a report's
+``rows`` are written from one template per row, each cell through the
+encoder's string escaping, and only the other values go through the
+encoder; a text table is written through one format string.  Output is
+deterministic for fixed inputs and cache contents.  Sweeps run on one
+thread: ``--workers`` accepts only 1, its default, and stays because
+existing command lines pass ``--workers 1``.
 """
 
 from __future__ import annotations
@@ -29,11 +34,13 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 from .core import DSet, d_keys
 from .enumeration import (
     BudgetError,
     density_table,
+    swept_log2,
     WORD_LIMIT,
 )
 from .constants import (
@@ -58,6 +65,8 @@ from .limits import (
 from .verify import SUITES, run_suites
 
 SCHEMA_VERSION = 1
+# what json.dumps(value, ensure_ascii=False, indent=2) encodes with
+_JSON = json.JSONEncoder(ensure_ascii=False, indent=2)
 # flag defaults: the largest f swept (2^(f-1) sets) and the largest level t
 # of a constant (3^(t-1) sets)
 DEFAULT_ENUM_BUDGET = 30
@@ -72,7 +81,9 @@ class UsageError(Exception):
 class Report:
     """One command's result in every format: the JSON ``payload`` (less
     ``schema_version``), the CSV ``header`` and ``rows``, and the ``text``
-    lines, where a list of rows stands for them aligned under ``header``."""
+    lines, where a list of rows stands for them aligned under ``header``.
+    The payload's ``rows``, when it has them, are string rows as well, each
+    written as an object keyed by ``header``."""
 
     payload: dict
     header: list[str]
@@ -84,8 +95,16 @@ class Report:
 def render(report: Report, fmt: str) -> str:
     """``report`` as one ``text``, ``csv`` or ``json`` document."""
     if fmt == "json":
-        doc = {"schema_version": SCHEMA_VERSION, **report.payload}
-        return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+        items = []
+        for key, value in {"schema_version": SCHEMA_VERSION, **report.payload}.items():
+            if key == "rows":
+                value = _json_rows(report.header, value)
+            else:
+                # the encoder escapes every newline inside a string, so each
+                # one it writes starts a line, one level deeper in the document
+                value = _JSON.encode(value).replace("\n", "\n  ")
+            items.append(f"  {encode_basestring(key)}: {value}")
+        return "{\n" + ",\n".join(items) + "\n}\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -98,10 +117,25 @@ def render(report: Report, fmt: str) -> str:
             lines.append(item)
             continue
         widths = [max(map(len, column)) for column in zip(report.header, *item)]
+        line = "  ".join(f"{{:<{w}}}" for w in widths).format
         rule = ["-" * w for w in widths]
-        for row in (report.header, rule, *item):
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        lines += [line(*row).rstrip() for row in (report.header, rule, *item)]
     return "\n".join(lines) + "\n"
+
+
+def _json_rows(header: list[str], rows: list[list[str]]) -> str:
+    """``rows`` as a JSON array of objects keyed by ``header``, laid out as
+    ``json.dumps(..., ensure_ascii=False, indent=2)`` lays out the value
+    of a top-level key: one template per row, each cell written by the
+    string encoder that ``json.dumps`` uses."""
+    if not rows:
+        return "[]"
+    row = "    {\n" + ",\n".join(
+        f"      {encode_basestring(key).replace('%', '%%')}: %s" for key in header
+    ) + "\n    }"
+    return "[\n" + ",\n".join(
+        row % tuple(map(encode_basestring, cells)) for cells in rows
+    ) + "\n  ]"
 
 
 def validate(args: argparse.Namespace) -> None:
@@ -122,7 +156,8 @@ def validate(args: argparse.Namespace) -> None:
             raise UsageError("--f must be >= 1")
         if args.f > args.enum_budget:
             raise BudgetError(
-                f"--f {args.f} exceeds enumeration budget {args.enum_budget}"
+                f"--f {args.f} exceeds enumeration budget {args.enum_budget}: "
+                f"its sweep visits 2^{swept_log2(args.f)} sets"
             )
     elif args.subcommand == "verify":
         for s in args.suite or ():
@@ -208,18 +243,22 @@ def cmd_enumerate(args: argparse.Namespace) -> Report:
     table = density_table(f)
     _, d_masks, mults, counts = table.ranked()
     total = table.sets  # DensityTable refuses a tally of any other sum
+    mults, counts = mults.tolist(), counts.tolist()
+    # the cells of each m and each P, written once: many rows share them
+    m_cells = {m: [str(m), str(f - m)] for m in set(mults)}
+    p_cells = {
+        p: [str(p), _dyadic(p, f - 1), ratio_str(p, total)] for p in set(counts)
+    }
     rows = [
-        [key, str(m), str(f - m), str(p), _dyadic(p, f - 1), ratio_str(p, total)]
-        for key, m, p in zip(
-            d_keys(d_masks.tolist(), f - 1), mults.tolist(), counts.tolist()
-        )
+        [key, *m_cells[m], *p_cells[p]]
+        for key, m, p in zip(d_keys(d_masks.tolist(), f - 1), mults, counts)
     ]
     header = ["d", "m", "r", "p", "mu", "mu_decimal"]
     payload = {
         "command": "enumerate",
         "f": f,
         "semigroups": len(table),
-        "rows": [dict(zip(header, r)) for r in rows],
+        "rows": rows,
         "sum_p": total,
         "sum_p_expected": 1 << (f - 1),
         "sum_identity_ok": True,
@@ -306,7 +345,7 @@ def cmd_table(args: argparse.Namespace) -> Report:
         "command": "table",
         "max_t": tbl.max_t,
         "depth": tbl.depth,
-        "rows": [dict(zip(header, r)) for r in rows],
+        "rows": rows,
         "distinct_pairs": distinct,
         "inconclusive_pairs": inconclusive,
     }

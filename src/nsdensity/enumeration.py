@@ -21,7 +21,7 @@ and x+s not in T; 0 is in T and f is not.  The violation mask V(T), bit s-1
 set when some pair violates at s, is therefore an OR over pairs, and
 A(T) = ~V(T) & low_bits(f-1).  An OR over pairs splits by where each
 pair's two ends lie, which is how the flat sweep builds its A-masks.  Its
-chunker, :func:`_flat_chunks`, gives each chunk everything but the low
+chunker, :func:`_flat_groups`, gives each chunk everything but the low
 block L = [l+1, l+b] fixed (l = prefix_zeros, 2^b sets per chunk): the
 rest H = {0} ∪ [1, l] ∪ (l+b, f] is constant within it.  With L split
 into L1 = [l+1, l+b1] and L2 = (l+b1, l+b],
@@ -35,7 +35,18 @@ V_L2H are per-chunk vectors of 2^b1 and 2^(b-b1) entries, and V_HH is a
 per-chunk scalar.  A chunk's 2^b A-masks then cost two full-width ANDs of
 the complements: the outer AND of the two vectors, then the table.  The
 tables are built by doubling, one position at a time (see
-``_low_block_table`` and ``_amask_block``).
+``_low_block_table`` and ``_amask_group``).
+
+The chunks are swept in groups of GROUP chunks (all of them when there
+are fewer): a group's fixed parts H are consecutive, and every step above
+runs on the whole group with one row per chunk, so V_HH is a vector over
+the chunks, each doubling step of the L1 and L2 vectors is one 2-D AND,
+and the outer AND and the table AND fill one group buffer, reused from
+group to group, in the word of the tally (uint32 for f <= 33, else
+uint64).  Each group is tallied on its own, sorted in place, and the
+group tallies merge into the table's (see :func:`density_table`), so the
+sweep's working buffer holds GROUP chunks, at most GROUP * BLOCK sets at
+the default chunk, whatever f is.
 
 At even f with l = 0 the flat sweep visits half the sets, by duality.  The
 dual of T is T* = {x : f - x not in T}, and A(T*) = A(T).  T* is a
@@ -121,13 +132,14 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .core import DSet, Semigroup, n_of
 
 BLOCK = 1 << 16  # flat sweep: sets per chunk (2^b, the low block)
+GROUP = 4  # flat sweep: chunks per group, swept together
 CHUNK = 1 << 22  # top slice: cap on the sets per chunk
 WORD_LIMIT = 63
 
@@ -149,21 +161,26 @@ class BudgetError(Exception):
 # chunked mask production and the two elementary kernels
 
 
-def _flat_chunks(
+def _flat_groups(
     f: int,
-    func: Callable[[np.ndarray], object],
     *,
     prefix_zeros: int = 0,
     chunk: int | None = None,
     absent: int | None = None,
-) -> list:
-    """Apply ``func`` to the A-masks of each chunk of the flat sweep.
+) -> Iterator[np.ndarray]:
+    """The A-masks of the flat sweep, one group of chunks at a time.
 
     The flat sweep visits the 2^(f-1-l) sets avoiding [1, l], l =
     ``prefix_zeros``: a chunk fixes T above the low block L = [l+1, l+b]
     and runs over all 2^b patterns of L, with 2^b = ``chunk`` (default
     BLOCK) rounded down to a power of two and capped at the sweep (see the
-    module docstring).  Results come in chunk order.
+    module docstring).  A group is GROUP chunks, or all of them when there
+    are fewer; the number of chunks is a power of two, so every group is
+    whole at GROUP = 4, and a last group holds what is left at any other
+    GROUP.  Each group's A-masks come as one array, chunk after chunk, in
+    the tally's word (uint32 for f <= 33, else uint64), and the next group
+    overwrites it.  The arguments are checked at the call; the groups are
+    computed as they are taken.
 
     ``absent``, a position in (l, f), is kept out of T as well, which
     halves the sweep: inside L it is pattern bit 0 of L2, whose other half
@@ -177,9 +194,9 @@ def _flat_chunks(
         raise ValueError(f"prefix [1,{prefix_zeros}] does not fit below f={f}")
     free = f - 1 - prefix_zeros
     b = min(free, (chunk or BLOCK).bit_length() - 1)
-    allowed_ll = _low_block_table(f, prefix_zeros, b)
-    highs = range(1 << (free - b))
-    split = None
+    key = np.uint32 if f <= 33 else np.uint64
+    allowed_ll = _low_block_table(f, prefix_zeros, b, key)
+    n_highs, split, skip = 1 << (free - b), None, None
     if absent is not None:
         k = absent - prefix_zeros - 1  # its pattern bit, or b + its high bit
         if k < b:
@@ -187,11 +204,20 @@ def _flat_chunks(
             allowed_ll = allowed_ll.reshape(-1, 1 << k)[::2].ravel()
             split = k
         else:
-            highs = (high for high in highs if not high >> (k - b) & 1)
-    return [
-        func(_amask_block(f, prefix_zeros, b, high, allowed_ll, split))
-        for high in highs
-    ]
+            n_highs //= 2
+            skip = np.uint64(k - b)
+    per_group = min(n_highs, GROUP)
+    buffer = np.empty(per_group * len(allowed_ll), dtype=key)
+
+    def groups() -> Iterator[np.ndarray]:
+        for start in range(0, n_highs, per_group):
+            highs = np.arange(start, min(start + per_group, n_highs), dtype=np.uint64)
+            if skip is not None:  # a clear bit inserted at the skipped one
+                highs += highs >> skip << skip
+            amask = buffer[: len(highs) * len(allowed_ll)]
+            yield _amask_group(f, prefix_zeros, b, highs, allowed_ll, split, amask)
+
+    return groups()
 
 
 def _slice_levels(
@@ -264,70 +290,80 @@ def _slice_levels(
     return chunks()
 
 
-def _low_block_table(f: int, l: int, b: int) -> np.ndarray:
-    """~V_LL within low_bits(f-1), for every pattern of L = [l+1, l+b].
+def _low_block_table(f: int, l: int, b: int, word: type) -> np.ndarray:
+    """~V_LL within low_bits(f-1), for every pattern of L = [l+1, l+b], in
+    the unsigned integer type ``word``.
 
     Pattern bit i stands for position l+1+i.  Position y = l+1+k is added
     on top of the k below it: out of T, it makes every pair (x, y) with x
     in T ∩ L a violation at s = y - x, read off the bit reversal of the
     lower pattern, and (0, y) one at s = y; in T, it completes no violation.
     """
-    allowed = np.array([(1 << (f - 1)) - 1], dtype=np.uint64)
-    rev = np.zeros(1, dtype=np.uint64)  # bit k-1-i for each pattern bit i
+    allowed = np.empty(1 << b, dtype=word)
+    rev = np.empty(1 << b, dtype=word)  # bit k-1-i for each pattern bit i
+    allowed[0], rev[0], one = (1 << (f - 1)) - 1, 0, word(1)
     for k in range(b):
-        hit = rev | np.uint64(1 << (l + k))
-        allowed = np.concatenate([allowed & ~hit, allowed])
-        rev <<= _U1
-        rev = np.concatenate([rev, rev | _U1])
+        n = 1 << k
+        allowed[n : 2 * n] = allowed[:n]
+        allowed[:n] &= ~(rev[:n] | word(1 << (l + k)))
+        rev[:n] <<= one
+        np.bitwise_or(rev[:n], one, out=rev[n : 2 * n])
     return allowed
 
 
-def _amask_block(
+def _amask_group(
     f: int,
     l: int,
     b: int,
-    high: int,
+    highs: np.ndarray,
     allowed_ll: np.ndarray,
-    split: int | None = None,
+    split: int | None,
+    amask: np.ndarray,
 ) -> np.ndarray:
-    """A-masks of the 2^b sets of one chunk, in pattern order of L.
+    """A-masks of the sets of a group of chunks, written into ``amask``:
+    chunk after chunk, each in pattern order of L.
 
-    The chunk fixes T ∩ (l+b, f-1]: bit j of ``high`` is position l+b+1+j.
-    ``allowed_ll`` (from :func:`_low_block_table`) covers the pairs inside
-    L = [l+1, l+b] and those of 0 with L.  The other positions of H below L
-    are [1, l], never in T, so a pair of L with H violates only as (y, h)
-    with y in T and h > l+b out of T: each y in T ∩ L1 (or L2) adds the
-    shifted out-of-T part of H.  The pairs inside H give one scalar, folded
-    into the L1 vector.
+    Chunk c fixes T ∩ (l+b, f-1]: bit j of ``highs[c]`` is position
+    l+b+1+j.  ``allowed_ll`` (from :func:`_low_block_table`, in the word of
+    ``amask``) covers the pairs inside L = [l+1, l+b] and those of 0 with
+    L.  The other positions of H below L are [1, l], never in T, so a pair
+    of L with H violates only as (y, h) with y in T and h > l+b out of T:
+    each y in T ∩ L1 (or L2) adds the shifted out-of-T part of H.  The
+    pairs inside H give one scalar per chunk, folded into the L1 vector.
+    Every step runs on the whole group, one row per chunk: V_HH is a
+    vector over the chunks, and each doubling step of the L1 and L2
+    vectors one 2-D AND.
 
     With ``split`` = k, L1 holds pattern bits below k, and pattern bit k,
     bit 0 of L2, stays out of T: the L2 vector has only the rows where it
     is clear, ``allowed_ll`` holds the table's rows where it is clear, and
-    the chunk has 2^(b-1) sets.  Out of T, that position forms no pair
+    each chunk has 2^(b-1) sets.  Out of T, that position forms no pair
     with H.
     """
-    low = (1 << (f - 1)) - 1
-    members = high << (l + b + 1)
+    low = np.uint64((1 << (f - 1)) - 1)
+    members = highs << np.uint64(l + b + 1)
     # H positions above L that are out of T; f is never in T
-    out = ((1 << f) - (1 << (l + b + 1))) & ~members | 1 << f
-    v_hh = ((1 << (l + 1)) - 2 | out) >> 1
-    for h in range(l + b + 1, f):
-        if members >> h & 1:
-            v_hh |= out >> (h + 1)
+    out = np.uint64((1 << f) - (1 << (l + b + 1))) & ~members | np.uint64(1 << f)
+    v_hh = (out | np.uint64((1 << (l + 1)) - 2)) >> _U1
+    for j in range(f - l - b - 1):  # position h = l+b+1+j, when in T
+        v_hh |= (out >> np.uint64(l + b + 2 + j)) * (highs >> np.uint64(j) & _U1)
     b1 = b // 2 if split is None else split
 
-    def half(start: int, stop: int, allowed: int) -> np.ndarray:
+    def half(start: int, stop: int, allowed) -> np.ndarray:
         # pattern bit i of the half is position y = l+1+start+i
-        vec = np.array([allowed], dtype=np.uint64)
-        for i in range(start, stop):
-            vec = np.concatenate([vec, vec & np.uint64(low & ~(out >> (l + 2 + i)))])
-        return vec
+        vec = np.empty((len(highs), 1 << (stop - start)), dtype=np.uint64)
+        vec[:, 0] = allowed
+        for w, i in enumerate(range(start, stop)):
+            hit = low & ~(out >> np.uint64(l + 2 + i))
+            np.bitwise_and(vec[:, : 1 << w], hit[:, None], out=vec[:, 1 << w : 2 << w])
+        return vec.astype(amask.dtype, copy=False)
 
     l1 = half(0, b1, low & ~v_hh)
     l2 = half(b1 if split is None else b1 + 1, b, low)
-    amask = np.empty(len(allowed_ll), dtype=np.uint64)
-    np.bitwise_and(l2[:, None], l1[None, :], out=amask.reshape(len(l2), len(l1)))
-    return np.bitwise_and(amask, allowed_ll, out=amask)
+    grid = amask.reshape(len(highs), l2.shape[1], l1.shape[1])
+    np.bitwise_and(l2[:, :, None], l1[:, None, :], out=grid)
+    np.bitwise_and(grid, allowed_ll.reshape(grid.shape[1:]), out=grid)
+    return amask
 
 
 class _SliceTable(NamedTuple):
@@ -632,29 +668,55 @@ def density_table(
     The table counts 2^(f-1-l) sets, l = ``prefix_zeros``, but at even f
     with l = 0 the sweep visits half of them: those with f/2 out of T.
     T -> T* swaps them with the other half and keeps A(T) (see the module
-    docstring), so every count of the visited half is doubled.  Each chunk
-    (``chunk`` sets, see :func:`_flat_chunks`) tallies its own A-masks, on
-    32-bit keys when they fit (f <= 33); the per-chunk tallies merge in
-    one concatenated ``np.unique`` and an exact integer sum, so the table
-    is the same for every chunk size.
+    docstring), so every count of the visited half is doubled.  Each group
+    of chunks (``chunk`` sets each, see :func:`_flat_groups`) tallies its
+    A-masks by one in-place sort (:func:`_tally`), on 32-bit keys when they
+    fit (f <= 33); the group tallies merge at the end by one concatenated
+    ``np.unique`` and an exact integer sum, so the table is the same for
+    every layout.
     """
-    dual = f % 2 == 0 and prefix_zeros == 0
-    key = np.uint32 if f <= 33 else np.uint64
-    parts = _flat_chunks(
-        f,
-        lambda amask: np.unique(amask.astype(key, copy=False), return_counts=True),
-        prefix_zeros=prefix_zeros,
-        chunk=chunk,
-        absent=f // 2 if dual else None,
-    )
-    masks, where = np.unique(
-        np.concatenate([m.astype(np.uint64) for m, _ in parts]),
-        return_inverse=True,
-    )
-    counts = _sum_by(where, np.concatenate([c for _, c in parts]), len(masks))
+    dual = _halved(f, prefix_zeros)
+    masks, counts = _merge([
+        _tally(amask)
+        for amask in _flat_groups(
+            f,
+            prefix_zeros=prefix_zeros,
+            chunk=chunk,
+            absent=f // 2 if dual else None,
+        )
+    ])
     if dual:
         counts *= 2
-    return DensityTable(f, prefix_zeros, masks, counts)
+    return DensityTable(f, prefix_zeros, masks.astype(np.uint64), counts)
+
+
+def _halved(f: int, prefix_zeros: int) -> bool:
+    """Whether :func:`density_table` visits half its sets, by the dual:
+    at even f with no prefix (module docstring)."""
+    return f % 2 == 0 and prefix_zeros == 0
+
+
+def swept_log2(f: int, *, prefix_zeros: int = 0) -> int:
+    """log2 of the sets ``density_table(f, prefix_zeros=l)`` visits: of
+    the 2^(f-1-l) it counts, or of 2^(f-2) at even f with l = 0."""
+    return f - 1 - prefix_zeros - _halved(f, prefix_zeros)
+
+
+def _tally(amask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(amask, return_counts=True)``, sorting ``amask`` in place
+    instead of a copy of it."""
+    amask.sort()
+    ends = np.append(np.flatnonzero(amask[1:] != amask[:-1]), len(amask) - 1)
+    return amask[ends], np.diff(ends, prepend=-1)
+
+
+def _merge(tallies: list) -> tuple[np.ndarray, np.ndarray]:
+    """One (masks, counts) tally from several, masks ascending and
+    distinct, with the exact integer sum of each mask's counts."""
+    masks, where = np.unique(
+        np.concatenate([m for m, _ in tallies]), return_inverse=True
+    )
+    return masks, _sum_by(where, np.concatenate([c for _, c in tallies]), len(masks))
 
 
 def _sum_by(keys: np.ndarray, counts: np.ndarray, size: int) -> np.ndarray:

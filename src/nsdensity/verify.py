@@ -36,8 +36,9 @@ oracle:
   =====================================  ==================================
   route                                  check (oracle)
   =====================================  ==================================
-  flat sweep, ``density_table``          ``amap-sweep`` (``core.a_mask``
-                                         on every T)
+  flat sweep, ``density_table``, in      ``amap-sweep`` (``core.a_mask``
+  groups of chunks                       on every T, at a chunk that makes
+                                         many groups)
   its halving at even f by the dual      ``amap-sweep`` (f/2 inside and
                                          above the low block),
                                          ``amap-random`` (A(T*) = A(T))
@@ -210,11 +211,13 @@ def check_amap_sweep(f: int, chunk: int) -> str:
     """Flat-sweep A-masks, tallied, against ``core.a_mask`` on every T.
 
     ``chunk`` below 2^(f-1) leaves positions above the low block to vary
-    from chunk to chunk, so every term of the block decomposition is used;
-    ``density_table`` at its default chunk must give the same tally.  At
-    even f both sweeps visit only the sets with f/2 out of T and double
-    the counts; f/2 lies above the low block of a small ``chunk`` and
-    inside the default one, so the two replay both places it can take.
+    from chunk to chunk, so every term of the block decomposition is used,
+    and makes the sweep many groups of GROUP chunks, so every group step
+    runs on several rows; ``density_table`` at its default chunk must give
+    the same tally.  At even f both sweeps visit only the sets with f/2
+    out of T and double the counts; f/2 lies above the low block of a
+    small ``chunk`` and inside the default one, so the two replay both
+    places it can take.
     """
     want = Counter(a_mask(f, mask) for mask in range(1 << (f - 1)))
     chunked = density_table(f, chunk=chunk)
@@ -501,7 +504,7 @@ def suite_core(max_f: int | None = None,
         check_amap_exhaustive(min(11, f_cap)),
         check_amap_random(3000, min(60, f_cap)),
         # at chunk 32, f/2 = 7 lies above the low block; at the default
-        # chunk, inside it
+        # chunk, inside it; at f = 14 chunk 32 makes 32 groups of 4 chunks
         check_amap_sweep(min(14, f_cap), 1 << 5),
         check_encoding_roundtrip(min(12, f_cap)),
         check_fold_window(2000, max(4, min(24, f_cap))),  # folds need f >= 4

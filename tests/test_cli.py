@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 from fractions import Fraction
@@ -287,7 +289,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["gamma", "--d", "1", "--depth", "16"], "--depth 16 exceeds depth budget 15"),
-        (["enumerate", "--f", "31"], "--f 31 exceeds enumeration budget 30"),
+        (["enumerate", "--f", "31"],
+         "--f 31 exceeds enumeration budget 30: its sweep visits 2^30 sets"),
+        # at even f the dual halves the sweep
+        (["enumerate", "--f", "32"],
+         "--f 32 exceeds enumeration budget 30: its sweep visits 2^30 sets"),
+        (["enumerate", "--f", "12", "--enum-budget", "9"],
+         "--f 12 exceeds enumeration budget 9: its sweep visits 2^10 sets"),
+        (["enumerate", "--f", "11", "--enum-budget", "9"],
+         "--f 11 exceeds enumeration budget 9: its sweep visits 2^10 sets"),
+        # the cost is stated without building the count of sets
+        (["enumerate", "--f", "100000000000"],
+         "--f 100000000000 exceeds enumeration budget 30: "
+         "its sweep visits 2^99999999998 sets"),
     ])
     def test_budget_refused_before_any_sweep(self, capsys, monkeypatch,
                                              argv, message):
@@ -297,7 +311,7 @@ class TestExitCodes:
             raise AssertionError(f"sweep at {size} started")
 
         monkeypatch.setattr(enumeration, "_slice_table", no_sweep)
-        monkeypatch.setattr(enumeration, "_flat_chunks", no_sweep)
+        monkeypatch.setattr(enumeration, "_flat_groups", no_sweep)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"budget error: {message}\n"
@@ -404,7 +418,7 @@ class TestDeterminismAndCache:
 
         monkeypatch.setattr(cli, "cache_load", no_work)
         monkeypatch.setattr(enumeration, "_slice_table", no_work)
-        monkeypatch.setattr(enumeration, "_flat_chunks", no_work)
+        monkeypatch.setattr(enumeration, "_flat_groups", no_work)
         for n in ("2", "0"):
             assert run(capsys, *argv, "--workers", n) == (
                 2, "", "usage error: --workers must be 1: sweeps run on one thread\n"
@@ -514,3 +528,95 @@ def test_golden_output(capsys, tmp_path, name, fmt):
     assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode("utf-8")
     if "--write-cache" in argv:
         assert written.read_bytes() == (GOLDEN / f"{name}.cache").read_bytes()
+
+
+def report_of(argv):
+    """The Report of one command line, as ``main`` builds it."""
+    args = cli.build_parser().parse_args(argv)
+    cli.validate(args)
+    return cli.COMMANDS[args.subcommand](args)
+
+
+def dumped(report):
+    """The JSON document as ``json.dumps`` writes it, the payload's string
+    rows as objects keyed by the header: the JSON writer's oracle."""
+    payload = dict(report.payload)
+    if "rows" in payload:
+        payload["rows"] = [dict(zip(report.header, r)) for r in payload["rows"]]
+    doc = {"schema_version": cli.SCHEMA_VERSION, **payload}
+    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+
+def ljust_text(report):
+    """The text document with every table cell padded by ``str.ljust``:
+    the text writer's oracle."""
+    lines = []
+    for item in report.text:
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        widths = [max(map(len, column)) for column in zip(report.header, *item)]
+        rule = ["-" * w for w in widths]
+        for row in (report.header, rule, *item):
+            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+WRITER_CASES = list(GOLDEN_CASES.values()) + [
+    ["enumerate", "--f", "20"],
+    ["table", "--max-t", "5", "--depth", "15", "--cache", CACHE_PATH],
+    ["verify", "--suite", "core", "--cache", CACHE_PATH],
+]
+
+
+class TestWriters:
+    @pytest.mark.parametrize("argv", WRITER_CASES, ids=" ".join)
+    def test_every_report_as_json_dumps_and_ljust_write_it(self, tmp_path, argv):
+        if "--write-cache" in argv:
+            argv = argv + ["--cache", str(tmp_path / "written.cache")]
+        report = report_of(argv)
+        assert cli.render(report, "json") == dumped(report)
+        assert cli.render(report, "text") == ljust_text(report)
+
+    def test_json_cells_escaped_as_json_dumps_escapes_them(self):
+        cells = ['say "hi"', "back\\slash", "bell\x07 tab\t", "∅", "", "50%s"]
+        report = cli.Report(
+            {
+                "command": "line\nbreak",
+                "rows": [cells, cells[::-1]],
+                "nested": {"list": [1, {"none": None}], "empty": [], "ok": True},
+            },
+            ['q"uote', "b\\s", "c\x01", "∅", "", "%s"],
+            [],
+            [],
+        )
+        out = cli.render(report, "json")
+        assert out == dumped(report)
+        assert json.loads(out)["rows"][1]["%s"] == 'say "hi"'
+        empty = cli.Report({"rows": [], "after": 1}, ["d"], [], [])
+        assert cli.render(empty, "json") == dumped(empty)
+
+    def test_text_table_with_an_empty_column(self):
+        # the first row of table, D = ∅, has no positivity bound
+        report = report_of(["table", "--max-t", "2", "--depth", "15", "--cache", CACHE_PATH])
+        assert report.text[1][0][-1] == ""
+        assert cli.render(report, "text") == ljust_text(report)
+        blank = cli.Report({}, ["a", "b", "c"], [], [[["", "", ""], ["∅", "", "x"]]])
+        assert cli.render(blank, "text") == ljust_text(blank) == (
+            "a  b  c\n-  -  -\n\n∅     x\n"
+        )
+
+    def test_enumerate_formats_hold_the_same_cells(self, capsys):
+        out = {
+            fmt: run(capsys, "enumerate", "--f", "20", "--format", fmt)[1]
+            for fmt in ("text", "csv", "json")
+        }
+        header = ["d", "m", "r", "p", "mu", "mu_decimal"]
+        objects = json.loads(out["json"])["rows"]
+        assert all(list(r) == header for r in objects)
+        csv_rows = list(csv.reader(io.StringIO(out["csv"])))
+        assert csv_rows[0] == header and csv_rows[-1][0] == "TOTAL"
+        # no cell of enumerate holds a space, so text splits into its cells
+        text_rows = [line.split() for line in out["text"].split("\n")[3:-2]]
+        assert len(objects) == 900
+        assert [list(r.values()) for r in objects] == csv_rows[1:-1] == text_rows

@@ -28,6 +28,7 @@ from nsdensity.enumeration import (
     BudgetError,
     DensityTable,
     density_table,
+    swept_log2,
     top_slice_c,
     top_slice_counts,
     top_slice_levels,
@@ -180,8 +181,16 @@ def core_amasks(f, prefix_zeros):
 
 
 def sweep_amasks(f, **sweep):
-    parts = enumeration._flat_chunks(f, lambda amask: amask.copy(), **sweep)
-    return np.concatenate(parts).tolist()
+    # each group's array is overwritten by the next group
+    return np.concatenate(
+        [a.copy() for a in enumeration._flat_groups(f, **sweep)]
+    ).tolist()
+
+
+def partial_group(f, l, chunk):
+    """GROUP for 3 chunks in 8 when the 2^(f-1-l) sets make 8 chunks of
+    ``chunk`` or more, so that the last group holds 2 of them."""
+    return 3 * (1 << (f - 1 - l)) // 8 // (chunk or enumeration.BLOCK) or 1
 
 
 # density_table(f) for f = 1..24 and `enumerate --f 24` stdout, recorded
@@ -206,57 +215,90 @@ class TestAMapSweep:
                 got = sweep_amasks(f, prefix_zeros=l, chunk=chunk)
                 assert got == core_amasks(f, l), (f, l)
 
-    def test_edge_sizes(self):
+    # groups of one chunk, of 3 in 8 chunks (the last one partial) and the
+    # default GROUP; the default chunk is 2^16 sets, so it makes one group
+    @pytest.mark.parametrize("chunk", [2, 8, 32, None])
+    def test_groups_equal_core_a_mask(self, monkeypatch, chunk):
+        for f in range(1, 18):
+            for l in range(min(f, 4)):
+                groups = [4, partial_group(f, l, chunk)] + [1] * (f <= 12)
+                for group in groups:
+                    monkeypatch.setattr(enumeration, "GROUP", group)
+                    got = sweep_amasks(f, prefix_zeros=l, chunk=chunk)
+                    assert got == core_amasks(f, l), (f, l, group)
+        # 64-bit words beyond f = 33, up to the word limit
+        for f, l in ((34, 22), (40, 28), (63, 51)):
+            for group in (4, partial_group(f, l, chunk)):
+                monkeypatch.setattr(enumeration, "GROUP", group)
+                got = sweep_amasks(f, prefix_zeros=l, chunk=chunk)
+                assert got == core_amasks(f, l), (f, l, group)
+
+    def test_edge_sizes(self, monkeypatch):
         # f = 1: one set, no free position; f = 2: one free position, and
         # 1 never lies in A(T), since (0, 1) or (1, 2) violates
         assert sweep_amasks(1) == [0]
         assert sweep_amasks(2) == core_amasks(2, 0) == [0, 0]
         assert dict(density_table(1).entries) == {n_f(1): 1}
         assert dict(density_table(2).entries) == {n_f(2): 2}
+
+        def sizes(f, group=4, **sweep):
+            monkeypatch.setattr(enumeration, "GROUP", group)
+            return [len(a) for a in enumeration._flat_groups(f, **sweep)]
+
         # a sweep smaller than the block is one chunk of 2^(f-1-l) sets
-        calls = []
-        enumeration._flat_chunks(9, calls.append, chunk=1 << 10)
-        assert [len(c) for c in calls] == [1 << 8]
-        calls.clear()
-        enumeration._flat_chunks(12, calls.append, prefix_zeros=6, chunk=1 << 8)
-        assert [len(c) for c in calls] == [1 << 5]
+        assert sizes(9, chunk=1 << 10) == [1 << 8]
+        assert sizes(12, prefix_zeros=6, chunk=1 << 8) == [1 << 5]
         # a block of 2^3 sets leaves the positions above it to the chunks
-        calls.clear()
-        enumeration._flat_chunks(9, calls.append, prefix_zeros=2, chunk=12)
-        assert [len(c) for c in calls] == [1 << 3] * (1 << 3)
+        assert sizes(9, prefix_zeros=2, chunk=12, group=1) == [1 << 3] * (1 << 3)
+        # GROUP chunks per group, all of them when there are fewer, and a
+        # partial last group when GROUP does not divide their number
+        assert sizes(9, prefix_zeros=2, chunk=12) == [1 << 5] * 2
+        assert sizes(9, prefix_zeros=2, chunk=1 << 5) == [1 << 6]
+        assert sizes(9, prefix_zeros=2, chunk=12, group=3) == [24, 24, 16]
+        # a group's array is in the tally's word
+        assert {a.dtype for a in enumeration._flat_groups(33, prefix_zeros=29)} == {
+            np.dtype(np.uint32)
+        }
+        assert {a.dtype for a in enumeration._flat_groups(34, prefix_zeros=30)} == {
+            np.dtype(np.uint64)
+        }
 
     # f/2 lies in L2 at every even f for the default block and at f <= 2,
     # 6 and 10 for chunk 2, 8 and 32, and above the block beyond
     @pytest.mark.parametrize("chunk", [2, 8, 32, None])
-    def test_halved_sweep_equals_core_a_mask(self, chunk):
-        for f in range(2, 17, 2):
-            table = density_table(f, chunk=chunk)
-            got = dict(zip(table.masks.tolist(), table.counts.tolist()))
-            assert got == Counter(core_amasks(f, 0)), f
-            # T and its dual T* pair up with the same A(T)
-            assert (table.counts % 2 == 0).all(), f
+    def test_halved_sweep_equals_core_a_mask(self, monkeypatch, chunk):
+        for f in range(2, 18, 2):
+            for group in (4, partial_group(f, 1, chunk)):
+                monkeypatch.setattr(enumeration, "GROUP", group)
+                table = density_table(f, chunk=chunk)
+                got = dict(zip(table.masks.tolist(), table.counts.tolist()))
+                assert got == Counter(core_amasks(f, 0)), (f, group)
+                # T and its dual T* pair up with the same A(T)
+                assert (table.counts % 2 == 0).all(), f
 
     def test_sets_visited(self, monkeypatch):
         # at even f without a prefix the sweep keeps f/2 out of T
         visited = []
-        real = enumeration._amask_block
+        real = enumeration._amask_group
 
         def counted(*args):
             amask = real(*args)
             visited.append(len(amask))
             return amask
 
-        monkeypatch.setattr(enumeration, "_amask_block", counted)
+        monkeypatch.setattr(enumeration, "_amask_group", counted)
         for f in range(1, 13):
             for l in range(f):
-                for chunk in (4, None):
+                for chunk, group in ((4, 4), (4, 3), (None, 4)):
+                    monkeypatch.setattr(enumeration, "GROUP", group)
                     visited.clear()
                     density_table(f, prefix_zeros=l, chunk=chunk)
                     halved = f % 2 == 0 and l == 0
                     assert sum(visited) == 1 << (f - 1 - l - halved), (f, l, chunk)
+                    assert sum(visited) == 1 << swept_log2(f, prefix_zeros=l)
 
     def test_merge_across_chunks(self):
-        # many chunks, each with its own np.unique tally, merge to the table
+        # many groups of chunks, each with its own tally, merge to the table
         f = 13
         chunked = density_table(f, chunk=4)
         table = density_table(f)
@@ -562,13 +604,13 @@ class TestSuffixCensus:
     def test_preimage_identity_is_one_sweep(self, monkeypatch):
         # the census and the wide window are two reductions of one table
         calls = []
-        real = enumeration._flat_chunks
+        real = enumeration._flat_groups
 
-        def counted(f, func, **sweep):
+        def counted(f, **sweep):
             calls.append((f, sweep.get("prefix_zeros", 0)))
-            return real(f, func, **sweep)
+            return real(f, **sweep)
 
-        monkeypatch.setattr(enumeration, "_flat_chunks", counted)
+        monkeypatch.setattr(enumeration, "_flat_groups", counted)
         res = check_preimage_identity(12).run()
         assert res.passed, res.detail
         assert calls == [(12, 0)]
