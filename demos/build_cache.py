@@ -1,10 +1,10 @@
 """Regenerate the constant cache shipped at the repository root.
 
-Computes every A_D with Max(D) <= DEPTH with
-nsdensity.constants.build_a_constants (every level read off one top-slice
-table, 3^(t-1) sets at level t, with the checks in nsdensity.constants) and
-the swept C_{l,k} for l <= 3, k <= 2l+6 (one table per l), then writes the
-sorted cache file.
+Computes every A_D with Max(D) <= DEPTH with nsdensity.constants.a_levels
+(every level read off one top-slice table, 3^(t-1) sets at level t, with the
+checks in nsdensity.constants) and the swept C_{l,k} for l <= 3, k <= 2l+6
+with nsdensity.constants.c_consts (one table per l), then writes the sorted
+cache file.
 
 Depth 15 takes well under a second; every sweep runs on one thread.
 Lower --depth for a smaller cache; the library degrades gracefully (wider
@@ -16,7 +16,7 @@ intervals, same certificates).
 import argparse
 import time
 
-from nsdensity.constants import build_a_constants, c_consts, cache_store
+from nsdensity.constants import ConstantCache, a_levels, c_consts, cache_store
 
 
 def main() -> None:
@@ -28,7 +28,8 @@ def main() -> None:
     args = ap.parse_args()
 
     total = time.monotonic()
-    cache = build_a_constants(args.depth)
+    cache = ConstantCache()
+    a_levels(1, args.depth, cache)
     print(
         f"A: Max(D) <= {args.depth}  {len(cache.a_entries)} constants  "
         f"{time.monotonic() - total:7.2f}s"

@@ -15,9 +15,7 @@ from .core import (
     d_of,
     fold,
     is_semigroup,
-    make_numerical_set,
     multiplicity,
-    n_f,
     n_of,
     r_value,
     suffix_pattern,
@@ -28,7 +26,6 @@ from .enumeration import (
     SuffixCensus,
     density_table,
     top_slice_c,
-    top_slice_counts,
     top_slice_levels,
     window_counts,
     window_restrict,
@@ -39,7 +36,6 @@ from .constants import (
     a_const,
     a_consts_batch,
     a_levels,
-    build_a_constants,
     c_const,
     c_consts,
     cache_load,

@@ -44,6 +44,7 @@ from .enumeration import (
     WORD_LIMIT,
 )
 from .constants import (
+    DEFAULT_DEPTH_BUDGET,
     CacheConflictError,
     ConstantCache,
     TOP_SLICE_LIMIT,
@@ -67,10 +68,9 @@ from .verify import SUITES, run_suites
 SCHEMA_VERSION = 1
 # what json.dumps(value, ensure_ascii=False, indent=2) encodes with
 _JSON = json.JSONEncoder(ensure_ascii=False, indent=2)
-# flag defaults: the largest f swept (2^(f-1) sets) and the largest level t
-# of a constant (3^(t-1) sets)
+# flag default: the largest f swept (2^(f-1) sets); --depth-budget's is
+# constants.DEFAULT_DEPTH_BUDGET
 DEFAULT_ENUM_BUDGET = 30
-DEFAULT_DEPTH_BUDGET = 15
 
 
 class UsageError(Exception):

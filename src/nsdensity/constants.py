@@ -50,7 +50,14 @@ The checks that run:
   * :func:`check_c`: 1 <= C_{l,k} <= 2^l 3^(k-2l-1) for l >= 1 and
     2l+2 <= k <= 31.  31 = (WORD_LIMIT-1)/2 is the deepest top slice, and
     the C_{l,k} with k <= 2l+1 are the closed-form 1, never stored;
-  * a recomputed constant that differs from a cached one is an error.
+  * :meth:`ConstantCache.set_level` refuses a second, different value of a
+    level it holds, and ``set_c`` of a C.  No route re-sweeps a held level
+    or C: :func:`a_levels` and :func:`c_consts`, the only code that puts a
+    swept constant into a cache, sweep only what it lacks, and every other
+    function that returns a constant reads through them.  The re-sweep of
+    a loaded cache is ``verify``'s ``cache-consistency``, which sweeps its
+    levels and C afresh by the same two routes and names the first
+    constant that differs.
 
 The 4^t full-window sweep is the independent oracle
 (:func:`nsdensity.verify.full_window_oracle`), run by ``verify --suite
@@ -61,8 +68,9 @@ A_{D∪{k}} 4^(t-k), the finite truncation identity.
 
 :class:`ConstantCache` holds level t of A as one read-only array, A_D at
 index D.mask - 2^(t-1) (Max(D) is the bit length of D.mask).  Only its
-checking setters fill it, so it never holds a partial or rule-breaking
-level and :func:`cache_store` writes only what :func:`cache_load` accepts.
+checking setters fill it, called by :func:`a_levels`, :func:`c_consts` and
+the loader alone, so it never holds a partial or rule-breaking level and
+:func:`cache_store` writes only what :func:`cache_load` accepts.
 
 The cache file is line-delimited ``A|<D-key>|<int>`` / ``C|<l>,<k>|<int>``
 records, UTF-8 with LF endings, sorted for reproducible diffs; ``#`` lines
@@ -112,6 +120,9 @@ def _conflict(key: str, value: int, old: int) -> CacheConflictError:
 
 # the deepest top slice a 64-bit word holds: f = 2t+1 <= WORD_LIMIT
 TOP_SLICE_LIMIT = (WORD_LIMIT - 1) // 2
+# the largest level t of a constant swept by default (3^(t-1) sets): the
+# CLI's --depth-budget default, and the deepest level verify re-sweeps
+DEFAULT_DEPTH_BUDGET = 15
 
 
 def check_a_level(t: int, values: np.ndarray) -> None:
@@ -201,7 +212,7 @@ class ConstantCache:
         differ = np.flatnonzero(old != level)
         if len(differ):
             i = int(differ[0])
-            key = DSet.from_mask((1 << (t - 1)) + i).key
+            key = DSet((1 << (t - 1)) + i).key
             raise _conflict(f"A[{key}]", level[i], old[i])
 
     def set_c(self, l: int, k: int, value: int) -> None:
@@ -356,7 +367,7 @@ class _Reader:
         clash = np.flatnonzero(values != held)
         if len(clash):
             i = clash[0]
-            key = DSet.from_mask(int(masks[i])).key
+            key = DSet(int(masks[i])).key
             raise _conflict(f"A[{key}]", values[i], held[i])
         c: dict[tuple[int, int], int] = {}
         for l, k, value in self.c_records:
@@ -476,64 +487,35 @@ def resolve_cache_path(flag: str | None = None) -> str:
 # A_D
 
 
-def _hold(t: int, buckets: np.ndarray, cache: ConstantCache | None) -> np.ndarray:
-    """Level t of A, the top half of its top-slice histogram ``buckets``,
-    held by ``cache`` through :meth:`ConstantCache.set_level` when given
-    and checked by the level rule otherwise."""
-    level = buckets[1 << (t - 1):]  # level t is the mask range [2^(t-1), 2^t)
-    if cache is None:
-        check_a_level(t, level)
-    else:
-        cache.set_level(t, level)
-    return level
-
-
 def a_levels(first: int, depth: int, cache: ConstantCache) -> None:
     """Every level of A in [first, depth] that ``cache`` lacks, from one
     top-slice table (a level range of :func:`top_slice_levels`), each held
-    as it is swept, after the checks described in the module docstring."""
+    by :meth:`ConstantCache.set_level` as it is swept: the one route by
+    which a swept level enters a cache."""
     missing = [t for t in range(max(first, 1), depth + 1) if t not in cache.levels]
     if missing:
         for t, buckets in top_slice_levels(missing):
-            _hold(t, buckets, cache)
+            # level t is the mask range [2^(t-1), 2^t)
+            cache.set_level(t, buckets[1 << (t - 1):])
 
 
 def a_consts_batch(t: int, cache: ConstantCache | None = None) -> Mapping[int, int]:
-    """All A_D with Max(D) = t, as a read-only {D.mask: A_D} view of the
-    swept level, from one top-slice sweep.
-
-    Held by ``cache`` as level t when given: the sweep's slice as is,
-    after the checks described in the module docstring.  A level the cache
-    already holds is swept again, and must be equal.
-    """
+    """All A_D with Max(D) = t, as a read-only {D.mask: A_D} view of level
+    t of ``cache`` (a fresh one when none is given), which :func:`a_levels`
+    sweeps when the cache lacks it."""
     if t < 1:
         raise ValueError("batch needs t >= 1; A over the empty set is 1")
-    ((_, buckets),) = top_slice_levels([t])
-    return _AEntries({t: _hold(t, buckets, cache)})
+    if cache is None:
+        cache = ConstantCache()
+    a_levels(t, t, cache)
+    return _AEntries({t: cache.levels[t]})
 
 
 def a_const(d: DSet, cache: ConstantCache | None = None) -> int:
-    """A_D = |B(D, 2 Max(D) + 1)|, from cache when possible."""
-    t = d.max_element
-    if t == 0:
+    """A_D = |B(D, 2 Max(D) + 1)|, read from :func:`a_consts_batch`."""
+    if d.max_element == 0:
         return 1
-    if cache is not None and t in cache.levels:
-        return cache.a(d)
-    return a_consts_batch(t, cache)[d.mask]
-
-
-def build_a_constants(depth: int, cache: ConstantCache | None = None) -> ConstantCache:
-    """Fill a cache with every A_D for Max(D) <= depth: the levels it
-    lacks, by :func:`a_levels`.
-
-    Each level is read off the one table and no other level; the
-    lower-window buckets that tie the levels together are replayed by the
-    oracle in :mod:`nsdensity.verify`, not here.
-    """
-    if cache is None:
-        cache = ConstantCache()
-    a_levels(1, depth, cache)
-    return cache
+    return a_consts_batch(d.max_element, cache)[d.mask]
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +524,26 @@ def build_a_constants(depth: int, cache: ConstantCache | None = None) -> Constan
 
 def c_consts(l: int, depth: int, cache: ConstantCache | None = None) -> tuple[int, ...]:
     """C_{l,k} for k = 1..depth: 1 in closed form for k <= 2l+1, each
-    other one from ``cache`` or, for all that it lacks, from one table of
-    :func:`top_slice_c`, each checked by :func:`check_c` on entry."""
+    other one from ``cache`` (a fresh one when none is given), which takes
+    all that it lacks from one table of :func:`top_slice_c` through
+    :meth:`ConstantCache.set_c`: the one route by which a swept C enters a
+    cache."""
     if l < 1 or depth < 1:
         raise ValueError("l and depth must be positive")
-    return tuple(_c_values(l, range(1, depth + 1), cache))
+    if cache is None:
+        cache = ConstantCache()
+    # k <= l: only {f-k} ∪ N_f qualifies at f = l+k+1; l < k <= 2l+1: the
+    # prefix gap empties [1, k-1] too and the same set remains
+    swept = range(2 * l + 2, depth + 1)
+    missing = [k for k in swept if cache.c(l, k) is None]
+    if missing:
+        for k, value in top_slice_c(l, missing).items():
+            cache.set_c(l, k, value)
+    return (1,) * min(depth, 2 * l + 1) + tuple(cache.c(l, k) for k in swept)
 
 
 def c_const(l: int, k: int, cache: ConstantCache | None = None) -> int:
-    """C_{l,k}: prefix-avoiding window constant.
+    """C_{l,k}: prefix-avoiding window constant, entry k of :func:`c_consts`.
 
     1 in closed form for k <= 2l+1.  For k >= 2l+2 it is |B_l(k, 2k+1)|,
     bucket {k} of the top slice at f = 2k+1 with [1, l] kept out of T,
@@ -559,26 +552,4 @@ def c_const(l: int, k: int, cache: ConstantCache | None = None) -> int:
     """
     if l < 1 or k < 1:
         raise ValueError("l and k must be positive")
-    (value,) = _c_values(l, [k], cache)
-    return value
-
-
-def _c_values(l: int, ks, cache: ConstantCache | None) -> list[int]:
-    """C_{l,k} for each k of ``ks``: closed form, cache hit, or one
-    :func:`top_slice_c` table for every k left."""
-    # k <= l: only {f-k} ∪ N_f qualifies at f = l+k+1; l < k <= 2l+1: the
-    # prefix gap empties [1, k-1] too and the same set remains
-    held = {k: 1 for k in ks if k <= 2 * l + 1}
-    if cache is not None:
-        held.update(
-            (k, v) for k in ks if k not in held and (v := cache.c(l, k)) is not None
-        )
-    missing = [k for k in ks if k not in held]
-    if missing:
-        for k, value in top_slice_c(l, missing).items():
-            if cache is None:
-                check_c(l, k, value)
-            else:
-                cache.set_c(l, k, value)
-            held[k] = value
-    return [held[k] for k in ks]
+    return c_consts(l, k, cache)[k - 1]

@@ -172,11 +172,6 @@ class DSet:
         return cls(mask)
 
     @classmethod
-    def from_mask(cls, mask: int) -> "DSet":
-        """The set whose bitmask is ``mask``, the same as ``DSet(mask)``."""
-        return cls(mask)
-
-    @classmethod
     def parse(cls, text: str) -> "DSet":
         """Parse a D key (see :func:`parse_d_mask`)."""
         return cls(parse_d_mask(text))
@@ -215,19 +210,6 @@ class DSet:
 
     def __str__(self) -> str:
         return self.key
-
-
-def make_numerical_set(f: int, members: Iterable[int]) -> NumericalSet:
-    """Build the numerical set with Frobenius number f and the given
-    members in [1, f-1]."""
-    if f < 1:
-        raise ValueError(f"Frobenius number must be >= 1, got {f}")
-    mask = 0
-    for x in members:
-        if not 1 <= x <= f - 1:
-            raise ValueError(f"member {x} outside [1, {f - 1}]")
-        mask |= 1 << (x - 1)
-    return NumericalSet(f, mask)
 
 
 def a_mask(f: int, gaps_mask: int) -> int:
@@ -288,11 +270,6 @@ def as_semigroup(T: NumericalSet) -> Semigroup:
     return Semigroup(T.f, T.gaps_mask)
 
 
-def n_f(f: int) -> Semigroup:
-    """The minimal semigroup {0} u (f, infinity) with Frobenius number f."""
-    return Semigroup(f, 0)
-
-
 def n_of(D: DSet, f: int) -> NumericalSet:
     """The numerical set {0} u {f - l : l in D} u {f+1, ...}.
 
@@ -303,7 +280,10 @@ def n_of(D: DSet, f: int) -> NumericalSet:
     t = D.max_element
     if f <= t:
         raise ValueError(f"need f > Max(D) = {t}, got f = {f}")
-    return make_numerical_set(f, (f - l for l in D))
+    mask = 0
+    for l in D:  # member f - l, in [f - t, f - 1]
+        mask |= 1 << (f - l - 1)
+    return NumericalSet(f, mask)
 
 
 def d_of(S: Semigroup) -> DSet:

@@ -63,7 +63,7 @@ and only the rows of the L2 vector and of the table with that bit clear
 are built), or above L, where the chunks whose fixed bits hold it are
 skipped: for f >= 34 at the default block, or at a small chunk.
 
-The top slice at f = 2t+1 (see :func:`top_slice_counts`) takes the same
+The top slice at f = 2t+1 (see :func:`top_slice_levels`) takes the same
 step over digit pairs.  Digit j in [1, t-1] is the pair (x_j, h_j) =
 (j, j+t+1); x_0 = 0 and h_0 = t+1 are in T, x_t = t and h_t = f are not.
 Window bit y-1 (f-y not in A(T)) is violated exactly when some pair (k, j)
@@ -114,7 +114,7 @@ bits again.
 Both the table and the per-chunk vectors are built from each digit's
 membership by the one pair rule, k = j included, so a pair state with x_j
 in T and h_j out would leave a window below 2^(t-1), which
-:func:`top_slice_counts` and :func:`top_slice_c` refuse.
+:func:`top_slice_levels` and :func:`top_slice_c` refuse.
 
 The two chunkers share nothing: the flat sweep takes f and the top slice
 takes a list of levels, and each runs its chunks in order on the calling
@@ -230,7 +230,7 @@ def _slice_levels(
     """(t, windows) for each chunk of each top-slice level t in
     ``levels``: the chunk's width-t windows, all read from one table.
 
-    The top slice at f = 2t+1 (see :func:`top_slice_counts`) is indexed in
+    The top slice at f = 2t+1 (see :func:`top_slice_levels`) is indexed in
     mixed radix: digit j is the state of the pair (j, j+t+1), base 2 for
     j <= ``prefix_zeros`` (j out of T) and base 3 above, each digit's
     neutral state first.  With r = ``forced``, the digits t-r, ..., t-1 of
@@ -645,7 +645,7 @@ class DensityTable:
         # |S(D,f)| is indexed by D.mask: the whole window must fit in max_t
         residue = (_mult_chunk(self.masks, f) <= np.uint64(f // 2)) & (window <= low_t)
         s_tot = _sum_by(window[residue], self.counts[residue], 1 << max_t)
-        dsets = [DSet.from_mask(m) for m in range(1 << max_t)]
+        dsets = [DSet(m) for m in range(1 << max_t)]
         goals = [n_of(d, f).gaps_mask for d in dsets]
         return SuffixCensus(
             f,
@@ -751,7 +751,7 @@ def _check_levels(levels: list[int]) -> None:
 
 def _refuse_stray(t: int, stray: int) -> None:
     """A kernel that put ``stray`` level-t sets below window 2^(t-1) is
-    wrong (see :func:`top_slice_counts`)."""
+    wrong (see :func:`top_slice_levels`)."""
     if stray:
         raise AssertionError(
             f"{stray} top-slice sets at f={2 * t + 1} have a window below 2^{t - 1}"
@@ -761,10 +761,25 @@ def _refuse_stray(t: int, stray: int) -> None:
 def top_slice_levels(
     levels: Iterable[int], *, prefix_zeros: int = 0
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """(t, :func:`top_slice_counts` at t) for every level t in ``levels``
-    (ascending), all from one table (see :func:`_slice_levels`).  Each
-    level comes as soon as its last chunk is in, so memory holds one
-    level's histogram at a time; the levels are checked at the call."""
+    """(t, width-t window histogram at f = 2t+1 over the top slice alone)
+    for every level t in ``levels`` (ascending), all from one table (see
+    :func:`_slice_levels`).
+
+    t+1 is in A(T) iff t+1 in T, t not in T, and x in T implies x+t+1 in T
+    for x in [1, t-1]: each pair (x, x+t+1) keeps 3 of its 4 states, or 2
+    when x <= prefix_zeros must stay out of T.  These 2^l 3^(t-1-l) sets
+    (l = prefix_zeros) are exactly the sets whose window has maximum t, so
+    entry p of level t's histogram equals ``window_counts(2t+1, t,
+    prefix_zeros=l)[p]`` for p >= 2^(t-1).  The kernel computes the whole
+    window from every digit pair, and a set landing below 2^(t-1) is an
+    AssertionError.
+
+    Each level comes as soon as its last chunk is in, so memory holds one
+    level's histogram at a time.  It sweeps the levels it is given: the
+    budget flags are checked in :mod:`nsdensity.cli` alone.  Only the word
+    size bounds them, t <= (WORD_LIMIT-1)/2, checked at the call, before
+    any histogram is allocated.
+    """
     levels = list(levels)
     _check_levels(levels)
     histograms = _window_histograms(_slice_levels(levels, prefix_zeros=prefix_zeros))
@@ -777,35 +792,15 @@ def top_slice_levels(
     return checked()
 
 
-def top_slice_counts(t: int, *, prefix_zeros: int = 0) -> np.ndarray:
-    """Width-t window histogram at f = 2t+1 over the top slice alone.
-
-    t+1 is in A(T) iff t+1 in T, t not in T, and x in T implies x+t+1 in T
-    for x in [1, t-1]: each pair (x, x+t+1) keeps 3 of its 4 states, or 2
-    when x <= prefix_zeros must stay out of T.  These 2^l 3^(t-1-l) sets
-    (l = prefix_zeros) are exactly the sets whose window has maximum t, so
-    entry p of the result equals ``window_counts(2t+1, t,
-    prefix_zeros=l)[p]`` for p >= 2^(t-1).  The kernel computes the whole
-    window from every digit pair, and a set landing below 2^(t-1) is an
-    AssertionError.
-
-    It sweeps the t it is given: the budget flags are checked in
-    :mod:`nsdensity.cli` alone.  Only the word size bounds it, t <=
-    (WORD_LIMIT-1)/2, checked before the histogram is allocated.
-    """
-    ((_, buckets),) = top_slice_levels([t], prefix_zeros=prefix_zeros)
-    return buckets
-
-
 def top_slice_c(l: int, levels: Iterable[int]) -> dict[int, int]:
     """C_{l,k} for each k in ``levels`` (ascending, k >= 2l+1), all from
     one table: the sets of level k with digits 1..l out of T and digits
     k-l..k-1 forced (x and h out of T) whose window is exactly {k}, that is
     bucket 2^(k-1).  That is the count of the prefix-only sweep
-    ``top_slice_counts(k, prefix_zeros=l)`` at bucket 2^(k-1), over
+    ``top_slice_levels([k], prefix_zeros=l)`` at bucket 2^(k-1), over
     2^l 3^(k-1-2l) sets instead of 2^l 3^(k-1-l) (proof in
     :mod:`nsdensity.constants`).  A window below 2^(k-1) is an
-    AssertionError, as in :func:`top_slice_counts`.
+    AssertionError, as in :func:`top_slice_levels`.
     """
     levels = list(levels)
     _check_levels(levels)

@@ -98,7 +98,7 @@ def refined_lo(mask: int, s: int, depth: int) -> Fraction:
         return Fraction(raw, q)
     if s * bound.denominator < bound.numerator * q:
         raise ValueError(
-            f"empty refined interval for D = {DSet.from_mask(mask).key}: "
+            f"empty refined interval for D = {DSet(mask).key}: "
             f"lower end {bound} above upper end {s}/4^{depth}"
         )
     return bound

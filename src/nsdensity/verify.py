@@ -25,8 +25,8 @@ that breaks them, so no suite restates them:
   * the C bound 1 <= C_{l,k} <= 2^l 3^(k-2l-1) by
     :func:`~nsdensity.constants.check_c`, which
     :meth:`ConstantCache.set_c` runs on every C a cache takes, loaded or
-    swept, and ``c_consts`` and ``c_const`` on a value they sweep
-    without a cache;
+    swept (``c_consts`` and ``c_const`` sweep into a fresh cache when given
+    none);
   * the sum of P(S) over a density table, 2^(f-1-l), by
     :class:`~nsdensity.enumeration.DensityTable` on construction.
 
@@ -56,12 +56,18 @@ oracle:
                                          ``c-fixture`` (frozen values),
                                          ``c-unit-range`` (the flat sweep
                                          for k <= 2l+1)
-  cache loader                           ``cache-consistency`` (levels
-                                         swept afresh), when a cache is
-                                         loaded
+  cache loader                           ``cache-consistency`` (every
+                                         loaded level t <= 15 and C with
+                                         k <= 15, swept afresh by
+                                         ``a_levels`` and ``c_consts``; the
+                                         first differing constant named),
+                                         when a cache is loaded
   series engine                          ``series-engine`` (``gamma``, one
   (``truncation_numerators``)            ``a_const`` and one Fraction per
-                                         term)
+                                         term), ``gamma-external-estimate``
+                                         (the published 0.484451 +/-
+                                         0.005011), ``mu-drift`` (the flat
+                                         sweep's mu(N(D,f)))
   =====================================  ==================================
 
 ``c-growth-bound`` sweeps into a fresh cache, never the loaded one, whose
@@ -79,6 +85,8 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .core import (
     DSet,
@@ -104,9 +112,10 @@ from .enumeration import (
     window_restrict,
 )
 from .constants import (
+    DEFAULT_DEPTH_BUDGET,
     CacheConflictError,
     ConstantCache,
-    a_consts_batch,
+    a_levels,
     c_const,
     c_consts,
 )
@@ -328,7 +337,7 @@ def check_window_factorization(f_max: int, t_max: int = 4) -> str:
             # only patterns with Max = t exactly; lower ones restrict further
             for mask in range(1 << (t - 1), 1 << t):
                 if got[mask] != want[mask]:
-                    d = DSet.from_mask(mask)
+                    d = DSet(mask)
                     raise AssertionError(
                         f"B({d.key},{f}) = {int(got[mask])} != "
                         f"A_D*2^{f - 2 * t - 1} = {int(want[mask])}"
@@ -355,7 +364,7 @@ def check_preimage_identity(f: int, t_max: int = 3) -> str:
         return int(window_restrict(wide, wide_w, t)[d.mask])
 
     for mask in range(1 << cap):
-        d = DSet.from_mask(mask)
+        d = DSet(mask)
         t = d.max_element
         rhs = b_of(d)
         for k in range(t + 1, wide_w + 1):
@@ -456,14 +465,14 @@ def full_window_oracle(t: int, cache: ConstantCache) -> None:
     for m, value in enumerate(held, low):
         if value != int(buckets[m]):
             raise CacheConflictError(
-                f"A_{{{DSet.from_mask(m).key}}} is {value} on "
+                f"A_{{{DSet(m).key}}} is {value} on "
                 f"the slice route, {int(buckets[m])} in the 4^{t} sweep"
             )
     for m in range(low):  # window maxima below t
         value = _truncation_bucket(m, t, cache)
         if value is not None and value != int(buckets[m]):
             raise CacheConflictError(
-                f"bucket[{DSet.from_mask(m).key}] of the 4^{t} sweep is "
+                f"bucket[{DSet(m).key}] of the 4^{t} sweep is "
                 f"{int(buckets[m])}, the truncation identity predicts {value}"
             )
 
@@ -517,32 +526,48 @@ def suite_counting(max_f: int | None = None,
     return [
         check_window_factorization(f_cap, min(4, (f_cap - 1) // 2)),
         check_preimage_identity(min(14, f_cap), 3),
-        check_small_multiplicity_bound(f_cap),
     ]
 
 
 def suite_constants(max_f: int | None = None,
                     cache: ConstantCache | None = None) -> list[Check]:
-    t_max, fresh = 6, ConstantCache()
+    t_max = 6
 
     def batch_validation() -> str:
+        fresh = ConstantCache()
+        a_levels(1, t_max, fresh)
         for t in range(1, t_max + 1):
-            a_consts_batch(t, fresh)
             full_window_oracle(t, fresh)
         return (
             f"slice route equals the top buckets of the 4^t sweep, whose buckets "
             f"sum to 4^t and meet the truncation identity; t <= {t_max}"
         )
 
-    def cache_consistency() -> str:  # runs after batch_validation fills fresh
-        bad = [
-            DSet.from_mask(mask).key for mask, v in fresh.a_entries.items()
-            if cache.a_entries.get(mask, v) != v
-        ]
-        return _verdict(
-            not bad, f"{len(fresh.a_entries)} recomputed A match the cache",
-            f"cached A differs for {bad[:3]}",
-        )
+    def cache_consistency() -> str:
+        # verify takes no --depth-budget: its re-sweep is held to the default
+        levels = [t for t in sorted(cache.levels) if t <= DEFAULT_DEPTH_BUDGET]
+        c_keys = sorted(lk for lk in cache.c_entries if lk[1] <= DEFAULT_DEPTH_BUDGET)
+        swept = ConstantCache()
+        a_levels(1, max(levels, default=0), swept)
+        for l, k in dict(c_keys).items():  # the largest k of each l
+            c_consts(l, k, swept)
+        for t in levels:
+            held, again = cache.levels[t], swept.levels[t]
+            differ = np.flatnonzero(held != again)
+            if len(differ):
+                i = int(differ[0])
+                raise AssertionError(
+                    f"A[{DSet((1 << (t - 1)) + i).key}] is {held[i]} in the "
+                    f"cache, {again[i]} swept afresh"
+                )
+        for l, k in c_keys:
+            if cache.c(l, k) != swept.c(l, k):
+                raise AssertionError(
+                    f"C[{l},{k}] is {cache.c(l, k)} in the cache, "
+                    f"{swept.c(l, k)} swept afresh"
+                )
+        n_a = sum(len(cache.levels[t]) for t in levels)
+        return f"{n_a} re-swept A and {len(c_keys)} re-swept C match the cache"
 
     checks = [Check("a-batch-validation", batch_validation), check_topslice_sweep(7, 9)]
     if cache is not None and cache.levels:
@@ -570,7 +595,7 @@ def suite_limits(max_f: int | None = None,
         # the engine's rows against the per-D oracle, over the table's
         # range and over each alpha_n's sub-range
         q = 4**depth
-        want = [gamma(DSet.from_mask(m), depth, cache).value * q for m in range(8)]
+        want = [gamma(DSet(m), depth, cache).value * q for m in range(8)]
         if truncation_numerators(0, 8, depth, cache) != want:
             raise AssertionError("table rows with Max(D) <= 3 != gamma(D)")
         for n in (-1, 1, 2, 3):
@@ -611,7 +636,7 @@ def suite_limits(max_f: int | None = None,
         rows = gamma_table(min(3, depth), depth, cache).rows
         return _verdict(
             not rows[0], f"top row of {len(rows)} is ∅",
-            f"top row is {DSet.from_mask(rows[0]).key}, not ∅",
+            f"top row is {DSet(rows[0]).key}, not ∅",
         )
 
     def positivity_consistency() -> str:
@@ -623,7 +648,7 @@ def suite_limits(max_f: int | None = None,
         ), None)
         if bad is not None:
             raise AssertionError(
-                f"gamma upper end below a_t/2^(t+1) at D={DSet.from_mask(bad).key}"
+                f"gamma upper end below a_t/2^(t+1) at D={DSet(bad).key}"
             )
         tbl.refined_lows  # raises if structurally empty
         return "upper ends dominate a_t/2^(t+1); refined intervals nonempty"
@@ -652,13 +677,12 @@ def suite_oracle(max_f: int | None = None,
     @functools.cache
     def fresh() -> ConstantCache:
         swept = ConstantCache()
-        for t in range(1, 5):
-            a_consts_batch(t, swept)
+        a_levels(1, 4, swept)
         return swept
 
     def a_fixture(frozen: dict[str, int], t: int) -> str:
         got = {
-            DSet.from_mask(mask).key: v for mask, v in fresh().a_entries.items()
+            DSet(mask).key: v for mask, v in fresh().a_entries.items()
             if mask.bit_length() == t
         }
         return _verdict(
@@ -727,23 +751,25 @@ def suite_convergence(max_f: int | None = None,
         goals = [n_of(d, f_cap).gaps_mask for d in dsets]
         counts = density_table(f_cap).preimages(goals)
         allowance = Fraction(2, 100) + tail_bound(depth)
+        rows = truncation_numerators(0, 8, depth, cache)  # every D with Max(D) <= 3
         for d, count in zip(dsets, counts.tolist()):
             mu = Fraction(count, 1 << (f_cap - 1))
-            v = gamma(d, depth, cache).value
+            v = Fraction(rows[d.mask], 4**depth)
             if abs(mu - v) > allowance:
                 raise AssertionError(f"D={d.key}: |mu - gamma| = {float(abs(mu - v)):.4f}")
         return "mu(N(D,f)) within 0.02 + (3/4)^depth of the truncation"
 
     def external_estimate() -> str:
-        g = gamma(DSet(), depth, cache)
+        (s,) = truncation_numerators(0, 1, depth, cache)
+        interval = Interval.on_grid(s - 3**depth, s, depth)
         published = Interval(
             Fraction(484451, 10**6) - Fraction(5011, 10**6),
             Fraction(484451, 10**6) + Fraction(5011, 10**6),
         )
         return _verdict(
-            g.interval.intersects(published),
-            f"gamma interval {g.interval} meets 0.484451 +/- 0.005011",
-            f"gamma interval {g.interval} misses 0.484451 +/- 0.005011",
+            interval.intersects(published),
+            f"gamma interval {interval} meets 0.484451 +/- 0.005011",
+            f"gamma interval {interval} misses 0.484451 +/- 0.005011",
         )
 
     def g1_empirical_report() -> str:  # report-only: finite-f drift, no certified rate

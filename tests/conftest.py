@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from nsdensity.constants import ConstantCache, a_consts_batch, cache_load
+from nsdensity.constants import ConstantCache, a_levels, cache_load
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHIPPED_CACHE = ROOT / "nsdensity.cache"
@@ -22,6 +22,5 @@ def shipped_cache() -> ConstantCache:
 def small_cache() -> ConstantCache:
     """Constants through Max(D) = 6, computed fresh (about a tenth of a second)."""
     cache = ConstantCache()
-    for t in range(1, 7):
-        a_consts_batch(t, cache)
+    a_levels(1, 6, cache)
     return cache

@@ -18,7 +18,7 @@ import pytest
 
 from nsdensity.core import DSet, d_of, n_of
 from nsdensity.enumeration import density_table
-from nsdensity.constants import build_a_constants
+from nsdensity.constants import ConstantCache, a_levels
 from nsdensity.limits import (
     Interval,
     alpha_partial_sum,
@@ -112,7 +112,8 @@ def test_criterion_04_preimage_partition_identity():
 def test_criterion_05a_depth12_fresh_overlaps_reference():
     """A from-scratch depth-12 run reproduces all 28 reference densities."""
     start = time.monotonic()
-    cache = build_a_constants(12)
+    cache = ConstantCache()
+    a_levels(1, 12, cache)
     elapsed = time.monotonic() - start
     assert elapsed < 300, f"depth-12 build took {elapsed:.1f}s"
     for key in REFERENCE_DENSITIES:
@@ -133,7 +134,8 @@ def test_criterion_05b_depth15_overlaps_reference(shipped_cache):
 
 def test_criterion_05c_full_depth15_rebuild(shipped_cache):
     """Rebuilding every constant from scratch reproduces the shipped cache."""
-    fresh = build_a_constants(15)
+    fresh = ConstantCache()
+    a_levels(1, 15, fresh)
     assert fresh.a_entries == shipped_cache.a_entries
 
 
@@ -170,7 +172,7 @@ def test_criterion_08_positivity(shipped_cache):
     by the truncation.
     """
     for m in range(1, 1 << 15):
-        d = DSet.from_mask(m)
+        d = DSet(m)
         g = gamma(d, 15, shipped_cache)
         assert g.value >= gamma_lower_bound(d.max_element), f"D = {d.key}"
     for key in REFERENCE_DENSITIES:

@@ -110,7 +110,7 @@ class TestTable:
         # bound 7/384 lies far inside its grid cell [0, 1/4]
         cache = cache_load(CACHE_PATH)
         ests = sorted(
-            (gamma(DSet.from_mask(m), depth, cache) for m in range(1 << max_t)),
+            (gamma(DSet(m), depth, cache) for m in range(1 << max_t)),
             key=lambda g: (-g.value, g.d.elements),
         )
         want = [
@@ -219,7 +219,9 @@ class TestVerify:
         )
         assert code == 0
         names = [c["name"] for c in json.loads(out)["checks"]]
-        assert len(names) == len(set(names)) == 31
+        # the same check at two scales counts twice: compare bare names
+        bare = [n.split("(")[0] for n in names]
+        assert len(bare) == len(set(bare)) == 30
         assert "series-engine(t<=3,depth=10)" in names
         # no check restates a fact enforced where the data enters
         deleted = ("a-bounds", "a-sum-identity", "sum-preimages", "alpha-width")
@@ -253,6 +255,37 @@ class TestVerify:
             "[PASS] encode-roundtrip", "[PASS] fold-window",
         ]
         assert lines[5] == "5 checks, 4 passed, 1 failed"
+
+    def test_cache_consistency_resweeps_every_loaded_level(self, capsys, tmp_path):
+        # one count moved from A_{1,2,15} to A_{2,15} keeps the level rule,
+        # so the file loads; only the re-sweep of level 15 can refuse it
+        text = Path(CACHE_PATH).read_text(encoding="utf-8")
+        a, b = (int(re.search(rf"^A\|{key}\|(\d+)$", text, re.M)[1])
+                for key in ("2,15", "1,2,15"))
+        swap = tmp_path / "swap.cache"
+        swap.write_text(
+            text.replace(f"\nA|2,15|{a}\n", f"\nA|2,15|{a + 1}\n")
+            .replace(f"\nA|1,2,15|{b}\n", f"\nA|1,2,15|{b - 1}\n"),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "verify", "--suite", "constants", "--cache", str(swap))
+        assert (code, err) == (1, "")
+        assert (
+            f"[FAIL] cache-consistency: A[2,15] is {a + 1} in the cache, "
+            f"{a} swept afresh\n"
+        ) in out
+        code, out, _ = run(capsys, "verify", "--suite", "constants", "--cache", CACHE_PATH)
+        assert code == 0
+        assert "cache-consistency: 32767 re-swept A and 15 re-swept C match" in out
+
+    def test_cache_consistency_names_a_differing_c(self, capsys, tmp_path):
+        text = Path(CACHE_PATH).read_text(encoding="utf-8")
+        assert "\nC|2,8|36\n" in text
+        bad = tmp_path / "bad.cache"
+        bad.write_text(text.replace("\nC|2,8|36\n", "\nC|2,8|35\n"), encoding="utf-8")
+        code, out, _ = run(capsys, "verify", "--suite", "constants", "--cache", str(bad))
+        assert code == 1
+        assert "[FAIL] cache-consistency: C[2,8] is 35 in the cache, 36 swept afresh\n" in out
 
     @pytest.mark.parametrize("max_f", range(1, 8))
     @pytest.mark.parametrize("suite", ["core", "convergence"])

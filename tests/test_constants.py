@@ -11,7 +11,7 @@ from nsdensity.constants import (
     ConstantCache,
     a_const,
     a_consts_batch,
-    build_a_constants,
+    a_levels,
     c_const,
     c_consts,
     cache_load,
@@ -45,6 +45,13 @@ A_FIXTURES = {
     },
 }
 
+def swept(depth: int) -> ConstantCache:
+    """A fresh cache holding every level 1..depth, filled by a_levels."""
+    cache = ConstantCache()
+    a_levels(1, depth, cache)
+    return cache
+
+
 # C_{l,k} beyond the closed-form range, frozen from the same route
 C_FIXTURES = {(1, 4): 3, (1, 5): 6, (1, 6): 17, (2, 6): 5, (2, 7): 11, (2, 8): 36}
 
@@ -70,7 +77,7 @@ class TestBatches:
         cache = ConstantCache()
         for t, frozen in sorted(A_FIXTURES.items()):
             got = a_consts_batch(t, cache)
-            assert {DSet.from_mask(m).key: v for m, v in got.items()} == frozen
+            assert {DSet(m).key: v for m, v in got.items()} == frozen
 
     def test_sum_is_power_of_three(self):
         cache = ConstantCache()
@@ -98,8 +105,8 @@ class TestBatches:
     def test_oracle_rejects_a_wrong_top_bucket(self):
         # A_{3} = 3 and A_{2,3} = 2 swapped keep the level sum 3^2, so the
         # level rule holds them and only the 4^t sweep can refuse them
-        cache = build_a_constants(2)
-        level = [A_FIXTURES[3][DSet.from_mask(m).key] for m in range(4, 8)]
+        cache = swept(2)
+        level = [A_FIXTURES[3][DSet(m).key] for m in range(4, 8)]
         level[0], level[2] = level[2], level[0]
         cache.set_level(3, level)
         with pytest.raises(CacheConflictError, match=(
@@ -124,6 +131,17 @@ class TestBatches:
     def test_level_zero_is_refused(self):
         with pytest.raises(ValueError):
             a_consts_batch(0, ConstantCache())
+
+    def test_held_level_is_read_not_swept(self, monkeypatch, shipped_cache):
+        def no_sweep(digits, forced=0):
+            raise AssertionError(f"top-slice table of {len(digits)} digits built")
+
+        monkeypatch.setattr(enumeration, "_slice_table", no_sweep)
+        batch = a_consts_batch(15, shipped_cache)
+        assert list(batch.values()) == shipped_cache.levels[15].tolist()
+        assert dict(batch) == {m: shipped_cache.a_entries[m] for m in range(1 << 14, 1 << 15)}
+        with pytest.raises(TypeError):
+            batch[1 << 14] = 1
 
 
 class TestAConst:
@@ -155,7 +173,7 @@ class TestAConst:
             enumeration, "_slice_table",
             lambda digits, forced=0: built.append(len(digits)) or real(digits, forced),
         )
-        fresh = build_a_constants(15)
+        fresh = swept(15)
         # levels 1..12 are the table's first rows, 13..15 run in chunks
         assert built == [11]
         assert sorted(fresh.levels) == sorted(shipped_cache.levels) == list(range(1, 16))
@@ -164,7 +182,7 @@ class TestAConst:
 
     def test_build_depth(self, tmp_path):
         cache = ConstantCache()
-        build_a_constants(4, cache)
+        a_levels(1, 4, cache)
         assert cache.a_depth() == 4
         assert len(cache.a_entries) == 2**4 - 1
         # the a-depth provenance line is written by cache_store alone
@@ -257,6 +275,20 @@ class TestCConst:
         assert built == [(6, 2)]
         assert c_consts(2, 9, cache)[5:] == (5, 11, 36, 97) and len(built) == 1
 
+    def test_c_const_is_an_entry_of_c_consts(self, monkeypatch):
+        rows, cache = {}, ConstantCache()
+        for l in range(1, 4):
+            rows[l] = c_consts(l, 12, cache)
+            assert [c_const(l, k) for k in range(1, 13)] == list(rows[l])
+
+        def no_sweep(l, levels):
+            raise AssertionError(f"C[{l},{levels}] swept")
+
+        # every C_{l,k} held: c_const reads it and sweeps nothing
+        monkeypatch.setattr(constants, "top_slice_c", no_sweep)
+        for l, row in rows.items():
+            assert [c_const(l, k, cache) for k in range(1, 13)] == list(row)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             c_const(0, 3)
@@ -278,7 +310,7 @@ class TestCacheObject:
     def test_a_depth(self):
         cache = ConstantCache()
         assert cache.a_depth() == 0
-        build_a_constants(3, cache)
+        a_levels(1, 3, cache)
         assert cache.a_depth() == 3
         # a missing level 4 keeps the certified depth at 3
         a_consts_batch(5, cache)
@@ -297,14 +329,14 @@ class TestCacheObject:
         (70, [1], "level 70: A levels lie in [1, 31], the deepest top slice"),
     ], ids=["zero", "sum", "count", "level-0", "level-32", "level-70"])
     def test_set_level_refuses_a_rule_breaking_level(self, t, values, message):
-        cache = build_a_constants(1)
+        cache = swept(1)
         with pytest.raises(CacheConflictError) as caught:
             cache.set_level(t, values)
         assert str(caught.value) == message
         assert dict(cache.levels).keys() == {1}
 
     def test_set_level_refuses_a_differing_recompute(self):
-        cache = build_a_constants(3)
+        cache = swept(3)
         held = cache.levels[3].tolist()  # A_{3}, A_{1,3}, A_{2,3}, A_{1,2,3}
         swapped = [held[2], held[1], held[0], held[3]]  # same level sum
         with pytest.raises(CacheConflictError) as caught:
@@ -334,7 +366,7 @@ class TestCacheObject:
 class TestCacheFile:
     def test_roundtrip(self, tmp_path):
         cache = ConstantCache()
-        build_a_constants(3, cache)
+        a_levels(1, 3, cache)
         cache.set_c(1, 4, 3)
         path = tmp_path / "c.cache"
         cache_store(cache, path)
@@ -384,7 +416,7 @@ class TestCacheFile:
         # int() forms of the same elements name the same masks
         path = tmp_path / "c.cache"
         path.write_text("A|+1|1\nA| 2|2\nA|01, 2 |1\n", encoding="utf-8")
-        assert cache_load(path).a_entries == build_a_constants(2).a_entries
+        assert cache_load(path).a_entries == swept(2).a_entries
 
     def test_load_rejects_internal_conflict(self, tmp_path):
         path = tmp_path / "bad.cache"
@@ -413,7 +445,7 @@ class TestCacheFile:
 
     def test_load_rejects_incomplete_level(self, tmp_path):
         path = tmp_path / "c.cache"
-        cache_store(build_a_constants(3), path)
+        cache_store(swept(3), path)
         text = path.read_text(encoding="utf-8")
         path.write_text(text.replace("A|2,3|2\n", ""), encoding="utf-8")
         with pytest.raises(CacheConflictError, match="level 3: 3 A constants"):
@@ -450,7 +482,7 @@ class TestCacheFile:
 
     def test_load_rejects_level_sum(self, tmp_path):
         path = tmp_path / "c.cache"
-        cache_store(build_a_constants(3), path)
+        cache_store(swept(3), path)
         text = path.read_text(encoding="utf-8")
         path.write_text(text.replace("A|1,3|3\n", "A|1,3|4\n"), encoding="utf-8")
         with pytest.raises(CacheConflictError, match="level 3: .* summing to 10"):
@@ -480,7 +512,7 @@ class TestCacheFile:
 
     def test_store_refuses_a_partial_level(self, tmp_path):
         # what the loader would refuse is never held, so never written
-        cache = build_a_constants(3)
+        cache = swept(3)
         level = dict(a_consts_batch(4))  # the batch is a read-only view
         del level[DSet.of([2, 4]).mask]
         with pytest.raises(CacheConflictError, match="level 4: 7 A constants"):
@@ -499,16 +531,16 @@ class TestCacheFile:
         assert "A_∅ = 1 by definition and is never stored" in err
         assert "^-" not in err
         with pytest.raises(CacheConflictError, match="never stored"):
-            build_a_constants(2).set_level(0, [1])
+            swept(2).set_level(0, [1])
 
     def test_store_refuses_c_out_of_range(self, tmp_path):
-        cache = build_a_constants(2)
+        cache = swept(2)
         with pytest.raises(CacheConflictError, match=r"C\[1,6\] = 1000000 outside \[1, 54\]"):
             cache.set_c(1, 6, 10**6)
         assert cache.c_entries == {}
 
     def test_store_refuses_a_mask_past_64_bits(self, tmp_path):
-        cache = build_a_constants(2)
+        cache = swept(2)
         with pytest.raises(CacheConflictError, match=r"level 70: A levels lie in \[1, 31\]"):
             cache.set_level(70, [1])
         assert dict(cache.levels).keys() == {1, 2}
@@ -518,7 +550,7 @@ class TestCacheFile:
         target = tmp_path / "d"
         target.mkdir()
         with pytest.raises(IsADirectoryError):
-            cache_store(build_a_constants(2), target)
+            cache_store(swept(2), target)
         assert list(tmp_path.glob("*.tmp.*")) == []
         assert list(tmp_path.iterdir()) == [target]
 
@@ -667,7 +699,7 @@ class TestShippedCache:
     def test_sum_identity_per_level(self, shipped_cache):
         by_max = {}
         for mask, v in shipped_cache.a_entries.items():
-            t = DSet.from_mask(mask).max_element
+            t = DSet(mask).max_element
             by_max[t] = by_max.get(t, 0) + v
         for t in range(1, 16):
             assert by_max[t] == 3 ** (t - 1)
@@ -678,5 +710,5 @@ class TestShippedCache:
 
     def test_a_bounds(self, shipped_cache):
         for mask, v in shipped_cache.a_entries.items():
-            t = DSet.from_mask(mask).max_element
+            t = DSet(mask).max_element
             assert 1 <= v <= 3 ** (t - 1)

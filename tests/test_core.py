@@ -15,9 +15,7 @@ from nsdensity.core import (
     d_of,
     fold,
     is_semigroup,
-    make_numerical_set,
     multiplicity,
-    n_f,
     n_of,
     r_value,
     suffix_pattern,
@@ -56,12 +54,6 @@ class TestNumericalSet:
             Semigroup(4, 0b001)  # {0,1,5,...}: 1+1 = 2 missing
         Semigroup(4, 0b100)  # {0,3,5,...} is closed
 
-    def test_make_numerical_set(self):
-        t = make_numerical_set(6, [2, 4])
-        assert t == NumericalSet(6, 0b01010)
-        with pytest.raises(ValueError):
-            make_numerical_set(6, [6])  # f itself cannot be a member
-
 
 class TestDSet:
     def test_of_and_key(self):
@@ -84,7 +76,7 @@ class TestDSet:
 
     def test_mask_roundtrip(self):
         for mask in range(64):
-            assert DSet.from_mask(mask).mask == mask
+            assert DSet.of(DSet(mask).elements).mask == mask
 
     def test_with_added(self):
         assert DSet.of([1]).with_added(3) == DSet.of([1, 3])
@@ -94,7 +86,7 @@ class TestDSet:
     def test_stored_as_its_mask(self):
         assert [f.name for f in dataclasses.fields(DSet)] == ["mask"]
         d = DSet.of([5, 1, 3, 1])
-        assert d == DSet(0b10101) == DSet.from_mask(0b10101)
+        assert d == DSet(0b10101)
         assert d.elements == (1, 3, 5) and list(d) == [1, 3, 5] and len(d) == 3
         assert d.key == "1,3,5" and d.max_element == 5
         assert hash(d) == hash(DSet.parse("1,3,5"))
@@ -151,16 +143,16 @@ class TestAssociatedSemigroup:
 
     def test_examples(self):
         # T = {0,3,5,6,...}: f=4, A(T) = T (already closed)
-        t = make_numerical_set(4, [3])
+        t = NumericalSet(4, 0b100)
         assert associated_semigroup(t) == t
         # T = {0,1,4,...}: 1+1 = 2 missing, so A(T) is minimal
-        t = make_numerical_set(3, [1])
-        assert associated_semigroup(t) == n_f(3)
+        t = NumericalSet(3, 0b1)
+        assert associated_semigroup(t) == Semigroup(3, 0)
 
 
 class TestEncoding:
     def test_n_f(self):
-        s = n_f(7)
+        s = Semigroup(7, 0)  # the minimal semigroup {0} u (7, infinity)
         assert s.small_members() == ()
         assert multiplicity(s) == 8
         assert r_value(s) == -1
@@ -182,12 +174,12 @@ class TestEncoding:
         with pytest.raises(ValueError):
             n_of(DSet.of([3]), 3)
         # f <= 2 Max(D): a numerical set, with closure not certified
-        assert n_of(DSet.of([3]), 5).gaps_mask == make_numerical_set(5, [2]).gaps_mask
+        assert n_of(DSet.of([3]), 5) == NumericalSet(5, 0b10)
 
     def test_n_of_certified_band_is_semigroup(self):
         for t_max in range(1, 6):
             for mask in range(1 << t_max):
-                d = DSet.from_mask(mask)
+                d = DSet(mask)
                 for f in range(2 * d.max_element + 1, 2 * d.max_element + 6):
                     if f <= d.max_element:
                         continue

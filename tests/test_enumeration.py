@@ -19,7 +19,6 @@ from nsdensity.core import (
     d_of,
     is_semigroup,
     multiplicity,
-    n_f,
     n_of,
     r_value,
     suffix_pattern,
@@ -30,7 +29,6 @@ from nsdensity.enumeration import (
     density_table,
     swept_log2,
     top_slice_c,
-    top_slice_counts,
     top_slice_levels,
     window_counts,
     window_restrict,
@@ -91,7 +89,7 @@ class TestDensityTable:
     def test_mu_and_sorting(self):
         table = density_table(9)
         gaps, _, _, counts = table.ranked()
-        assert gaps[0] == n_f(9).gaps_mask
+        assert gaps[0] == Semigroup(9, 0).gaps_mask
         assert Fraction(int(counts[0]), table.sets) == Fraction(140, 256)
         assert counts.tolist() == sorted(counts.tolist(), reverse=True)
 
@@ -162,11 +160,12 @@ class TestDensityTable:
     def test_preimage_counts_match_table(self):
         f = 12
         table = density_table(f)
-        # n_f may repeat a table entry: duplicates must not double-count
-        targets = list(table.entries)[:5] + [n_f(f), n_f(f)]
+        # the minimal semigroup may repeat a table entry: duplicates must
+        # not double-count
+        targets = list(table.entries)[:5] + [Semigroup(f, 0), Semigroup(f, 0)]
         got = table.preimages([s.gaps_mask for s in targets])
         assert got.tolist() == [table.entries[s] for s in targets]
-        assert table.preimages(0) == table.entries[n_f(f)]
+        assert table.preimages(0) == table.entries[Semigroup(f, 0)]
         # masks of no semigroup at f = 12, among and above the swept ones:
         # {0, 1, 13, ...} and {0, 2, ..., 11, 13, ...}, where 2 + 10 = f
         absent = [1, (1 << (f - 1)) - 2, (1 << 63) + 5]
@@ -238,8 +237,8 @@ class TestAMapSweep:
         # 1 never lies in A(T), since (0, 1) or (1, 2) violates
         assert sweep_amasks(1) == [0]
         assert sweep_amasks(2) == core_amasks(2, 0) == [0, 0]
-        assert dict(density_table(1).entries) == {n_f(1): 1}
-        assert dict(density_table(2).entries) == {n_f(2): 2}
+        assert dict(density_table(1).entries) == {Semigroup(1, 0): 1}
+        assert dict(density_table(2).entries) == {Semigroup(2, 0): 2}
 
         def sizes(f, group=4, **sweep):
             monkeypatch.setattr(enumeration, "GROUP", group)
@@ -381,7 +380,7 @@ def flat_top_buckets(t, prefix_zeros):
 class TestTopSlice:
     @pytest.mark.parametrize("t,prefix", [(1, 0), (2, 1), (4, 0), (5, 2), (7, 3)])
     def test_is_the_top_of_the_full_sweep(self, t, prefix):
-        got = top_slice_counts(t, prefix_zeros=prefix)
+        ((_, got),) = top_slice_levels([t], prefix_zeros=prefix)
         full = window_counts(2 * t + 1, t, prefix_zeros=prefix)
         low = 1 << (t - 1)
         assert got.sum() == 2**prefix * 3 ** (t - 1 - prefix)
@@ -396,7 +395,7 @@ class TestTopSlice:
         monkeypatch.setattr(
             enumeration, "_slice_block", lambda *a: chunks.append(1) or real(*a)
         )
-        several = top_slice_counts(14)
+        several = dict(top_slice_levels([14]))[14]
         assert len(chunks) == 9 and several.sum() == 3**13
         one = swept_levels([14], chunk=enumeration.CHUNK)[14]
         assert len(chunks) == 9 and np.array_equal(several, one)
@@ -410,9 +409,9 @@ class TestTopSlice:
             lambda table, t, rows: real(table, t, rows) & np.int32((1 << (t - 1)) - 1),
         )
         with pytest.raises(AssertionError, match="below 2\\^2"):
-            top_slice_counts(3)
+            dict(top_slice_levels([3]))
         with pytest.raises(AssertionError, match="below 2\\^13"):
-            top_slice_counts(14)
+            dict(top_slice_levels([14]))
         with pytest.raises(AssertionError, match="below 2\\^5"):
             top_slice_c(2, [6, 7])
 
@@ -425,7 +424,7 @@ class TestTopSlice:
             enumeration._PAIR_STATES + ((True, False),),
         )
         with pytest.raises(AssertionError, match="below 2\\^4"):
-            top_slice_counts(5)
+            dict(top_slice_levels([5]))
         for chunk in (1, 3, 9, None):
             swept = swept_levels(range(1, 7), chunk=chunk)
             for t, got in swept.items():
@@ -454,7 +453,7 @@ class TestTopSlice:
         levels = dict(top_slice_levels([2, 5, 6, 9]))
         assert list(levels) == [2, 5, 6, 9]
         for t, got in levels.items():
-            assert np.array_equal(got, top_slice_counts(t))
+            assert np.array_equal(got, dict(top_slice_levels([t]))[t])
         with pytest.raises(ValueError, match="ascend without repeats"):
             top_slice_levels([5, 3])
         with pytest.raises(ValueError, match="ascend without repeats"):
@@ -483,11 +482,11 @@ class TestTopSlice:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            top_slice_counts(0)
+            top_slice_levels([0])
         # the prefix [1, l] is a run of digits: 0 <= l <= t-1
         for t, prefix in ((3, -1), (3, 3), (5, -2), (5, 5), (5, 9)):
             with pytest.raises(ValueError, match="below t"):
-                top_slice_counts(t, prefix_zeros=prefix)
+                dict(top_slice_levels([t], prefix_zeros=prefix))
 
     def test_word_limit_is_refused_before_the_histogram(self, monkeypatch):
         # t = 31 is the deepest slice a 64-bit word holds (f = 63); t = 32
@@ -497,9 +496,9 @@ class TestTopSlice:
 
         monkeypatch.setattr(enumeration, "_window_histograms", histogram)
         with pytest.raises(BudgetError, match="t=32 needs f = 2t\\+1 <= 63"):
-            top_slice_counts(32)
+            top_slice_levels([32])
         with pytest.raises(BudgetError):
-            top_slice_counts(40, prefix_zeros=3)
+            top_slice_levels([40], prefix_zeros=3)
         with pytest.raises(BudgetError, match="t=32"):
             top_slice_levels(range(30, 33))
         with pytest.raises(BudgetError, match="t=32"):
@@ -539,7 +538,7 @@ class TestBCounters:
         # prefix partition at l = 0: G_0(f) = P(N_f)
         for f in (8, 9, 10):
             table = density_table(f)
-            assert table.preimages(0) == table.entries[n_f(f)]
+            assert table.preimages(0) == table.entries[Semigroup(f, 0)]
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_count_G_l_against_definitional(self, l):
@@ -562,7 +561,7 @@ class TestBCounters:
             wide = (f - 1) // 2
             census = density_table(f).census(3)
             for mask in range(8):
-                d = DSet.from_mask(mask)
+                d = DSet(mask)
                 want = 0
                 for gm in range(1 << (f - 1)):
                     a = associated_semigroup_definitional(NumericalSet(f, gm))
@@ -582,7 +581,7 @@ class TestSuffixCensus:
         census = table.census(3)
         wide = (f - 1) // 2
         for mask in range(8):
-            d = DSet.from_mask(mask)
+            d = DSet(mask)
             s = as_semigroup(n_of(d, f))
             assert census.p_counts[d] == table.entries.get(s, 0)
             assert census.s_counts[d] == sum(

@@ -8,7 +8,7 @@ import pytest
 
 from nsdensity import cli, enumeration, limits
 from nsdensity.core import DSet
-from nsdensity.constants import ConstantCache, build_a_constants, c_const, cache_store
+from nsdensity.constants import ConstantCache, a_levels, c_const, cache_store
 from nsdensity.limits import (
     GammaEstimate,
     GammaTable,
@@ -157,7 +157,8 @@ class TestGamma:
         assert g.refined_interval is g.refined_interval
 
     def test_value_is_the_exact_series(self):
-        cache = build_a_constants(8)
+        cache = ConstantCache()
+        a_levels(1, 8, cache)
         d = DSet.of([2, 3])
         g = gamma(d, 8, cache)
         want = Fraction(cache.a(d), 4**3) - sum(
@@ -195,7 +196,7 @@ class TestEngine:
         for depth in range(7):
             got = truncation_numerators(0, 1 << depth, depth, small_cache)
             for m, s in enumerate(got):
-                assert Fraction(s, 4**depth) == gamma(DSet.from_mask(m), depth, small_cache).value
+                assert Fraction(s, 4**depth) == gamma(DSet(m), depth, small_cache).value
 
     def test_sweeps_only_levels_max_lo_to_depth(self):
         # the levels the oracle sweeps for one D: Max(D)..depth
@@ -242,7 +243,8 @@ class TestEngine:
             enumeration, "_slice_table",
             lambda digits, forced=0: built.append(len(digits)) or real(digits, forced),
         )
-        full = build_a_constants(9)
+        full = ConstantCache()
+        a_levels(1, 9, full)
         assert built == [8]  # levels 1..9, the free digits of level 9
         cache = ConstantCache()
         for t in (1, 2, 4, 5, 8, 9):
@@ -274,7 +276,7 @@ class TestAlpha:
         assert Fraction(sum(alpha_limit(1, 3)), 4**3) == Fraction(9, 64)
         # gamma_{2}(4) + gamma_{1,2}(4) = 22/256 + 9/256
         assert alpha_limit(2, 4) == [22, 9]
-        assert [DSet.from_mask(m).elements for m in alpha_masks(2)] == [(2,), (1, 2)]
+        assert [DSet(m).elements for m in alpha_masks(2)] == [(2,), (1, 2)]
 
     def test_shared_tail(self):
         # 2^(n-1) summands, one tail: the collapse is the whole point
@@ -284,7 +286,7 @@ class TestAlpha:
         shared = Interval.on_grid(s - 3**6, s, 6)
         assert shared.width == tail_bound(6)
         # one tail in place of the four the summands' intervals add up to
-        each = [gamma(DSet.from_mask(m), 6).interval for m in alpha_masks(3)]
+        each = [gamma(DSet(m), 6).interval for m in alpha_masks(3)]
         assert sum((iv.width for iv in each), Fraction(0)) == 4 * tail_bound(6)
         assert shared.hi == sum((iv.hi for iv in each), Fraction(0))
 
@@ -294,7 +296,7 @@ class TestAlpha:
         # the alpha value, their sum, is the sum of the oracle's values
         q = 4**15
         want = [
-            gamma(DSet.from_mask(m), 15, shipped_cache).value for m in alpha_masks(n)
+            gamma(DSet(m), 15, shipped_cache).value for m in alpha_masks(n)
         ]
         parts = alpha_limit(n, 15, shipped_cache)
         assert [Fraction(s, q) for s in parts] == want
@@ -303,7 +305,7 @@ class TestAlpha:
     def test_partial_sum_is_the_sum_of_gammas(self, small_cache):
         for n_max in range(5):
             want = sum(
-                (gamma(DSet.from_mask(m), 6, small_cache).value
+                (gamma(DSet(m), 6, small_cache).value
                  for m in range(1 << n_max)),
                 Fraction(0),
             )
@@ -365,7 +367,7 @@ def pair_loop_inconclusive(intervals):
 def refined_intervals(max_t, depth, cache):
     """gamma(D).refined_interval for every D with Max(D) <= max_t."""
     return [
-        gamma(DSet.from_mask(m), depth, cache).refined_interval
+        gamma(DSet(m), depth, cache).refined_interval
         for m in range(1 << max_t)
     ]
 
@@ -387,7 +389,7 @@ class TestGammaTable:
         table = gamma_table(max_t, depth, shipped_cache)
         q = 4**depth
         ests = sorted(
-            (gamma(DSet.from_mask(m), depth, shipped_cache) for m in range(1 << max_t)),
+            (gamma(DSet(m), depth, shipped_cache) for m in range(1 << max_t)),
             key=lambda g: (-g.value, g.d.elements),
         )
         assert list(table.rows) == [g.d.mask for g in ests]
@@ -467,7 +469,7 @@ class TestGammaTable:
         assert sorted(cache.levels) == list(range(1, 7))
         per_d = ConstantCache()
         for m in range(8):
-            gamma(DSet.from_mask(m), 6, per_d)
+            gamma(DSet(m), 6, per_d)
         cache_store(cache, tmp_path / "table.cache")
         cache_store(per_d, tmp_path / "gamma.cache")
         assert (tmp_path / "table.cache").read_bytes() == (tmp_path / "gamma.cache").read_bytes()
@@ -480,7 +482,7 @@ class TestGammaTable:
 
     def test_leading_order_at_full_depth(self, shipped_cache):
         table = gamma_table(4, 15, shipped_cache)
-        lead = [DSet.from_mask(m).elements for m in table.rows[:5]]
+        lead = [DSet(m).elements for m in table.rows[:5]]
         assert lead == [(), (1,), (2,), (3,), (1, 3)]
 
     def test_validation(self):
