@@ -89,7 +89,8 @@ of a file holding a CR) goes through the per-line parser
 :meth:`_Reader.line`, which is also the tests' oracle for the numpy route.
 Both routes only read records, and :meth:`_Reader.cache` applies the rules,
 so a file is refused in one order, with the same message whichever route
-read its lines: a malformed line, then a key with two values, then the
+read its lines: a malformed line, then a key with two values (the first
+record in the file that repeats its key with another value), then the
 level rule by order of first appearance, then the C bound.
 """
 
@@ -130,7 +131,13 @@ def check_a_level(t: int, values: np.ndarray) -> None:
     or object for ints beyond it): all 2^(t-1) constants with Max(D) = t,
     each in [1, 3^(t-1)], summing to exactly 3^(t-1).  Level 0 (A_∅ = 1 by
     definition, never stored) and a level above TOP_SLICE_LIMIT are refused
-    before any power is taken.  The sum is a Python int, exact past int64."""
+    before any power is taken.
+
+    The sum is exact.  When the count and the range hold and
+    2^(t-1) 3^(t-1) = 6^(t-1) < 2^63 (t <= 25), it is taken in the array's
+    dtype: every partial sum of the 2^(t-1) terms, each in [1, 3^(t-1)],
+    lies in [1, 6^(t-1)], so none overflows int64.  Otherwise it is a sum
+    of Python ints, exact past int64."""
     if t == 0:
         raise CacheConflictError(
             "level 0: A_∅ = 1 by definition and is never stored"
@@ -140,8 +147,10 @@ def check_a_level(t: int, values: np.ndarray) -> None:
             f"level {t}: A levels lie in [1, {TOP_SLICE_LIMIT}], the deepest top slice"
         )
     cap, n = 3 ** (t - 1), len(values)
-    lo, hi, total = int(values.min()), int(values.max()), sum(values.tolist())
-    if n != 2 ** (t - 1) or not 1 <= lo <= hi <= cap or total != cap:
+    lo, hi = int(values.min()), int(values.max())
+    shaped = n == 2 ** (t - 1) and 1 <= lo <= hi <= cap
+    total = int(values.sum()) if shaped and n * cap < 2**63 else sum(values.tolist())
+    if not shaped or total != cap:
         raise CacheConflictError(
             f"level {t}: {n} A constants in [{lo}, {hi}] summing to "
             f"{total}; the rule is 2^{t - 1} in [1, 3^{t - 1}] summing to 3^{t - 1}"
@@ -209,6 +218,8 @@ class ConstantCache:
         check_a_level(t, level)
         level.flags.writeable = False
         old = self._levels.setdefault(t, level)
+        if old is level:  # a level not held before
+            return
         differ = np.flatnonzero(old != level)
         if len(differ):
             i = int(differ[0])
@@ -230,24 +241,23 @@ class ConstantCache:
 
 # cache_load parses canonical A records in numpy blocks of about this many bytes
 _BLOCK = 1 << 16
-_LF, _COMMA, _BAR, _ZERO, _A = (ord(c) for c in "\n,|0A")
-# 10^p, the weight of a digit with p more digits after it in its field
-_PLACE = np.array([10**p for p in range(18)], dtype=np.int64)
+_LF, _COMMA, _BAR, _ZERO = (ord(c) for c in "\n,|0")
+# a canonical line's first two bytes, as the little-endian uint16 they form
+_HEAD = int.from_bytes(b"A|", "little")
 
 
-def _pair_elements() -> np.ndarray:
-    """The element a field's last two bytes x, y spell, at index 256 x + y:
+def _pair_bits() -> np.ndarray:
+    """Bit e-1 of a D.mask for the element e a field's last two bytes x, y
+    spell, at index x + 256 y (the little-endian uint16 they form): e in
     1-9 after ',' or '|', 10-63 as two digits, and 0 for anything else."""
-    table = np.zeros(1 << 16, np.uint8)
+    table = np.zeros(1 << 16, np.int64)
     for e in range(1, 64):
         for pair in (b",%d" % e, b"|%d" % e) if e < 10 else (b"%d" % e,):
-            table[int.from_bytes(pair, "big")] = e
+            table[int.from_bytes(pair, "little")] = 1 << (e - 1)
     return table
 
 
-_PAIR_ELEMENT = _pair_elements()
-# bit e-1 of a D.mask for element e, at index e in [1, 63]
-_ELEMENT_BITS = np.array([0] + [1 << e for e in range(63)], dtype=np.int64)
+_PAIR_BIT = _pair_bits()
 
 
 def cache_load(path: str | os.PathLike) -> ConstantCache:
@@ -266,15 +276,16 @@ def cache_load(path: str | os.PathLike) -> ConstantCache:
         reader.lines(io.StringIO(text, newline=""))
         return reader.cache()
     del text  # decoded only to refuse a non-UTF-8 file
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    start, lineno = 0, 1
+    # an LF before the first line, so that every block can start with the
+    # LF that ends the line before it
+    data = b"".join((b"\n", data, b"" if data.endswith(b"\n") else b"\n"))
+    whole = np.frombuffer(data, np.uint8)
+    start, lineno = 1, 1
     while start < len(data):
         stop = len(data)
         if start + _BLOCK < stop:
             stop = data.index(b"\n", start + _BLOCK - 1) + 1
-        block = np.frombuffer(data, np.uint8, stop - start, start)
-        start, lineno = stop, lineno + reader.block(block, lineno)
+        start, lineno = stop, lineno + reader.block(whole[start - 1 : stop], lineno)
     return reader.cache()
 
 
@@ -339,13 +350,13 @@ class _Reader:
         self.values.append(np.array([value for _, value in a], object))
 
     def block(self, buf: np.ndarray, lineno: int) -> int:
-        """Keep the records of the LF-terminated lines of ``buf`` (uint8),
-        the first of them line ``lineno``: the canonical A records read by
-        numpy, each other line by :meth:`line`.  Returns the number of lines."""
-        ends, is_a, masks, values = _canonical_a_records(buf)
+        """Keep the records of the lines of ``buf`` (uint8), an LF and then
+        LF-terminated lines, the first of them line ``lineno``: the
+        canonical A records read by numpy, each other line by :meth:`line`.
+        Returns the number of lines."""
+        breaks, is_a, masks, values = _canonical_a_records(buf)
         for i in np.flatnonzero(~is_a).tolist():
-            begin = ends[i - 1] + 1 if i else 0
-            raw = buf[begin : ends[i] + 1].tobytes().decode()
+            raw = buf[breaks[i] + 1 : breaks[i + 1] + 1].tobytes().decode()
             record = self.line(lineno + i, raw)
             if record is not None:
                 if record[1] >> 63:  # beyond int64: exact Python ints
@@ -354,7 +365,7 @@ class _Reader:
                 is_a[i] = True
         self.masks.append(masks[is_a])
         self.values.append(values[is_a])
-        return len(ends)
+        return len(is_a)
 
     def cache(self) -> ConstantCache:
         """The records kept, in file order, as a ConstantCache: a key read
@@ -362,20 +373,26 @@ class _Reader:
         each A level, in order of first appearance, goes to
         :meth:`ConstantCache.set_level`, and each C to ``set_c``."""
         masks, values = np.concatenate(self.masks), np.concatenate(self.values)
-        uniq, first, inverse = np.unique(masks, return_index=True, return_inverse=True)
-        held = values[first][inverse]  # the first value read for each record's key
-        clash = np.flatnonzero(values != held)
-        if len(clash):
-            i = clash[0]
-            key = DSet(int(masks[i])).key
-            raise _conflict(f"A[{key}]", values[i], held[i])
+        order = np.argsort(masks, kind="stable")  # by key, then in file order
+        keys = np.take(masks, order)
+        new = np.ones(len(keys), bool)  # each key's first record
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        first = order[new]  # by key: the index of its first record
+        if len(first) < len(masks):
+            # per record in key order, the value its key was first read with
+            held = np.take(values, first)[np.cumsum(new) - 1]
+            clash = np.flatnonzero(np.take(values, order) != held)
+            if len(clash):
+                j = clash[np.argmin(order[clash])]  # the first in file order
+                i = order[j]
+                raise _conflict(f"A[{DSet(int(masks[i])).key}]", values[i], held[j])
         c: dict[tuple[int, int], int] = {}
         for l, k, value in self.c_records:
             if (old := c.setdefault((l, k), value)) != value:
                 raise _conflict(f"C[{l},{k}]", value, old)
         # level t is the run of the sorted keys in [2^(t-1), 2^t), t in [0, 63]
-        below = np.searchsorted(uniq, [1 << t for t in range(63)]).tolist()
-        bounds = [0, *below, len(uniq)]
+        below = np.searchsorted(keys[new], [1 << t for t in range(63)]).tolist()
+        bounds = [0, *below, len(first)]
         runs = [(first[lo:hi].min(), t, lo, hi)
                 for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < hi]
         for _, t, lo, hi in sorted(runs):
@@ -388,61 +405,69 @@ class _Reader:
 def _canonical_a_records(
     buf: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Find and parse the canonical A records among the LF-terminated lines
-    of ``buf`` (uint8).
+    """Find and parse the canonical A records among the lines of ``buf``
+    (uint8): an LF, the end of the line before, then LF-terminated lines.
 
-    The block splits into fields, each closed by ',', '|' or LF.  A line is
+    The lines split into fields, each closed by ',', '|' or LF.  A line is
     canonical when its fields are 'A' closed by '|'; then one or more
     elements of 1-2 digits without a leading zero, in [1, 63] and strictly
     ascending, closed by ',' except the last, closed by '|'; then a value of
-    1-18 digits, which an int64 holds, closed by LF.  Returns, per line, the
-    index of its LF, whether it is canonical, and its D.mask and value,
-    which mean nothing where it is not.
+    1-18 digits, which an int64 holds, closed by LF.  Returns the index of
+    every LF, the first one included, and per line whether it is canonical
+    and its D.mask and value, which mean nothing where it is not.
     """
     term = np.flatnonzero((buf == _LF) | (buf == _COMMA) | (buf == _BAR))
-    sep = buf[term]
-    length = term.copy()
-    length[1:] -= term[:-1] + 1
-    last = np.flatnonzero(sep == _LF)  # each line's last field, its value
-    head = np.zeros_like(last)  # each line's first field
-    head[1:] = last[:-1] + 1
-    element = np.ones(len(term), bool)  # the fields in between
-    element[head] = element[last] = False
-    # the two bytes before each terminator; "wrap" also serves a 1-byte block
-    before = np.take(buf, term - 2, mode="wrap").astype(np.uint16) << 8
-    number = _PAIR_ELEMENT[before | buf[term - 1]]
-    bad = element & ((number == 0) | (length > 2))
-    # an element followed by another is closed by ',' and is the smaller
-    bad[:-1] |= (element[:-1] & element[1:]) & (
-        (sep[:-1] == _BAR) | (number[1:] <= number[:-1])
-    )
-    value, numeric = _digit_values(buf, term[last], length[last])
+    sep = np.take(buf, term)
+    lf = np.flatnonzero(sep == _LF)
+    last, head = lf[1:], lf[:-1] + 1  # each line's value and first field
+    breaks = np.take(term, lf)
+    # the bit of the element each field's last two bytes spell, read as one
+    # uint16 at a byte offset; bytes before the block wrap to its end, which
+    # is an LF, so they spell none
+    pairs = np.ndarray((len(buf) - 1,), np.uint16, buf, 0, (1,))
+    bits = np.take(_PAIR_BIT, np.take(pairs, term - 2, mode="wrap"))
+    gap = np.diff(term)  # the length of each field after the first, plus one
+    # an element is bad unless it spells one of 1-63 in 1-2 bytes, above the
+    # field before it (the head 'A' spells none), and is closed by ',' unless
+    # the value follows it; heads and values are no element
+    bad = np.zeros(len(term), bool)
+    np.logical_or(bits[1:] <= bits[:-1], gap > 3, out=bad[1:])
+    bad[:-1] |= (sep[:-1] == _BAR) & (sep[1:] != _LF)
+    bad[lf] = bad[head] = False
+    # an element, 'A' closed by '|' (an empty last line starts past the last
+    # pair, so "clip") and the last element closed by '|'
     canonical = (
         (last - head >= 2)
-        & (length[head] == 1)
-        & (buf[term[head] - 1] == _A)
-        & (sep[head] == _BAR)
-        & (sep[last - 1] == _BAR)
-        & numeric
+        & (np.take(pairs, breaks[:-1] + 1, mode="clip") == _HEAD)
+        & (np.take(sep, last - 1) == _BAR)
     )
-    canonical[np.searchsorted(head, np.flatnonzero(bad), side="right") - 1] = False
-    masks = np.bitwise_or.reduceat(_ELEMENT_BITS[number * element], head)
-    return term[last], canonical, masks, value
+    canonical[np.searchsorted(last, np.flatnonzero(bad))] = False
+    bits[lf] = 0
+    masks = np.bitwise_or.reduceat(bits, head)
+    # each value's length, 0 on a line already refused, which so adds no
+    # column to the digit parse
+    lengths = np.where(canonical, np.take(gap, last - 1) - 1, 0)
+    values, numeric = _digit_values(buf, breaks[1:], lengths)
+    return breaks, canonical & numeric, masks, values
 
 
 def _digit_values(
     buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The fields of ``buf`` of ``lengths`` bytes that end before ``ends``,
-    read as int64: their values, and whether each is 1-18 digits."""
-    width = int(np.clip(lengths.max(), 1, 18))
-    cols = np.arange(-width, 0)  # the last ``width`` bytes before each end
-    # bytes before a field's start may wrap to the block's end; they are
-    # masked out
-    window = buf[ends[:, None] + cols] - _ZERO
-    digits = np.where(cols >= -lengths[:, None], window, 0)
-    numeric = (lengths >= 1) & (lengths <= 18) & (digits.max(axis=1) <= 9)
-    return digits @ _PLACE[width - 1 :: -1], numeric
+    read as int64 by Horner's rule, one byte column at a time: their values,
+    and whether each is 1-18 digits.  The longest field of 1-18 bytes sets
+    the number of columns."""
+    numeric = (lengths >= 1) & (lengths <= 18)
+    values = np.zeros(len(ends), np.int64)
+    for c in range(int(lengths.max(initial=0, where=numeric)), 0, -1):
+        # the c-th byte before each end; those before a field's start, which
+        # may wrap to the block's end, count as 0
+        digit = np.take(buf, ends - c, mode="wrap") - np.uint8(_ZERO)
+        digit[lengths < c] = 0
+        numeric &= digit <= 9
+        values = values * 10 + digit
+    return values, numeric
 
 
 def cache_store(cache: ConstantCache, path: str | os.PathLike) -> None:

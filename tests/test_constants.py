@@ -435,8 +435,14 @@ class TestCacheFile:
         # the level rule comes before the C bound
         ("C|1,4|7\nA|2|9\n", r"^level 2: 1 A constants in \[9, 9\]"),
         ("C|1,4|7\nA|1|1\n", r"^C\[1,4\] = 7 outside \[1, 6\]$"),
+        # of two clashes the first in the file is named, not the smaller key
+        ("A|1|1\nA|2|3\nA|2|4\nA|1|2\n", r"^A\[2\] recomputed as 4, cached 3$"),
+        # a clash between values past int64, read as Python ints
+        ("A|1|1\nA|1|18446744073709551617\n",
+         r"^A\[1\] recomputed as 18446744073709551617, cached 1$"),
     ], ids=["malformed", "a-conflict", "c-conflict", "c-conflict-before-level",
-            "duplicates-dropped", "level-before-c-bound", "c-bound"])
+            "duplicates-dropped", "level-before-c-bound", "c-bound",
+            "first-clash-in-file-order", "clash-past-int64"])
     def test_load_refuses_in_one_order(self, tmp_path, records, message):
         path = tmp_path / "bad.cache"
         path.write_text(records, encoding="utf-8")
@@ -589,6 +595,12 @@ FAR = SHIPPED_TEXT + "\n" * 8000
 FIRST_A = next(ln for ln in SHIPPED_TEXT.split("\n") if ln.startswith("A|"))
 RAISED = FIRST_A.rsplit("|", 1)[0] + f"|{int(FIRST_A.rsplit('|', 1)[1]) + 1}"
 CORRUPT_13 = next(ln for ln in SHIPPED_TEXT.split("\n") if ln.startswith("A|1,3|"))
+# level 6 with values of every length from 1 to 18 digits, refused with
+# their exact sum
+EVERY_VALUE_LENGTH = a_records(5) + "".join(
+    f"A|{DSet(mask).key}|{str(i % 9 + 1) * (i % 18 + 1)}\n"
+    for i, mask in enumerate(range(32, 64))
+)
 
 LOADER_CASES = {
     "shipped": SHIPPED_TEXT,
@@ -627,6 +639,13 @@ LOADER_CASES = {
     "level-5-at-18-digits": LEVEL_5_AT_18_DIGITS,
     "19-digits": "A|1|1000000000000000000\n",
     "past-uint64": "A|1|18446744073709551617\n",
+    "first-clash-in-file-order": "A|1|1\nA|2|3\nA|2|4\nA|1|2\n",
+    "clash-past-int64": "A|1|1\nA|1|18446744073709551617\n",
+    "triple-equal-duplicate": "A|1|1\nA|1|1\nA|1|1\n",
+    # a provenance line longer than 18 bytes, then A records in its block
+    "long-provenance-line": "# generated-by: " + "x" * 40 + "\n" + SMALL,
+    "every-value-length": EVERY_VALUE_LENGTH,
+    "value-18-digits-leading-zeros": SMALL.replace("A|1|1\n", f"A|1|{1:018d}\n"),
 }
 
 
@@ -657,7 +676,8 @@ class TestLoaderRoutes:
 
     @pytest.mark.parametrize("line, canonical", [
         ("A|1|1", True), ("A|63|5", True), ("A|1,2,10,63|0", True),
-        ("A|3|007", True), (f"A|4|{10**18 - 1}", True),
+        ("A|3|007", True), (f"A|4|{10**18 - 1}", True), ("A|1|0", True),
+        (f"A|1|{1:018d}", True), (f"A|1|{1:019d}", False),
         ("A|64|1", False), ("A|100|1", False), ("A|163|1", False),
         ("A|1,263|1", False), ("A|0|1", False),
         ("A|01|1", False), ("A|+1|1", False), ("A| 2|1", False),
@@ -669,8 +689,9 @@ class TestLoaderRoutes:
         ("B|1|1", False), ("C|1,4|3", False), ("# a: b", False), ("", False),
     ])
     def test_canonical_grammar(self, line, canonical):
-        # the line between two canonical ones, so a field may not leak
-        block = f"A|1|1\n{line}\nA|2,3|2\n".encode()
+        # the line between two canonical ones, so a field may not leak; a
+        # block starts with the LF that ends the line before it
+        block = f"\nA|1|1\n{line}\nA|2,3|2\n".encode()
         ends, flags, masks, values = constants._canonical_a_records(
             np.frombuffer(block, np.uint8)
         )
