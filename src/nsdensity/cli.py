@@ -17,12 +17,12 @@ Each ``cmd_*`` returns a :class:`Report`, which :func:`render` alone writes
 as text, CSV (LF line endings, header row) or JSON (one UTF-8 document with
 ``schema_version``), in one shot.  The JSON document is byte for byte what
 ``json.dumps(..., ensure_ascii=False, indent=2)`` writes, but a report's
-``rows`` are written from one template per row, each cell through the
-encoder's string escaping, and only the other values go through the
-encoder; a text table is written through one format string.  Output is
-deterministic for fixed inputs and cache contents.  Sweeps run on one
-thread: ``--workers`` accepts only 1, its default, and stays because
-existing command lines pass ``--workers 1``.
+``rows`` are written by one ``%`` over a row template repeated once per
+row, each cell through the encoder's string escaping, and only the other
+values go through the encoder; a text table is written through one
+format string.  Output is deterministic for fixed inputs and cache
+contents.  Sweeps run on one thread: ``--workers`` accepts only 1, its
+default, and stays because existing command lines pass ``--workers 1``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -126,16 +127,16 @@ def render(report: Report, fmt: str) -> str:
 def _json_rows(header: list[str], rows: list[list[str]]) -> str:
     """``rows`` as a JSON array of objects keyed by ``header``, laid out as
     ``json.dumps(..., ensure_ascii=False, indent=2)`` lays out the value
-    of a top-level key: one template per row, each cell written by the
-    string encoder that ``json.dumps`` uses."""
+    of a top-level key: one row template, repeated once per row and filled
+    by one ``%`` with every cell, each written by the string encoder that
+    ``json.dumps`` uses."""
     if not rows:
         return "[]"
     row = "    {\n" + ",\n".join(
         f"      {encode_basestring(key).replace('%', '%%')}: %s" for key in header
     ) + "\n    }"
-    return "[\n" + ",\n".join(
-        row % tuple(map(encode_basestring, cells)) for cells in rows
-    ) + "\n  ]"
+    cells = tuple(map(encode_basestring, itertools.chain.from_iterable(rows)))
+    return "[\n" + ",\n".join([row] * len(rows)) % cells + "\n  ]"
 
 
 def validate(args: argparse.Namespace) -> None:

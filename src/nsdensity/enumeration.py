@@ -45,8 +45,11 @@ and the outer AND and the table AND fill one group buffer, reused from
 group to group, in the word of the tally (uint32 for f <= 33, else
 uint64).  Each group is tallied on its own, sorted in place, and the
 group tallies merge into the table's (see :func:`density_table`), so the
-sweep's working buffer holds GROUP chunks, at most GROUP * BLOCK sets at
-the default chunk, whatever f is.
+sweep's working buffer holds GROUP chunks, at most GROUP * BLOCK = 2^21
+sets at the default chunk, whatever f is: 8 MB of 32-bit words, 16 MB of
+64-bit ones.  At GROUP = 32 the halved sweep at f = 24 (2^22 sets, half
+of each chunk's table built, see below) runs 4 groups of 2^20 sets in a
+4 MB buffer.
 
 At even f with l = 0 the flat sweep visits half the sets, by duality.  The
 dual of T is T* = {x : f - x not in T}, and A(T*) = A(T).  T* is a
@@ -139,7 +142,7 @@ import numpy as np
 from .core import DSet, Semigroup, n_of
 
 BLOCK = 1 << 16  # flat sweep: sets per chunk (2^b, the low block)
-GROUP = 4  # flat sweep: chunks per group, swept together
+GROUP = 32  # flat sweep: chunks per group, swept together
 CHUNK = 1 << 22  # top slice: cap on the sets per chunk
 WORD_LIMIT = 63
 
@@ -176,11 +179,12 @@ def _flat_groups(
     BLOCK) rounded down to a power of two and capped at the sweep (see the
     module docstring).  A group is GROUP chunks, or all of them when there
     are fewer; the number of chunks is a power of two, so every group is
-    whole at GROUP = 4, and a last group holds what is left at any other
-    GROUP.  Each group's A-masks come as one array, chunk after chunk, in
-    the tally's word (uint32 for f <= 33, else uint64), and the next group
-    overwrites it.  The arguments are checked at the call; the groups are
-    computed as they are taken.
+    whole at GROUP = 32 (or any power of two), and a last group holds what
+    is left at any other GROUP.  Each group's A-masks come as one array,
+    chunk after chunk, in the tally's word (uint32 for f <= 33, else
+    uint64), at most GROUP * BLOCK sets at the default chunk, and the next
+    group overwrites it.  The arguments are checked at the call; the
+    groups are computed as they are taken.
 
     ``absent``, a position in (l, f), is kept out of T as well, which
     halves the sweep: inside L it is pattern bit 0 of L2, whose other half

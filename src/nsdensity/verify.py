@@ -513,7 +513,7 @@ def suite_core(max_f: int | None = None,
         check_amap_exhaustive(min(11, f_cap)),
         check_amap_random(3000, min(60, f_cap)),
         # at chunk 32, f/2 = 7 lies above the low block; at the default
-        # chunk, inside it; at f = 14 chunk 32 makes 32 groups of 4 chunks
+        # chunk, inside it; at f = 14 chunk 32 makes 4 groups of 32 chunks
         check_amap_sweep(min(14, f_cap), 1 << 5),
         check_encoding_roundtrip(min(12, f_cap)),
         check_fold_window(2000, max(4, min(24, f_cap))),  # folds need f >= 4

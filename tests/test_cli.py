@@ -612,20 +612,24 @@ class TestWriters:
         assert cli.render(report, "text") == ljust_text(report)
 
     def test_json_cells_escaped_as_json_dumps_escapes_them(self):
-        cells = ['say "hi"', "back\\slash", "bell\x07 tab\t", "∅", "", "50%s"]
+        # the whole rows array goes through one %, so a % in a cell or a key
+        # must come out as data
+        cells = ['say "hi"', "back\\slash", "bell\x07 tab\t", "∅", "", "50%s",
+                 "%%", "%(x)s", "%"]
         report = cli.Report(
             {
                 "command": "line\nbreak",
                 "rows": [cells, cells[::-1]],
                 "nested": {"list": [1, {"none": None}], "empty": [], "ok": True},
             },
-            ['q"uote', "b\\s", "c\x01", "∅", "", "%s"],
+            ['q"uote', "b\\s", "c\x01", "∅", "", "%s", "%%", "%(x)s", "%"],
             [],
             [],
         )
         out = cli.render(report, "json")
         assert out == dumped(report)
-        assert json.loads(out)["rows"][1]["%s"] == 'say "hi"'
+        assert json.loads(out)["rows"][1]["%"] == 'say "hi"'
+        assert json.loads(out)["rows"][0]["%(x)s"] == "%(x)s"
         empty = cli.Report({"rows": [], "after": 1}, ["d"], [], [])
         assert cli.render(empty, "json") == dumped(empty)
 

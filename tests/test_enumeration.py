@@ -39,6 +39,7 @@ from nsdensity.verify import (
     check_amap_sweep,
     check_preimage_identity,
     check_topslice_sweep,
+    suite_core,
 )
 
 # preimage counts at f = 9, keyed by D(S); computed with the pairwise-scan
@@ -186,6 +187,10 @@ def sweep_amasks(f, **sweep):
     ).tolist()
 
 
+# the module's GROUP, read before any test patches it
+DEFAULT_GROUP = enumeration.GROUP
+
+
 def partial_group(f, l, chunk):
     """GROUP for 3 chunks in 8 when the 2^(f-1-l) sets make 8 chunks of
     ``chunk`` or more, so that the last group holds 2 of them."""
@@ -214,20 +219,21 @@ class TestAMapSweep:
                 got = sweep_amasks(f, prefix_zeros=l, chunk=chunk)
                 assert got == core_amasks(f, l), (f, l)
 
-    # groups of one chunk, of 3 in 8 chunks (the last one partial) and the
-    # default GROUP; the default chunk is 2^16 sets, so it makes one group
+    # groups of one chunk, of 4, of 3 in 8 chunks (the last one partial)
+    # and the default GROUP; the default chunk is 2^16 sets, so it makes
+    # one group
     @pytest.mark.parametrize("chunk", [2, 8, 32, None])
     def test_groups_equal_core_a_mask(self, monkeypatch, chunk):
         for f in range(1, 18):
             for l in range(min(f, 4)):
-                groups = [4, partial_group(f, l, chunk)] + [1] * (f <= 12)
+                groups = [DEFAULT_GROUP, 4, partial_group(f, l, chunk)] + [1] * (f <= 12)
                 for group in groups:
                     monkeypatch.setattr(enumeration, "GROUP", group)
                     got = sweep_amasks(f, prefix_zeros=l, chunk=chunk)
                     assert got == core_amasks(f, l), (f, l, group)
         # 64-bit words beyond f = 33, up to the word limit
         for f, l in ((34, 22), (40, 28), (63, 51)):
-            for group in (4, partial_group(f, l, chunk)):
+            for group in (DEFAULT_GROUP, 4, partial_group(f, l, chunk)):
                 monkeypatch.setattr(enumeration, "GROUP", group)
                 got = sweep_amasks(f, prefix_zeros=l, chunk=chunk)
                 assert got == core_amasks(f, l), (f, l, group)
@@ -240,7 +246,7 @@ class TestAMapSweep:
         assert dict(density_table(1).entries) == {Semigroup(1, 0): 1}
         assert dict(density_table(2).entries) == {Semigroup(2, 0): 2}
 
-        def sizes(f, group=4, **sweep):
+        def sizes(f, group=DEFAULT_GROUP, **sweep):
             monkeypatch.setattr(enumeration, "GROUP", group)
             return [len(a) for a in enumeration._flat_groups(f, **sweep)]
 
@@ -251,9 +257,15 @@ class TestAMapSweep:
         assert sizes(9, prefix_zeros=2, chunk=12, group=1) == [1 << 3] * (1 << 3)
         # GROUP chunks per group, all of them when there are fewer, and a
         # partial last group when GROUP does not divide their number
-        assert sizes(9, prefix_zeros=2, chunk=12) == [1 << 5] * 2
+        assert sizes(9, prefix_zeros=2, chunk=12, group=4) == [1 << 5] * 2
         assert sizes(9, prefix_zeros=2, chunk=1 << 5) == [1 << 6]
         assert sizes(9, prefix_zeros=2, chunk=12, group=3) == [24, 24, 16]
+        # the default GROUP: the 2^22 sets visited at f = 24 make 4 groups
+        # of 32 chunks, each 2^15 sets as f/2 = 12 halves the low block;
+        # 64 chunks of 2^3 make 2 groups, or 3 of 24, 24 and 16 chunks
+        assert sizes(24, absent=12) == [1 << 20] * 4
+        assert sizes(12, prefix_zeros=2, chunk=12) == [1 << 8] * 2
+        assert sizes(12, prefix_zeros=2, chunk=12, group=24) == [192, 192, 128]
         # a group's array is in the tally's word
         assert {a.dtype for a in enumeration._flat_groups(33, prefix_zeros=29)} == {
             np.dtype(np.uint32)
@@ -267,7 +279,7 @@ class TestAMapSweep:
     @pytest.mark.parametrize("chunk", [2, 8, 32, None])
     def test_halved_sweep_equals_core_a_mask(self, monkeypatch, chunk):
         for f in range(2, 18, 2):
-            for group in (4, partial_group(f, 1, chunk)):
+            for group in (DEFAULT_GROUP, 4, partial_group(f, 1, chunk)):
                 monkeypatch.setattr(enumeration, "GROUP", group)
                 table = density_table(f, chunk=chunk)
                 got = dict(zip(table.masks.tolist(), table.counts.tolist()))
@@ -288,7 +300,9 @@ class TestAMapSweep:
         monkeypatch.setattr(enumeration, "_amask_group", counted)
         for f in range(1, 13):
             for l in range(f):
-                for chunk, group in ((4, 4), (4, 3), (None, 4)):
+                for chunk, group in (
+                    (4, 4), (4, 3), (4, DEFAULT_GROUP), (None, DEFAULT_GROUP)
+                ):
                     monkeypatch.setattr(enumeration, "GROUP", group)
                     visited.clear()
                     density_table(f, prefix_zeros=l, chunk=chunk)
@@ -310,6 +324,22 @@ class TestAMapSweep:
     def test_verify_check(self):
         res = check_amap_sweep(12, 16).run()
         assert res.passed, res.detail
+
+    def test_verify_sweep_crosses_a_group_boundary(self, monkeypatch):
+        # verify's amap-sweep replays the group steps only if its chunked
+        # sweep makes two groups or more, each of several chunks
+        (check,) = [c for c in suite_core() if c.name.startswith("amap-sweep")]
+        f, chunk = check.body.args
+        chunks = []
+        real = enumeration._amask_group
+
+        def counted(f, prefix_zeros, b, highs, *rest):
+            chunks.append(len(highs))
+            return real(f, prefix_zeros, b, highs, *rest)
+
+        monkeypatch.setattr(enumeration, "_amask_group", counted)
+        density_table(f, chunk=chunk)
+        assert len(chunks) >= 2 and min(chunks) >= 2, chunks
 
     def test_tables_unchanged_through_f24(self):
         h = hashlib.sha256()
