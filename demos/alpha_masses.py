@@ -15,10 +15,10 @@ from fractions import Fraction
 from nsdensity import (
     Interval,
     alpha_limit,
-    alpha_partial_sum,
     cache_load,
     decimal_str,
     density_table,
+    truncation_numerators,
 )
 
 
@@ -42,7 +42,10 @@ def main() -> None:
         emp = masses.get(n, Fraction(0))
         print(f"{n:>3}  {decimal_str(emp):>12}  {str(iv):>21}  {len(parts):>8}")
 
-    iv = alpha_partial_sum(args.n_max, args.depth, cache)
+    # sum_{n <= n_max} alpha_n is the sum of gamma_D over every D ⊆ [1, n_max],
+    # the rows [0, 2^n_max); distinct D, so again one tail
+    total = sum(truncation_numerators(0, 1 << args.n_max, args.depth, cache))
+    iv = Interval.on_grid(total - 3**args.depth, total, args.depth)
     print(
         f"\nsum of alpha_n for n <= {args.n_max}: {iv}"
         f"  (certified >= {decimal_str(iv.lo)} of all mass)"

@@ -11,7 +11,8 @@ densities sit within 0.02 of the depth-15 truncation value.
 import argparse
 from fractions import Fraction
 
-from nsdensity import DSet, cache_load, decimal_str, density_table, gamma, n_of
+from nsdensity import DSet, cache_load, decimal_str, density_table, gamma
+from nsdensity.core import n_of
 
 
 def main() -> None:

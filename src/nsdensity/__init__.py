@@ -1,61 +1,40 @@
 """Densities of numerical semigroups under the map T -> A(T).
 
 Exact enumeration lives in :mod:`nsdensity.enumeration`, the cached counting
-constants in :mod:`nsdensity.constants`, and the certified limit intervals in
-:mod:`nsdensity.limits`.  Everything user-facing is re-exported here.
+constants in :mod:`nsdensity.constants`, the certified limit intervals in
+:mod:`nsdensity.limits`, and the consistency suites in
+:mod:`nsdensity.verify`.  Re-exported here are the routes the CLI runs and
+the named oracles that check them (``gamma``, ``window_counts``,
+``associated_semigroup_definitional``, ``SuffixCensus``); every other name
+is imported from its own module.
 """
 
-from .core import (
-    DSet,
-    NumericalSet,
-    Semigroup,
-    associated_semigroup,
-    associated_semigroup_definitional,
-    as_semigroup,
-    d_of,
-    fold,
-    is_semigroup,
-    multiplicity,
-    n_of,
-    r_value,
-    suffix_pattern,
-)
+from .core import DSet, associated_semigroup_definitional
 from .enumeration import (
     BudgetError,
     DensityTable,
     SuffixCensus,
     density_table,
-    top_slice_c,
-    top_slice_levels,
     window_counts,
-    window_restrict,
 )
 from .constants import (
     CacheConflictError,
     ConstantCache,
-    a_const,
-    a_consts_batch,
     a_levels,
-    c_const,
     c_consts,
     cache_load,
     cache_store,
-    resolve_cache_path,
 )
 from .limits import (
     GammaEstimate,
     GammaTable,
     Interval,
-    a_constant,
     alpha_limit,
-    alpha_partial_sum,
     decimal_str,
     g_l_limit,
     gamma,
-    gamma_lower_bound,
     gamma_table,
-    tail_bound,
+    truncation_numerators,
 )
-from .verify import CheckResult, SUITES, run_suites
 
 __version__ = "0.1.0"

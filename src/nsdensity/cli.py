@@ -6,10 +6,11 @@ onto the series engine :func:`nsdensity.limits.truncation_numerators` and
 ``glimit`` onto :func:`~nsdensity.limits.g_l_limit`, all rendered from
 integers over 4^depth (:func:`~nsdensity.limits.gamma` is the engine's
 oracle, not a route here), and ``verify`` onto the suites in
-:mod:`nsdensity.verify`.  Each takes only the flags it reads, all checked by
-:func:`validate` before dispatch so that exit codes stay meaningful: 0
-success, 1 failed verification or internal inconsistency, 2 usage or budget
-errors (an unusable ``--cache`` path included).  The budget flags
+:mod:`nsdensity.verify`, which only ``verify`` imports.  Each takes only the
+flags it reads, all checked by :func:`validate` before dispatch so that exit
+codes stay meaningful: 0 success, 1 failed verification or internal
+inconsistency, 2 usage or budget errors (an unusable ``--cache`` path
+included).  The budget flags
 ``--enum-budget`` and ``--depth-budget`` are checked there and nowhere
 else: each library function sweeps the size it is given.
 
@@ -64,7 +65,6 @@ from .limits import (
     refined_lo,
     truncation_numerators,
 )
-from .verify import SUITES, run_suites
 
 SCHEMA_VERSION = 1
 # what json.dumps(value, ensure_ascii=False, indent=2) encodes with
@@ -161,6 +161,8 @@ def validate(args: argparse.Namespace) -> None:
                 f"its sweep visits 2^{swept_log2(args.f)} sets"
             )
     elif args.subcommand == "verify":
+        from .verify import SUITES  # only verify loads the suites
+
         for s in args.suite or ():
             if s != "all" and s not in SUITES:
                 raise UsageError(
@@ -419,13 +421,11 @@ def cmd_glimit(args: argparse.Namespace) -> Report:
 
 
 def cmd_verify(args: argparse.Namespace) -> Report:
+    from .verify import run_suites
+
     cache = _load_cache(resolve_cache_path(args.cache))
     suites = args.suite or ["all"]
-    results = run_suites(
-        suites,
-        max_f=args.max_f,
-        cache=cache if cache.levels else None,
-    )
+    results = run_suites(suites, max_f=args.max_f, cache=cache)
     all_passed = all(r.passed for r in results)
     payload = {
         "command": "verify",

@@ -527,7 +527,10 @@ def a_levels(first: int, depth: int, cache: ConstantCache) -> None:
 def a_consts_batch(t: int, cache: ConstantCache | None = None) -> Mapping[int, int]:
     """All A_D with Max(D) = t, as a read-only {D.mask: A_D} view of level
     t of ``cache`` (a fresh one when none is given), which :func:`a_levels`
-    sweeps when the cache lacks it."""
+    sweeps when the cache lacks it.
+
+    No CLI route calls it.  It stays only because ``perfbench/tracing.py``
+    wraps it by name, and goes with ROADMAP item 1."""
     if t < 1:
         raise ValueError("batch needs t >= 1; A over the empty set is 1")
     if cache is None:
@@ -537,7 +540,12 @@ def a_consts_batch(t: int, cache: ConstantCache | None = None) -> Mapping[int, i
 
 
 def a_const(d: DSet, cache: ConstantCache | None = None) -> int:
-    """A_D = |B(D, 2 Max(D) + 1)|, read from :func:`a_consts_batch`."""
+    """A_D = |B(D, 2 Max(D) + 1)|, read from :func:`a_consts_batch`.
+
+    No CLI route calls it; the oracle :func:`~nsdensity.limits.gamma` could
+    read ``cache.a`` after one :func:`a_levels`.  It stays only because
+    ``perfbench/tracing.py`` wraps it by name, and goes with ROADMAP item 1.
+    """
     if d.max_element == 0:
         return 1
     return a_consts_batch(d.max_element, cache)[d.mask]
@@ -574,6 +582,10 @@ def c_const(l: int, k: int, cache: ConstantCache | None = None) -> int:
     bucket {k} of the top slice at f = 2k+1 with [1, l] kept out of T,
     read off the 2^l 3^(k-1-2l) sets that can land there (module
     docstring) and checked against the bound 2^l 3^(k-2l-1).
+
+    No CLI route calls it; ``verify``'s ``c-fixture`` could read
+    :func:`c_consts`.  It stays only because ``perfbench/tracing.py`` wraps
+    it by name, and goes with ROADMAP item 1.
     """
     if l < 1 or k < 1:
         raise ValueError("l and k must be positive")

@@ -511,7 +511,8 @@ class SuffixCensus:
     P(N(D,f)) = A_D 2^(f-2t-1) - sum_{k=t+1}^{floor((f-1)/2)} A_{D∪{k}} 2^(f-2k-1)
                 - |S(D,f)|
 
-    gathered from one table for every D with Max(D) <= width.
+    gathered from one table for every D with Max(D) <= width: a named
+    oracle, replayed by ``verify``'s ``preimage-identity``.
     """
 
     f: int

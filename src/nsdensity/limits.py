@@ -20,8 +20,7 @@ Two certified facts sharpen the raw enclosure [value - (3/4)^N, value]:
 The second fact makes tails of *sums* of gamma series collapse: distinct D
 contribute distinct tail sets D∪{k}, so any family of gamma estimates with
 pairwise distinct D has combined tail at most sum_{k>N} 3^(k-1) 4^(-k) =
-(3/4)^N, not a per-term multiple of it.  alpha_n and the partial sums of
-alpha use this.
+(3/4)^N, not a per-term multiple of it.  alpha_n uses this.
 
 On the grid q = 4^N the whole certificate is integer.  The truncation is
 S_D / q with S_D = A_D 4^(N-t) - sum_{k=t+1}^N A_{D∪{k}} 4^(N-k) an
@@ -199,38 +198,6 @@ def alpha_limit(
     return truncation_numerators(masks.start, masks.stop, depth, cache)
 
 
-def alpha_partial_sum(
-    n_max: int,
-    depth: int,
-    cache: ConstantCache | None = None,
-) -> Interval:
-    """Certified interval for sum_{n=-1}^{n_max} alpha_n.
-
-    The sum equals sum of gamma_D over all D ⊆ [1, n_max]; distinct D give
-    distinct tail sets, so the combined tail is again (3/4)^depth.  The
-    truncated value telescopes exactly to
-
-        1 - sum_{k=n_max+1}^{depth} (sum_{E: Max(E)=k, E∖{k} ⊆ [1,n_max]} A_E) 4^(-k),
-
-    which both proves value <= 1 and is recomputed here as a bug trap.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0 (n = -1 is always included)")
-    if cache is None:
-        cache = ConstantCache()
-    scaled = sum(truncation_numerators(0, 1 << n_max, depth, cache))
-    # entry m < 2^n_max of level k is A_E for E∖{k} ⊆ [1, n_max], E = m ∪ {k}
-    check = 4**depth - sum(
-        sum(cache.levels[k][: 1 << n_max].tolist()) * 4 ** (depth - k)
-        for k in range(n_max + 1, depth + 1)
-    )
-    if scaled != check:
-        raise AssertionError(
-            f"partial alpha sum {scaled} != telescoped form {check} over 4^{depth}"
-        )
-    return Interval.on_grid(scaled - 3**depth, scaled, depth)
-
-
 class GLimit(NamedTuple):
     """The limit lies in [lo, hi] / 4^depth; c[k-1] = C_{l,k}, k <= depth."""
 
@@ -318,17 +285,6 @@ class GammaTable:
     depth: int
     rows: tuple[int, ...]
     numerators: tuple[int, ...]
-
-    @cached_property
-    def bounds(self) -> list[int]:
-        """ceil(q a_t / 2^(t+1)) for t = 0..max_t: a row's S meets the
-        structural bound exactly when S >= bounds[Max(D)].  Nonpositive,
-        so never binding, at t = 0 (see :func:`gamma_lower_bound`)."""
-        q = 4**self.depth
-        return [
-            -(-b.numerator * q // b.denominator)
-            for b in map(gamma_lower_bound, range(self.max_t + 1))
-        ]
 
     @cached_property
     def refined(self) -> list[Fraction]:

@@ -61,10 +61,14 @@ oracle:
                                          k <= 15, swept afresh by
                                          ``a_levels`` and ``c_consts``; the
                                          first differing constant named),
-                                         when a cache is loaded
+                                         when the loaded cache holds any A
+                                         level or any C
   series engine                          ``series-engine`` (``gamma``, one
   (``truncation_numerators``)            ``a_const`` and one Fraction per
-                                         term), ``gamma-external-estimate``
+                                         term), ``alpha-partial-telescope``
+                                         (the rows' sum over D ⊆ [1, 4],
+                                         telescoped from the levels),
+                                         ``gamma-external-estimate``
                                          (the published 0.484451 +/-
                                          0.005011), ``mu-drift`` (the flat
                                          sweep's mu(N(D,f)))
@@ -123,7 +127,6 @@ from .limits import (
     Interval,
     alpha_limit,
     alpha_masks,
-    alpha_partial_sum,
     g_l_limit,
     gamma,
     gamma_table,
@@ -169,6 +172,13 @@ def _check(name: Callable[..., str]):
             return Check(name(*args, **kwargs), functools.partial(body, *args, **kwargs))
         return make
     return wrap
+
+
+def _verdict(ok: bool, passed: str, failed: str) -> str:
+    """``passed`` when ``ok``; else a FAIL that says ``failed``."""
+    if not ok:
+        raise AssertionError(failed)
+    return passed
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +455,34 @@ def check_c_growth_bound(l_max: int = 3, extra: int = 5) -> str:
     return "restricted C route == prefix-only sweep on the swept range"
 
 
+@_check(lambda n_max, depth, cache: "alpha-partial-telescope")
+def check_alpha_partial_telescope(n_max: int, depth: int, cache: ConstantCache) -> str:
+    """The engine's sum over D ⊆ [1, n_max] against its telescoped form.
+
+    sum_{n=-1}^{n_max} alpha_n is the sum of gamma_D over all D ⊆ [1, n_max],
+    the engine's rows [0, 2^n_max); distinct D give distinct tail sets, so
+    the sum carries one tail (3/4)^depth.  Each A_D with 1 <= Max(D) <= n_max
+    enters twice with opposite signs, as the head of gamma_D and as a term
+    of gamma_(D∖{Max(D)}), so the truncated value telescopes exactly to
+
+        1 - sum_{k=n_max+1}^{depth} (sum_{E: Max(E)=k, E∖{k} ⊆ [1,n_max]} A_E) 4^(-k),
+
+    which proves value <= 1 and is recomputed here from the levels.
+    """
+    scaled = sum(truncation_numerators(0, 1 << n_max, depth, cache))
+    # entry m < 2^n_max of level k is A_E for E∖{k} ⊆ [1, n_max], E = m ∪ {k}
+    telescoped = 4**depth - sum(
+        sum(cache.levels[k][: 1 << n_max].tolist()) * 4 ** (depth - k)
+        for k in range(n_max + 1, depth + 1)
+    )
+    iv = Interval.on_grid(scaled - 3**depth, scaled, depth)
+    return _verdict(
+        scaled == telescoped,
+        f"sum_(n<={n_max}) alpha_n = {iv} <= 1, telescoped form agrees",
+        f"partial alpha sum {scaled} != telescoped form {telescoped} over 4^{depth}",
+    )
+
+
 def full_window_oracle(t: int, cache: ConstantCache) -> None:
     """Replay level t of ``cache`` against the 4^t full-window sweep.
 
@@ -497,13 +535,6 @@ def _truncation_bucket(m: int, t: int, cache: ConstantCache) -> int | None:
 
 # ---------------------------------------------------------------------------
 # suites: each returns its checks unrun; run_suites runs them in order
-
-
-def _verdict(ok: bool, passed: str, failed: str) -> str:
-    """``passed`` when ``ok``; else a FAIL that says ``failed``."""
-    if not ok:
-        raise AssertionError(failed)
-    return passed
 
 
 def suite_core(max_f: int | None = None,
@@ -570,7 +601,7 @@ def suite_constants(max_f: int | None = None,
         return f"{n_a} re-swept A and {len(c_keys)} re-swept C match the cache"
 
     checks = [Check("a-batch-validation", batch_validation), check_topslice_sweep(7, 9)]
-    if cache is not None and cache.levels:
+    if cache is not None and (cache.levels or cache.c_entries):
         checks.append(Check("cache-consistency", cache_consistency))
     return checks
 
@@ -589,7 +620,8 @@ def suite_bounds(max_f: int | None = None,
 def suite_limits(max_f: int | None = None,
                  cache: ConstantCache | None = None) -> list[Check]:
     cache = cache if cache is not None else ConstantCache()
-    depth = min(10, cache.a_depth() or 10)
+    # never below 3, the largest Max(D) these checks read and 2l+1 at l = 1
+    depth = min(10, max(cache.a_depth() or 10, 3))
 
     def series_engine() -> str:
         # the engine's rows against the per-D oracle, over the table's
@@ -618,10 +650,6 @@ def suite_limits(max_f: int | None = None,
                 prev = g
         return "values decrease, intervals nest as depth grows"
 
-    def alpha_partial_telescope() -> str:
-        iv = alpha_partial_sum(min(4, depth), depth, cache)  # raises if they differ
-        return f"sum_(n<=4) alpha_n = {iv} <= 1, telescoped form agrees"
-
     def g_limit_closed_form() -> str:
         for l in (1, 2):  # g_l_limit raises if the lower end is below a_l
             hi = Fraction(g_l_limit(l, 2 * l + 1, cache).hi, 4 ** (2 * l + 1))
@@ -640,23 +668,15 @@ def suite_limits(max_f: int | None = None,
         )
 
     def positivity_consistency() -> str:
-        tbl = gamma_table(min(3, depth), depth, cache)
-        # S < ceil(q b_t) exactly when the value S/q is below b_t; t = 0 has no bound
-        bad = next((
-            mask for mask, s in zip(tbl.rows, tbl.numerators)
-            if mask and s < tbl.bounds[mask.bit_length()]
-        ), None)
-        if bad is not None:
-            raise AssertionError(
-                f"gamma upper end below a_t/2^(t+1) at D={DSet(bad).key}"
-            )
-        tbl.refined_lows  # raises if structurally empty
+        # refined_lo raises, naming D, at the first row whose upper end S/q
+        # lies below a_t/2^(t+1)
+        gamma_table(min(3, depth), depth, cache).refined_lows
         return "upper ends dominate a_t/2^(t+1); refined intervals nonempty"
 
     return [
         Check(f"series-engine(t<=3,depth={depth})", series_engine),
         Check(f"truncation-monotone(depth<={depth})", truncation_monotone),
-        Check("alpha-partial-telescope", alpha_partial_telescope),
+        check_alpha_partial_telescope(min(4, depth), depth, cache),
         Check("g-limit-closed-form", g_limit_closed_form),
         Check("table-order", table_order),
         Check("positivity-consistency", positivity_consistency),
@@ -743,8 +763,8 @@ def suite_convergence(max_f: int | None = None,
                       cache: ConstantCache | None = None) -> list[Check]:
     f_cap = max(7, max_f or 20)  # N(D,f) for D up to {1,3} needs f >= 7
     cache = cache if cache is not None else ConstantCache()
-    depth = cache.a_depth()
-    depth = min(12, depth) if depth >= 1 else 12
+    # never below 3, the largest Max(D) mu-drift reads and 2l+1 at l = 1
+    depth = min(12, max(cache.a_depth() or 12, 3))
 
     def mu_drift() -> str:
         dsets = [DSet(), DSet.of([1]), DSet.of([2]), DSet.of([1, 3])]

@@ -21,11 +21,12 @@ from nsdensity.enumeration import density_table
 from nsdensity.constants import ConstantCache, a_levels
 from nsdensity.limits import (
     Interval,
-    alpha_partial_sum,
     gamma,
     gamma_lower_bound,
+    truncation_numerators,
 )
 from nsdensity.verify import (
+    check_alpha_partial_telescope,
     check_amap_exhaustive,
     check_amap_random,
     check_c_growth_bound,
@@ -185,7 +186,11 @@ def test_criterion_09_alpha_masses(shipped_cache):
     n <= 9 certifiably capture at least 0.90 and never exceed 1."""
     for f in range(1, 21):
         assert sum(density_table(f).alpha().values()) == 1, f"f = {f}"
-    iv = alpha_partial_sum(9, 15, shipped_cache)
+    # sum_{n<=9} alpha_n: the engine's rows for every D ⊆ [1, 9], one tail
+    s = sum(truncation_numerators(0, 1 << 9, 15, shipped_cache))
+    iv = Interval.on_grid(s - 3**15, s, 15)
+    res = check_alpha_partial_telescope(9, 15, shipped_cache).run()
+    assert res.passed, res.detail
     assert iv.lo >= Fraction(90, 100), str(iv)
     assert iv.hi <= 1, str(iv)
 

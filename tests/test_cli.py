@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +15,8 @@ from nsdensity.constants import cache_load
 from nsdensity.core import DSet
 from nsdensity.limits import decimal_str, gamma, gamma_lower_bound, tail_bound
 
-CACHE_PATH = str(Path(__file__).resolve().parents[1] / "nsdensity.cache")
+ROOT = Path(__file__).resolve().parents[1]
+CACHE_PATH = str(ROOT / "nsdensity.cache")
 
 
 def run(capsys, *argv):
@@ -287,6 +291,37 @@ class TestVerify:
         assert code == 1
         assert "[FAIL] cache-consistency: C[2,8] is 35 in the cache, 36 swept afresh\n" in out
 
+    def test_cache_consistency_checks_a_c_only_cache(self, capsys, tmp_path):
+        # glimit --write-cache into a new path writes C records and no A level
+        path = tmp_path / "c.cache"
+        code, _, _ = run(
+            capsys, "glimit", "--l", "1", "--depth", "9", "--cache", str(path),
+            "--write-cache",
+        )
+        text = path.read_text(encoding="utf-8")
+        assert code == 0 and "A|" not in text and "\nC|1,6|17\n" in text
+        code, out, _ = run(capsys, "verify", "--suite", "constants", "--cache", str(path))
+        assert code == 0
+        assert "[PASS] cache-consistency: 0 re-swept A and 6 re-swept C match the cache\n" in out
+        path.write_text(text.replace("\nC|1,6|17\n", "\nC|1,6|18\n"), encoding="utf-8")
+        code, out, _ = run(capsys, "verify", "--suite", "constants", "--cache", str(path))
+        assert code == 1
+        assert "[FAIL] cache-consistency: C[1,6] is 18 in the cache, 17 swept afresh\n" in out
+
+    def test_shallow_written_cache_passes_every_check(self, capsys, tmp_path):
+        # levels 1 and 2 only: the limits and convergence checks read Max(D)
+        # up to 3 and G_1 at depth 2l+1 = 3, so they sweep level 3 themselves
+        path = str(tmp_path / "shallow.cache")
+        code, _, _ = run(
+            capsys, "gamma", "--d", "1", "--depth", "2", "--cache", path, "--write-cache"
+        )
+        assert code == 0 and cache_load(path).a_depth() == 2
+        code, out, err = run(capsys, "verify", "--cache", path)
+        lines = out.rstrip("\n").split("\n")
+        assert (code, err) == (0, "")
+        assert [line for line in lines[:-1] if not line.startswith("[PASS] ")] == []
+        assert lines[-1] == "30 checks, 30 passed, 0 failed"
+
     @pytest.mark.parametrize("max_f", range(1, 8))
     @pytest.mark.parametrize("suite", ["core", "convergence"])
     def test_small_max_f_completes(self, capsys, suite, max_f):
@@ -300,6 +335,27 @@ class TestVerify:
         last = out.rstrip("\n").split("\n")[-1]
         assert re.fullmatch(r"\d+ checks, \d+ passed, \d+ failed", last)
         assert code == (0 if last.endswith(" 0 failed") else 1)
+
+
+def test_only_verify_imports_the_suites(tmp_path):
+    script = "; ".join([
+        "import sys",
+        "import nsdensity",
+        "assert 'nsdensity.verify' not in sys.modules, 'nsdensity'",
+        "import nsdensity.cli",
+        "assert 'nsdensity.verify' not in sys.modules, 'nsdensity.cli'",
+        "assert nsdensity.cli.main(['verify', '--suite', 'oracle']) == 0",
+        "assert 'nsdensity.verify' in sys.modules, 'verify'",
+    ])
+    env = {k: v for k, v in os.environ.items() if k != "NSDENSITY_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestExitCodes:

@@ -16,7 +16,6 @@ from nsdensity.limits import (
     a_constant,
     alpha_limit,
     alpha_masks,
-    alpha_partial_sum,
     decimal_str,
     g_l_limit,
     gamma,
@@ -27,7 +26,7 @@ from nsdensity.limits import (
     tail_bound,
     truncation_numerators,
 )
-from nsdensity.verify import suite_limits
+from nsdensity.verify import check_alpha_partial_telescope, suite_limits
 
 CACHE_PATH = str(Path(__file__).resolve().parents[1] / "nsdensity.cache")
 
@@ -303,21 +302,40 @@ class TestAlpha:
         assert Fraction(sum(parts), q) == sum(want)
 
     def test_partial_sum_is_the_sum_of_gammas(self, small_cache):
+        # sum_{n<=n_max} alpha_n is the engine's sum over [0, 2^n_max); verify's
+        # telescoped check states its interval
         for n_max in range(5):
             want = sum(
                 (gamma(DSet(m), 6, small_cache).value
                  for m in range(1 << n_max)),
                 Fraction(0),
             )
-            assert alpha_partial_sum(n_max, 6, small_cache).hi == want, n_max
+            s = sum(truncation_numerators(0, 1 << n_max, 6, small_cache))
+            assert Fraction(s, 4**6) == want, n_max
+            res = check_alpha_partial_telescope(n_max, 6, small_cache).run()
+            iv = Interval(want - tail_bound(6), want)
+            assert res.passed, res.detail
+            assert res.detail == (
+                f"sum_(n<={n_max}) alpha_n = {iv} <= 1, telescoped form agrees"
+            )
 
     def test_partial_sum(self):
-        assert alpha_partial_sum(0, 4).hi == gamma(DSet(), 4).value
-        assert alpha_partial_sum(2, 4).hi == Fraction(201, 256)
-        with pytest.raises(ValueError):
-            alpha_partial_sum(-1, 4)
-        with pytest.raises(ValueError):
-            alpha_partial_sum(5, 4)
+        assert sum(truncation_numerators(0, 1, 4)) == gamma(DSet(), 4).value * 4**4
+        assert Fraction(sum(truncation_numerators(0, 4, 4)), 4**4) == Fraction(201, 256)
+        # n_max = 5 lies above depth 4: the engine refuses the range, so the
+        # check FAILs
+        res = check_alpha_partial_telescope(5, 4, ConstantCache()).run()
+        assert not res.passed and res.detail.startswith("mask range [0, 32)")
+
+    def test_telescope_check_catches_a_wrong_row(self, small_cache, monkeypatch):
+        real = truncation_numerators
+        monkeypatch.setattr(
+            "nsdensity.verify.truncation_numerators",
+            lambda *args: [s + (i == 3) for i, s in enumerate(real(*args))],
+        )
+        res = check_alpha_partial_telescope(2, 6, small_cache).run()
+        assert not res.passed
+        assert res.detail.startswith("partial alpha sum ") and "telescoped form" in res.detail
 
 
 class TestGLimit:
@@ -427,9 +445,11 @@ class TestGammaTable:
         rows = (0, 2, 4, 1, 6, 3)  # ∅, {2}, {3}, {1}, {2,3}, {1,2}
         nums = (64, 37, 10, 4, 2, 1)
         table = GammaTable(3, 3, rows, nums)
-        assert table.bounds[1:] == [2, 1, 1]
         # [37, 64], [10, 37], [1, 10], [2, 4], [1, 2], [1, 1]
         assert table.refined_lows == [37, 10, 1, 2, 1, 1]
+        # {1}, {1,2} and {3} have S <= 27, so their raw lower ends are 0 and
+        # their refined ones the bound's ceilings for t = 1, 2, 3
+        assert [table.refined_lows[rows.index(m)] for m in (1, 3, 4)] == [2, 1, 1]
         exact = [
             Interval(
                 max(Fraction(s - 27, 64), Fraction(0),
@@ -453,8 +473,9 @@ class TestGammaTable:
             limits, "gamma_lower_bound", lambda t: Fraction(1) if t == 3 else real(t)
         )
         lines = [c.run().line() for c in suite_limits(cache=shipped_cache)]
-        assert "[FAIL] positivity-consistency: gamma upper end below " \
-            "a_t/2^(t+1) at D=3" in lines
+        assert "[FAIL] positivity-consistency: empty refined interval for D = 3: " \
+            f"lower end 1 above upper end {gamma(DSet.of([3]), 10).value * 4**10}" \
+            "/4^10" in lines
         code = cli.main(
             ["table", "--max-t", "3", "--depth", "15", "--cache", CACHE_PATH]
         )
