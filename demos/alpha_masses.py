@@ -12,14 +12,8 @@ The first handful of limits already capture over 90% of the total mass.
 import argparse
 from fractions import Fraction
 
-from nsdensity import (
-    Interval,
-    alpha_limit,
-    cache_load,
-    decimal_str,
-    density_table,
-    truncation_numerators,
-)
+from nsdensity import Interval, alpha_limit, cache_load, decimal_str, density_table
+from nsdensity import enclosure, truncation_numerators
 
 
 def main() -> None:
@@ -37,15 +31,14 @@ def main() -> None:
     for n in [-1] + list(range(1, args.n_max + 1)):
         # the summands' numerators over 4^depth; their sum carries one tail
         parts = alpha_limit(n, args.depth, cache)
-        total = sum(parts)
-        iv = Interval.on_grid(total - 3**args.depth, total, args.depth)
+        iv = Interval.on_grid(*enclosure(parts, args.depth), args.depth)
         emp = masses.get(n, Fraction(0))
         print(f"{n:>3}  {decimal_str(emp):>12}  {str(iv):>21}  {len(parts):>8}")
 
     # sum_{n <= n_max} alpha_n is the sum of gamma_D over every D ⊆ [1, n_max],
     # the rows [0, 2^n_max); distinct D, so again one tail
-    total = sum(truncation_numerators(0, 1 << args.n_max, args.depth, cache))
-    iv = Interval.on_grid(total - 3**args.depth, total, args.depth)
+    rows = truncation_numerators(0, 1 << args.n_max, args.depth, cache)
+    iv = Interval.on_grid(*enclosure(rows, args.depth), args.depth)
     print(
         f"\nsum of alpha_n for n <= {args.n_max}: {iv}"
         f"  (certified >= {decimal_str(iv.lo)} of all mass)"

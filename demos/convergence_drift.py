@@ -11,7 +11,8 @@ densities sit within 0.02 of the depth-15 truncation value.
 import argparse
 from fractions import Fraction
 
-from nsdensity import DSet, cache_load, decimal_str, density_table, gamma
+from nsdensity import DSet, Interval, cache_load, decimal_str, density_table
+from nsdensity import enclosure, truncation_numerators
 from nsdensity.core import n_of
 
 
@@ -39,11 +40,15 @@ def main() -> None:
             f"  {decimal_str(rows[d.key][f]):>10}" for d in dsets
         ))
 
+    # each limit's certified enclosure, whose upper end is the truncation
+    s_d = truncation_numerators(0, max(d.mask for d in dsets) + 1, args.depth, cache)
+    limits = [Interval.on_grid(*enclosure((s_d[d.mask],), args.depth), args.depth)
+              for d in dsets]
     print(f"{'limit':>4}" + "".join(
-        f"  {decimal_str(gamma(d, args.depth, cache).value):>10}" for d in dsets
+        f"  {decimal_str(iv.hi):>10}" for iv in limits
     ) + f"   (depth-{args.depth} truncation)")
-    for d in dsets:
-        drift = abs(rows[d.key][args.f_max] - gamma(d, args.depth, cache).value)
+    for d, iv in zip(dsets, limits):
+        drift = abs(rows[d.key][args.f_max] - iv.hi)
         print(f"  D = {d.key}: |mu({args.f_max}) - truncation| = "
               f"{decimal_str(drift)}")
 

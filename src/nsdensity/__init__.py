@@ -31,6 +31,7 @@ from .limits import (
     Interval,
     alpha_limit,
     decimal_str,
+    enclosure,
     g_l_limit,
     gamma,
     gamma_table,

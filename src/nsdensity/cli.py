@@ -4,8 +4,9 @@ Subcommands map one-to-one onto library entry points: ``enumerate`` onto
 :func:`nsdensity.enumeration.density_table`, ``gamma``/``table``/``alpha``
 onto the series engine :func:`nsdensity.limits.truncation_numerators` and
 ``glimit`` onto :func:`~nsdensity.limits.g_l_limit`, all rendered from
-integers over 4^depth (:func:`~nsdensity.limits.gamma` is the engine's
-oracle, not a route here), and ``verify`` onto the suites in
+integers over 4^depth, every series interval from
+:func:`~nsdensity.limits.enclosure` (:func:`~nsdensity.limits.gamma` is the
+engine's oracle, not a route here), and ``verify`` onto the suites in
 :mod:`nsdensity.verify`, which only ``verify`` imports.  Each takes only the
 flags it reads, all checked by :func:`validate` before dispatch so that exit
 codes stay meaningful: 0 success, 1 failed verification or internal
@@ -58,6 +59,7 @@ from .limits import (
     alpha_limit,
     alpha_masks,
     decimal_str,
+    enclosure,
     g_l_limit,
     gamma_lower_bound,
     gamma_table,
@@ -277,14 +279,15 @@ def cmd_enumerate(args: argparse.Namespace) -> Report:
 
 def cmd_gamma(args: argparse.Namespace) -> Report:
     d, depth, t = args.d, args.depth, args.d.max_element
-    (s,), cache = _series(args, truncation_numerators, d.mask, d.mask + 1)
+    parts, cache = _series(args, truncation_numerators, d.mask, d.mask + 1)
     # the entries the engine just read, from levels t..depth
     a_d = cache.a(d)
     terms = [
         (k, cache.a_entries[d.mask | 1 << (k - 1)]) for k in range(t + 1, depth + 1)
     ]
-    (value, value_dec), (lo, lo_dec) = _grid(s, depth), _grid(s - 3**depth, depth)
-    refined, tail = refined_lo(d.mask, s, depth), _grid(3**depth, depth)[0]
+    lo, s = enclosure(parts, depth)
+    refined, tail = refined_lo(d.mask, s, depth), _grid(s - lo, depth)[0]
+    (value, value_dec), (lo, lo_dec) = _grid(s, depth), _grid(lo, depth)
     bound = gamma_lower_bound(t) if t >= 1 else None
     positivity = str(bound) if bound is not None else None
     payload = {
@@ -336,13 +339,14 @@ def cmd_table(args: argparse.Namespace) -> Report:
     bounds = [""] + [
         decimal_str(gamma_lower_bound(t)) for t in range(1, tbl.max_t + 1)
     ]
-    q, tail = 4**tbl.depth, 3**tbl.depth
+    q = 4**tbl.depth
     rows = []
-    for key, mask, s, lo in zip(
+    for key, mask, s, refined in zip(
         d_keys(tbl.rows, tbl.max_t), tbl.rows, tbl.numerators, tbl.refined
     ):
-        value = ratio_str(s, q)
-        rows.append([key, value, ratio_str(s - tail, q), value, decimal_str(lo),
+        lo, hi = enclosure((s,), tbl.depth)
+        value = ratio_str(hi, q)
+        rows.append([key, value, ratio_str(lo, q), value, decimal_str(refined),
                      bounds[mask.bit_length()]])
     payload = {
         "command": "table",
@@ -364,8 +368,9 @@ def cmd_table(args: argparse.Namespace) -> Report:
 def cmd_alpha(args: argparse.Namespace) -> Report:
     n, depth = args.n, args.depth
     parts, _ = _series(args, alpha_limit, n)
-    s = sum(parts)  # the summands share one tail (limits module docstring)
-    (value, value_dec), (lo, lo_dec) = _grid(s, depth), _grid(s - 3**depth, depth)
+    lo, s = enclosure(parts, depth)  # the summands share one tail
+    tail = _grid(s - lo, depth)[0]
+    (value, value_dec), (lo, lo_dec) = _grid(s, depth), _grid(lo, depth)
     components = [
         dict(zip(("d", "value", "value_decimal"), (key, *_grid(p, depth))))
         for key, p in zip(d_keys(alpha_masks(n), max(n, 0)), parts)
@@ -378,7 +383,7 @@ def cmd_alpha(args: argparse.Namespace) -> Report:
         "value_decimal": value_dec,
         "interval": {"lo": lo, "hi": value},
         "interval_decimal": {"lo": lo_dec, "hi": value_dec},
-        "tail_bound": _grid(3**depth, depth)[0],
+        "tail_bound": tail,
         "components": components,
     }
     header = ["n", "depth", "value", "value_decimal", "lo", "hi", "components"]

@@ -832,10 +832,3 @@ def _window_histograms(
         for _, windows in level_chunks:
             np.add(total, np.bincount(windows, minlength=1 << t), out=total)
         yield t, total
-
-
-def window_restrict(buckets: np.ndarray, width: int, t: int) -> np.ndarray:
-    """Aggregate width-``width`` pattern counts down to width t <= width."""
-    if not 0 <= t <= width:
-        raise ValueError(f"cannot restrict width {width} to {t}")
-    return buckets.reshape(1 << (width - t), 1 << t).sum(axis=0)

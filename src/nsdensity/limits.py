@@ -4,30 +4,17 @@ The limit density of the family N(D, .) is
 
     gamma_D = A_D 4^(-t) - sum_{k > t} A_{D∪{k}} 4^(-k),      t = Max(D),
 
-a series of nonnegative dyadic terms, so a depth-N truncation is an upper
-bound and overshoots by at most sum_{k > N} 3^(k-1) 4^(-k) = (3/4)^N (using
-A_E <= 3^(Max(E)-1)).  All arithmetic here is exact, over integers and
-``fractions.Fraction``; the decimals are rounded from exact ratios.
-
-Two certified facts sharpen the raw enclosure [value - (3/4)^N, value]:
-
-  * gamma_D >= a_t / 2^(t+1) > 0 for t >= 1, with
-    a_l = (2/3) 4^(-l) - 3 * 2^l / 4^(2l+1);
-  * the constants with a common window maximum sum exactly:
-    sum over Max(E)=k of A_E = 3^(k-1), the sets T at f = 2k+1 with k+1 in
-    A(T) (proof in :mod:`nsdensity.constants`).
-
-The second fact makes tails of *sums* of gamma series collapse: distinct D
-contribute distinct tail sets D∪{k}, so any family of gamma estimates with
-pairwise distinct D has combined tail at most sum_{k>N} 3^(k-1) 4^(-k) =
-(3/4)^N, not a per-term multiple of it.  alpha_n uses this.
-
-On the grid q = 4^N the whole certificate is integer.  The truncation is
-S_D / q with S_D = A_D 4^(N-t) - sum_{k=t+1}^N A_{D∪{k}} 4^(N-k) an
-integer, and the tail (3/4)^N is 3^N / q, so the raw enclosure is
-[(S_D - 3^N) / q, S_D / q].  Only the structural bound a_t / 2^(t+1) falls
-off the grid; it depends on t alone, and an integer S meets it on the grid
-exactly when S >= ceil(q a_t / 2^(t+1)).
+whose depth-N truncation is an integer S_D over the grid q = 4^N.  All
+arithmetic here is exact, over integers and ``fractions.Fraction``; the
+decimals are rounded from exact ratios.  :func:`enclosure`, whose docstring
+holds the proof, turns the S_D of pairwise distinct D into the certified
+enclosure of their sum; no other production code forms the gamma tail
+(the oracle :func:`gamma` keeps its own, :func:`tail_bound`).
+:func:`refined_lo` sharpens one D's enclosure with gamma_D >= 0 and
+gamma_D >= a_t / 2^(t+1) > 0 for t >= 1, with
+a_l = (2/3) 4^(-l) - 3 * 2^l / 4^(2l+1).  Only that bound falls off the
+grid; it depends on t alone, and an integer S meets it on the grid exactly
+when S >= ceil(q a_t / 2^(t+1)).
 
 :func:`truncation_numerators`, the one production route, builds S_D for a
 range of D masks in one pass over the levels: all D with Max(D) <= max_t
@@ -44,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core import DSet
 from .constants import ConstantCache, a_const, a_levels, c_consts
@@ -87,12 +74,32 @@ def gamma_lower_bound(t: int) -> Fraction:
     return a_constant(t) / 2 ** (t + 1)
 
 
+def enclosure(numerators: Iterable[int], depth: int) -> tuple[int, int]:
+    """(lo, hi) with the sum of gamma_D in [lo, hi] / 4^depth, for
+    ``numerators`` the S_D of pairwise distinct D at depth N = ``depth``:
+    hi is their sum and lo is hi - 3^N.  Every series interval certified
+    here starts from this one.
+
+    Past its head each series subtracts nonnegative terms, so a truncation
+    is an upper bound that overshoots by its tail sum_{k > N} A_{D∪{k}} 4^(-k).
+    Distinct D give distinct tail sets D∪{k}, each with window maximum k,
+    and sum over Max(E)=k of A_E = 3^(k-1), the sets T at f = 2k+1 with k+1
+    in A(T) (proof in :mod:`nsdensity.constants`).  So the tails of the
+    family sum to at most sum_{k > N} 3^(k-1) 4^(-k) = (3/4)^N = 3^N / 4^N:
+    one tail for the family, however many D it holds (alpha_n: 2^(n-1)).
+    A single D is the case A_E <= 3^(Max(E)-1).
+    """
+    hi = sum(numerators)
+    return hi - 3**depth, hi
+
+
 def refined_lo(mask: int, s: int, depth: int) -> Fraction:
-    """The refined lower end max((S - 3^depth)/q, 0, a_t/2^(t+1)) of gamma_D,
-    D.mask = ``mask``, t = Max(D), from its truncation S/q, q = 4^depth; a
-    ValueError naming D when it lies above S/q."""
+    """The refined lower end max(lo/q, 0, a_t/2^(t+1)) of gamma_D,
+    D.mask = ``mask``, t = Max(D), q = 4^depth, where [lo, S] is the
+    :func:`enclosure` of its truncation S = ``s``; a ValueError naming D
+    when it lies above S/q."""
     q, bound = 4**depth, gamma_lower_bound(mask.bit_length())
-    raw = max(s - 3**depth, 0)
+    raw = max(enclosure((s,), depth)[0], 0)
     if raw * bound.denominator >= bound.numerator * q:  # raw / q >= bound
         return Fraction(raw, q)
     if s * bound.denominator < bound.numerator * q:
@@ -190,9 +197,8 @@ def alpha_limit(
 ) -> list[int]:
     """S_D of alpha_n's summands, in :func:`alpha_masks` order.
 
-    The 2^(n-1) summands have pairwise distinct index sets, so their sum S
-    carries one tail (module docstring), not 2^(n-1): alpha_n lies in
-    [(S - 3^depth) / 4^depth, S / 4^depth].
+    The 2^(n-1) summands have pairwise distinct index sets, so their
+    :func:`enclosure` certifies alpha_n with one tail, not 2^(n-1).
     """
     masks = alpha_masks(n)
     return truncation_numerators(masks.start, masks.stop, depth, cache)

@@ -15,9 +15,11 @@ engine (:func:`~nsdensity.limits.truncation_numerators`) over the table's
 range and over alpha_n's sub-ranges against the per-D oracle
 :func:`~nsdensity.limits.gamma`.
 
-The suites hold only checks that can fail, each run once.  The counting
-facts below are enforced where the data enters, which refuses any data
-that breaks them, so no suite restates them:
+The suites hold only checks that can fail, each run once, but for
+``g1-empirical-report``: it reports how far |G_1(f)|/2^(f-1) lies from its
+certified limit, and since no convergence rate is certified, no distance
+fails it.  The counting facts below are enforced where the data enters,
+which refuses any data that breaks them, so no suite restates them:
 
   * the level rule (the 2^(t-1) constants A_D with Max(D) = t each lie in
     [1, 3^(t-1)] and sum to 3^(t-1)) by :meth:`ConstantCache.set_level`,
@@ -68,10 +70,11 @@ oracle:
                                          term), ``alpha-partial-telescope``
                                          (the rows' sum over D ⊆ [1, 4],
                                          telescoped from the levels),
-                                         ``gamma-external-estimate``
-                                         (the published 0.484451 +/-
-                                         0.005011), ``mu-drift`` (the flat
-                                         sweep's mu(N(D,f)))
+                                         ``mu-drift`` (the flat sweep's
+                                         mu(N(D,f)))
+  certificate, the one generic tail      ``gamma-external-estimate``
+  (``enclosure``)                        (the published 0.484451 +/-
+                                         0.005011)
   =====================================  ==================================
 
 ``c-growth-bound`` sweeps into a fresh cache, never the loaded one, whose
@@ -113,7 +116,6 @@ from .enumeration import (
     density_table,
     top_slice_levels,
     window_counts,
-    window_restrict,
 )
 from .constants import (
     DEFAULT_DEPTH_BUDGET,
@@ -127,6 +129,7 @@ from .limits import (
     Interval,
     alpha_limit,
     alpha_masks,
+    enclosure,
     g_l_limit,
     gamma,
     gamma_table,
@@ -330,6 +333,13 @@ def check_fold_window(samples: int = 2000, f_max: int = 24,
     return "window_t(A(T)) = window_t(A(fold(T, t, 2t+1)))"
 
 
+def _window_restrict(buckets: np.ndarray, width: int, t: int) -> np.ndarray:
+    """Aggregate width-``width`` pattern counts down to width t <= width."""
+    if not 0 <= t <= width:
+        raise ValueError(f"cannot restrict width {width} to {t}")
+    return buckets.reshape(1 << (width - t), 1 << t).sum(axis=0)
+
+
 @_check(lambda f_max, t_max=4: f"window-factorization(t<={t_max},f<={f_max})")
 def check_window_factorization(f_max: int, t_max: int = 4) -> str:
     """|B(D,f)| = A_D 2^(f-2t-1) for every D with Max(D) = t <= t_max."""
@@ -342,7 +352,7 @@ def check_window_factorization(f_max: int, t_max: int = 4) -> str:
         if f == 2 * cap + 1:
             a_arrays[cap] = wide
         for t in range(1, cap + 1):
-            got = window_restrict(wide, cap, t)
+            got = _window_restrict(wide, cap, t)
             want = a_arrays[t] * (1 << (f - 2 * t - 1))
             # only patterns with Max = t exactly; lower ones restrict further
             for mask in range(1 << (t - 1), 1 << t):
@@ -371,7 +381,7 @@ def check_preimage_identity(f: int, t_max: int = 3) -> str:
         t = d.max_element
         if t == 0:
             return 1 << (f - 1)
-        return int(window_restrict(wide, wide_w, t)[d.mask])
+        return int(_window_restrict(wide, wide_w, t)[d.mask])
 
     for mask in range(1 << cap):
         d = DSet(mask)
@@ -460,8 +470,8 @@ def check_alpha_partial_telescope(n_max: int, depth: int, cache: ConstantCache) 
     """The engine's sum over D ⊆ [1, n_max] against its telescoped form.
 
     sum_{n=-1}^{n_max} alpha_n is the sum of gamma_D over all D ⊆ [1, n_max],
-    the engine's rows [0, 2^n_max); distinct D give distinct tail sets, so
-    the sum carries one tail (3/4)^depth.  Each A_D with 1 <= Max(D) <= n_max
+    the engine's rows [0, 2^n_max); distinct D, so :func:`enclosure` gives
+    the sum one tail (3/4)^depth.  Each A_D with 1 <= Max(D) <= n_max
     enters twice with opposite signs, as the head of gamma_D and as a term
     of gamma_(D∖{Max(D)}), so the truncated value telescopes exactly to
 
@@ -469,13 +479,13 @@ def check_alpha_partial_telescope(n_max: int, depth: int, cache: ConstantCache) 
 
     which proves value <= 1 and is recomputed here from the levels.
     """
-    scaled = sum(truncation_numerators(0, 1 << n_max, depth, cache))
+    lo, scaled = enclosure(truncation_numerators(0, 1 << n_max, depth, cache), depth)
     # entry m < 2^n_max of level k is A_E for E∖{k} ⊆ [1, n_max], E = m ∪ {k}
     telescoped = 4**depth - sum(
         sum(cache.levels[k][: 1 << n_max].tolist()) * 4 ** (depth - k)
         for k in range(n_max + 1, depth + 1)
     )
-    iv = Interval.on_grid(scaled - 3**depth, scaled, depth)
+    iv = Interval.on_grid(lo, scaled, depth)
     return _verdict(
         scaled == telescoped,
         f"sum_(n<={n_max}) alpha_n = {iv} <= 1, telescoped form agrees",
@@ -488,9 +498,10 @@ def full_window_oracle(t: int, cache: ConstantCache) -> None:
 
     The independent oracle for the top-slice route: the sweep at f = 2t+1
     over all 4^t sets must sum to 4^t, its buckets from 2^(t-1) on must
-    equal the cached level t, and every lower bucket whose inputs are
-    cached must equal the truncation identity (see :mod:`.constants`).
-    CacheConflictError names the first mismatch.
+    equal the cached level t, and every lower bucket must equal the
+    truncation identity (see :mod:`.constants`), the depth-t numerator of
+    :func:`truncation_numerators`, which sweeps into ``cache`` any level
+    below t it lacks.  CacheConflictError names the first mismatch.
     """
     buckets = window_counts(2 * t + 1, t)
     if int(buckets.sum()) != 4**t:
@@ -506,31 +517,13 @@ def full_window_oracle(t: int, cache: ConstantCache) -> None:
                 f"A_{{{DSet(m).key}}} is {value} on "
                 f"the slice route, {int(buckets[m])} in the 4^{t} sweep"
             )
-    for m in range(low):  # window maxima below t
-        value = _truncation_bucket(m, t, cache)
-        if value is not None and value != int(buckets[m]):
+    # window maxima below t
+    for m, value in enumerate(truncation_numerators(0, low, t, cache)):
+        if value != int(buckets[m]):
             raise CacheConflictError(
                 f"bucket[{DSet(m).key}] of the 4^{t} sweep is "
                 f"{int(buckets[m])}, the truncation identity predicts {value}"
             )
-
-
-def _truncation_bucket(m: int, t: int, cache: ConstantCache) -> int | None:
-    """A_D 4^(t-s) - sum_{k=s+1}^t A_{D∪{k}} 4^(t-k), None if inputs missing.
-
-    D is given by its mask ``m`` and s = Max(D) is the mask's bit length.
-    """
-    s = m.bit_length()
-    a_d = cache.a_entries.get(m) if m else 1
-    if a_d is None:
-        return None
-    value = a_d * 4 ** (t - s)
-    for k in range(s + 1, t + 1):
-        a_e = cache.a_entries.get(m | 1 << (k - 1))
-        if a_e is None:
-            return None
-        value -= a_e * 4 ** (t - k)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -780,8 +773,8 @@ def suite_convergence(max_f: int | None = None,
         return "mu(N(D,f)) within 0.02 + (3/4)^depth of the truncation"
 
     def external_estimate() -> str:
-        (s,) = truncation_numerators(0, 1, depth, cache)
-        interval = Interval.on_grid(s - 3**depth, s, depth)
+        parts = truncation_numerators(0, 1, depth, cache)
+        interval = Interval.on_grid(*enclosure(parts, depth), depth)
         published = Interval(
             Fraction(484451, 10**6) - Fraction(5011, 10**6),
             Fraction(484451, 10**6) + Fraction(5011, 10**6),

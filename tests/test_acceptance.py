@@ -11,8 +11,12 @@ The full depth-15 constant rebuild (criterion 05c) takes a few seconds;
 every other criterion reads the shipped cache.
 """
 
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -133,11 +137,26 @@ def test_criterion_05b_depth15_overlaps_reference(shipped_cache):
         )
 
 
-def test_criterion_05c_full_depth15_rebuild(shipped_cache):
-    """Rebuilding every constant from scratch reproduces the shipped cache."""
+def test_criterion_05c_full_depth15_rebuild(shipped_cache, tmp_path):
+    """Rebuilding every constant from scratch reproduces the shipped cache:
+    its A entries, and, through `demos/build_cache.py`, the whole file with
+    its C records and provenance lines, byte for byte."""
     fresh = ConstantCache()
     a_levels(1, 15, fresh)
     assert fresh.a_entries == shipped_cache.a_entries
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )
+    out = tmp_path / "rebuilt.cache"
+    proc = subprocess.run(
+        [sys.executable, str(root / "demos" / "build_cache.py"),
+         "--depth", "15", "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, check=False,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_bytes() == (root / "nsdensity.cache").read_bytes()
 
 
 def test_criterion_06_external_estimate(shipped_cache):

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nsdensity import cli, constants, enumeration, verify
@@ -195,6 +196,17 @@ class TestGLimit:
 
 
 class TestVerify:
+    def test_window_restrict_matches_direct(self):
+        f = 14
+        wide = enumeration.window_counts(f, 5)
+        for t in range(6):
+            direct = enumeration.window_counts(f, t)
+            assert np.array_equal(verify._window_restrict(wide, 5, t), direct)
+
+    def test_window_restrict_validation(self):
+        with pytest.raises(ValueError):
+            verify._window_restrict(np.zeros(8, dtype=np.int64), 3, 4)
+
     def test_oracle_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "oracle")
         assert code == 0

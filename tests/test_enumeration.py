@@ -31,11 +31,11 @@ from nsdensity.enumeration import (
     top_slice_c,
     top_slice_levels,
     window_counts,
-    window_restrict,
 )
 from nsdensity import cli, enumeration
 from nsdensity.limits import decimal_str
 from nsdensity.verify import (
+    _window_restrict,
     check_amap_sweep,
     check_preimage_identity,
     check_topslice_sweep,
@@ -378,17 +378,6 @@ class TestWindowCounts:
         for mask in range(1 << width):
             assert int(got[mask]) == want.get(mask, 0)
 
-    def test_restrict_matches_direct(self):
-        f = 14
-        wide = window_counts(f, 5)
-        for t in range(6):
-            direct = window_counts(f, t)
-            assert np.array_equal(window_restrict(wide, 5, t), direct)
-
-    def test_restrict_validation(self):
-        with pytest.raises(ValueError):
-            window_restrict(np.zeros(8, dtype=np.int64), 3, 4)
-
     def test_width_validation(self):
         with pytest.raises(ValueError):
             window_counts(9, 5)  # width beyond (f-1)//2
@@ -620,7 +609,7 @@ class TestSuffixCensus:
             )
             if d.max_element >= 1:
                 t = d.max_element
-                b = window_restrict(census.buckets, census.width, t)
+                b = _window_restrict(census.buckets, census.width, t)
                 assert b[d.mask] == table.window(t)[d.mask] == sum(
                     p for a, p in table.entries.items()
                     if suffix_pattern(a, t) == d

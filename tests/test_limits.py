@@ -17,6 +17,7 @@ from nsdensity.limits import (
     alpha_limit,
     alpha_masks,
     decimal_str,
+    enclosure,
     g_l_limit,
     gamma,
     gamma_lower_bound,
@@ -251,6 +252,21 @@ class TestEngine:
         truncation_numerators(0, 4, 11, cache)  # levels 3, 6, 7, 10 and 11
         assert built == [8, 10] and cache.a_depth() == 11
         assert all((cache.levels[t] == full.levels[t]).all() for t in range(1, 10))
+
+    def test_enclosure_is_the_oracle_interval(self, small_cache, shipped_cache):
+        # one D: the oracle's own Fraction interval; the distinct D of
+        # [1, 6] together: the sum of their oracle values, with one tail
+        depth, q = 6, 4**6
+        rows = truncation_numerators(0, 1 << depth, depth, small_cache)
+        for m in (0, 1, 5, 32, 63):
+            want = gamma(DSet(m), depth, small_cache).interval
+            assert Interval.on_grid(*enclosure((rows[m],), depth), depth) == want
+        total = sum(gamma(DSet(m), depth, small_cache).value for m in range(1 << depth))
+        lo, hi = enclosure(rows, depth)
+        assert (Fraction(lo, q), Fraction(hi, q)) == (total - tail_bound(depth), total)
+        # the certificate holds: the family's depth-15 enclosure nests inside
+        deep = enclosure(truncation_numerators(0, 1 << depth, 15, shipped_cache), 15)
+        assert lo * 4**15 <= deep[0] * q <= deep[1] * q <= hi * 4**15
 
     def test_validation(self):
         for lo, hi, depth in [(-1, 1, 3), (2, 2, 3), (3, 2, 3), (0, 9, 3)]:
