@@ -75,36 +75,36 @@ the loader alone, so it never holds a partial or rule-breaking level and
 The cache file is line-delimited ``A|<D-key>|<int>`` / ``C|<l>,<k>|<int>``
 records, UTF-8 with LF endings, sorted for reproducible diffs; ``#`` lines
 carry provenance (``# key: value``).  The D-key format is defined in
-:mod:`nsdensity.core`, which parses it (:func:`~nsdensity.core.parse_d_mask`)
-and renders it (:attr:`DSet.key`, :func:`~nsdensity.core.d_mask_keys`).  The
-file is untrusted input: two values for one key, or a level, a C key or a C
-value that breaks its rule, are always a hard error, never a silent merge.
+:mod:`nsdensity.core`, which renders it (:attr:`DSet.key`,
+:func:`~nsdensity.core.d_mask_keys`); the loader reads that spelling
+alone.  The file is untrusted input: two values for one key, or a level, a
+C key or a C value that breaks its rule, are always a hard error, never a
+silent merge.
 
-:func:`cache_load` reads a record by one of two routes.  The A records as
-:func:`cache_store` writes them (ascending elements of 1-2 digits, a value
-of at most 18 digits) are found and parsed by numpy, a block of about 64 KB
-at a time.  Every other line (provenance, C records, blank lines, any other
-spelling ``int`` accepts, longer values, anything malformed, and every line
-of a file holding a CR) goes through the per-line parser
-:meth:`_Reader.line`, which is also the tests' oracle for the numpy route.
-Both routes only read records, and :meth:`_Reader.cache` applies the rules,
-so a file is refused in one order, with the same message whichever route
-read its lines: a malformed line, then a key with two values (the first
-record in the file that repeats its key with another value), then the
-level rule by order of first appearance, then the C bound.
+:func:`cache_load` reads every line by one grammar, in numpy, a block of
+about 64 KB at a time (:func:`_records`): an A record as :func:`cache_store`
+writes it (ascending elements of 1-2 digits without a leading zero, a value
+of 1-18 digits), a C record ``C|<l>,<k>|<int>`` with l < k spelled the same
+way, a ``#`` provenance line or an empty line.  Any other line is refused
+at once, by line number, as malformed: so are ``+1``, `` 2`` or ``01``, a
+value past 18 digits, and a record holding a CR, which no writer produces.
+The tokenizer only reads records, and :meth:`_Reader.cache` applies the
+rules, so a file is refused in one order: a malformed line, then a key
+with two values (the first record in the file that repeats its key with
+another value), then the level rule by order of first appearance, then
+the C bound.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import os
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from types import MappingProxyType
 
 import numpy as np
 
-from .core import DSet, d_mask_keys, parse_d_mask
+from .core import DSet, d_mask_keys
 from .enumeration import WORD_LIMIT, top_slice_c, top_slice_levels
 
 CACHE_ENV = "NSDENSITY_CACHE"
@@ -127,11 +127,11 @@ DEFAULT_DEPTH_BUDGET = 15
 
 
 def check_a_level(t: int, values: np.ndarray) -> None:
-    """The level rule for level t, whose A_D are the array ``values`` (int64,
-    or object for ints beyond it): all 2^(t-1) constants with Max(D) = t,
-    each in [1, 3^(t-1)], summing to exactly 3^(t-1).  Level 0 (A_∅ = 1 by
-    definition, never stored) and a level above TOP_SLICE_LIMIT are refused
-    before any power is taken.
+    """The level rule for level t, whose A_D are the array ``values``: all
+    2^(t-1) constants with Max(D) = t, each in [1, 3^(t-1)], summing to
+    exactly 3^(t-1).  Level 0 (A_∅ = 1 by definition, never stored) and a
+    level above TOP_SLICE_LIMIT are refused before any power is taken, so
+    every level that passes fits int64: 3^30 < 2^63.
 
     The sum is exact.  When the count and the range hold and
     2^(t-1) 3^(t-1) = 6^(t-1) < 2^63 (t <= 25), it is taken in the array's
@@ -239,11 +239,11 @@ class ConstantCache:
         return t
 
 
-# cache_load parses canonical A records in numpy blocks of about this many bytes
+# cache_load tokenizes the file in numpy blocks of about this many bytes
 _BLOCK = 1 << 16
 _LF, _COMMA, _BAR, _ZERO = (ord(c) for c in "\n,|0")
-# a canonical line's first two bytes, as the little-endian uint16 they form
-_HEAD = int.from_bytes(b"A|", "little")
+# a record's first two bytes, as the little-endian uint16 they form
+_HEAD_A, _HEAD_C = (int.from_bytes(head, "little") for head in (b"A|", b"C|"))
 
 
 def _pair_bits() -> np.ndarray:
@@ -263,19 +263,14 @@ _PAIR_BIT = _pair_bits()
 def cache_load(path: str | os.PathLike) -> ConstantCache:
     """Parse a cache file; CacheConflictError if it breaks a rule above.
 
-    The file is decoded once, so a non-UTF-8 file is refused before any
-    record is read.  A file holding a CR, which ends a line too, is read
-    line by line; any other file in blocks of about _BLOCK bytes, its last
-    line as if it ended in LF.
+    The file is decoded once, only so that a non-UTF-8 file is refused
+    before any line is read, and then read in blocks of about _BLOCK bytes,
+    its last line as if it ended in LF.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    text = data.decode("utf-8")
+    data.decode("utf-8")
     reader = _Reader(path)
-    if "\r" in text:
-        reader.lines(io.StringIO(text, newline=""))
-        return reader.cache()
-    del text  # decoded only to refuse a non-UTF-8 file
     # an LF before the first line, so that every block can start with the
     # LF that ends the line before it
     data = b"".join((b"\n", data, b"" if data.endswith(b"\n") else b"\n"))
@@ -290,8 +285,8 @@ def cache_load(path: str | os.PathLike) -> ConstantCache:
 
 
 class _Reader:
-    """The records of one cache file, read in file order: :meth:`line` and
-    :meth:`block` read them and apply no rule, :meth:`cache` applies all."""
+    """The records of one cache file, read in file order: :meth:`block`
+    reads them and applies no rule, :meth:`cache` applies all."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = path
@@ -300,69 +295,26 @@ class _Reader:
         self.values: list[np.ndarray] = []
         self.c_records: list[tuple[int, int, int]] = []  # (l, k, C)
 
-    def line(self, lineno: int, raw: str) -> tuple[int, int] | None:
-        """Read one line, with its ending: the per-line route, for any line
-        at all.  An A record is returned as (D.mask, A_D), not kept."""
-        path = self.path
-        line = raw.rstrip("\n")
-        if not line:
-            return None
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, _, val = body.partition(":")
-                self.out.provenance[key.strip()] = val.strip()
-            return None
-        parts = line.split("|")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: malformed record {line!r}")
-        kind, key, val = parts
-        try:
-            value = int(val)
-        except ValueError:
-            raise ValueError(
-                f"{path}:{lineno}: non-integer value {val!r}"
-            ) from None
-        if value < 0:
-            raise ValueError(f"{path}:{lineno}: negative count {value}")
-        if kind == "A":
-            try:
-                return parse_d_mask(key), value
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: bad A key {key!r}"
-                ) from None
-        if kind == "C":
-            try:
-                l, k = (int(p) for p in key.split(","))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: bad C key {key!r}"
-                ) from None
-            self.c_records.append((l, k, value))
-            return None
-        raise ValueError(f"{path}:{lineno}: unknown record kind {kind!r}")
-
-    def lines(self, lines: Iterable[str]) -> None:
-        """Keep the records of ``lines``, read each by :meth:`line`."""
-        a = [r for lineno, raw in enumerate(lines, 1) if (r := self.line(lineno, raw))]
-        self.masks.append(np.array([mask for mask, _ in a], np.int64))
-        self.values.append(np.array([value for _, value in a], object))
-
     def block(self, buf: np.ndarray, lineno: int) -> int:
         """Keep the records of the lines of ``buf`` (uint8), an LF and then
-        LF-terminated lines, the first of them line ``lineno``: the
-        canonical A records read by numpy, each other line by :meth:`line`.
-        Returns the number of lines."""
-        breaks, is_a, masks, values = _canonical_a_records(buf)
+        LF-terminated lines, the first of them line ``lineno``, and the
+        provenance of its ``#`` lines; refuse the first line that is none
+        of these and not empty.  Returns the number of lines."""
+        breaks, kinds, masks, values = _records(buf)
+        is_a = kinds == _HEAD_A
         for i in np.flatnonzero(~is_a).tolist():
-            raw = buf[breaks[i] + 1 : breaks[i + 1] + 1].tobytes().decode()
-            record = self.line(lineno + i, raw)
-            if record is not None:
-                if record[1] >> 63:  # beyond int64: exact Python ints
-                    values = values.astype(object)
-                masks[i], values[i] = record
-                is_a[i] = True
+            if kinds[i]:  # C|l,k: l and k are the low and the high bit
+                mask = int(masks[i])
+                l, k = (mask & -mask).bit_length(), mask.bit_length()
+                self.c_records.append((l, k, int(values[i])))
+                continue
+            line = buf[breaks[i] + 1 : breaks[i + 1]].tobytes().decode()
+            if line.startswith("#"):
+                key, colon, val = line[1:].partition(":")
+                if colon:
+                    self.out.provenance[key.strip()] = val.strip()
+            elif line:
+                raise ValueError(f"{self.path}:{lineno + i}: malformed record {line!r}")
         self.masks.append(masks[is_a])
         self.values.append(values[is_a])
         return len(is_a)
@@ -402,19 +354,22 @@ class _Reader:
         return self.out
 
 
-def _canonical_a_records(
+def _records(
     buf: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Find and parse the canonical A records among the lines of ``buf``
-    (uint8): an LF, the end of the line before, then LF-terminated lines.
+    """Find and parse the records among the lines of ``buf`` (uint8): an
+    LF, the end of the line before, then LF-terminated lines.
 
     The lines split into fields, each closed by ',', '|' or LF.  A line is
-    canonical when its fields are 'A' closed by '|'; then one or more
-    elements of 1-2 digits without a leading zero, in [1, 63] and strictly
-    ascending, closed by ',' except the last, closed by '|'; then a value of
-    1-18 digits, which an int64 holds, closed by LF.  Returns the index of
-    every LF, the first one included, and per line whether it is canonical
-    and its D.mask and value, which mean nothing where it is not.
+    a record when its fields are 'A' or 'C' closed by '|'; then elements
+    of 1-2 digits without a leading zero, in [1, 63] and strictly
+    ascending, closed by ',' except the last, closed by '|', one or more of
+    them after 'A' and exactly two after 'C'; then a value of 1-18 digits,
+    which an int64 holds, closed by LF.  Returns the index of every LF, the
+    first one included, and per line its kind (the first two bytes of a
+    record, 'A|' or 'C|' as _HEAD_A or _HEAD_C, and 0 for any other line),
+    its mask and its value, which mean nothing where it is no record.  The
+    mask is the D.mask of an A record, and bits l-1 and k-1 of C|l,k.
     """
     term = np.flatnonzero((buf == _LF) | (buf == _COMMA) | (buf == _BAR))
     sep = np.take(buf, term)
@@ -428,27 +383,27 @@ def _canonical_a_records(
     bits = np.take(_PAIR_BIT, np.take(pairs, term - 2, mode="wrap"))
     gap = np.diff(term)  # the length of each field after the first, plus one
     # an element is bad unless it spells one of 1-63 in 1-2 bytes, above the
-    # field before it (the head 'A' spells none), and is closed by ',' unless
+    # field before it (the head spells none), and is closed by ',' unless
     # the value follows it; heads and values are no element
     bad = np.zeros(len(term), bool)
     np.logical_or(bits[1:] <= bits[:-1], gap > 3, out=bad[1:])
     bad[:-1] |= (sep[:-1] == _BAR) & (sep[1:] != _LF)
     bad[lf] = bad[head] = False
-    # an element, 'A' closed by '|' (an empty last line starts past the last
-    # pair, so "clip") and the last element closed by '|'
-    canonical = (
-        (last - head >= 2)
-        & (np.take(pairs, breaks[:-1] + 1, mode="clip") == _HEAD)
-        & (np.take(sep, last - 1) == _BAR)
-    )
-    canonical[np.searchsorted(last, np.flatnonzero(bad))] = False
+    # 'A' closed by '|' and an element, or 'C' closed by '|' and two (an
+    # empty last line starts past the last pair, so "clip"), and the last
+    # element closed by '|'
+    first, fields = np.take(pairs, breaks[:-1] + 1, mode="clip"), last - head
+    record = (first == _HEAD_A) & (fields >= 2) | (first == _HEAD_C) & (fields == 3)
+    record &= np.take(sep, last - 1) == _BAR
+    record[np.searchsorted(last, np.flatnonzero(bad))] = False
     bits[lf] = 0
     masks = np.bitwise_or.reduceat(bits, head)
     # each value's length, 0 on a line already refused, which so adds no
     # column to the digit parse
-    lengths = np.where(canonical, np.take(gap, last - 1) - 1, 0)
+    lengths = np.where(record, np.take(gap, last - 1) - 1, 0)
     values, numeric = _digit_values(buf, breaks[1:], lengths)
-    return breaks, canonical & numeric, masks, values
+    kinds = np.where(record & numeric, first, 0)
+    return breaks, kinds, masks, values
 
 
 def _digit_values(

@@ -14,6 +14,7 @@ Everything here is an immutable value; all functions are pure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -95,8 +96,9 @@ _ELEMENT_BITS = {str(e): 1 << (e - 1) for e in range(1, 64)}
 
 def parse_d_mask(text: str) -> int:
     """D.mask of a D key: '', '∅' or '{}', or strictly ascending integers
-    in [1, 63] joined by commas.  The one parser of D text, for ``DSet.parse``,
-    ``--d`` and cache files."""
+    in [1, 63] joined by commas.  The parser of D text for ``DSet.parse``
+    and ``--d``; the cache loader reads only the spelling
+    :attr:`DSet.key` writes, by its own grammar."""
     text = text.strip()
     if text in ("", "∅", "{}"):
         return 0
@@ -131,13 +133,21 @@ def d_mask_keys(depth: int, first: int = 1) -> list[str]:
     return keys
 
 
+@functools.cache
+def _half_keys(width: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The low and the high half-width key tables of :func:`d_keys`, which
+    depend on the width alone: built once per width."""
+    half = width // 2
+    return tuple(d_mask_keys(half)), tuple(d_mask_keys(width - half, half + 1))
+
+
 def d_keys(masks: Iterable[int], width: int) -> list[str]:
     """:attr:`DSet.key` of each D.mask in ``masks``, all below 2^width.
     Each key is its low and high halves' keys, looked up in two tables of
-    about 2^(width/2) keys and joined by ','."""
+    about 2^(width/2) keys (:func:`_half_keys`) and joined by ','."""
     half = width // 2
     low_bits = _low_bits(half)
-    low, high = d_mask_keys(half), d_mask_keys(width - half, half + 1)
+    low, high = _half_keys(width)
     keys = []
     for m in masks:
         a, b = low[m & low_bits], high[m >> half]

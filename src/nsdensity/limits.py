@@ -254,7 +254,7 @@ def truncation_numerators(
     each is read once by slicing:
     level t sets the rows with Max(D) = t to A_D 4^(depth-t) and takes
     A_{D∪{t}} 4^(depth-t), entry D.mask, from each row with Max(D) < t.
-    ``tolist`` gives Python ints, from int64 and object levels alike.
+    ``tolist`` gives Python ints, so the sums are exact past int64.
     """
     if not 0 <= lo < hi <= 1 << depth:
         raise ValueError(

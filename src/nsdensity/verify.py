@@ -410,12 +410,14 @@ def check_small_multiplicity_bound(f_max: int) -> str:
 
 @_check(lambda f_max: f"per-m-bounds(f<={f_max})")
 def check_per_m_bounds(f_max: int) -> str:
-    """#{T : m(A(T)) = m} <= (q+2)^(r-1) (q+1)^(m-r) when f = qm + r, 0<r<m."""
+    """#{T : m(A(T)) = m} <= (q+2)^(r-1) (q+1)^(m-r) when f = qm + r, 0<r<m.
+
+    Every attained m has 0 < r: an m <= f-1 lies in the semigroup, so every
+    multiple of m does too, and f does not; the other attained m, f+1,
+    exceeds f.  So no m divides f, and the bound covers every count."""
     for f in range(3, f_max + 1):
         for m, c in density_table(f).multiplicities().items():
             q, r = divmod(f, m)
-            if r == 0:
-                continue  # bound stated only for m not dividing f
             if c > (q + 2) ** (r - 1) * (q + 1) ** (m - r):
                 raise AssertionError(
                     f"f={f} m={m}: count {c} > (q+2)^{r - 1}(q+1)^{m - r}"
@@ -821,7 +823,5 @@ def run_suites(names: list[str], max_f: int | None = None,
     picked = list(SUITES) if "all" in names else names
     results = []
     for name in picked:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
         results += [check.run() for check in SUITES[name](max_f=max_f, cache=cache)]
     return results

@@ -434,6 +434,18 @@ class TestExitCodes:
         (["glimit", "--l", "1", "--depth", "32", "--depth-budget", "32"],
          "--depth must be <= 31, the deepest top slice"),
         (["gamma", "--d", "1", "--depth", "-1"], "--depth must be >= 0"),
+        # the other refusals of cli.validate, each before any sweep too
+        (["gamma", "--d", "1", "--depth", "3", "--depth-budget", "0"],
+         "--depth-budget must be >= 1"),
+        (["enumerate", "--f", "9", "--enum-budget", "0"],
+         "--enum-budget must lie in [1, 63]"),
+        (["enumerate", "--f", "9", "--enum-budget", "64"],
+         "--enum-budget must lie in [1, 63]"),
+        (["enumerate", "--f", "0"], "--f must be >= 1"),
+        (["gamma", "--d", "1,9", "--depth", "8"], "--depth 8 below Max(D) = 9"),
+        (["table", "--max-t", "9", "--depth", "8"], "--max-t must lie in [0, depth]"),
+        (["glimit", "--l", "0"], "--l must be >= 1"),
+        (["glimit", "--l", "2", "--depth", "4"], "--depth must be >= 2l+1 = 5"),
     ])
     def test_depth_beyond_the_deepest_top_slice(self, capsys, monkeypatch,
                                                 argv, message):
@@ -441,7 +453,11 @@ class TestExitCodes:
         def no_sweep(digits, forced=0):
             raise AssertionError(f"top-slice table of {len(digits)} digits built")
 
+        def no_flat_sweep(size, *args, **kwargs):
+            raise AssertionError(f"flat sweep at {size} started")
+
         monkeypatch.setattr(enumeration, "_slice_table", no_sweep)
+        monkeypatch.setattr(enumeration, "_flat_groups", no_flat_sweep)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"usage error: {message}\n"

@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -412,11 +413,19 @@ class TestCacheFile:
         with pytest.raises(ValueError):  # CacheConflictError included
             cache_load(path)
 
-    def test_load_accepts_what_dset_parse_accepts(self, tmp_path):
-        # int() forms of the same elements name the same masks
-        path = tmp_path / "c.cache"
-        path.write_text("A|+1|1\nA| 2|2\nA|01, 2 |1\n", encoding="utf-8")
-        assert cache_load(path).a_entries == swept(2).a_entries
+    @pytest.mark.parametrize("line", [
+        "A|+1|1", "A| 2|1", "A|01|1", "A|1, 2 |1", "A|1|+1", "A|1| 1",
+        "A|1|1 ", f"A|1|{10**18}", "A|∅|1", "C|1, 4|3", "C|01,4|3",
+    ])
+    def test_load_refuses_what_only_int_accepts(self, tmp_path, line):
+        # DSet.parse and int() take these spellings; the loader reads only
+        # the writer's, and names the first other line
+        path = tmp_path / "bad.cache"
+        path.write_text(f"A|1|1\n{line}\nA|1|2\n", encoding="utf-8")
+        message = f"{path}:2: malformed record {line!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+            cache_load(path)
+        assert caught.type is ValueError
 
     def test_load_rejects_internal_conflict(self, tmp_path):
         path = tmp_path / "bad.cache"
@@ -426,7 +435,7 @@ class TestCacheFile:
 
     @pytest.mark.parametrize("records, message", [
         # a malformed line anywhere comes first, then a key with two values
-        ("A|1|1\nA|1|2\nA|1|x\n", r":3: non-integer value 'x'$"),
+        ("A|1|1\nA|1|2\nA|1|x\n", r":3: malformed record 'A\|1\|x'$"),
         ("A|1|1\nA|1|2\nA|1|3\n", r"^A\[1\] recomputed as 2, cached 1$"),
         ("A|1|1\nC|1,4|3\nC|1,4|4\n", r"^C\[1,4\] recomputed as 4, cached 3$"),
         ("A|2|9\nC|1,4|3\nC|1,4|4\n", r"^C\[1,4\] recomputed as 4, cached 3$"),
@@ -437,12 +446,15 @@ class TestCacheFile:
         ("C|1,4|7\nA|1|1\n", r"^C\[1,4\] = 7 outside \[1, 6\]$"),
         # of two clashes the first in the file is named, not the smaller key
         ("A|1|1\nA|2|3\nA|2|4\nA|1|2\n", r"^A\[2\] recomputed as 4, cached 3$"),
-        # a clash between values past int64, read as Python ints
+        # a value past int64 is malformed, so it is named before any clash
         ("A|1|1\nA|1|18446744073709551617\n",
-         r"^A\[1\] recomputed as 18446744073709551617, cached 1$"),
+         r":2: malformed record 'A\|1\|18446744073709551617'$"),
+        # the longest value a record holds clashes like any other
+        ("A|1|1\nA|1|999999999999999999\n",
+         r"^A\[1\] recomputed as 999999999999999999, cached 1$"),
     ], ids=["malformed", "a-conflict", "c-conflict", "c-conflict-before-level",
             "duplicates-dropped", "level-before-c-bound", "c-bound",
-            "first-clash-in-file-order", "clash-past-int64"])
+            "first-clash-in-file-order", "clash-past-int64", "clash-at-18-digits"])
     def test_load_refuses_in_one_order(self, tmp_path, records, message):
         path = tmp_path / "bad.cache"
         path.write_text(records, encoding="utf-8")
@@ -461,7 +473,8 @@ class TestCacheFile:
         # level 2 sums to 3^1, but A_{1,2} = 0
         ("A|1|1\nA|2|3\nA|1,2|0\n", r"level 2: 2 A constants in \[0, 3\]"),
         ("A|1|1\nA|2|4\nA|1,2|1\n", r"level 2: 2 A constants in \[1, 4\]"),
-        ("A|∅|1\n", "level 0"),  # A over the empty set is 1 and never stored
+        # A over the empty set is 1 and never stored: no record spells it
+        ("A|∅|1\n", r":1: malformed record 'A\|∅\|1'$"),
         # no top slice deeper than t = 31 fits a 64-bit word
         ("A|1|1\nA|32|1\n", r"level 32: A levels lie in \[1, 31\]"),
         ("A|63|1\n", r"level 63: A levels lie in \[1, 31\]"),
@@ -471,20 +484,22 @@ class TestCacheFile:
         (LEVEL_5_AT_18_DIGITS, r"level 5: 16 A constants in "
          r"\[999999999999999999, 999999999999999999\] "
          r"summing to 15999999999999999984;"),
-        # values past 18 digits take the per-line route, read exactly
-        ("A|1|18446744073709551617\n", r"level 1: 1 A constants in "
-         r"\[18446744073709551617, 18446744073709551617\] "
-         r"summing to 18446744073709551617;"),
-        ("A|1|1\nA|2|1234567890123456789\nA|1,2|1\n", r"level 2: 2 A constants "
-         r"in \[1, 1234567890123456789\] summing to 1234567890123456790;"),
+        # a value past 18 digits is malformed: no level holds one
+        ("A|1|18446744073709551617\n",
+         r":1: malformed record 'A\|1\|18446744073709551617'$"),
+        ("A|1|1\nA|2|1234567890123456789\nA|1,2|1\n",
+         r":2: malformed record 'A\|2\|1234567890123456789'$"),
     ], ids=["zero", "above-cap", "empty-set", "level-32", "level-63",
             "level-3-before-1", "level-5-at-18-digits", "past-uint64",
             "19-digits"])
     def test_load_rejects_a_out_of_range(self, tmp_path, records, message):
         path = tmp_path / "bad.cache"
         path.write_text(records, encoding="utf-8")
-        with pytest.raises(CacheConflictError, match=message):
+        with pytest.raises(ValueError, match=message) as caught:
             cache_load(path)
+        # the rules refuse with a CacheConflictError, a malformed line without
+        malformed = "malformed record" in message
+        assert caught.type is (ValueError if malformed else CacheConflictError)
 
     def test_load_rejects_level_sum(self, tmp_path):
         path = tmp_path / "c.cache"
@@ -497,18 +512,22 @@ class TestCacheFile:
     @pytest.mark.parametrize("record", [
         "C|1,4|7", "C|1,4|0", "C|1,3|2",
         # keys no sweep produces: l < 1, k <= 2l+1 or k > 31
-        "C|0,5|7", "C|-1,5|3", "C|2,3|1", "C|1,40|1", "C|1,-3|1",
+        "C|0,5|7", "C|-1,5|3", "C|2,3|1", "C|1,40|1", "C|1,-3|1", "C|1,8000000|1",
     ])
     def test_load_rejects_c_out_of_range(self, tmp_path, record):
-        # C_{1,4} <= 2^1 3^(4-3) = 6; C_{1,3} = 1 in closed form
+        # C_{1,4} <= 2^1 3^(4-3) = 6; C_{1,3} = 1 in closed form.  An l or k
+        # outside [1, 63] spells no record: the line is malformed
         path = tmp_path / "bad.cache"
         path.write_text(f"A|1|1\n{record}\n", encoding="utf-8")
-        with pytest.raises(CacheConflictError):
+        malformed = C_RECORD.fullmatch(record) is None
+        message = f":2: malformed record '{re.escape(record)}'$" if malformed else r"^C\["
+        with pytest.raises(ValueError, match=message) as caught:
             cache_load(path)
+        assert caught.type is (ValueError if malformed else CacheConflictError)
 
     @pytest.mark.parametrize("record", [
-        "C|0,5|7", "C|-1,5|3", "C|2,3|1", "C|1,3|1", "C|1,40|1", "C|1,-3|1",
-        "C|1,8000000|1",  # refused before 3^(k-2l-1) is computed
+        "C|2,3|1", "C|1,3|1", "C|1,40|1",
+        "C|1,63|1",  # the largest k a record spells, refused before 3^60
     ])
     def test_load_names_the_c_key_bound(self, tmp_path, record):
         path = tmp_path / "bad.cache"
@@ -527,17 +546,19 @@ class TestCacheFile:
         assert cache_load(tmp_path / "c.cache").a_entries == cache.a_entries
 
     def test_empty_set_record_has_its_own_refusal(self, tmp_path, capsys):
-        # A_∅ has no level: the level rule's powers 2^(t-1), 3^(t-1) at
-        # t = 0 would only print negative exponents
+        # A_∅ has no level and no record spells it, so the loader refuses
+        # the line; set_level refuses level 0 before the level rule's powers
+        # 2^(t-1), 3^(t-1) would print negative exponents
         path = tmp_path / "bad.cache"
         path.write_text("A|∅|1\n", encoding="utf-8")
         code = cli.main(["gamma", "--d", "1", "--depth", "3", "--cache", str(path)])
         err = capsys.readouterr().err
         assert code == 1
-        assert "A_∅ = 1 by definition and is never stored" in err
-        assert "^-" not in err
-        with pytest.raises(CacheConflictError, match="never stored"):
+        assert err == f"internal inconsistency: {path}:1: malformed record 'A|∅|1'\n"
+        with pytest.raises(CacheConflictError, match="A_∅ = 1 by definition and "
+                           "is never stored") as caught:
             swept(2).set_level(0, [1])
+        assert "^-" not in str(caught.value)
 
     def test_store_refuses_c_out_of_range(self, tmp_path):
         cache = swept(2)
@@ -568,13 +589,48 @@ class TestCacheFile:
         assert resolve_cache_path("flag.cache") == "flag.cache"
 
 
+# the one grammar of a cache line, as regular expressions: an element is
+# 1-63 without a leading zero, a value 1-18 digits
+ELEMENT = r"(?:[1-9]|[1-5][0-9]|6[0-3])"
+A_RECORD = re.compile(rf"A\|({ELEMENT}(?:,{ELEMENT})*)\|([0-9]{{1,18}})")
+C_RECORD = re.compile(rf"C\|({ELEMENT},{ELEMENT})\|([0-9]{{1,18}})")
+
+
 def per_line_load(path) -> ConstantCache:
-    """The oracle for cache_load: its per-line parser on every line, split
-    as a text file opened with newline="" splits them, then the same rules."""
-    reader = constants._Reader(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader.lines(fh)
-    return reader.cache()
+    """The oracle for cache_load: the file split at LF, each line matched
+    against the grammar above (no numpy, no parser of nsdensity), then the
+    rules in their order, the level rule and the C bound by the checking
+    setters of a ConstantCache."""
+    text = Path(path).read_bytes().decode("utf-8")
+    lines = text.split("\n")[: -1 if text.endswith("\n") else None]
+    cache, records = ConstantCache(), {"A": [], "C": []}
+    for lineno, line in enumerate(lines, 1):
+        if line.startswith("#"):
+            key, colon, value = line[1:].partition(":")
+            if colon:
+                cache.provenance[key.strip()] = value.strip()
+        elif match := A_RECORD.fullmatch(line) or C_RECORD.fullmatch(line):
+            elements = [int(e) for e in match[1].split(",")]
+            if elements != sorted(set(elements)):
+                raise ValueError(f"{path}:{lineno}: malformed record {line!r}")
+            records[line[0]].append((match[1], int(match[2])))
+        elif line:
+            raise ValueError(f"{path}:{lineno}: malformed record {line!r}")
+    held = {"A": {}, "C": {}}  # per key, the value first read
+    for kind in "AC":
+        for key, value in records[kind]:
+            if (old := held[kind].setdefault(key, value)) != value:
+                raise CacheConflictError(f"{kind}[{key}] recomputed as {value}, cached {old}")
+    levels = {}  # per level, in order of first appearance, {D.mask: A_D}
+    for key, value in held["A"].items():
+        elements = [int(e) for e in key.split(",")]
+        mask = sum(1 << (e - 1) for e in elements)
+        levels.setdefault(elements[-1], {})[mask] = value
+    for t, level in levels.items():
+        cache.set_level(t, [level[mask] for mask in sorted(level)])
+    for key, value in held["C"].items():
+        cache.set_c(*map(int, key.split(",")), value)
+    return cache
 
 
 def load_outcome(load, path):
@@ -602,6 +658,9 @@ EVERY_VALUE_LENGTH = a_records(5) + "".join(
     for i, mask in enumerate(range(32, 64))
 )
 
+# every case is loaded by cache_load and by per_line_load, which must agree;
+# "int-spellings" and "conflict-across-routes" hold spellings a second,
+# per-line route once accepted, and are malformed now
 LOADER_CASES = {
     "shipped": SHIPPED_TEXT,
     "shipped-1,3-raised": SHIPPED_TEXT.replace(
@@ -646,6 +705,17 @@ LOADER_CASES = {
     "long-provenance-line": "# generated-by: " + "x" * 40 + "\n" + SMALL,
     "every-value-length": EVERY_VALUE_LENGTH,
     "value-18-digits-leading-zeros": SMALL.replace("A|1|1\n", f"A|1|{1:018d}\n"),
+    "crlf-provenance-only": "# a-depth: 3\r\n# format: 1\r\n",
+    "empty-set": SMALL + "A|∅|1\n",
+    "c-equal-duplicate": SMALL + "C|1,4|3\n",
+    "c-conflicting-duplicate": SMALL + "C|1,4|4\n",
+    "c-leading-zero-value": SMALL.replace("C|1,4|3\n", "C|1,4|003\n"),
+    "c-descending": SMALL + "C|4,1|3\n",
+    "c-one-element": SMALL + "C|4|3\n",
+    "c-three-elements": SMALL + "C|1,2,3|3\n",
+    "c-element-0": SMALL + "C|0,5|7\n",
+    "c-key-bound": SMALL + "C|1,40|1\n",
+    "c-19-digits": SMALL + f"C|1,4|{10**18}\n",
 }
 
 
@@ -659,20 +729,18 @@ class TestLoaderRoutes:
         path.write_bytes(content)
         assert load_outcome(cache_load, path) == load_outcome(per_line_load, path)
 
-    def test_shipped_cache_parses_its_a_records_in_numpy(self, monkeypatch):
-        # only the 3 provenance lines and 15 C records take the per-line route
-        seen = []
-        line = constants._Reader.line
-
-        def spy(reader, lineno, raw):
-            seen.append(raw)
-            return line(reader, lineno, raw)
-
-        monkeypatch.setattr(constants._Reader, "line", spy)
-        cache = cache_load(SHIPPED_CACHE)
-        assert len(cache.a_entries) == 2**15 - 1
-        assert len(seen) == 18
-        assert not any(raw.startswith("A|") for raw in seen)
+    def test_shipped_cache_parses_its_a_records_in_numpy(self):
+        # every A and C record of the shipped file is a record of the
+        # tokenizer, and only its 3 provenance lines are left to Python
+        data = SHIPPED_CACHE.read_bytes()
+        _, kinds, _, _ = constants._records(np.frombuffer(b"\n" + data, np.uint8))
+        lines = data.decode().splitlines()
+        want = [0 if line[0] == "#" else int.from_bytes(line[:2].encode(), "little")
+                for line in lines]
+        assert kinds.tolist() == want
+        assert np.count_nonzero(kinds == constants._HEAD_A) == 2**15 - 1
+        assert np.count_nonzero(kinds == constants._HEAD_C) == 15
+        assert np.count_nonzero(kinds == 0) == 3
 
     @pytest.mark.parametrize("line, canonical", [
         ("A|1|1", True), ("A|63|5", True), ("A|1,2,10,63|0", True),
@@ -686,20 +754,26 @@ class TestLoaderRoutes:
         ("A|1|1|2", False), ("A|1|2|5", False), ("A|1,2", False),
         ("A|5", False), ("A,1|5", False), ("A|1|-1", False),
         (f"A|1|{10**18}", False), ("A|1|1\x00", False), ("AA|1|1", False),
-        ("B|1|1", False), ("C|1,4|3", False), ("# a: b", False), ("", False),
+        ("B|1|1", False), ("C|1,4|3", True), ("# a: b", False), ("", False),
+        ("C|1,63|0", True), (f"C|10,20|{10**18 - 1}", True), ("C|2,5|007", True),
+        ("C|4|3", False), ("C|1,2,3|3", False), ("C|4,1|3", False),
+        ("C|1,1|3", False), ("C|0,4|3", False), ("C|1,64|3", False),
+        ("C|1,04|3", False), ("C|1,4|", False), (f"C|1,4|{10**18}", False),
+        ("C,1,4|3", False), ("CC|1,4|3", False), ("c|1,4|3", False),
+        ("C|1,4|3|4", False),
     ])
     def test_canonical_grammar(self, line, canonical):
-        # the line between two canonical ones, so a field may not leak; a
-        # block starts with the LF that ends the line before it
+        # the line between two records, so a field may not leak; a block
+        # starts with the LF that ends the line before it
         block = f"\nA|1|1\n{line}\nA|2,3|2\n".encode()
-        ends, flags, masks, values = constants._canonical_a_records(
-            np.frombuffer(block, np.uint8)
-        )
+        ends, kinds, masks, values = constants._records(np.frombuffer(block, np.uint8))
         assert ends.tolist() == [i for i, b in enumerate(block) if b == 10]
-        assert flags.tolist() == [True, canonical, True]
+        head = int.from_bytes(line[:2].encode(), "little") if canonical else 0
+        assert kinds.tolist() == [constants._HEAD_A, head, constants._HEAD_A]
         assert masks[[0, 2]].tolist() == [0b1, 0b110]
         assert values[[0, 2]].tolist() == [1, 2]
         if canonical:
+            # a C key l,k is read as the D key of the set {l, k}
             _, key, value = line.split("|")
             assert masks[1] == parse_d_mask(key)
             assert values[1] == int(value)
@@ -728,6 +802,18 @@ class TestShippedCache:
     def test_store_roundtrip_is_byte_identical(self, shipped_cache, tmp_path):
         cache_store(shipped_cache, tmp_path / "again.cache")
         assert (tmp_path / "again.cache").read_bytes() == SHIPPED_CACHE.read_bytes()
+
+    def test_cache_files_keep_lf_endings(self):
+        # the loader refuses a record that ends in CR, so a checkout or an
+        # editor that converts line ends must fail here, not in a query
+        root = SHIPPED_CACHE.parent
+        rules = (root / ".gitattributes").read_text(encoding="utf-8").splitlines()
+        assert "*.cache text eol=lf" in rules
+        files = [SHIPPED_CACHE, *sorted((root / "tests" / "golden").glob("*.cache"))]
+        assert len(files) >= 2
+        for path in files:
+            assert b"\r" not in path.read_bytes(), path
+            assert cache_load(path).levels, path
 
     def test_a_bounds(self, shipped_cache):
         for mask, v in shipped_cache.a_entries.items():

@@ -657,6 +657,12 @@ class TestMultiplicityStats:
                 1 for m in mults if m <= bound
             )
 
+    def test_no_attained_multiplicity_divides_f(self):
+        # f is no member, so no member m <= f-1 divides it, and f+1 > f: the
+        # per-multiplicity bound of verify's per-m-bounds covers every count
+        for f in range(3, 21):
+            assert all(f % m for m in density_table(f).multiplicities()), f
+
     def test_alpha_empirical_sums_to_one(self):
         for f in range(1, 13):
             assert sum(density_table(f).alpha().values()) == 1
