@@ -512,7 +512,7 @@ class TestCacheFile:
     @pytest.mark.parametrize("record", [
         "C|1,4|7", "C|1,4|0", "C|1,3|2",
         # keys no sweep produces: l < 1, k <= 2l+1 or k > 31
-        "C|0,5|7", "C|-1,5|3", "C|2,3|1", "C|1,40|1", "C|1,-3|1", "C|1,8000000|1",
+        "C|0,5|7", "C|-1,5|3", "C|2,3|1", "C|1,40|1", "C|1,-3|1",
     ])
     def test_load_rejects_c_out_of_range(self, tmp_path, record):
         # C_{1,4} <= 2^1 3^(4-3) = 6; C_{1,3} = 1 in closed form.  An l or k
@@ -526,14 +526,29 @@ class TestCacheFile:
         assert caught.type is (ValueError if malformed else CacheConflictError)
 
     @pytest.mark.parametrize("record", [
-        "C|2,3|1", "C|1,3|1", "C|1,40|1",
+        "C|0,5|7", "C|-1,5|3", "C|2,3|1", "C|1,3|1", "C|1,40|1", "C|1,-3|1",
+        "C|1,8000000|1",  # refused before 3^(k-2l-1) is computed
         "C|1,63|1",  # the largest k a record spells, refused before 3^60
     ])
     def test_load_names_the_c_key_bound(self, tmp_path, record):
+        # a key the grammar spells meets the bound in the loader; an l or k
+        # outside [1, 63] is refused as malformed first, and set_c, the one
+        # route into the cache, still names the bound for that key
         path = tmp_path / "bad.cache"
         path.write_text(f"A|1|1\n{record}\n", encoding="utf-8")
-        with pytest.raises(CacheConflictError, match=r"l >= 1, 2l\+2 <= k <= 31"):
+        bound = r"l >= 1, 2l\+2 <= k <= 31"
+        if C_RECORD.fullmatch(record):
+            with pytest.raises(CacheConflictError, match=bound):
+                cache_load(path)
+            return
+        message = f":2: malformed record '{re.escape(record)}'$"
+        with pytest.raises(ValueError, match=message) as caught:
             cache_load(path)
+        assert caught.type is ValueError
+        _, key, value = record.split("|")
+        l, k = map(int, key.split(","))
+        with pytest.raises(CacheConflictError, match=bound):
+            swept(1).set_c(l, k, int(value))
 
     def test_store_refuses_a_partial_level(self, tmp_path):
         # what the loader would refuse is never held, so never written
