@@ -287,9 +287,12 @@ def cmd_gamma(args: argparse.Namespace) -> Report:
     ]
     lo, s = enclosure(parts, depth)
     refined, tail = refined_lo(d.mask, s, depth), _grid(s - lo, depth)[0]
-    (value, value_dec), (lo, lo_dec) = _grid(s, depth), _grid(lo, depth)
     bound = gamma_lower_bound(t) if t >= 1 else None
     positivity = str(bound) if bound is not None else None
+    # above max(lo, 0) only when the off-grid bound is the lower end
+    refined, refined_dec = ((positivity, decimal_str(bound)) if refined > max(lo, 0)
+                            else _grid(refined, depth))
+    (value, value_dec), (lo, lo_dec) = _grid(s, depth), _grid(lo, depth)
     payload = {
         "command": "gamma",
         "d": d.key,
@@ -298,7 +301,7 @@ def cmd_gamma(args: argparse.Namespace) -> Report:
         "value_decimal": value_dec,
         "interval": {"lo": lo, "hi": value},
         "interval_decimal": {"lo": lo_dec, "hi": value_dec},
-        "refined_lo": str(refined),
+        "refined_lo": refined,
         "tail_bound": tail,
         "a_d": a_d,
         "terms": [{"k": k, "a": a} for k, a in terms],
@@ -309,14 +312,14 @@ def cmd_gamma(args: argparse.Namespace) -> Report:
         "refined_lo", "tail_bound", "a_d", "positivity_bound", "terms",
     ]
     row = [
-        d.key, str(depth), value, value_dec, lo, value, str(refined), tail,
+        d.key, str(depth), value, value_dec, lo, value, refined, tail,
         str(a_d), positivity or "", ";".join(f"{k}:{a}" for k, a in terms),
     ]
     text = [
         f"gamma_D for D = {d.key}, truncated at depth {depth}",
         f"  value     = {value} = {value_dec}",
         f"  interval  = [{lo_dec}, {value_dec}]  (tail bound (3/4)^{depth})",
-        f"  refined   = [{decimal_str(refined)}, "
+        f"  refined   = [{refined_dec}, "
         f"{value_dec}]  (nonnegativity and a_t/2^(t+1) folded in)",
         f"  A_D       = {a_d}",
     ]
@@ -342,12 +345,13 @@ def cmd_table(args: argparse.Namespace) -> Report:
     q = 4**tbl.depth
     rows = []
     for key, mask, s, refined in zip(
-        d_keys(tbl.rows, tbl.max_t), tbl.rows, tbl.numerators, tbl.refined
+        d_keys(tbl.rows, tbl.max_t), tbl.rows, tbl.numerators, tbl.refined_lows
     ):
         lo, hi = enclosure((s,), tbl.depth)
-        value = ratio_str(hi, q)
-        rows.append([key, value, ratio_str(lo, q), value, decimal_str(refined),
-                     bounds[mask.bit_length()]])
+        value, bound = ratio_str(hi, q), bounds[mask.bit_length()]
+        # above max(lo, 0) only when the off-grid bound is the lower end
+        refined = bound if refined > max(lo, 0) else ratio_str(refined, q)
+        rows.append([key, value, ratio_str(lo, q), value, refined, bound])
     payload = {
         "command": "table",
         "max_t": tbl.max_t,

@@ -326,28 +326,3 @@ def suffix_pattern(S: NumericalSet, width: int) -> DSet:
         if (S.gaps_mask >> (f - y - 1)) & 1:
             pattern.append(y)
     return DSet.of(pattern)
-
-
-def fold(T: NumericalSet, window: int, f_target: int) -> NumericalSet:
-    """Collapse T to Frobenius number f_target keeping a prefix block and a
-    suffix block.
-
-    The suffix block [f - window, f - 1] is translated down by
-    f - f_target; the prefix block [1, f_target - window - 1] is kept in
-    place; everything in between is dropped in favour of the minimal set.
-    With window = t and f_target = 2t + 1 this is the symmetric fold; other
-    choices give the asymmetric prefix/suffix splits.
-    """
-    f = T.f
-    if window < 1:
-        raise ValueError(f"window must be positive, got {window}")
-    prefix = f_target - window - 1
-    if prefix < 0:
-        raise ValueError(f"f_target {f_target} too small for window {window}")
-    if f_target > f:
-        raise ValueError(
-            f"blocks overlap: f_target {f_target} exceeds f(T) = {f}"
-        )
-    suffix_bits = (T.gaps_mask >> (f - window - 1)) & _low_bits(window)
-    new_mask = (T.gaps_mask & _low_bits(prefix)) | (suffix_bits << prefix)
-    return NumericalSet(f_target, new_mask)

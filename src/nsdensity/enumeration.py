@@ -246,14 +246,25 @@ def _slice_levels(
     with at most a_t free digits is the table's first rows, read as one
     chunk; a deeper level fixes its leading digits a_t+1, ..., t-1 chunk
     by chunk and runs each against the table's first rows over the digits
-    1..a_t (see the module docstring).  The levels are checked and the
-    table is built at the call; the chunks are computed as they are taken,
-    level by level in the order given.
+    1..a_t (see the module docstring).
+
+    It is the one validator of a level list.  At the call, before the
+    table is built and before any caller allocates a histogram, it refuses
+    levels that do not ascend without repeats, a level t < 1, a level
+    beyond the word size, t <= (WORD_LIMIT-1)/2 (a BudgetError), and a
+    prefix or forced digits that do not fit below t.  The chunks are
+    computed as they are taken, level by level in the order given.
     """
     levels = list(levels)
     if not levels or levels != sorted(set(levels)):
         raise ValueError(f"levels must ascend without repeats, got {levels}")
     for t in levels:
+        if t < 1:
+            raise ValueError(f"top slice needs t >= 1, got {t}")
+        if 2 * t + 1 > WORD_LIMIT:
+            raise BudgetError(
+                f"top slice at t={t} needs f = 2t+1 <= {WORD_LIMIT}, the word limit"
+            )
         if not 0 <= prefix_zeros <= t - 1 - forced:
             raise ValueError(
                 f"top slice needs the prefix [1,{prefix_zeros}] below t={t}"
@@ -742,18 +753,6 @@ def window_counts(f: int, width: int, *, prefix_zeros: int = 0) -> np.ndarray:
     return density_table(f, prefix_zeros=prefix_zeros).window(width)
 
 
-def _check_levels(levels: list[int]) -> None:
-    """Each level t >= 1, and within the word size, t <= (WORD_LIMIT-1)/2:
-    checked before any histogram is allocated."""
-    for t in levels:
-        if t < 1:
-            raise ValueError(f"top slice needs t >= 1, got {t}")
-        if 2 * t + 1 > WORD_LIMIT:
-            raise BudgetError(
-                f"top slice at t={t} needs f = 2t+1 <= {WORD_LIMIT}, the word limit"
-            )
-
-
 def _refuse_stray(t: int, stray: int) -> None:
     """A kernel that put ``stray`` level-t sets below window 2^(t-1) is
     wrong (see :func:`top_slice_levels`)."""
@@ -777,24 +776,15 @@ def top_slice_levels(
     entry p of level t's histogram equals ``window_counts(2t+1, t,
     prefix_zeros=l)[p]`` for p >= 2^(t-1).  The kernel computes the whole
     window from every digit pair, and a set landing below 2^(t-1) is an
-    AssertionError.
+    AssertionError (:func:`_window_histograms`).
 
     Each level comes as soon as its last chunk is in, so memory holds one
     level's histogram at a time.  It sweeps the levels it is given: the
-    budget flags are checked in :mod:`nsdensity.cli` alone.  Only the word
-    size bounds them, t <= (WORD_LIMIT-1)/2, checked at the call, before
-    any histogram is allocated.
+    budget flags are checked in :mod:`nsdensity.cli` alone, and only the
+    word size bounds them, checked at the call by :func:`_slice_levels`,
+    before any histogram is allocated.
     """
-    levels = list(levels)
-    _check_levels(levels)
-    histograms = _window_histograms(_slice_levels(levels, prefix_zeros=prefix_zeros))
-
-    def checked() -> Iterator[tuple[int, np.ndarray]]:
-        for t, buckets in histograms:
-            _refuse_stray(t, int(buckets[: 1 << (t - 1)].sum()))
-            yield t, buckets
-
-    return checked()
+    return _window_histograms(_slice_levels(levels, prefix_zeros=prefix_zeros))
 
 
 def top_slice_c(l: int, levels: Iterable[int]) -> dict[int, int]:
@@ -805,10 +795,10 @@ def top_slice_c(l: int, levels: Iterable[int]) -> dict[int, int]:
     ``top_slice_levels([k], prefix_zeros=l)`` at bucket 2^(k-1), over
     2^l 3^(k-1-2l) sets instead of 2^l 3^(k-1-l) (proof in
     :mod:`nsdensity.constants`).  A window below 2^(k-1) is an
-    AssertionError, as in :func:`top_slice_levels`.
+    AssertionError, as in :func:`top_slice_levels`.  It counts bucket {k}
+    without a histogram, which at k = 31 would take 2^31 int64 bins, 16 GiB.
     """
     levels = list(levels)
-    _check_levels(levels)
     full = dict.fromkeys(levels, 0)
     stray = dict.fromkeys(levels, 0)
     for t, windows in _slice_levels(levels, prefix_zeros=l, forced=l):
@@ -826,9 +816,12 @@ def _window_histograms(
     """(t, histogram) for each level of ``chunks``, the (t, windows) pairs
     of :func:`_slice_levels`: the sum of the level's per-chunk bincounts,
     yielded once its last chunk is in, so memory holds one level's total
-    and one chunk's bincount however many chunks and levels there are."""
+    and one chunk's bincount however many chunks and levels there are.
+    A level with any window below 2^(t-1) is refused (:func:`_refuse_stray`)
+    before it is yielded."""
     for t, level_chunks in itertools.groupby(chunks, key=operator.itemgetter(0)):
         total = np.zeros(1 << t, dtype=np.int64)
         for _, windows in level_chunks:
             np.add(total, np.bincount(windows, minlength=1 << t), out=total)
+        _refuse_stray(t, int(total[: 1 << (t - 1)].sum()))
         yield t, total

@@ -14,7 +14,8 @@ enclosure of their sum; no other production code forms the gamma tail
 gamma_D >= a_t / 2^(t+1) > 0 for t >= 1, with
 a_l = (2/3) 4^(-l) - 3 * 2^l / 4^(2l+1).  Only that bound falls off the
 grid; it depends on t alone, and an integer S meets it on the grid exactly
-when S >= ceil(q a_t / 2^(t+1)).
+when S >= ceil(q a_t / 2^(t+1)), so the refined lower end stays an integer
+on the grid.
 
 :func:`truncation_numerators`, the one production route, builds S_D for a
 range of D masks in one pass over the levels: all D with Max(D) <= max_t
@@ -37,23 +38,21 @@ from .core import DSet
 from .constants import ConstantCache, a_const, a_levels, c_consts
 
 
-def ratio_str(n: int, d: int, places: int = 5) -> str:
-    """n/d (d > 0) in fixed point with ``places`` decimals, rounded half to
-    even with exact integers; a negative n keeps its '-' even when the
-    rounded digits are all 0."""
-    q, r = divmod(abs(n) * 10**places, d)
+def ratio_str(n: int, d: int) -> str:
+    """n/d (d > 0) in fixed point with 5 decimals, rounded half to even
+    with exact integers; a negative n keeps its '-' even when the rounded
+    digits are all 0."""
+    q, r = divmod(abs(n) * 10**5, d)
     if 2 * r > d or 2 * r == d and q & 1:
         q += 1
     sign = "-" if n < 0 else ""
-    if not places:
-        return f"{sign}{q}"
-    digits = str(q).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    digits = str(q).rjust(6, "0")
+    return f"{sign}{digits[:-5]}.{digits[-5:]}"
 
 
-def decimal_str(x: Fraction | int, places: int = 5) -> str:
+def decimal_str(x: Fraction | int) -> str:
     """Fixed-point rendering, round-half-even; presentation only."""
-    return ratio_str(x.numerator, x.denominator, places)
+    return ratio_str(x.numerator, x.denominator)
 
 
 def tail_bound(depth: int) -> Fraction:
@@ -93,21 +92,29 @@ def enclosure(numerators: Iterable[int], depth: int) -> tuple[int, int]:
     return hi - 3**depth, hi
 
 
-def refined_lo(mask: int, s: int, depth: int) -> Fraction:
-    """The refined lower end max(lo/q, 0, a_t/2^(t+1)) of gamma_D,
-    D.mask = ``mask``, t = Max(D), q = 4^depth, where [lo, S] is the
-    :func:`enclosure` of its truncation S = ``s``; a ValueError naming D
-    when it lies above S/q."""
-    q, bound = 4**depth, gamma_lower_bound(mask.bit_length())
-    raw = max(enclosure((s,), depth)[0], 0)
-    if raw * bound.denominator >= bound.numerator * q:  # raw / q >= bound
-        return Fraction(raw, q)
-    if s * bound.denominator < bound.numerator * q:
+@functools.cache
+def _ceil_on_grid(n: int, d: int, depth: int) -> int:
+    """ceil(4^depth n/d) for d > 0; :func:`refined_lo` passes the bound
+    of one t, so it is computed once per (t, depth)."""
+    return -(-n * 4**depth // d)
+
+
+def refined_lo(mask: int, s: int, depth: int) -> int:
+    """The refined lower end of gamma_D on the grid q = 4^depth, D.mask =
+    ``mask``, t = Max(D): max(lo, 0, B_t), where [lo, S] is the
+    :func:`enclosure` of its truncation S = ``s`` and B_t =
+    ceil(q a_t/2^(t+1)), the least integer on or above the bound; a
+    ValueError naming D when S < B_t, which leaves the refined interval
+    empty.  B_t lies above max(lo, 0) exactly when the bound, which is off
+    the grid, is the refined lower end."""
+    bound = gamma_lower_bound(mask.bit_length())
+    b = _ceil_on_grid(bound.numerator, bound.denominator, depth)
+    if s < b:
         raise ValueError(
             f"empty refined interval for D = {DSet(mask).key}: "
             f"lower end {bound} above upper end {s}/4^{depth}"
         )
-    return bound
+    return max(enclosure((s,), depth)[0], 0, b)
 
 
 @dataclass(frozen=True)
@@ -124,10 +131,6 @@ class Interval:
         """[lo / 4^depth, hi / 4^depth]."""
         q = 4**depth
         return cls(Fraction(lo, q), Fraction(hi, q))
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
@@ -217,9 +220,15 @@ def g_l_limit(l: int, depth: int, cache: ConstantCache | None = None) -> GLimit:
 
     The limit is 2^(-l) - sum_{k<=l} C_{l,k} 2^(-l-k) - sum_{k>l} C_{l,k} 4^(-k);
     truncating the second sum at ``depth`` overshoots by at most
-    sum_{k>depth} 2^l 3^(k-2l-1) 4^(-k) = 2^l 3^(-2l) (3/4)^depth.  The lower
-    end always dominates a_l: at depth 2l+1 it equals a_l + (1/3) 4^(-2l-1),
-    and each further term removes at most what the tail bound releases.
+    sum_{k>depth} 2^l 3^(k-2l-1) 4^(-k) = 2^l 3^(-2l) (3/4)^depth.
+
+    The lower end dominates a_l at every depth.  At depth 2l+1, where every
+    C is 1, the value is (2/3) 4^(-l) + (1/3) 4^(-2l-1), so the lower end
+    is a_l + (1/3) 4^(-2l-1).  From depth N to N+1 the value drops by
+    C_{l,N+1} 4^(-N-1) <= 2^l 3^(N-2l) 4^(-N-1), and the tail bound drops
+    by 2^l 3^(N-2l) 4^(-N) - 2^l 3^(N+1-2l) 4^(-N-1), the same amount; so
+    the lower end never falls.  That takes only the C bound, which
+    :meth:`ConstantCache.set_c` enforces on every C a cache takes.
     Over q = 4^depth every term and the tail 2^l 3^(depth-2l) are integers.
     The C_{l,k} ``cache`` lacks come from one table (:func:`c_consts`).
     """
@@ -232,12 +241,7 @@ def g_l_limit(l: int, depth: int, cache: ConstantCache | None = None) -> GLimit:
         ck << (2 * depth - l - k) if k <= l else ck * 4 ** (depth - k)
         for k, ck in enumerate(c, 1)
     )
-    lo, a_l = hi - 2**l * 3 ** (depth - 2 * l), a_constant(l)
-    if lo * a_l.denominator < a_l.numerator * 4**depth:
-        raise AssertionError(
-            f"G_{l} interval lower end {Fraction(lo, 4**depth)} fell below a_{l}"
-        )
-    return GLimit(lo, hi, c)
+    return GLimit(hi - 2**l * 3 ** (depth - 2 * l), hi, c)
 
 
 def truncation_numerators(
@@ -293,17 +297,12 @@ class GammaTable:
     numerators: tuple[int, ...]
 
     @cached_property
-    def refined(self) -> list[Fraction]:
-        """Each row's :func:`refined_lo`; a ValueError names the first D
-        whose refined interval is empty."""
-        return [refined_lo(m, s, self.depth) for m, s in zip(self.rows, self.numerators)]
-
-    @cached_property
     def refined_lows(self) -> list[int]:
-        """Each row's refined lower end rounded up to the grid: an integer
-        H is below lo q exactly when it is below ceil(lo q)."""
-        q = 4**self.depth
-        return [-(-lo.numerator * q // lo.denominator) for lo in self.refined]
+        """Each row's :func:`refined_lo`, an integer on the grid: an
+        integer H is below the refined lower end exactly when it is below
+        this one.  A ValueError names the first D whose refined interval
+        is empty."""
+        return [refined_lo(m, s, self.depth) for m, s in zip(self.rows, self.numerators)]
 
     def distinctness_counts(self) -> tuple[int, int]:
         """(conclusively distinct pairs, inconclusive pairs).

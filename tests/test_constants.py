@@ -295,6 +295,8 @@ class TestCConst:
             c_const(0, 3)
         with pytest.raises(ValueError):
             c_const(1, 0)
+        with pytest.raises(ValueError, match="^l and depth must be positive$"):
+            c_consts(0, 5)
 
 
 class TestCacheObject:

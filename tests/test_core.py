@@ -13,7 +13,6 @@ from nsdensity.core import (
     d_keys,
     d_mask_keys,
     d_of,
-    fold,
     is_semigroup,
     multiplicity,
     n_of,
@@ -196,33 +195,3 @@ class TestWindowsAndFolding:
             suffix_pattern(s, 9)
         with pytest.raises(ValueError):
             suffix_pattern(s, 0)
-
-    def test_fold_shapes(self):
-        t = NumericalSet(11, 0b1010011001)
-        folded = fold(t, 3, 7)
-        assert folded.f == 7
-        # suffix block survives: 11-y in T iff 7-y in fold, y in [1,3]
-        for y in range(1, 4):
-            assert ((11 - y) in t) == ((7 - y) in folded)
-        # prefix block survives: x in [1, 3]
-        for x in range(1, 4):
-            assert (x in t) == (x in folded)
-
-    def test_fold_window_invariance(self):
-        rng = random.Random(9)
-        for _ in range(400):
-            f = rng.randint(4, 30)
-            w = rng.randint(1, min(5, (f - 1) // 2))
-            t = NumericalSet(f, rng.getrandbits(f - 1))
-            a = associated_semigroup(t)
-            b = associated_semigroup(fold(t, w, 2 * w + 1))
-            assert suffix_pattern(a, w) == suffix_pattern(b, w)
-
-    def test_fold_errors(self):
-        t = NumericalSet(9, 0)
-        with pytest.raises(ValueError):
-            fold(t, 0, 5)
-        with pytest.raises(ValueError):
-            fold(t, 3, 10)  # target beyond f
-        with pytest.raises(ValueError):
-            fold(t, 5, 3)  # negative prefix

@@ -124,6 +124,14 @@ class TestDensityTable:
             want = [is_semigroup(NumericalSet(f, m)) for m in gaps]
             assert enumeration._closed(np.array(gaps, dtype=np.uint64), f).tolist() == want
 
+    def test_sweep_refusals(self):
+        with pytest.raises(ValueError, match="^Frobenius number must be >= 1, got 0$"):
+            density_table(0)
+        with pytest.raises(BudgetError, match="^vectorized kernels require f <= 63, got 64$"):
+            density_table(64)
+        with pytest.raises(ValueError, match="^prefix \\[1,5\\] does not fit below f=5$"):
+            density_table(5, prefix_zeros=5)
+
     def test_validation(self):
         def table(f, masks, counts, prefix_zeros=0):
             return DensityTable(
@@ -386,7 +394,10 @@ class TestWindowCounts:
 def swept_levels(levels, **sweep):
     """Each level's histogram from one table, as the kernel gives it: a
     window below 2^(t-1) is counted, not refused."""
-    return dict(enumeration._window_histograms(enumeration._slice_levels(levels, **sweep)))
+    swept = {}
+    for t, windows in enumeration._slice_levels(levels, **sweep):
+        swept[t] = swept.get(t, 0) + np.bincount(windows, minlength=1 << t)
+    return swept
 
 
 @functools.lru_cache(maxsize=None)
